@@ -9,8 +9,8 @@ import csv
 import os
 import sys
 
-from .experiments import (ExperimentConfig, ExperimentError, check_convergence,
-                          run_convergence, run_cook,
+from .experiments import (RUN_KEYS, ExperimentConfig, ExperimentError,
+                          check_convergence, run_convergence, run_cook,
                           run_stability_diagnostics, stability_csv, write_csv)
 from .mesh import build_cook_mesh, build_unit_square_mesh, dump_mesh
 from .plotting import PlotSpec, Series, emit_plot, table_series
@@ -34,34 +34,19 @@ def _add_run_overrides(parser):
     parser.add_argument("--formulation",
                         choices=["compressible", "nearly_incompressible"])
     parser.add_argument("--deterministic", action="store_true", default=None,
-                        help="pin ordering and formatting for byte-stable reruns")
+                        help="accepted and ignored: output is always "
+                             "byte-stable")
     parser.add_argument("--out", dest="out_dir", help="output directory")
 
 
-def _config_from_args(args):
-    overrides = {}
-    for key in ("problem", "k", "mesh_sizes", "mu", "lam", "gamma", "young",
-                "poisson", "bc_mode", "formulation", "out_dir",
-                "deterministic"):
-        val = getattr(args, key, None)
-        if val is not None:
-            overrides[key] = str(val) if not isinstance(val, str) else val
+def _run_config(args):
+    """Config from --config (if given) with the [run] flags set on the
+    command line taking precedence."""
+    flags = {key: val for key, val in vars(args).items()
+             if key in RUN_KEYS and val is not None}
     if args.config:
-        return ExperimentConfig.from_file(args.config, overrides)
-    kwargs = {}
-    for key, cast in (("problem", str), ("k", int), ("mu", float),
-                      ("lam", float), ("gamma", float), ("young", float),
-                      ("poisson", float), ("bc_mode", str),
-                      ("formulation", str), ("out_dir", str)):
-        val = getattr(args, key, None)
-        if val is not None:
-            kwargs["order" if key == "k" else key] = cast(val)
-    if getattr(args, "mesh_sizes", None):
-        kwargs["mesh_sizes"] = tuple(
-            int(t) for t in args.mesh_sizes.replace(",", " ").split())
-    if getattr(args, "deterministic", None):
-        kwargs["deterministic"] = True
-    return ExperimentConfig(**kwargs)
+        return ExperimentConfig.from_file(args.config, flags)
+    return ExperimentConfig.from_mapping(flags)
 
 
 def cmd_mesh(args):
@@ -72,7 +57,7 @@ def cmd_mesh(args):
 
 
 def cmd_run(args):
-    config = _config_from_args(args)
+    config = _run_config(args)
     os.makedirs(config.out_dir, exist_ok=True)
     if config.problem == "nearly_incompressible":
         config.problem = "cook"
@@ -115,7 +100,7 @@ def cmd_run(args):
 
 
 def cmd_diagnose(args):
-    config = _config_from_args(args)
+    config = _run_config(args)
     os.makedirs(config.out_dir, exist_ok=True)
     reports = run_stability_diagnostics(config)
     path = os.path.join(config.out_dir,

@@ -142,7 +142,6 @@ class ExperimentConfig:
     formulation: str = "compressible"   # cook runs: compressible | nearly_incompressible
     stab_h: str = "element"
     rhs_degree: int = 10
-    deterministic: bool = False
     out_dir: str = "."
 
     def __post_init__(self):
@@ -151,20 +150,40 @@ class ExperimentConfig:
             raise ValueError(f"unknown problem {self.problem!r}")
         if self.bc_mode not in ("weak", "strong"):
             raise ValueError(f"unknown bc_mode {self.bc_mode!r}")
-        if self.young is not None:
+        if self.young is not None or self.poisson is not None:
             pars = MaterialParams.from_young_poisson(self.young, self.poisson,
                                                      gamma=self.gamma)
             self.mu, self.lam = pars.mu, pars.lam
         if self.mesh_sizes is None:
             self.mesh_sizes = (8, 16, 32, 64) if self.order == 1 else (4, 8, 16, 32)
         self.mesh_sizes = tuple(int(n) for n in self.mesh_sizes)
+        if not self.mesh_sizes:
+            raise ValueError("mesh_sizes must name at least one mesh")
 
     @property
     def params(self):
         return MaterialParams(mu=self.mu, lam=self.lam, gamma=self.gamma)
 
     @classmethod
+    def from_mapping(cls, section):
+        """Config from [run] keys; values are strings or already cast.
+
+        Raises ValueError naming any key that is not a [run] key.
+        """
+        unknown = sorted(set(section) - set(RUN_KEYS))
+        if unknown:
+            raise ValueError(f"unknown [run] keys: {', '.join(unknown)}; "
+                             f"known keys: {', '.join(RUN_KEYS)}")
+        kwargs = {}
+        # table order sets precedence: k over order, lam over lambda
+        for key, (name, cast) in RUN_KEYS.items():
+            if key in section and name is not None:
+                kwargs[name] = cast(section[key])
+        return cls(**kwargs)
+
+    @classmethod
     def from_file(cls, path, overrides=None):
+        """Config from the [run] section of a file, updated by overrides."""
         parser = configparser.ConfigParser()
         read = parser.read(path)
         if not read:
@@ -174,27 +193,24 @@ class ExperimentConfig:
         sec = dict(parser["run"])
         if overrides:
             sec.update({k: v for k, v in overrides.items() if v is not None})
-        kwargs = {}
-        for name, cast in (("problem", str), ("order", int), ("mu", float),
-                           ("gamma", float), ("young", float),
-                           ("poisson", float), ("bc_mode", str),
-                           ("formulation", str), ("stab_h", str),
-                           ("rhs_degree", int), ("out_dir", str)):
-            if name in sec:
-                kwargs[name] = cast(sec[name])
-        if "k" in sec:
-            kwargs["order"] = int(sec["k"])
-        if "lambda" in sec:
-            kwargs["lam"] = float(sec["lambda"])
-        if "lam" in sec:
-            kwargs["lam"] = float(sec["lam"])
-        if "mesh_sizes" in sec:
-            kwargs["mesh_sizes"] = tuple(
-                int(tok) for tok in sec["mesh_sizes"].replace(",", " ").split())
-        if "deterministic" in sec:
-            kwargs["deterministic"] = sec["deterministic"].lower() in (
-                "1", "true", "yes", "on")
-        return cls(**kwargs)
+        return cls.from_mapping(sec)
+
+
+def _mesh_sizes(text):
+    return tuple(int(tok) for tok in text.replace(",", " ").split())
+
+
+# [run] key -> (ExperimentConfig field, cast).  "deterministic" is accepted
+# and ignored: output is always byte-stable.
+RUN_KEYS = {
+    "problem": ("problem", str), "order": ("order", int), "k": ("order", int),
+    "mesh_sizes": ("mesh_sizes", _mesh_sizes), "mu": ("mu", float),
+    "lambda": ("lam", float), "lam": ("lam", float), "gamma": ("gamma", float),
+    "young": ("young", float), "poisson": ("poisson", float),
+    "bc_mode": ("bc_mode", str), "formulation": ("formulation", str),
+    "stab_h": ("stab_h", str), "rhs_degree": ("rhs_degree", int),
+    "out_dir": ("out_dir", str), "deterministic": (None, None),
+}
 
 
 # -- tables ----------------------------------------------------------------------
@@ -355,8 +371,11 @@ def run_convergence(config):
 
 
 def cook_tip_displacement(mesh, solution_field):
-    """Vertical displacement at the corner A = (48, 60)."""
-    tip = mesh.num_vertices - 1
+    """Vertical displacement at the mesh vertex on the corner A = (48, 60)."""
+    dist = np.hypot(*(mesh.vertices - _COOK_A).T)
+    tip = int(np.argmin(dist))
+    if dist[tip] > 1e-9 * math.hypot(*_COOK_A):
+        raise ValueError("no mesh vertex at the Cook corner A = (48, 60)")
     return float(solution_field.coefficients[2 * tip + 1])
 
 

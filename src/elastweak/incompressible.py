@@ -11,8 +11,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .compressible import (AssembledSystem, MaterialParams, _require_vector,
-                           assemble_boundary_flux,
+from .compressible import (AssembledSystem, MaterialParams, _dirichlet_sides,
+                           _per_cell, _require_vector, _scatter_matrix,
+                           _scatter_vector, assemble_boundary_flux,
                            assemble_elasticity_stiffness, assemble_flux_load,
                            assemble_load, dirichlet_dofs_and_values,
                            eliminate_dofs)
@@ -58,22 +59,16 @@ def assemble_divergence(vspace, pspace, degree=None):
         degree = 2 * vspace.order + 2
     vt = vspace.interior_tables(degree)
     pt = pspace.interior_tables(degree)
-    rows, cols, vals = [], [], []
-    for cells in vt.cell_chunks():
+    nloc_p, nloc_v = pspace.cell_dofs.shape[1], vspace.cell_dofs.shape[1]
+
+    def local(cells):
         g = vt.physical_gradients(cells)
         loc = np.einsum("cq,qi,cqjd->cijd", vt.wdet[cells], pt.N, g)
-        m = loc.shape[0]
-        pd = pspace.cell_dofs[cells]
-        vd = vspace.cell_dofs[cells]
-        nloc_p, nloc_v = pd.shape[1], vd.shape[1]
-        loc = loc.reshape(m, nloc_p, nloc_v)
-        rows.append(np.broadcast_to(pd[:, :, None], loc.shape).ravel())
-        cols.append(np.broadcast_to(vd[:, None, :], loc.shape).ravel())
-        vals.append(loc.ravel())
-    D = sp.coo_matrix((np.concatenate(vals),
-                       (np.concatenate(rows), np.concatenate(cols))),
-                      shape=(pspace.dof_count, vspace.dof_count))
-    return D.tocsr()
+        return loc.reshape(-1, nloc_p, nloc_v)
+
+    return _scatter_matrix(pspace.cell_dofs, vspace.cell_dofs,
+                           _per_cell(vt, local),
+                           (pspace.dof_count, vspace.dof_count))
 
 
 def assemble_mixed_volume(vspace, pspace, params):
@@ -99,17 +94,24 @@ def assemble_mixed_boundary_flux(vspace, pspace, params, side_tags=None,
     vb = vspace.boundary_tables(degree, side_tags)
     pb = pspace.boundary_tables(degree, side_tags)
     nU, nP = vspace.dof_count, pspace.dof_count
-    if len(vb.edge_ids) == 0:
-        return sp.csr_matrix((nU + nP, nU + nP))
     # Bvp[(i,c), j] = <psi_j n_c, phi_i>
     loc = np.einsum("eq,eqi,eqj,ec->eicj", vb.w, vb.N, pb.N, vb.normal)
-    ne = loc.shape[0]
-    vd, pd = vb.cell_dofs, pb.cell_dofs
-    loc = loc.reshape(ne, vd.shape[1], pd.shape[1])
-    rows = np.broadcast_to(vd[:, :, None], loc.shape).ravel()
-    cols = np.broadcast_to(pd[:, None, :], loc.shape).ravel()
-    Bvp = sp.coo_matrix((loc.ravel(), (rows, cols)), shape=(nU, nP)).tocsr()
+    loc = loc.reshape(len(vb.edge_ids), vb.cell_dofs.shape[1],
+                      pb.cell_dofs.shape[1])
+    Bvp = _scatter_matrix(vb.cell_dofs, pb.cell_dofs, loc, (nU, nP))
     return sp.bmat([[-Bvv + Bvv.T, Bvp], [-Bvp.T, None]], format="csr")
+
+
+def _pressure_gradient_local(pt, cells, hK):
+    """Per-cell integrals of h_K^2 grad psi_i . grad psi_j."""
+    gp = pt.physical_gradients(cells)
+    w = pt.wdet[cells] * (hK[cells] ** 2)[:, None]
+    return np.einsum("cq,cqia,cqja->cij", w, gp, gp)
+
+
+def _mass_local(tab, cells):
+    """Per-cell integrals of phi_i phi_j (scalar basis)."""
+    return np.einsum("cq,qi,qj->cij", tab.wdet[cells], tab.N, tab.N)
 
 
 def assemble_pressure_stabilization(vspace, pspace, params, stab_h="element"):
@@ -128,27 +130,20 @@ def assemble_pressure_stabilization(vspace, pspace, params, stab_h="element"):
     nU, nP = vspace.dof_count, pspace.dof_count
     gamma, mu = params.gamma, params.mu
 
-    # pressure-pressure block
-    rows, cols, vals = [], [], []
-    for cells in pt.cell_chunks():
-        gp = pt.physical_gradients(cells)
-        w = pt.wdet[cells] * (hK[cells] ** 2)[:, None]
-        loc = (gamma / mu) * np.einsum("cq,cqia,cqja->cij", w, gp, gp)
-        pd = pspace.cell_dofs[cells]
-        rows.append(np.broadcast_to(pd[:, :, None], loc.shape).ravel())
-        cols.append(np.broadcast_to(pd[:, None, :], loc.shape).ravel())
-        vals.append(loc.ravel())
-    Spp = sp.coo_matrix((np.concatenate(vals),
-                         (np.concatenate(rows), np.concatenate(cols))),
-                        shape=(nP, nP)).tocsr()
+    Spp = _scatter_matrix(
+        pspace.cell_dofs, pspace.cell_dofs,
+        _per_cell(pt, lambda cells: (gamma / mu)
+                  * _pressure_gradient_local(pt, cells, hK)),
+        (nP, nP))
 
     if vspace.order == 1:
         Squ = sp.csr_matrix((nP, nU))
     else:
         _, Jinv, _ = vspace.geometry()
         Hhat = basis_hessians(vspace.order)
-        rows, cols, vals = [], [], []
-        for cells in pt.cell_chunks():
+        nloc_p, nloc_v = pspace.cell_dofs.shape[1], vspace.cell_dofs.shape[1]
+
+        def local(cells):
             gp = pt.physical_gradients(cells)
             ip = np.einsum("cq,cqia->cia", pt.wdet[cells], gp)
             M = Jinv[cells]
@@ -158,16 +153,10 @@ def assemble_pressure_stabilization(vspace, pspace, params, stab_h="element"):
             loc = -gamma * (hK[cells] ** 2)[:, None, None, None] * (
                 np.einsum("mj,mid->mijd", lap, ip)
                 + np.einsum("mjad,mia->mijd", H, ip))
-            m = loc.shape[0]
-            pd = pspace.cell_dofs[cells]
-            vd = vspace.cell_dofs[cells]
-            loc = loc.reshape(m, pd.shape[1], vd.shape[1])
-            rows.append(np.broadcast_to(pd[:, :, None], loc.shape).ravel())
-            cols.append(np.broadcast_to(vd[:, None, :], loc.shape).ravel())
-            vals.append(loc.ravel())
-        Squ = sp.coo_matrix((np.concatenate(vals),
-                             (np.concatenate(rows), np.concatenate(cols))),
-                            shape=(nP, nU)).tocsr()
+            return loc.reshape(-1, nloc_p, nloc_v)
+
+        Squ = _scatter_matrix(pspace.cell_dofs, vspace.cell_dofs,
+                              _per_cell(pt, local), (nP, nU))
     zero_vv = sp.csr_matrix((nU, nU))
     return sp.bmat([[zero_vv, None], [Squ, Spp]], format="csr")
 
@@ -176,16 +165,9 @@ def assemble_pressure_mass(pspace, degree=None):
     if degree is None:
         degree = 2 * pspace.order + 2
     pt = pspace.interior_tables(degree)
-    rows, cols, vals = [], [], []
-    for cells in pt.cell_chunks():
-        loc = np.einsum("cq,qi,qj->cij", pt.wdet[cells], pt.N, pt.N)
-        pd = pspace.cell_dofs[cells]
-        rows.append(np.broadcast_to(pd[:, :, None], loc.shape).ravel())
-        cols.append(np.broadcast_to(pd[:, None, :], loc.shape).ravel())
-        vals.append(loc.ravel())
-    return sp.coo_matrix((np.concatenate(vals),
-                          (np.concatenate(rows), np.concatenate(cols))),
-                         shape=(pspace.dof_count, pspace.dof_count)).tocsr()
+    return _scatter_matrix(pspace.cell_dofs, pspace.cell_dofs,
+                           _per_cell(pt, lambda cells: _mass_local(pt, cells)),
+                           (pspace.dof_count,) * 2)
 
 
 def pressure_integral_vector(pspace, degree=None):
@@ -193,39 +175,34 @@ def pressure_integral_vector(pspace, degree=None):
     if degree is None:
         degree = 2 * pspace.order + 2
     pt = pspace.interior_tables(degree)
-    vec = np.zeros(pspace.dof_count)
-    for cells in pt.cell_chunks():
-        loc = np.einsum("cq,qi->ci", pt.wdet[cells], pt.N)
-        np.add.at(vec, pspace.cell_dofs[cells].ravel(), loc.ravel())
-    return vec
+    local = _per_cell(pt, lambda cells: np.einsum("cq,qi->ci", pt.wdet[cells],
+                                                  pt.N))
+    return _scatter_vector(pspace.cell_dofs, local, pspace.dof_count)
 
 
 def _stabilized_load(pspace, params, f, hK, rhs_degree):
     """(f, (gamma/mu) h^2 grad q) entries for the mass-balance rows."""
     pt = pspace.interior_tables(rhs_degree)
-    vec = np.zeros(pspace.dof_count)
-    for cells in pt.cell_chunks():
+
+    def local(cells):
         x = pt.physical_points(cells)
         fv = f.value(x[..., 0], x[..., 1])
         gp = pt.physical_gradients(cells)
         w = pt.wdet[cells] * (hK[cells] ** 2)[:, None]
-        loc = (params.gamma / params.mu) * np.einsum("cq,cqa,cqia->ci",
-                                                     w, fv, gp)
-        np.add.at(vec, pspace.cell_dofs[cells].ravel(), loc.ravel())
-    return vec
+        return (params.gamma / params.mu) * np.einsum("cq,cqa,cqia->ci",
+                                                      w, fv, gp)
+
+    return _scatter_vector(pspace.cell_dofs, _per_cell(pt, local),
+                           pspace.dof_count)
 
 
 def _pressure_flux_load(pspace, g, side_tags, degree):
     """Entries of -<psi_i n, g> on the selected sides."""
     pb = pspace.boundary_tables(degree, side_tags)
-    vec = np.zeros(pspace.dof_count)
-    if len(pb.edge_ids) == 0:
-        return vec
     gv = g.value(pb.x[..., 0], pb.x[..., 1])
     gvn = np.einsum("eqa,ea->eq", gv, pb.normal)
     loc = -np.einsum("eq,eqi->ei", pb.w * gvn, pb.N)
-    np.add.at(vec, pb.cell_dofs.ravel(), loc.ravel())
-    return vec
+    return _scatter_vector(pb.cell_dofs, loc, pspace.dof_count)
 
 
 def assemble_incompressible_system(mesh, vspace, pspace, params, f, g,
@@ -240,6 +217,7 @@ def assemble_incompressible_system(mesh, vspace, pspace, params, f, g,
     + grad p = f), which recovers compressible elasticity as lambda -> inf.
     The pressure mean-zero constraint is appended automatically when the
     Dirichlet data covers the whole boundary and no nearly_lambda is given.
+    dirichlet_sides=None selects every side, () none.
     """
     _check_pair(vspace, pspace)
     if params.gamma is None or params.gamma <= 0.0:
@@ -248,7 +226,7 @@ def assemble_incompressible_system(mesh, vspace, pspace, params, f, g,
         raise ValueError("nearly_lambda must be positive")
     if bc_mode not in ("weak", "strong"):
         raise ValueError("bc_mode must be 'weak' or 'strong'")
-    sides = tuple(dirichlet_sides or mesh.side_tags)
+    sides = _dirichlet_sides(mesh, dirichlet_sides)
     if flux_degree is None:
         flux_degree = 2 * vspace.order + 2
     nU, nP = vspace.dof_count, pspace.dof_count

@@ -12,8 +12,16 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from .compressible import (MaterialParams, assemble_boundary_flux,
-                           assemble_elasticity_stiffness, assemble_flux_load)
+from .compressible import (_I2, MaterialParams, _dirichlet_sides, _per_cell,
+                           _scatter_matrix, _scatter_vector, _stiffness_parts,
+                           _weak_operator, assemble_elasticity_stiffness,
+                           assemble_flux_load)
+from .incompressible import (_mass_local, _pressure_gradient_local, _stab_h,
+                             _stabilized_load, assemble_incompressible_system,
+                             assemble_mixed_boundary_flux,
+                             assemble_mixed_volume,
+                             assemble_pressure_stabilization,
+                             pressure_integral_vector)
 from .solvers import (DENSE_CAP, SizeCapError,
                       smallest_generalized_singular_value)
 from .spaces import AnalyticField, DiscreteField, FESpace
@@ -247,33 +255,21 @@ def rigid_motion_gram(mesh, degree=8):
 
 def _vector_gram(space, kind):
     """Assemble (grad u, grad v), (u, v) or (div u, div v) for a vector space."""
-    degree = 2 * space.order + 2
-    tab = space.interior_tables(degree)
+    if kind not in ("mass", "grad", "div"):
+        raise ValueError(kind)
+    tab = space.interior_tables(2 * space.order + 2)
     nloc = 2 * space.scalar_basis_size
-    eye = np.eye(2)
-    blocks, dof_blocks = [], []
-    for cells in tab.cell_chunks():
-        w = tab.wdet[cells]
+
+    def local(cells):
         if kind == "mass":
-            nn = np.einsum("cq,qi,qj->cij", w, tab.N, tab.N)
-            loc = np.einsum("cij,ab->ciajb", nn, eye)
+            loc = np.einsum("cij,ab->ciajb", _mass_local(tab, cells), _I2)
         else:
-            g = tab.physical_gradients(cells)
-            if kind == "grad":
-                gg = np.einsum("cqia,cqja,cq->cij", g, g, w)
-                loc = np.einsum("cij,ab->ciajb", gg, eye)
-            elif kind == "div":
-                loc = np.einsum("cqia,cqjb,cq->ciajb", g, g, w)
-            else:
-                raise ValueError(kind)
-        blocks.append(loc.reshape(-1, nloc, nloc))
-        dof_blocks.append(space.cell_dofs[cells])
-    local = np.concatenate(blocks)
-    dofs = np.concatenate(dof_blocks)
-    rows = np.broadcast_to(dofs[:, :, None], local.shape).ravel()
-    cols = np.broadcast_to(dofs[:, None, :], local.shape).ravel()
-    return sp.coo_matrix((local.ravel(), (rows, cols)),
-                         shape=(space.dof_count, space.dof_count)).tocsr()
+            gg, D = _stiffness_parts(tab, cells)
+            loc = np.einsum("cij,ab->ciajb", gg, _I2) if kind == "grad" else D
+        return loc.reshape(-1, nloc, nloc)
+
+    return _scatter_matrix(space.cell_dofs, space.cell_dofs,
+                           _per_cell(tab, local), (space.dof_count,) * 2)
 
 
 def _boundary_gram(space, normal_weighted):
@@ -286,30 +282,18 @@ def _boundary_gram(space, normal_weighted):
     if normal_weighted:
         loc = np.einsum("eij,ec,ed->eicjd", nn, bt.normal, bt.normal)
     else:
-        loc = np.einsum("eij,cd->eicjd", nn, np.eye(2))
-    loc = loc.reshape(-1, nloc, nloc)
-    rows = np.broadcast_to(bt.cell_dofs[:, :, None], loc.shape).ravel()
-    cols = np.broadcast_to(bt.cell_dofs[:, None, :], loc.shape).ravel()
-    return sp.coo_matrix((loc.ravel(), (rows, cols)),
-                         shape=(space.dof_count, space.dof_count)).tocsr()
+        loc = np.einsum("eij,cd->eicjd", nn, _I2)
+    return _scatter_matrix(bt.cell_dofs, bt.cell_dofs,
+                           loc.reshape(-1, nloc, nloc), (space.dof_count,) * 2)
 
 
 def _pressure_h2_gram(pspace):
-    degree = 2 * pspace.order + 2
-    tab = pspace.interior_tables(degree)
+    tab = pspace.interior_tables(2 * pspace.order + 2)
     hK = pspace.mesh.triangle_diameters()
-    rows, cols, vals = [], [], []
-    for cells in tab.cell_chunks():
-        gp = tab.physical_gradients(cells)
-        w = tab.wdet[cells] * (hK[cells] ** 2)[:, None]
-        loc = np.einsum("cq,cqia,cqja->cij", w, gp, gp)
-        pd = pspace.cell_dofs[cells]
-        rows.append(np.broadcast_to(pd[:, :, None], loc.shape).ravel())
-        cols.append(np.broadcast_to(pd[:, None, :], loc.shape).ravel())
-        vals.append(loc.ravel())
-    return sp.coo_matrix((np.concatenate(vals),
-                          (np.concatenate(rows), np.concatenate(cols))),
-                         shape=(pspace.dof_count, pspace.dof_count)).tocsr()
+    local = _per_cell(tab, lambda cells: _pressure_gradient_local(tab, cells,
+                                                                  hK))
+    return _scatter_matrix(pspace.cell_dofs, pspace.cell_dofs, local,
+                           (pspace.dof_count,) * 2)
 
 
 def triple_norm_gram_compressible(space, params):
@@ -335,9 +319,7 @@ def side_mean_gram(space, degree=8):
         length = bt.w[sel].sum()
         wN = np.einsum("eq,eqi->ei", bt.w[sel], bt.N[sel]) / length
         for comp in range(2):
-            row = np.zeros(n)
-            dofs = bt.cell_dofs[sel][:, comp::2]
-            np.add.at(row, dofs.ravel(), wN.ravel())
+            row = _scatter_vector(bt.cell_dofs[sel][:, comp::2], wN, n)
             S += length * np.outer(row, row)
     return S
 
@@ -363,9 +345,7 @@ def discrete_infsup_constant(system_matrix, norm_gram):
 
 
 def compressible_infsup(mesh, space, params):
-    K = assemble_elasticity_stiffness(space, params)
-    B = assemble_boundary_flux(space, params)
-    A = (K - B + B.T).tocsr()
+    A = _weak_operator(space, params, None)
     N = triple_norm_gram_compressible(space, params)
     return discrete_infsup_constant(A, N)
 
@@ -377,10 +357,6 @@ def _mean_free_pressure_basis(nU, pressure_integrals):
 
 def incompressible_infsup(mesh, vspace, pspace, params):
     """Inf-sup constant over velocity x mean-zero pressure."""
-    from .incompressible import (assemble_mixed_boundary_flux,
-                                 assemble_mixed_volume,
-                                 assemble_pressure_stabilization,
-                                 pressure_integral_vector)
     n = vspace.dof_count + pspace.dof_count
     if n > DENSE_CAP:
         raise SizeCapError(f"dense diagnostic limited to {DENSE_CAP} unknowns, "
@@ -402,27 +378,24 @@ def incompressible_infsup(mesh, vspace, pspace, params):
 def _exact_volume_rows(space, params, exact_u, degree):
     """Rows of (2 mu eps(u), eps(v)) + lam (div u, div v) for exact u."""
     tab = space.interior_tables(degree, symmetrize=False)
-    vec = np.zeros(space.dof_count)
-    for cells in tab.cell_chunks():
+
+    def local(cells):
         x = tab.physical_points(cells)
         ge = exact_u.gradient(x[..., 0], x[..., 1])
         eps = 0.5 * (ge + np.swapaxes(ge, -1, -2))
         div = ge[..., 0, 0] + ge[..., 1, 1]
         g = tab.physical_gradients(cells)
         w = tab.wdet[cells]
-        loc = (2.0 * params.mu * np.einsum("cq,cqea,cqia->cie", w, eps, g)
-               + params.lam * np.einsum("cq,cq,cqie->cie", w, div, g))
-        np.add.at(vec, space.cell_dofs[cells].ravel(),
-                  loc.reshape(loc.shape[0], -1).ravel())
-    return vec
+        return (2.0 * params.mu * np.einsum("cq,cqea,cqia->cie", w, eps, g)
+                + params.lam * np.einsum("cq,cq,cqie->cie", w, div, g))
+
+    return _scatter_vector(space.cell_dofs, _per_cell(tab, local),
+                           space.dof_count)
 
 
 def _exact_flux_rows(space, params, exact_u, side_tags, degree):
     """Rows of <2 mu eps(u).n, v> + <lam div u, v.n> for exact u."""
     bt = space.boundary_tables(degree, side_tags)
-    vec = np.zeros(space.dof_count)
-    if len(bt.edge_ids) == 0:
-        return vec
     ge = exact_u.gradient(bt.x[..., 0], bt.x[..., 1])
     eps = 0.5 * (ge + np.swapaxes(ge, -1, -2))
     div = ge[..., 0, 0] + ge[..., 1, 1]
@@ -430,8 +403,7 @@ def _exact_flux_rows(space, params, exact_u, side_tags, degree):
     loc = (np.einsum("eq,eqc,eqi->eic", bt.w, flux, bt.N)
            + params.lam * np.einsum("eq,eqi,ec->eic", bt.w * div, bt.N,
                                     bt.normal))
-    np.add.at(vec, bt.cell_dofs.ravel(), loc.reshape(len(bt.edge_ids), -1).ravel())
-    return vec
+    return _scatter_vector(bt.cell_dofs, loc, space.dof_count)
 
 
 def galerkin_orthogonality_residual(mesh, space, params, exact_u, u_h,
@@ -440,11 +412,10 @@ def galerkin_orthogonality_residual(mesh, space, params, exact_u, u_h,
 
     A_h(u, v_i) is evaluated with high-order quadrature from the exact
     derivatives; A_h(u_h, v_i) from the assembled matrix.
+    dirichlet_sides=None selects every side, () none.
     """
-    sides = tuple(dirichlet_sides or mesh.side_tags)
-    K = assemble_elasticity_stiffness(space, params)
-    B = assemble_boundary_flux(space, params, sides)
-    A = (K - B + B.T).tocsr()
+    sides = _dirichlet_sides(mesh, dirichlet_sides)
+    A = _weak_operator(space, params, sides)
     exact_rows = (_exact_volume_rows(space, params, exact_u, degree)
                   - _exact_flux_rows(space, params, exact_u, sides, degree)
                   + assemble_flux_load(space, params, exact_u, sides, degree))
@@ -470,9 +441,7 @@ def galerkin_orthogonality_residual_mixed(mesh, vspace, pspace, params,
     the exact solution.  `solution` is the full solved vector, multiplier
     included.
     """
-    from .incompressible import (_stab_h, _stabilized_load,
-                                 assemble_incompressible_system)
-    sides = tuple(dirichlet_sides or mesh.side_tags)
+    sides = _dirichlet_sides(mesh, dirichlet_sides)
     mixed = assemble_incompressible_system(mesh, vspace, pspace, params, f,
                                            exact_u, dirichlet_sides=sides)
     A = mixed.system.matrix
@@ -485,38 +454,40 @@ def galerkin_orthogonality_residual_mixed(mesh, vspace, pspace, params,
     # + the flux of the test function against the exact trace
     vel = _exact_volume_rows(vspace, mu_only, exact_u, degree)
     tab = vspace.interior_tables(degree, symmetrize=False)
-    extra = np.zeros(vspace.dof_count)
-    for cells in tab.cell_chunks():
+
+    def pressure_div(cells):
         xq = tab.physical_points(cells)
         pe = exact_p.value(xq[..., 0], xq[..., 1])
         g = tab.physical_gradients(cells)
-        loc = -np.einsum("cq,cq,cqie->cie", tab.wdet[cells], pe, g)
-        np.add.at(extra, vspace.cell_dofs[cells].ravel(),
-                  loc.reshape(loc.shape[0], -1).ravel())
-    vel += extra
+        return -np.einsum("cq,cq,cqie->cie", tab.wdet[cells], pe, g)
+
+    vel += _scatter_vector(vspace.cell_dofs, _per_cell(tab, pressure_div),
+                           vspace.dof_count)
     vel -= _exact_flux_rows(vspace, mu_only, exact_u, sides, degree)
     bt = vspace.boundary_tables(degree, sides)
     pe_b = exact_p.value(bt.x[..., 0], bt.x[..., 1])
     loc = np.einsum("eq,eqi,ec->eic", bt.w * pe_b, bt.N, bt.normal)
-    pn = np.zeros(vspace.dof_count)
-    np.add.at(pn, bt.cell_dofs.ravel(), loc.reshape(len(bt.edge_ids), -1).ravel())
-    vel += pn
+    vel += _scatter_vector(bt.cell_dofs, loc, vspace.dof_count)
     vel += assemble_flux_load(vspace, mu_only, exact_u, sides, degree)
 
-    # pressure-test rows: (div u, q) - <q n, u> + stabilization with f
+    # pressure-test rows: (div u, q) - <q n, u> + stabilization with f;
+    # one scatter keeps the interior-then-boundary accumulation order
     ptab = pspace.interior_tables(degree, symmetrize=False)
-    prs = np.zeros(pspace.dof_count)
-    for cells in ptab.cell_chunks():
+
+    def velocity_div(cells):
         xq = ptab.physical_points(cells)
         ge = exact_u.gradient(xq[..., 0], xq[..., 1])
         div = ge[..., 0, 0] + ge[..., 1, 1]
-        loc = np.einsum("cq,qi->ci", ptab.wdet[cells] * div, ptab.N)
-        np.add.at(prs, pspace.cell_dofs[cells].ravel(), loc.ravel())
+        return np.einsum("cq,qi->ci", ptab.wdet[cells] * div, ptab.N)
+
     pb = pspace.boundary_tables(degree, sides)
     ue_b = exact_u.value(pb.x[..., 0], pb.x[..., 1])
     un = np.einsum("eqa,ea->eq", ue_b, pb.normal)
     loc = -np.einsum("eq,eqi->ei", pb.w * un, pb.N)
-    np.add.at(prs, pb.cell_dofs.ravel(), loc.ravel())
+    prs = _scatter_vector(
+        np.concatenate([pspace.cell_dofs.ravel(), pb.cell_dofs.ravel()]),
+        np.concatenate([_per_cell(ptab, velocity_div).ravel(), loc.ravel()]),
+        pspace.dof_count)
     prs += _stabilized_load(pspace, params, f, _stab_h(mesh, "element"),
                             degree)
 

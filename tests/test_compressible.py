@@ -6,11 +6,13 @@ import scipy.linalg as sla
 
 from elastweak.compressible import (MaterialParams, assemble_boundary_flux,
                                     assemble_elasticity_stiffness,
-                                    assemble_neumann_load,
+                                    assemble_load, assemble_neumann_load,
                                     assemble_strong_system,
-                                    assemble_weak_system)
+                                    assemble_weak_system,
+                                    dirichlet_dofs_and_values)
 from elastweak.mesh import Mesh, build_cook_mesh, build_unit_square_mesh
-from elastweak.norms import triple_norm_compressible
+from elastweak.norms import (galerkin_orthogonality_residual,
+                             triple_norm_compressible)
 from elastweak.solvers import lu_solve
 from elastweak.spaces import AnalyticField, DiscreteField, FESpace, interpolate
 
@@ -228,3 +230,80 @@ def test_material_params_validation():
         MaterialParams(mu=0.0)
     with pytest.raises(ValueError):
         MaterialParams(mu=1.0, lam=-1.0)
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda: MaterialParams(mu=math.nan), id="mu-nan"),
+    pytest.param(lambda: MaterialParams(mu=math.inf), id="mu-inf"),
+    pytest.param(lambda: MaterialParams(mu=1.0, lam=math.nan), id="lam-nan"),
+    pytest.param(lambda: MaterialParams(mu=1.0, lam=math.inf), id="lam-inf"),
+    pytest.param(lambda: MaterialParams(mu=1.0, gamma=math.nan),
+                 id="gamma-nan"),
+    pytest.param(lambda: MaterialParams(mu=1.0, gamma=-math.inf),
+                 id="gamma-inf"),
+    pytest.param(lambda: MaterialParams.from_young_poisson(None, 0.3),
+                 id="young-missing"),
+    pytest.param(lambda: MaterialParams.from_young_poisson(1e5, None),
+                 id="poisson-missing"),
+    pytest.param(lambda: MaterialParams.from_young_poisson(math.nan, 0.3),
+                 id="young-nan"),
+    pytest.param(lambda: MaterialParams.from_young_poisson(1e5, math.inf),
+                 id="poisson-inf"),
+    pytest.param(lambda: MaterialParams.from_young_poisson(1e5, 0.5),
+                 id="poisson-half"),
+    pytest.param(lambda: MaterialParams.from_young_poisson(1e5, -1.0),
+                 id="poisson-minus-one"),
+    pytest.param(lambda: MaterialParams.from_young_poisson(1e5, 0.7),
+                 id="poisson-above-half"),
+])
+def test_material_params_reject_bad_inputs(make):
+    with pytest.raises(ValueError):
+        make()
+
+
+def test_empty_dirichlet_sides_select_no_side():
+    from elastweak.incompressible import (assemble_incompressible_system,
+                                          assemble_mixed_volume,
+                                          assemble_pressure_stabilization)
+    mesh = build_unit_square_mesh(3)
+    V, Q = FESpace(mesh, 1, 2), FESpace(mesh, 1, 1)
+    pars = MaterialParams(1.0, 2.0, gamma=0.1)
+    g = AnalyticField.constant_vector(0.3, -0.2)
+    K = assemble_elasticity_stiffness(V, pars)
+
+    assert assemble_boundary_flux(V, pars, ()).nnz == 0
+    dofs, vals = dirichlet_dofs_and_values(V, g, ())
+    assert len(dofs) == 0 and len(vals) == 0
+    assert len(dirichlet_dofs_and_values(V, g, None)[0]) == 2 * 12
+
+    weak = assemble_weak_system(mesh, V, pars, g, g, dirichlet_sides=())
+    assert abs(weak.matrix - K).max() == 0.0
+    assert np.array_equal(weak.rhs, assemble_load(V, g))
+    assert weak.constraint_meta["dirichlet_sides"] == ()
+    strong = assemble_strong_system(mesh, V, pars, g, g, dirichlet_sides=())
+    assert abs(strong.matrix - K).max() == 0.0
+    assert strong.constraint_meta["dirichlet_sides"] == ()
+    assert strong.constraint_meta["fixed_dofs"] == 0
+    everywhere = assemble_strong_system(mesh, V, pars, g, g)
+    assert everywhere.constraint_meta["dirichlet_sides"] == mesh.side_tags
+    assert everywhere.constraint_meta["fixed_dofs"] == 2 * 12
+
+    core = (assemble_mixed_volume(V, Q, pars)
+            + assemble_pressure_stabilization(V, Q, pars))
+    for mode in ("weak", "strong"):
+        mixed = assemble_incompressible_system(mesh, V, Q, pars, g, g,
+                                               dirichlet_sides=(),
+                                               bc_mode=mode)
+        assert abs(mixed.system.matrix - core).max() == 0.0
+        assert mixed.system.constraint_meta["dirichlet_sides"] == ()
+        assert not mixed.system.constraint_meta["pressure_mean"]
+
+    # with no Dirichlet side the residual pairs only the volume form
+    x = interpolate(V, field_x0()).coefficients
+    rows = K @ x
+    row_norms = np.sqrt(np.asarray(K.multiply(K).sum(axis=1)).ravel())
+    expected = np.max(np.abs(rows) / row_norms)
+    res = galerkin_orthogonality_residual(mesh, V, pars, field_x0(),
+                                          np.zeros(V.dof_count),
+                                          dirichlet_sides=())
+    assert res == pytest.approx(expected, rel=1e-10)

@@ -8,6 +8,7 @@ from elastweak.experiments import (COOK_CORNER_D_ANGLE, CSV_HEADER,
                                    ConvergenceRow, ConvergenceTable,
                                    ExperimentConfig, check_convergence,
                                    clamped_free_exponent,
+                                   cook_tip_displacement,
                                    cook_tip_ratio_bound,
                                    manufactured_compressible,
                                    manufactured_incompressible,
@@ -130,9 +131,60 @@ def test_config_from_file(tmp_path):
     assert cfg.problem == "incompressible"
     assert cfg.mesh_sizes == (4, 8)
     assert cfg.mu == 2.0 and cfg.gamma == 0.5
-    assert cfg.deterministic
+    assert not hasattr(cfg, "deterministic")   # accepted and ignored
     over = ExperimentConfig.from_file(path, {"gamma": "0.9", "k": "2"})
     assert over.gamma == 0.9 and over.order == 2
+
+
+def test_config_rejects_unknown_run_keys(tmp_path):
+    path = tmp_path / "run.ini"
+    path.write_text("[run]\nproblem = compressible\nlamda = 5\n")
+    with pytest.raises(ValueError, match="lamda"):
+        ExperimentConfig.from_file(path)
+    with pytest.raises(ValueError, match="lamda"):
+        ExperimentConfig.from_mapping({"lamda": "5"})
+    with pytest.raises(ValueError, match="mesh_sizes"):
+        ExperimentConfig.from_mapping({"mesh_sizes": ","})
+    cfg = ExperimentConfig.from_mapping({"stab_h": "global", "rhs_degree": "8",
+                                         "lambda": "3", "lam": "4"})
+    assert cfg.stab_h == "global" and cfg.rhs_degree == 8 and cfg.lam == 4.0
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(young=1e5), dict(poisson=0.3), dict(young=1e5, poisson=0.5),
+])
+def test_config_rejects_incomplete_young_poisson(kwargs):
+    with pytest.raises(ValueError):
+        ExperimentConfig(problem="cook", **kwargs)
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_cook_tip_found_by_position(order):
+    import dataclasses
+    from elastweak.mesh import build_cook_mesh, build_unit_square_mesh
+    from elastweak.spaces import AnalyticField, FESpace, interpolate
+    # the vertical component x*y peaks only at A = (48, 60)
+    field = AnalyticField.vector(
+        lambda x, y: np.stack([0 * x, x * y], axis=-1))
+    mesh = build_cook_mesh(2)
+    u = interpolate(FESpace(mesh, order, 2), field)
+    assert cook_tip_displacement(mesh, u) == 2880.0
+    assert u.coefficients[2 * mesh.num_vertices - 1] == 2880.0
+
+    # reversed numbering puts A first
+    new_to_old = np.arange(mesh.num_vertices)[::-1]
+    old_to_new = np.argsort(new_to_old)
+    permuted = dataclasses.replace(
+        mesh, vertices=mesh.vertices[new_to_old],
+        triangles=old_to_new[mesh.triangles],
+        edge_vertices=old_to_new[mesh.edge_vertices])
+    u = interpolate(FESpace(permuted, order, 2), field)
+    assert cook_tip_displacement(permuted, u) == 2880.0
+
+    square = build_unit_square_mesh(2)
+    with pytest.raises(ValueError):
+        cook_tip_displacement(square,
+                              interpolate(FESpace(square, order, 2), field))
 
 
 def test_config_young_poisson_and_defaults():
@@ -165,7 +217,7 @@ def test_convergence_table_schema_and_slopes():
 
 def test_run_convergence_deterministic_rerun():
     cfg = ExperimentConfig(problem="compressible", order=1, mesh_sizes=(2, 4),
-                           mu=1.0, lam=1.0, deterministic=True)
+                           mu=1.0, lam=1.0)
     a = run_convergence(cfg).to_csv()
     b = run_convergence(cfg).to_csv()
     assert a == b

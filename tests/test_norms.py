@@ -12,6 +12,8 @@ from elastweak.norms import (discrete_infsup_constant, discrete_korn_constant,
                              korn_boundary_seminorm,
                              rigid_motion_gram, side_mean_gram,
                              triple_norm_compressible,
+                             triple_norm_gram_compressible,
+                             triple_norm_gram_incompressible,
                              triple_norm_incompressible, _vector_gram)
 from elastweak.solvers import SizeCapError
 from elastweak.spaces import AnalyticField, DiscreteField, FESpace, interpolate
@@ -293,3 +295,28 @@ def test_mixed_orthogonality_residual():
     res_bad = galerkin_orthogonality_residual_mixed(mesh, V, Q, pars, eu, ep,
                                                     f, bad)
     assert res_bad > 100 * max(res, 1e-14)
+
+
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("builder", [build_unit_square_mesh, build_cook_mesh])
+def test_gram_matrices_reproduce_norms(builder, order):
+    from elastweak.incompressible import (assemble_pressure_mass,
+                                          pressure_integral_vector)
+    mesh = builder(3)
+    V, Q = FESpace(mesh, order, 2), FESpace(mesh, order, 1)
+    pars = MaterialParams(mu=1.3, lam=2.7, gamma=0.1)
+    rng = np.random.default_rng(11)
+    u = DiscreteField(V, rng.standard_normal(V.dof_count))
+    p = DiscreteField(Q, rng.standard_normal(Q.dof_count))
+    c = u.coefficients
+    quad = c @ (triple_norm_gram_compressible(V, pars) @ c)
+    assert quad == pytest.approx(triple_norm_compressible(u, pars) ** 2,
+                                 rel=1e-12)
+    x = np.concatenate([c, p.coefficients])
+    quad = x @ (triple_norm_gram_incompressible(V, Q, pars) @ x)
+    assert quad == pytest.approx(triple_norm_incompressible(u, p, pars) ** 2,
+                                 rel=1e-12)
+    # P2 vertex functions integrate to zero, so compare on the vector scale
+    mean = pressure_integral_vector(Q)
+    lumped = assemble_pressure_mass(Q) @ np.ones(Q.dof_count)
+    assert np.abs(lumped - mean).max() <= 1e-12 * np.abs(mean).max()
