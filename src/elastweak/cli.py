@@ -1,7 +1,8 @@
 """Command-line entry points: mesh generation, experiment sweeps, stability
 diagnostics and convergence plots.
 
-Exit codes: 0 success, 2 solver failure, 3 threshold violation with --check.
+Exit codes: 0 success, 2 solver failure or invalid configuration, 3 threshold
+violation with --check.
 """
 
 import argparse
@@ -44,9 +45,12 @@ def _run_config(args):
     command line taking precedence."""
     flags = {key: val for key, val in vars(args).items()
              if key in RUN_KEYS and val is not None}
-    if args.config:
-        return ExperimentConfig.from_file(args.config, flags)
-    return ExperimentConfig.from_mapping(flags)
+    try:
+        if args.config:
+            return ExperimentConfig.from_file(args.config, flags)
+        return ExperimentConfig.from_mapping(flags)
+    except ValueError as exc:
+        raise ExperimentError(f"invalid configuration: {exc}") from exc
 
 
 def cmd_mesh(args):

@@ -18,7 +18,7 @@ from .mesh import (_COOK_A, _COOK_C, _COOK_D, build_cook_mesh,
 from .norms import (ErrorReport, StabilityReport, compressible_infsup,
                     discrete_korn_constant, error_norms,
                     incompressible_infsup)
-from .solvers import SingularSystemError, lu_solve
+from .solvers import SingularSystemError, _residual_extended, lu_solve
 from .spaces import AnalyticField, DiscreteField, FESpace
 
 CSV_HEADER = ("problem", "k", "bc_mode", "h_max", "dofs", "err_l2", "err_h1",
@@ -185,7 +185,10 @@ class ExperimentConfig:
     def from_file(cls, path, overrides=None):
         """Config from the [run] section of a file, updated by overrides."""
         parser = configparser.ConfigParser()
-        read = parser.read(path)
+        try:
+            read = parser.read(path)
+        except configparser.Error as exc:
+            raise ValueError(f"cannot parse config file {path}: {exc}") from exc
         if not read:
             raise ValueError(f"cannot read config file {path}")
         if "run" not in parser:
@@ -291,15 +294,47 @@ def write_csv(text, path):
 # -- solvers ---------------------------------------------------------------------
 
 
-def _checked_solve(matrix, rhs, context):
+def _lu_solve(matrix, rhs, context):
     try:
-        x, report = lu_solve(matrix, rhs)
+        return lu_solve(matrix, rhs)
     except SingularSystemError as exc:
         raise ExperimentError(f"solver failed for {context}: {exc}") from exc
-    if report.residual_norm > RESIDUAL_LIMIT:
+
+
+def _check_residual(residual, context):
+    if residual > RESIDUAL_LIMIT:
         raise ExperimentError(
-            f"relative residual {report.residual_norm:.3e} exceeds "
+            f"relative residual {residual:.3e} exceeds "
             f"{RESIDUAL_LIMIT:.1e} for {context}")
+
+
+def _checked_solve(matrix, rhs, context):
+    x, report = _lu_solve(matrix, rhs, context)
+    _check_residual(report.residual_norm, context)
+    return x
+
+
+def _pinned_mean_solve(mixed, rhs, context):
+    """Solve the pressure-mean bordered system [[C, m], [m^T, 0]] [x; lam] = b
+    without factoring its dense border.
+
+    The constant pressure (0, 1) spans both the right and the left kernel of
+    the core C: summing the pressure rows gives lam exactly, C x = b - lam m
+    is then consistent and is solved with the last pressure DOF pinned to 0,
+    and the border row m . x = b[nc] fixes the pressure constant.  The
+    residual limit applies to the full bordered system.
+    """
+    A = mixed.system.matrix
+    nc = mixed.constraint_index
+    pressure = slice(mixed.n_velocity, nc)
+    m = A[nc, :nc].toarray().ravel()
+    x = np.zeros(nc + 1)
+    x[nc] = rhs[pressure].sum() / m[pressure].sum()
+    x[:nc - 1], _ = _lu_solve(A[:nc - 1, :nc - 1],
+                              (rhs[:nc] - x[nc] * m)[:nc - 1], context)
+    x[pressure] += (rhs[nc] - m @ x[:nc]) / m[pressure].sum()
+    r = _residual_extended(A, x, rhs).astype(float)
+    _check_residual(np.linalg.norm(r) / (np.linalg.norm(rhs) or 1.0), context)
     return x
 
 
@@ -326,8 +361,11 @@ def solve_incompressible(mesh, order, params, f, g, nearly_lambda=None,
         mesh, vspace, pspace, params, f, g, nearly_lambda=nearly_lambda,
         dirichlet_sides=dirichlet_sides, bc_mode=bc_mode,
         rhs_degree=rhs_degree, stab_h=stab_h)
-    x = _checked_solve(mixed.system.matrix, mixed.system.rhs,
-                       f"{bc_mode} incompressible solve")
+    context = f"{bc_mode} incompressible solve"
+    if mixed.constraint_index is None:
+        x = _checked_solve(mixed.system.matrix, mixed.system.rhs, context)
+    else:
+        x = _pinned_mean_solve(mixed, mixed.system.rhs, context)
     uc, pc, mult = mixed.split(x)
     return DiscreteField(vspace, uc), DiscreteField(pspace, pc), mult, mixed
 

@@ -214,43 +214,52 @@ def dump_mesh(mesh, path):
 
 
 def load_mesh(path):
-    """Read a mesh written by dump_mesh."""
+    """Read a mesh written by dump_mesh.
+
+    Raises ValueError on a truncated or malformed section, on a vertex or
+    owner index out of range and on a triangle that is not counterclockwise.
+    """
     with open(path) as fh:
-        tokens = fh.read().split("\n")
+        lines = fh.read().split("\n")
     pos = 0
 
-    def expect(section):
+    def section(name, width):
+        """The rows of the next section, each split into `width` fields."""
         nonlocal pos
-        name, count = tokens[pos].split()
-        if name != section:
-            raise ValueError(f"expected section {section}, found {name}")
-        pos += 1
-        return int(count)
+        head = lines[pos].split() if pos < len(lines) else []
+        if len(head) != 2 or head[0] != name:
+            raise ValueError(f"expected section {name}, found "
+                             f"{' '.join(head) or 'end of file'!r}")
+        count = int(head[1])
+        rows = [line.split() for line in lines[pos + 1:pos + 1 + count]]
+        if count < 0 or len(rows) < count or any(len(r) != width for r in rows):
+            raise ValueError(f"section {name} is truncated or malformed: "
+                             f"expected {count} rows of {width} fields")
+        pos += 1 + count
+        return rows
 
-    nv = expect("VERTICES")
-    vertices = np.array([[float(v) for v in tokens[pos + i].split()]
-                         for i in range(nv)])
-    pos += nv
-    nt = expect("TRIANGLES")
-    tris = np.array([[int(v) for v in tokens[pos + i].split()]
-                     for i in range(nt)], dtype=np.int64)
-    pos += nt
-    ne = expect("BOUNDARY_EDGES")
-    edges = np.empty((ne, 2), dtype=np.int64)
-    owners = np.empty(ne, dtype=np.int64)
-    tag_names = []
-    normals = np.empty((ne, 2))
-    tangents = np.empty((ne, 2))
-    for i in range(ne):
-        parts = tokens[pos + i].split()
-        edges[i] = (int(parts[0]), int(parts[1]))
-        if parts[2] not in tag_names:
-            tag_names.append(parts[2])
-        owners[i] = int(parts[3])
-        normals[i] = (float(parts[4]), float(parts[5]))
-        tangents[i] = (float(parts[6]), float(parts[7]))
-    tags = np.array([tag_names.index(tokens[pos + i].split()[2])
-                     for i in range(ne)], dtype=np.int64)
-    return Mesh(vertices=vertices, triangles=tris, edge_vertices=edges,
+    vertices = np.array(section("VERTICES", 2), dtype=float).reshape(-1, 2)
+    tris = np.array(section("TRIANGLES", 3), dtype=np.int64).reshape(-1, 3)
+    rows = section("BOUNDARY_EDGES", 8)
+    edges = np.array([r[:2] for r in rows], dtype=np.int64).reshape(-1, 2)
+    owners = np.array([r[3] for r in rows], dtype=np.int64)
+    frames = np.array([r[4:] for r in rows], dtype=float).reshape(-1, 4)
+    normals, tangents = frames[:, :2], frames[:, 2:]
+    names = [r[2] for r in rows]
+    tag_names = tuple(dict.fromkeys(names))
+    tag_of = {name: i for i, name in enumerate(tag_names)}
+    tags = np.array([tag_of[name] for name in names], dtype=np.int64)
+
+    for what, index, size in (("triangle vertex", tris, len(vertices)),
+                              ("boundary edge vertex", edges, len(vertices)),
+                              ("boundary edge owner", owners, len(tris))):
+        if index.size and (index.min() < 0 or index.max() >= size):
+            raise ValueError(f"{what} index out of range [0, {size})")
+    mesh = Mesh(vertices=vertices, triangles=tris, edge_vertices=edges,
                 edge_tag=tags, edge_normal=normals, edge_tangent=tangents,
-                edge_owner=owners, side_tags=tuple(tag_names))
+                edge_owner=owners, side_tags=tag_names)
+    bad = np.flatnonzero(mesh.triangle_areas() <= 0.0)
+    if bad.size:
+        raise ValueError(f"triangle {bad[0]} is not counterclockwise "
+                         f"({bad.size} such triangles)")
+    return mesh

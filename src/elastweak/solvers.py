@@ -29,6 +29,7 @@ class SolveReport:
     residual_norm: float      # ||A x - b||_2 / ||b||_2
     condition_estimate: float
     elapsed: float
+    fill: int                 # entries SuperLU stores for L and U
 
 
 def _as_csr(matrix):
@@ -92,7 +93,8 @@ def lu_solve(matrix, rhs, want_condition=False):
             rmatvec=lambda v: d * factor.solve(d * np.ravel(v), trans="T"))
         cond = float(spla.onenormest(A) * spla.onenormest(inv))
     return x, SolveReport(residual_norm=float(res), condition_estimate=cond,
-                          elapsed=elapsed)
+                          elapsed=elapsed,
+                          fill=int(factor.nnz))
 
 
 def smallest_generalized_singular_value(A, N):

@@ -1,5 +1,7 @@
 import csv
 
+import pytest
+
 from elastweak.cli import main
 from elastweak.mesh import load_mesh
 
@@ -109,3 +111,49 @@ def test_run_cook_check_accepts_corner_limited_rate(tmp_path, capsys):
                  "--out", str(tmp_path)])
     assert code == 0
     assert "CHECK FAILED" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["--config", "{cfg}"], "unknown [run] keys: lamda"),
+    (["--young", "1e5", "--poisson", "0.7"], "nu in (-1, 0.5)"),
+    (["--poisson", "0.7"], "both"),
+    (["--mesh-sizes", ""], "at least one mesh"),
+], ids=["unknown-key", "poisson-range", "poisson-alone", "empty-mesh-sizes"])
+@pytest.mark.parametrize("command", ["run", "diagnose"])
+def test_config_error_exit_code(tmp_path, capsys, command, argv, message):
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text("[run]\nproblem = compressible\nlamda = 5\n")
+    argv = [a.replace("{cfg}", str(cfg)) for a in argv]
+    code = main([command, "--problem", "compressible", *argv,
+                 "--out", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid configuration: ")
+    assert message in err
+
+
+@pytest.mark.parametrize("text,message", [
+    ("problem = compressible\n", "no section headers"),
+    ("[run]\nk = 1\nk = 2\n", "option 'k' in section 'run' already exists"),
+], ids=["no-section-header", "duplicate-key"])
+def test_malformed_config_file_exit_code(tmp_path, capsys, text, message):
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text(text)
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid configuration: cannot parse")
+    assert message in err
+
+
+def test_value_error_outside_config_escapes(tmp_path, monkeypatch):
+    # only configuration errors become exit 2; a ValueError raised later
+    # (the plotter's, on diverging Cook P2 tips) still propagates
+    import elastweak.cli as cli
+
+    def no_plot(series, spec, path):
+        raise ValueError("log-log plot needs positive data")
+
+    monkeypatch.setattr(cli, "emit_plot", no_plot)
+    with pytest.raises(ValueError, match="positive data"):
+        main(["run", "--problem", "compressible", "--k", "1",
+              "--mesh-sizes", "2", "--out", str(tmp_path)])

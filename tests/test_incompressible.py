@@ -279,3 +279,62 @@ def test_repeat_solve_is_identical():
     u2, p2, _, _ = solve_incompressible(mesh, 1, pars, f, g)
     assert np.array_equal(u1.coefficients, u2.coefficients)
     assert np.array_equal(p1.coefficients, p2.coefficients)
+
+
+PINNED_CASES = [(1, 16, "weak"), (1, 16, "strong"), (2, 8, "weak"),
+                (2, 8, "strong")]
+
+
+def _relative_gap(x, ref):
+    return np.abs(x - ref).max() / np.abs(ref).max()
+
+
+@pytest.mark.parametrize("order,n,bc_mode", PINNED_CASES)
+def test_pinned_solve_matches_bordered_lu(order, n, bc_mode):
+    from elastweak.experiments import manufactured_incompressible, \
+        solve_incompressible
+    pars = MaterialParams(1.0, gamma=0.1)
+    eu, ep, f, g = manufactured_incompressible(pars)
+    u_h, p_h, mult, mixed = solve_incompressible(
+        build_unit_square_mesh(n), order, pars, f, g, bc_mode=bc_mode)
+    u, p, lam = mixed.split(lu_solve(mixed.system.matrix,
+                                     mixed.system.rhs)[0])
+    assert _relative_gap(u_h.coefficients, u) < 1e-10
+    assert _relative_gap(p_h.coefficients, p) < 1e-10
+    assert abs(mult - lam) < 1e-12
+
+
+@pytest.mark.parametrize("order,n,bc_mode", PINNED_CASES)
+def test_pinned_helper_matches_bordered_lu_on_random_rhs(order, n, bc_mode):
+    # an incompatible right-hand side: the multiplier is O(1) and the border
+    # entry asks for a nonzero pressure mean
+    from elastweak.experiments import _pinned_mean_solve
+    mesh, V, Q = spaces(n, order)
+    mixed = assemble_incompressible_system(
+        mesh, V, Q, MaterialParams(1.0, gamma=0.1), ZERO, ZERO,
+        bc_mode=bc_mode)
+    b = np.random.default_rng(7).standard_normal(mixed.system.dof_count)
+    b[mixed.constraint_index] = 0.5
+    x = _pinned_mean_solve(mixed, b, "random rhs")
+    ref, _ = lu_solve(mixed.system.matrix, b)
+    assert abs(ref[-1]) > 1e-3
+    assert _relative_gap(x, ref) < 1e-10
+    assert pressure_integral_vector(Q) @ x[V.dof_count:-1] == pytest.approx(
+        0.5, rel=1e-12)
+
+
+@pytest.mark.parametrize("order,bc_mode", [(1, "weak"), (1, "strong"),
+                                           (2, "weak"), (2, "strong")])
+def test_constant_pressure_spans_both_kernels_of_core(order, bc_mode):
+    # the pinned solve needs the pressure rows of the core to sum to zero
+    # (left kernel) as well as core @ (0, 1) = 0 (right kernel)
+    mesh, V, Q = spaces(6, order)
+    mixed = assemble_incompressible_system(
+        mesh, V, Q, MaterialParams(1.0, gamma=0.1), ZERO, ZERO,
+        bc_mode=bc_mode)
+    nc = mixed.constraint_index
+    core = mixed.system.matrix[:nc, :nc]
+    scale = abs(core).max()
+    const = np.concatenate([np.zeros(V.dof_count), np.ones(Q.dof_count)])
+    assert np.abs(const @ core).max() < 1e-15 * scale
+    assert np.abs(core @ const).max() < 1e-15 * scale

@@ -159,3 +159,53 @@ def test_unknown_side_tag_rejected():
     mesh = build_unit_square_mesh(2)
     with pytest.raises(KeyError):
         mesh.edges_of_side("north")
+
+
+def _dumped_lines(tmp_path):
+    path = tmp_path / "mesh.txt"
+    dump_mesh(build_unit_square_mesh(2), path)
+    return path, path.read_text().splitlines()
+
+
+def _write(path, lines):
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+def test_load_rejects_truncated_section(tmp_path):
+    path, lines = _dumped_lines(tmp_path)
+    # drop the last boundary edge: the section announces one row too many
+    with pytest.raises(ValueError, match="BOUNDARY_EDGES is truncated"):
+        load_mesh(_write(path, lines[:-1]))
+    # a short vertex row
+    nv = int(lines[0].split()[1])
+    bad = lines.copy()
+    bad[nv] = bad[nv].split()[0]
+    with pytest.raises(ValueError, match="VERTICES is truncated"):
+        load_mesh(_write(path, bad))
+
+
+@pytest.mark.parametrize("section,column,what", [
+    ("TRIANGLES", 2, "triangle vertex"),
+    ("BOUNDARY_EDGES", 1, "boundary edge vertex"),
+    ("BOUNDARY_EDGES", 3, "boundary edge owner"),
+])
+def test_load_rejects_out_of_range_index(tmp_path, section, column, what):
+    path, lines = _dumped_lines(tmp_path)
+    row = next(i for i, line in enumerate(lines)
+               if line.startswith(section)) + 1
+    fields = lines[row].split()
+    fields[column] = "99"
+    lines[row] = " ".join(fields)
+    with pytest.raises(ValueError, match=what):
+        load_mesh(_write(path, lines))
+
+
+def test_load_rejects_clockwise_triangle(tmp_path):
+    path, lines = _dumped_lines(tmp_path)
+    row = lines.index(next(line for line in lines
+                           if line.startswith("TRIANGLES"))) + 2
+    a, b, c = lines[row].split()
+    lines[row] = f"{a} {c} {b}"
+    with pytest.raises(ValueError, match="triangle 1 is not counterclockwise"):
+        load_mesh(_write(path, lines))

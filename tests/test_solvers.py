@@ -99,3 +99,13 @@ def test_matrix_dump_format(tmp_path):
     assert lines[0].startswith("%")
     assert lines[1].split() == ["0", "0", "1.5"]
     assert len(lines) == 1 + A.nnz
+
+
+def test_report_fill_counts_factor_entries():
+    # SuperLU stores a diagonal factor as a unit-diagonal L and a diagonal U
+    _, report = lu_solve(sp.diags([2.0, 3.0, 4.0]).tocsr(), np.ones(3))
+    assert report.fill == 6
+    # a dense 2x2 matrix: as many as L.nnz + U.nnz (3 + 3)
+    _, report = lu_solve(sp.csr_matrix(np.array([[2.0, 1.0], [1.0, 3.0]])),
+                         np.ones(2))
+    assert report.fill == 6
