@@ -97,12 +97,10 @@ def _stiffness_parts(tab, cells):
             np.einsum("cqia,cqjb,cq->ciajb", g, g, wd))
 
 
-def assemble_elasticity_stiffness(space, params, degree=None):
+def assemble_elasticity_stiffness(space, params):
     """Volume matrix of 2 mu (eps(u), eps(v)) + lambda (div u, div v)."""
     _require_vector(space)
-    if degree is None:
-        degree = 2 * space.order + 2
-    tab = space.interior_tables(degree)
+    tab = space.interior_tables(space.form_degree)
     nloc = 2 * space.scalar_basis_size
 
     def local(cells):
@@ -116,13 +114,13 @@ def assemble_elasticity_stiffness(space, params, degree=None):
                            _per_cell(tab, local), (space.dof_count,) * 2)
 
 
-def _flux_tables(space, side_tags, degree):
-    if degree is None:
-        degree = 2 * space.order + 2
-    return space.boundary_tables(degree, side_tags)
+def _flux_tables(space, side_tags, degree=None):
+    """Boundary tables for a data integral, by default at the form degree."""
+    return space.boundary_tables(
+        space.form_degree if degree is None else degree, side_tags)
 
 
-def assemble_boundary_flux(space, params, side_tags=None, degree=None):
+def assemble_boundary_flux(space, params, side_tags=None):
     """Matrix of the boundary flux pairing.
 
     Entry (test (i,c), trial (j,d)) integrates, over the selected sides,
@@ -131,7 +129,7 @@ def assemble_boundary_flux(space, params, side_tags=None, degree=None):
         <2 mu eps(u) . n, v> + <lambda div u, v . n>.
     """
     _require_vector(space)
-    bt = _flux_tables(space, side_tags, degree)
+    bt = space.boundary_tables(space.form_degree, side_tags)
     nloc = 2 * space.scalar_basis_size
     gn = np.einsum("eqja,ea->eqj", bt.dN, bt.normal)
     T1 = np.einsum("eqi,eqj,eq->eij", bt.N, gn, bt.w)
@@ -181,11 +179,11 @@ def assemble_neumann_load(space, side_tag, traction, degree=None):
     return _scatter_vector(bt.cell_dofs, loc, space.dof_count)
 
 
-def _weak_operator(space, params, side_tags, degree=None):
+def _weak_operator(space, params, side_tags):
     """Volume stiffness minus the flux pairing on side_tags plus its
     transpose: the penalty-free weak-Dirichlet operator."""
     K = assemble_elasticity_stiffness(space, params)
-    B = assemble_boundary_flux(space, params, side_tags, degree)
+    B = assemble_boundary_flux(space, params, side_tags)
     A = (K - B + B.T).tocsr()
     A.sort_indices()
     return A
@@ -197,11 +195,12 @@ def assemble_weak_system(mesh, space, params, f, g, dirichlet_sides=None,
 
     The matrix is the volume stiffness minus the flux pairing plus its
     transpose; no DOFs are eliminated and no penalty term appears.
-    dirichlet_sides=None selects every side, () none.
+    dirichlet_sides=None selects every side, () none.  rhs_degree and
+    flux_degree set the quadrature of the load and flux-load data terms.
     """
     _require_vector(space)
     sides = _dirichlet_sides(mesh, dirichlet_sides)
-    A = _weak_operator(space, params, sides, flux_degree)
+    A = _weak_operator(space, params, sides)
     rhs = assemble_load(space, f, rhs_degree)
     rhs += assemble_flux_load(space, params, g, sides, flux_degree)
     meta = {"bc": "weak", "dirichlet_sides": sides}

@@ -128,6 +128,16 @@ def manufactured_incompressible(params):
 # -- configuration ---------------------------------------------------------------
 
 
+_CHOICES = {
+    "problem": ("compressible", "incompressible", "nearly_incompressible",
+                "cook"),
+    "order": (1, 2),
+    "bc_mode": ("weak", "strong"),
+    "formulation": ("compressible", "nearly_incompressible"),
+    "stab_h": ("element", "global"),
+}
+
+
 @dataclass
 class ExperimentConfig:
     problem: str = "compressible"
@@ -145,11 +155,10 @@ class ExperimentConfig:
     out_dir: str = "."
 
     def __post_init__(self):
-        if self.problem not in ("compressible", "incompressible",
-                                "nearly_incompressible", "cook"):
-            raise ValueError(f"unknown problem {self.problem!r}")
-        if self.bc_mode not in ("weak", "strong"):
-            raise ValueError(f"unknown bc_mode {self.bc_mode!r}")
+        for name, known in _CHOICES.items():
+            if getattr(self, name) not in known:
+                raise ValueError(f"unknown {name} {getattr(self, name)!r}; "
+                                 f"expected one of {known}")
         if self.young is not None or self.poisson is not None:
             pars = MaterialParams.from_young_poisson(self.young, self.poisson,
                                                      gamma=self.gamma)
@@ -159,6 +168,17 @@ class ExperimentConfig:
         self.mesh_sizes = tuple(int(n) for n in self.mesh_sizes)
         if not self.mesh_sizes:
             raise ValueError("mesh_sizes must name at least one mesh")
+        if self.mesh_sizes[0] < 1 or any(
+                a >= b for a, b in zip(self.mesh_sizes, self.mesh_sizes[1:])):
+            raise ValueError(f"mesh_sizes must be positive and strictly "
+                             f"increasing, got {self.mesh_sizes}")
+        gamma = self.params.gamma   # MaterialParams rejects bad mu, lam, gamma
+        stabilized = (self.problem in ("incompressible", "nearly_incompressible")
+                      or (self.problem == "cook"
+                          and self.formulation == "nearly_incompressible"))
+        if stabilized and not (gamma is not None and gamma > 0.0):
+            raise ValueError(f"stabilization parameter gamma must be "
+                             f"positive, got {gamma!r}")
 
     @property
     def params(self):
@@ -378,33 +398,30 @@ def run_convergence(config):
     params = config.params
     table = ConvergenceTable(problem=config.problem, order=config.order,
                              bc_mode=config.bc_mode)
+    if config.problem not in ("compressible", "incompressible"):
+        raise ValueError(
+            "run_convergence handles compressible/incompressible only")
     for n in config.mesh_sizes:
         mesh = build_unit_square_mesh(n)
         quality = mesh_quality(mesh)
-        if config.problem == "compressible":
-            exact, f, g = manufactured_compressible(params)
-            try:
+        try:
+            if config.problem == "compressible":
+                exact, f, g = manufactured_compressible(params)
                 u_h, system = solve_compressible(
                     mesh, config.order, params, f, g, config.bc_mode,
                     rhs_degree=config.rhs_degree)
-            except ExperimentError as exc:
-                raise ExperimentError(f"mesh n={n}: {exc}") from exc
-            report = error_norms(u_h, exact, params)
-            dofs = system.dof_count
-        elif config.problem == "incompressible":
-            exact_u, exact_p, f, g = manufactured_incompressible(params)
-            try:
+                report = error_norms(u_h, exact, params)
+            else:
+                exact_u, exact_p, f, g = manufactured_incompressible(params)
                 u_h, p_h, _, mixed = solve_incompressible(
                     mesh, config.order, params, f, g, bc_mode=config.bc_mode,
                     rhs_degree=config.rhs_degree, stab_h=config.stab_h)
-            except ExperimentError as exc:
-                raise ExperimentError(f"mesh n={n}: {exc}") from exc
-            report = error_norms(u_h, exact_u, params, p_h, exact_p)
-            dofs = mixed.system.dof_count
-        else:
-            raise ValueError(
-                "run_convergence handles compressible/incompressible only")
-        table.add(ConvergenceRow(h_max=quality.h_max, dofs=dofs, report=report))
+                report = error_norms(u_h, exact_u, params, p_h, exact_p)
+                system = mixed.system
+        except ExperimentError as exc:
+            raise ExperimentError(f"mesh n={n}: {exc}") from exc
+        table.add(ConvergenceRow(h_max=quality.h_max, dofs=system.dof_count,
+                                 report=report))
     return table
 
 
@@ -432,38 +449,25 @@ def run_cook(config):
         mesh = build_cook_mesh(n)
         quality = mesh_quality(mesh)
         space = FESpace(mesh, config.order, 2)
-        load = assemble_neumann_load(space, "AB", traction)
         if config.formulation == "compressible":
-            if config.bc_mode == "weak":
-                system = assemble_weak_system(mesh, space, params, fzero,
-                                              gzero, dirichlet_sides=("CD",))
-            else:
-                system = assemble_strong_system(mesh, space, params, fzero,
-                                                gzero, dirichlet_sides=("CD",))
-                load = load.copy()
-                load[space.expand_dofs(space.scalar_side_dofs("CD"))] = 0.0
-            rhs = system.rhs + load
-            x = _checked_solve(system.matrix, rhs,
-                               f"cook {config.bc_mode} n={n}")
-            u_h = DiscreteField(space, x)
-            dofs = system.dof_count
-        elif config.formulation == "nearly_incompressible":
-            pspace = FESpace(mesh, config.order, 1)
-            mixed = assemble_incompressible_system(
-                mesh, space, pspace, params, fzero, gzero,
-                nearly_lambda=params.lam, dirichlet_sides=("CD",),
-                bc_mode=config.bc_mode, stab_h=config.stab_h)
-            rhs = mixed.system.rhs.copy()
-            rhs[:space.dof_count] += load
-            if config.bc_mode == "strong":
-                rhs[space.expand_dofs(space.scalar_side_dofs("CD"))] = 0.0
-            x = _checked_solve(mixed.system.matrix, rhs,
-                               f"cook nearly-incompressible n={n}")
-            u_h = DiscreteField(space, x[:space.dof_count])
-            dofs = mixed.system.dof_count
+            assemble = (assemble_weak_system if config.bc_mode == "weak"
+                        else assemble_strong_system)
+            system = assemble(mesh, space, params, fzero, gzero,
+                              dirichlet_sides=("CD",))
         else:
-            raise ValueError(f"unknown cook formulation {config.formulation!r}")
-        table.add(ConvergenceRow(h_max=quality.h_max, dofs=dofs,
+            system = assemble_incompressible_system(
+                mesh, space, FESpace(mesh, config.order, 1), params, fzero,
+                gzero, nearly_lambda=params.lam, dirichlet_sides=("CD",),
+                bc_mode=config.bc_mode, stab_h=config.stab_h).system
+        rhs = system.rhs.copy()
+        rhs[:space.dof_count] += assemble_neumann_load(space, "AB", traction)
+        if config.bc_mode == "strong":
+            # the clamped rows hold the Dirichlet value g = 0
+            rhs[space.expand_dofs(space.scalar_side_dofs("CD"))] = 0.0
+        x = _checked_solve(system.matrix, rhs, f"cook {config.formulation} "
+                           f"{config.bc_mode} n={n}")
+        u_h = DiscreteField(space, x[:space.dof_count])
+        table.add(ConvergenceRow(h_max=quality.h_max, dofs=system.dof_count,
                                  qoi=cook_tip_displacement(mesh, u_h)))
     return table
 

@@ -12,8 +12,9 @@ import numpy as np
 import scipy.sparse as sp
 
 from .compressible import (AssembledSystem, MaterialParams, _dirichlet_sides,
-                           _per_cell, _require_vector, _scatter_matrix,
-                           _scatter_vector, assemble_boundary_flux,
+                           _flux_tables, _per_cell, _require_vector,
+                           _scatter_matrix, _scatter_vector,
+                           assemble_boundary_flux,
                            assemble_elasticity_stiffness, assemble_flux_load,
                            assemble_load, dirichlet_dofs_and_values,
                            eliminate_dofs)
@@ -52,13 +53,11 @@ def _stab_h(mesh, stab_h):
     raise ValueError("stab_h must be 'element' or 'global'")
 
 
-def assemble_divergence(vspace, pspace, degree=None):
+def assemble_divergence(vspace, pspace):
     """Matrix D with D[q-test i, v-trial (j,d)] = (d_d phi_j, psi_i)."""
     _check_pair(vspace, pspace)
-    if degree is None:
-        degree = 2 * vspace.order + 2
-    vt = vspace.interior_tables(degree)
-    pt = pspace.interior_tables(degree)
+    vt = vspace.interior_tables(vspace.form_degree)
+    pt = pspace.interior_tables(pspace.form_degree)
     nloc_p, nloc_v = pspace.cell_dofs.shape[1], vspace.cell_dofs.shape[1]
 
     def local(cells):
@@ -79,20 +78,16 @@ def assemble_mixed_volume(vspace, pspace, params):
     return sp.bmat([[Avv, -D.T], [D, None]], format="csr")
 
 
-def assemble_mixed_boundary_flux(vspace, pspace, params, side_tags=None,
-                                 degree=None):
+def assemble_mixed_boundary_flux(vspace, pspace, params, side_tags=None):
     """Antisymmetric boundary pairing built from <(2 mu eps(u) - p I) . n, v>.
 
     Returns the combined contribution entering the system matrix, i.e. the
     pairing with trial/test roles swapped minus the consistency term.
     """
     _check_pair(vspace, pspace)
-    if degree is None:
-        degree = 2 * vspace.order + 2
-    Bvv = assemble_boundary_flux(vspace, MaterialParams(params.mu),
-                                 side_tags, degree)
-    vb = vspace.boundary_tables(degree, side_tags)
-    pb = pspace.boundary_tables(degree, side_tags)
+    Bvv = assemble_boundary_flux(vspace, MaterialParams(params.mu), side_tags)
+    vb = vspace.boundary_tables(vspace.form_degree, side_tags)
+    pb = pspace.boundary_tables(pspace.form_degree, side_tags)
     nU, nP = vspace.dof_count, pspace.dof_count
     # Bvp[(i,c), j] = <psi_j n_c, phi_i>
     loc = np.einsum("eq,eqi,eqj,ec->eicj", vb.w, vb.N, pb.N, vb.normal)
@@ -123,10 +118,8 @@ def assemble_pressure_stabilization(vspace, pspace, params, stab_h="element"):
     _check_pair(vspace, pspace)
     if params.gamma is None or params.gamma <= 0.0:
         raise ValueError("stabilization parameter gamma must be positive")
-    mesh = vspace.mesh
-    degree = 2 * vspace.order + 2
-    pt = pspace.interior_tables(degree)
-    hK = _stab_h(mesh, stab_h)
+    pt = pspace.interior_tables(pspace.form_degree)
+    hK = _stab_h(vspace.mesh, stab_h)
     nU, nP = vspace.dof_count, pspace.dof_count
     gamma, mu = params.gamma, params.mu
 
@@ -161,20 +154,16 @@ def assemble_pressure_stabilization(vspace, pspace, params, stab_h="element"):
     return sp.bmat([[zero_vv, None], [Squ, Spp]], format="csr")
 
 
-def assemble_pressure_mass(pspace, degree=None):
-    if degree is None:
-        degree = 2 * pspace.order + 2
-    pt = pspace.interior_tables(degree)
+def assemble_pressure_mass(pspace):
+    pt = pspace.interior_tables(pspace.form_degree)
     return _scatter_matrix(pspace.cell_dofs, pspace.cell_dofs,
                            _per_cell(pt, lambda cells: _mass_local(pt, cells)),
                            (pspace.dof_count,) * 2)
 
 
-def pressure_integral_vector(pspace, degree=None):
+def pressure_integral_vector(pspace):
     """Vector of int_Omega psi_i dx (the pressure-mean functional)."""
-    if degree is None:
-        degree = 2 * pspace.order + 2
-    pt = pspace.interior_tables(degree)
+    pt = pspace.interior_tables(pspace.form_degree)
     local = _per_cell(pt, lambda cells: np.einsum("cq,qi->ci", pt.wdet[cells],
                                                   pt.N))
     return _scatter_vector(pspace.cell_dofs, local, pspace.dof_count)
@@ -196,13 +185,25 @@ def _stabilized_load(pspace, params, f, hK, rhs_degree):
                            pspace.dof_count)
 
 
-def _pressure_flux_load(pspace, g, side_tags, degree):
+def _pressure_flux_load(pspace, g, side_tags, degree=None):
     """Entries of -<psi_i n, g> on the selected sides."""
-    pb = pspace.boundary_tables(degree, side_tags)
+    pb = _flux_tables(pspace, side_tags, degree)
     gv = g.value(pb.x[..., 0], pb.x[..., 1])
     gvn = np.einsum("eqa,ea->eq", gv, pb.normal)
     loc = -np.einsum("eq,eqi->ei", pb.w * gvn, pb.N)
     return _scatter_vector(pb.cell_dofs, loc, pspace.dof_count)
+
+
+def _mixed_operator(vspace, pspace, params, flux_sides, stab_h="element"):
+    """Volume part plus stabilization plus the antisymmetric flux on
+    flux_sides (() adds none): the mixed analogue of the compressible
+    weak operator."""
+    A = assemble_mixed_volume(vspace, pspace, params)
+    A = A + assemble_pressure_stabilization(vspace, pspace, params, stab_h)
+    if flux_sides:
+        A = A + assemble_mixed_boundary_flux(vspace, pspace, params,
+                                             flux_sides)
+    return A
 
 
 def assemble_incompressible_system(mesh, vspace, pspace, params, f, g,
@@ -217,7 +218,8 @@ def assemble_incompressible_system(mesh, vspace, pspace, params, f, g,
     + grad p = f), which recovers compressible elasticity as lambda -> inf.
     The pressure mean-zero constraint is appended automatically when the
     Dirichlet data covers the whole boundary and no nearly_lambda is given.
-    dirichlet_sides=None selects every side, () none.
+    dirichlet_sides=None selects every side, () none.  rhs_degree and
+    flux_degree set the quadrature of the load and flux-load data terms.
     """
     _check_pair(vspace, pspace)
     if params.gamma is None or params.gamma <= 0.0:
@@ -227,16 +229,11 @@ def assemble_incompressible_system(mesh, vspace, pspace, params, f, g,
     if bc_mode not in ("weak", "strong"):
         raise ValueError("bc_mode must be 'weak' or 'strong'")
     sides = _dirichlet_sides(mesh, dirichlet_sides)
-    if flux_degree is None:
-        flux_degree = 2 * vspace.order + 2
     nU, nP = vspace.dof_count, pspace.dof_count
     hK = _stab_h(mesh, stab_h)
 
-    core = assemble_mixed_volume(vspace, pspace, params)
-    core = core + assemble_pressure_stabilization(vspace, pspace, params, stab_h)
-    if bc_mode == "weak":
-        core = core + assemble_mixed_boundary_flux(vspace, pspace, params,
-                                                   sides, flux_degree)
+    core = _mixed_operator(vspace, pspace, params,
+                           sides if bc_mode == "weak" else (), stab_h)
     if nearly_lambda is not None:
         Mpp = assemble_pressure_mass(pspace)
         core = core + sp.bmat(

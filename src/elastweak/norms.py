@@ -16,11 +16,9 @@ from .compressible import (_I2, MaterialParams, _dirichlet_sides, _per_cell,
                            _scatter_matrix, _scatter_vector, _stiffness_parts,
                            _weak_operator, assemble_elasticity_stiffness,
                            assemble_flux_load)
-from .incompressible import (_mass_local, _pressure_gradient_local, _stab_h,
+from .incompressible import (_mass_local, _mixed_operator,
+                             _pressure_gradient_local, _stab_h,
                              _stabilized_load, assemble_incompressible_system,
-                             assemble_mixed_boundary_flux,
-                             assemble_mixed_volume,
-                             assemble_pressure_stabilization,
                              pressure_integral_vector)
 from .solvers import (DENSE_CAP, SizeCapError,
                       smallest_generalized_singular_value)
@@ -70,16 +68,23 @@ def _boundary_values(field, bt):
     return field.value(bt.x[..., 0], bt.x[..., 1])
 
 
-def _interior_eval(field, tab, cells, need_grads=True):
+def _analytic_tables(field, x):
+    if field.gradient is None:
+        raise ValueError("analytic field lacks a derivative contract")
+    return (field.value(x[..., 0], x[..., 1]),
+            field.gradient(x[..., 0], x[..., 1]))
+
+
+def _interior_eval(field, tab, cells, exact=None):
+    """Values and gradients at the cells' quadrature points of field - exact,
+    or of the field itself when exact is None."""
     if isinstance(field, DiscreteField):
-        return _discrete_tables(field, tab, cells)
-    x = tab.physical_points(cells)
-    vals = field.value(x[..., 0], x[..., 1])
-    grads = None
-    if need_grads:
-        if field.gradient is None:
-            raise ValueError("analytic field lacks a derivative contract")
-        grads = field.gradient(x[..., 0], x[..., 1])
+        vals, grads = _discrete_tables(field, tab, cells)
+    else:
+        vals, grads = _analytic_tables(field, tab.physical_points(cells))
+    if exact is not None:
+        ev, eg = _analytic_tables(exact, tab.physical_points(cells))
+        vals, grads = vals - ev, grads - eg
     return vals, grads
 
 
@@ -95,97 +100,81 @@ def _tabulation_space(field, mesh):
     return FESpace(mesh, 1, 1)
 
 
-def _triple_norm_parts(field, degree=ERROR_DEGREE, mesh=None):
-    """Squared contributions (grad, div, trace, normal trace) of a field."""
+def _vector_parts(field, degree, mesh=None, exact=None):
+    """Squared (L2, gradient, divergence, h^-1/2 trace, h^-1/2 normal trace)
+    norms of field - exact, or of the field itself when exact is None.
+
+    The error norms and the triple norms are both read from these parts."""
     space = _tabulation_space(field, mesh)
     tab = space.interior_tables(degree, symmetrize=False)
-    grad_sq = div_sq = 0.0
+    l2 = grad_sq = div_sq = 0.0
     for cells in tab.cell_chunks():
-        _, g = _interior_eval(field, tab, cells)
+        v, g = _interior_eval(field, tab, cells, exact)
         w = tab.wdet[cells]
+        l2 += float(np.einsum("cq,cqe->", w, v ** 2))
         grad_sq += float(np.einsum("cq,cqea->", w, g ** 2))
         div = g[..., 0, 0] + g[..., 1, 1]
         div_sq += float(np.sum(w * div ** 2))
     bt = space.boundary_tables(degree)
     vals = _boundary_values(field, bt)
+    if exact is not None:
+        vals = vals - exact.value(bt.x[..., 0], bt.x[..., 1])
     winv = bt.w / bt.h_owner[:, None]
     trace_sq = float(np.einsum("eq,eqa->", winv, vals ** 2))
     vn = np.einsum("eqa,ea->eq", vals, bt.normal)
     normal_sq = float(np.sum(winv * vn ** 2))
-    return grad_sq, div_sq, trace_sq, normal_sq
+    return l2, grad_sq, div_sq, trace_sq, normal_sq
+
+
+def _pressure_parts(field, degree, mesh=None, exact=None):
+    """Squared (L2, h-weighted gradient) norms of field - exact, or of the
+    field itself when exact is None."""
+    space = _tabulation_space(field, mesh)
+    tab = space.interior_tables(degree, symmetrize=False)
+    hK = space.mesh.triangle_diameters()
+    l2 = h2_grad_sq = 0.0
+    for cells in tab.cell_chunks():
+        v, g = _interior_eval(field, tab, cells, exact)
+        w = tab.wdet[cells]
+        l2 += float(np.sum(w * v ** 2))
+        h2_grad_sq += float(np.einsum("cq,cqa->", w * (hK[cells] ** 2)[:, None],
+                                      g ** 2))
+    return l2, h2_grad_sq
+
+
+def _triple(params, vparts, pparts=None):
+    """Compressible triple norm from the vector parts, or the incompressible
+    one when the pressure parts are given."""
+    _, g2, d2, t2, n2 = vparts
+    if pparts is None:
+        return float(np.sqrt(params.mu * (g2 + t2) + params.lam * (d2 + n2)))
+    return float(np.sqrt(params.mu * (g2 + t2) + pparts[1] / params.mu))
 
 
 def triple_norm_compressible(field, params, degree=ERROR_DEGREE, mesh=None):
     """mu(|grad w|^2 + |h^-1/2 w|^2_bnd) + lam(|div w|^2 + |h^-1/2 w.n|^2_bnd)."""
-    g2, d2, t2, n2 = _triple_norm_parts(field, degree, mesh)
-    return float(np.sqrt(params.mu * (g2 + t2) + params.lam * (d2 + n2)))
+    return _triple(params, _vector_parts(field, degree, mesh))
 
 
 def triple_norm_incompressible(vfield, pfield, params, degree=ERROR_DEGREE,
                                mesh=None):
     """mu(|grad w|^2 + |h^-1/2 w|^2_bnd) + (1/mu)|h grad rho|^2."""
-    g2, _, t2, _ = _triple_norm_parts(vfield, degree, mesh)
-    pspace = _tabulation_space(pfield, mesh)
-    tab = pspace.interior_tables(degree, symmetrize=False)
-    hK = pspace.mesh.triangle_diameters()
-    p2 = 0.0
-    for cells in tab.cell_chunks():
-        _, gp = _interior_eval(pfield, tab, cells)
-        w = tab.wdet[cells] * (hK[cells] ** 2)[:, None]
-        p2 += float(np.einsum("cq,cqa->", w, gp ** 2))
-    return float(np.sqrt(params.mu * (g2 + t2) + p2 / params.mu))
+    return _triple(params, _vector_parts(vfield, degree, mesh),
+                   _pressure_parts(pfield, degree, mesh))
 
 
 def error_norms(u_h, exact_u, params, p_h=None, exact_p=None,
                 degree=ERROR_DEGREE):
     """L2/H1-seminorm/triple-norm errors (and pressure L2 when mixed)."""
-    if exact_u.gradient is None:
-        raise ValueError("exact field needs a derivative contract")
-    space = u_h.space
-    mesh = space.mesh
-    tab = space.interior_tables(degree, symmetrize=False)
-    l2 = h1 = div_sq = 0.0
-    for cells in tab.cell_chunks():
-        vals, grads = _discrete_tables(u_h, tab, cells)
-        x = tab.physical_points(cells)
-        ev = vals - exact_u.value(x[..., 0], x[..., 1])
-        eg = grads - exact_u.gradient(x[..., 0], x[..., 1])
-        w = tab.wdet[cells]
-        l2 += float(np.einsum("cq,cqe->", w, ev ** 2))
-        h1 += float(np.einsum("cq,cqea->", w, eg ** 2))
-        div = eg[..., 0, 0] + eg[..., 1, 1]
-        div_sq += float(np.sum(w * div ** 2))
-    bt = space.boundary_tables(degree)
-    ev_b = _boundary_values(u_h, bt) - exact_u.value(bt.x[..., 0], bt.x[..., 1])
-    winv = bt.w / bt.h_owner[:, None]
-    trace_sq = float(np.einsum("eq,eqa->", winv, ev_b ** 2))
-    vn = np.einsum("eqa,ea->eq", ev_b, bt.normal)
-    normal_sq = float(np.sum(winv * vn ** 2))
-
-    p_l2 = None
-    if p_h is not None:
-        ptab = p_h.space.interior_tables(degree, symmetrize=False)
-        hK = mesh.triangle_diameters()
-        pl2 = pg2 = 0.0
-        for cells in ptab.cell_chunks():
-            pv, pg = _discrete_tables(p_h, ptab, cells)
-            x = ptab.physical_points(cells)
-            epv = pv - exact_p.value(x[..., 0], x[..., 1])
-            epg = pg - exact_p.gradient(x[..., 0], x[..., 1])
-            w = ptab.wdet[cells]
-            pl2 += float(np.sum(w * epv ** 2))
-            pg2 += float(np.einsum("cq,cqa->", w * (hK[cells] ** 2)[:, None],
-                                   epg ** 2))
-        p_l2 = float(np.sqrt(pl2))
-        triple = float(np.sqrt(params.mu * (h1 + trace_sq) + pg2 / params.mu))
-    else:
-        triple = float(np.sqrt(params.mu * (h1 + trace_sq)
-                               + params.lam * (div_sq + normal_sq)))
-    return ErrorReport(l2_error=float(np.sqrt(l2)),
-                       h1_semi_error=float(np.sqrt(h1)),
-                       triple_norm_error=triple,
-                       h_max=float(mesh.triangle_diameters().max()),
-                       pressure_l2_error=p_l2)
+    vparts = _vector_parts(u_h, degree, exact=exact_u)
+    pparts = None if p_h is None else _pressure_parts(p_h, degree,
+                                                      exact=exact_p)
+    return ErrorReport(l2_error=float(np.sqrt(vparts[0])),
+                       h1_semi_error=float(np.sqrt(vparts[1])),
+                       triple_norm_error=_triple(params, vparts, pparts),
+                       h_max=float(u_h.space.mesh.triangle_diameters().max()),
+                       pressure_l2_error=(None if pparts is None
+                                          else float(np.sqrt(pparts[0]))))
 
 
 # -- boundary seminorm and rigid motions --------------------------------------
@@ -193,23 +182,15 @@ def error_norms(u_h, exact_u, params, p_h=None, exact_p=None,
 
 def _side_means(mesh, field, degree=8):
     """Componentwise mean of a vector field over each whole polygon side."""
+    bt = _tabulation_space(field, mesh).boundary_tables(degree)
+    vals = _boundary_values(field, bt)
+    tags = mesh.edge_tag[bt.edge_ids]
     means = np.zeros((len(mesh.side_tags), 2))
     lengths = np.zeros(len(mesh.side_tags))
-    if isinstance(field, DiscreteField):
-        bt = field.space.boundary_tables(degree)
-        vals = _boundary_values(field, bt)
-        tags = mesh.edge_tag[bt.edge_ids]
-        w = bt.w
-    else:
-        space = FESpace(mesh, 1, 1)
-        bt = space.boundary_tables(degree)
-        vals = field.value(bt.x[..., 0], bt.x[..., 1])
-        tags = mesh.edge_tag[bt.edge_ids]
-        w = bt.w
     for t in range(len(mesh.side_tags)):
         sel = tags == t
-        lengths[t] = w[sel].sum()
-        means[t] = np.einsum("eq,eqa->a", w[sel], vals[sel]) / lengths[t]
+        lengths[t] = bt.w[sel].sum()
+        means[t] = np.einsum("eq,eqa->a", bt.w[sel], vals[sel]) / lengths[t]
     return means, lengths
 
 
@@ -257,7 +238,7 @@ def _vector_gram(space, kind):
     """Assemble (grad u, grad v), (u, v) or (div u, div v) for a vector space."""
     if kind not in ("mass", "grad", "div"):
         raise ValueError(kind)
-    tab = space.interior_tables(2 * space.order + 2)
+    tab = space.interior_tables(space.form_degree)
     nloc = 2 * space.scalar_basis_size
 
     def local(cells):
@@ -274,8 +255,7 @@ def _vector_gram(space, kind):
 
 def _boundary_gram(space, normal_weighted):
     """h_K^-1-weighted boundary mass, full trace or normal component only."""
-    degree = 2 * space.order + 2
-    bt = space.boundary_tables(degree)
+    bt = space.boundary_tables(space.form_degree)
     nloc = 2 * space.scalar_basis_size
     winv = bt.w / bt.h_owner[:, None]
     nn = np.einsum("eq,eqi,eqj->eij", winv, bt.N, bt.N)
@@ -288,7 +268,7 @@ def _boundary_gram(space, normal_weighted):
 
 
 def _pressure_h2_gram(pspace):
-    tab = pspace.interior_tables(2 * pspace.order + 2)
+    tab = pspace.interior_tables(pspace.form_degree)
     hK = pspace.mesh.triangle_diameters()
     local = _per_cell(tab, lambda cells: _pressure_gradient_local(tab, cells,
                                                                   hK))
@@ -361,9 +341,7 @@ def incompressible_infsup(mesh, vspace, pspace, params):
     if n > DENSE_CAP:
         raise SizeCapError(f"dense diagnostic limited to {DENSE_CAP} unknowns, "
                            f"got {n}")
-    A = (assemble_mixed_volume(vspace, pspace, params)
-         + assemble_mixed_boundary_flux(vspace, pspace, params)
-         + assemble_pressure_stabilization(vspace, pspace, params))
+    A = _mixed_operator(vspace, pspace, params, mesh.side_tags)
     N = triple_norm_gram_incompressible(vspace, pspace, params)
     Z = _mean_free_pressure_basis(vspace.dof_count,
                                   pressure_integral_vector(pspace))

@@ -85,27 +85,26 @@ class FESpace:
         self.components = components
         self.scalar_basis_size = (order + 1) * (order + 2) // 2
 
+        # quadrature degree of every bilinear form and Gram matrix
+        self.form_degree = 2 * order + 2
+
         nv = mesh.num_vertices
         tris = mesh.triangles
         if order == 1:
             scalar_cell = tris.copy()
             self.scalar_dof_count = nv
             self.dof_points = mesh.vertices.copy()
-            self._edge_index = None
         else:
-            edges = mesh.unique_edges()
-            self._edge_index = {(int(a), int(b)): k
-                                for k, (a, b) in enumerate(edges)}
-            scalar_cell = np.empty((mesh.num_triangles, 6), dtype=np.int64)
-            scalar_cell[:, :3] = tris
-            for loc, (a, b) in enumerate(_LOCAL_EDGES):
-                for c in range(mesh.num_triangles):
-                    key = tuple(sorted((int(tris[c, a]), int(tris[c, b]))))
-                    scalar_cell[c, 3 + loc] = nv + self._edge_index[key]
-            self.scalar_dof_count = nv + len(edges)
-            mids = 0.5 * (mesh.vertices[edges[:, 0]] + mesh.vertices[edges[:, 1]])
-            self.dof_points = np.vstack([mesh.vertices, mids])
-        self._scalar_cell_dofs = scalar_cell
+            # an edge (a, b), a < b, has key a * nv + b, so sorted keys are
+            # the lexicographic edge order
+            ends = np.sort(tris[:, _LOCAL_EDGES], axis=2)
+            self._edge_keys, local = np.unique(
+                (ends[..., 0] * nv + ends[..., 1]).ravel(), return_inverse=True)
+            scalar_cell = np.hstack([tris, nv + local.reshape(-1, 3)])
+            self.scalar_dof_count = nv + len(self._edge_keys)
+            a, b = np.divmod(self._edge_keys, nv)
+            self.dof_points = np.vstack([mesh.vertices, 0.5 * (
+                mesh.vertices[a] + mesh.vertices[b])])
 
         if components == 1:
             self.cell_dofs = scalar_cell
@@ -140,15 +139,17 @@ class FESpace:
     def scalar_side_dofs(self, side_tag):
         """Scalar DOFs supported on the boundary side `side_tag`."""
         mesh = self.mesh
-        edge_ids = mesh.edges_of_side(side_tag)
-        dofs = set()
-        for e in edge_ids:
-            v0, v1 = (int(v) for v in mesh.edge_vertices[e])
-            dofs.update((v0, v1))
-            if self.order == 2:
-                key = tuple(sorted((v0, v1)))
-                dofs.add(mesh.num_vertices + self._edge_index[key])
-        return np.array(sorted(dofs), dtype=np.int64)
+        ends = np.sort(mesh.edge_vertices[mesh.edges_of_side(side_tag)],
+                       axis=1)
+        dofs = [ends.ravel()]
+        if self.order == 2:
+            keys = ends[:, 0] * mesh.num_vertices + ends[:, 1]
+            pos = np.searchsorted(self._edge_keys, keys)
+            if not np.isin(keys, self._edge_keys).all():
+                raise ValueError(f"side {side_tag!r} has an edge that no "
+                                 f"triangle has")
+            dofs.append(mesh.num_vertices + pos)
+        return np.unique(np.concatenate(dofs))
 
     def boundary_scalar_dofs(self):
         dofs = set()
@@ -187,28 +188,32 @@ class FESpace:
 
 
 class InteriorTables:
-    """Shared reference tables plus per-cell geometry for volume integrals."""
+    """Shared reference tables plus per-cell geometry for volume integrals.
+
+    The tables keep the mesh and the geometry but not the space that caches
+    them: without that reference cycle a space and its tables are freed as
+    soon as the space is unused, not at a later garbage collection.
+    """
 
     def __init__(self, space, rule, N, dN):
-        self.space = space
+        self.mesh = space.mesh
         self.rule = rule
         self.N = N            # (nq, nsb)
         self.dN_ref = dN      # (nq, nsb, 2)
-        _, self.Jinv, detJ = space.geometry()
+        self.J, self.Jinv, detJ = space.geometry()
         self.wdet = np.abs(detJ)[:, None] * rule.weights[None, :]  # (nt, nq)
 
     def physical_points(self, cells=slice(None)):
-        mesh = self.space.mesh
-        p0 = mesh.vertices[mesh.triangles[cells, 0]]
-        J = self.space.geometry()[0][cells]
-        return p0[:, None, :] + np.einsum("cab,qb->cqa", J, self.rule.points)
+        p0 = self.mesh.vertices[self.mesh.triangles[cells, 0]]
+        return p0[:, None, :] + np.einsum("cab,qb->cqa", self.J[cells],
+                                          self.rule.points)
 
     def physical_gradients(self, cells=slice(None)):
         """Basis gradients per cell and point, shape (m, nq, nsb, 2)."""
         return np.einsum("qib,cba->cqia", self.dN_ref, self.Jinv[cells])
 
     def cell_chunks(self, chunk=4096):
-        nt = self.space.mesh.num_triangles
+        nt = self.mesh.num_triangles
         for start in range(0, nt, chunk):
             yield slice(start, min(start + chunk, nt))
 
@@ -222,7 +227,6 @@ class BoundaryTables:
         ids = np.concatenate([mesh.edges_of_side(t) for t in side_tags]) \
             if side_tags else np.array([], dtype=np.int64)
         ids = np.sort(ids)
-        self.space = space
         self.rule = rule
         self.edge_ids = ids
         self.owner = mesh.edge_owner[ids]

@@ -118,7 +118,16 @@ def test_run_cook_check_accepts_corner_limited_rate(tmp_path, capsys):
     (["--young", "1e5", "--poisson", "0.7"], "nu in (-1, 0.5)"),
     (["--poisson", "0.7"], "both"),
     (["--mesh-sizes", ""], "at least one mesh"),
-], ids=["unknown-key", "poisson-range", "poisson-alone", "empty-mesh-sizes"])
+    (["--k", "3"], "unknown order 3"),
+    (["--mu", "-1"], "mu must be positive"),
+    (["--lambda", "nan"], "lam must be finite"),
+    (["--mesh-sizes", "0"], "positive and strictly increasing"),
+    (["--mesh-sizes", "16,8"], "positive and strictly increasing"),
+    (["--mesh-sizes", "8,8"], "positive and strictly increasing"),
+    (["--problem", "incompressible", "--gamma", "0"], "gamma must be positive"),
+], ids=["unknown-key", "poisson-range", "poisson-alone", "empty-mesh-sizes",
+        "order-3", "negative-mu", "nan-lambda", "zero-mesh-size",
+        "decreasing-mesh-sizes", "repeated-mesh-size", "zero-gamma"])
 @pytest.mark.parametrize("command", ["run", "diagnose"])
 def test_config_error_exit_code(tmp_path, capsys, command, argv, message):
     cfg = tmp_path / "bad.ini"

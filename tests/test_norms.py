@@ -144,6 +144,30 @@ def test_error_norms_requires_gradient():
         error_norms(zero, no_grad, MaterialParams(1.0))
 
 
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("builder", [build_unit_square_mesh, build_cook_mesh])
+def test_error_of_zero_field_is_triple_norm_of_exact(builder, order):
+    # error_norms and the triple norms share one evaluator: the error of
+    # the zero field is the norm of the exact field
+    from elastweak.experiments import (manufactured_compressible,
+                                       manufactured_incompressible)
+    mesh = builder(3)
+    V, Q = FESpace(mesh, order, 2), FESpace(mesh, order, 1)
+    zero_u = DiscreteField(V, np.zeros(V.dof_count))
+    zero_p = DiscreteField(Q, np.zeros(Q.dof_count))
+    pars = MaterialParams(mu=1.3, lam=2.7, gamma=0.1)
+    exact, _, _ = manufactured_compressible(pars)
+    assert error_norms(zero_u, exact, pars).triple_norm_error == \
+        pytest.approx(triple_norm_compressible(exact, pars, mesh=mesh),
+                      rel=1e-14)
+    exact_u, exact_p, _, _ = manufactured_incompressible(pars)
+    rep = error_norms(zero_u, exact_u, pars, zero_p, exact_p)
+    assert rep.triple_norm_error == pytest.approx(
+        triple_norm_incompressible(exact_u, exact_p, pars, mesh=mesh),
+        rel=1e-14)
+    assert rep.triple_norm_error > 0.0
+
+
 def test_korn_seminorm_constant_field():
     mesh = build_unit_square_mesh(3)
     const = AnalyticField.constant_vector(1.0, 0.0)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from elastweak.mesh import build_unit_square_mesh
+from elastweak.mesh import build_cook_mesh, build_unit_square_mesh
 from elastweak.spaces import (AnalyticField, basis_values, build_space,
                               integrate_field, interpolate)
 
@@ -163,3 +163,58 @@ def test_boundary_dofs_on_sides():
     pts = space.dof_points[bottom]
     assert np.abs(pts[:, 1]).max() < 1e-15
     assert len(bottom) == 5  # 3 vertices + 2 edge midpoints
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_p2_edge_dofs_follow_lexicographic_rule(n):
+    # edge DOFs come after the vertices, in lexicographic order of their
+    # sorted endpoint pairs; a Cook mesh is not numbered row by row
+    mesh = build_cook_mesh(n)
+    space = build_space(mesh, 2, 1)
+    nv = mesh.num_vertices
+    edges = sorted({tuple(sorted((int(t[a]), int(t[b]))))
+                    for t in mesh.triangles for a, b in ((0, 1), (1, 2), (0, 2))})
+    assert space.dof_count == nv + len(edges)
+    rank = {e: nv + i for i, e in enumerate(edges)}
+    for c, t in enumerate(mesh.triangles):
+        for loc, (a, b) in enumerate(((0, 1), (1, 2), (0, 2))):
+            edge = tuple(sorted((int(t[a]), int(t[b]))))
+            assert space.cell_dofs[c, 3 + loc] == rank[edge]
+    for (a, b), dof in rank.items():
+        assert np.array_equal(space.dof_points[dof], 0.5 * (
+            mesh.vertices[a] + mesh.vertices[b]))
+    for tag in mesh.side_tags:
+        ends = mesh.edge_vertices[mesh.edges_of_side(tag)]
+        expected = {int(v) for v in ends.ravel()} | {
+            rank[tuple(sorted((int(a), int(b))))] for a, b in ends}
+        assert space.scalar_side_dofs(tag).tolist() == sorted(expected)
+
+
+def test_p2_side_dofs_reject_edge_outside_triangulation():
+    import dataclasses
+    mesh = build_unit_square_mesh(2)
+    edge_vertices = mesh.edge_vertices.copy()
+    edge_vertices[0] = (0, 8)    # opposite corners: not a triangle edge
+    bad = dataclasses.replace(mesh, edge_vertices=edge_vertices)
+    tag = mesh.side_tags[int(mesh.edge_tag[0])]
+    with pytest.raises(ValueError, match="no triangle"):
+        build_space(bad, 2, 1).scalar_side_dofs(tag)
+
+
+def test_space_and_tables_freed_without_garbage_collection():
+    # the tables a space caches hold no reference back to it, so a space's
+    # tabulation is freed when the space is unused, not at the next cyclic
+    # garbage collection
+    import gc
+    import weakref
+    mesh = build_unit_square_mesh(2)
+    space = build_space(mesh, 2, 2)
+    tables = weakref.ref(space.interior_tables(4))
+    space.boundary_tables(4)
+    ref = weakref.ref(space)
+    gc.disable()
+    try:
+        del space
+        assert ref() is None and tables() is None
+    finally:
+        gc.enable()
