@@ -11,6 +11,9 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
+from .spaces import cell_chunks, reference_tensors
+
+
 @dataclass(frozen=True)
 class MaterialParams:
     """Shear modulus, first Lame parameter and pressure-stabilization weight."""
@@ -62,10 +65,10 @@ def _dirichlet_sides(mesh, dirichlet_sides):
     return tuple(dirichlet_sides)
 
 
-def _per_cell(tab, kernel):
+def _per_cell(mesh, kernel):
     """Concatenate kernel(cells) over the chunks, which cover the cells in
     order, so that row c of the result belongs to cell c."""
-    return np.concatenate([kernel(cells) for cells in tab.cell_chunks()])
+    return np.concatenate([kernel(cells) for cells in cell_chunks(mesh)])
 
 
 def _scatter_matrix(row_dofs, col_dofs, local, shape):
@@ -78,6 +81,13 @@ def _scatter_matrix(row_dofs, col_dofs, local, shape):
     return out
 
 
+def _cell_matrix(row_space, col_space, kernel):
+    """Matrix accumulated from the per-cell blocks kernel(cells)."""
+    return _scatter_matrix(row_space.cell_dofs, col_space.cell_dofs,
+                           _per_cell(row_space.mesh, kernel),
+                           (row_space.dof_count, col_space.dof_count))
+
+
 def _scatter_vector(dofs, local, size):
     """Accumulate local values at dofs, both flattened, in their order."""
     vec = np.zeros(size)
@@ -88,36 +98,36 @@ def _scatter_vector(dofs, local, size):
 _I2 = np.eye(2)
 
 
-def _stiffness_parts(tab, cells):
+def _stiffness_parts(space, cells):
     """Per-cell integrals of grad phi_i . grad phi_j, shape (m, i, j), and of
-    d_a phi_i d_b phi_j, shape (m, i, a, j, b)."""
-    g = tab.physical_gradients(cells)
-    wd = tab.wdet[cells]
-    return (np.einsum("cqia,cqja,cq->cij", g, g, wd),
-            np.einsum("cqia,cqjb,cq->ciajb", g, g, wd))
+    d_a phi_i d_b phi_j, shape (m, i, a, j, b), of the scalar basis."""
+    _, Jinv, detJ = space.geometry()
+    # d_a phi_i d_b phi_j = sum_pr Jinv[p, a] Jinv[r, b] d_p N_i d_r N_j
+    D = np.einsum("c,ipjr,cpa,crb->ciajb", np.abs(detJ[cells]),
+                  reference_tensors(space.order).grad_grad, Jinv[cells],
+                  Jinv[cells], optimize=True)
+    return np.einsum("ciaja->cij", D), D
 
 
 def assemble_elasticity_stiffness(space, params):
     """Volume matrix of 2 mu (eps(u), eps(v)) + lambda (div u, div v)."""
     _require_vector(space)
-    tab = space.interior_tables(space.form_degree)
     nloc = 2 * space.scalar_basis_size
 
     def local(cells):
-        gg, D = _stiffness_parts(tab, cells)
+        gg, D = _stiffness_parts(space, cells)
         loc = (params.mu * np.einsum("cij,ab->ciajb", gg, _I2)
                + params.mu * D.transpose(0, 1, 4, 3, 2)
                + params.lam * D)
         return loc.reshape(-1, nloc, nloc)
 
-    return _scatter_matrix(space.cell_dofs, space.cell_dofs,
-                           _per_cell(tab, local), (space.dof_count,) * 2)
+    return _cell_matrix(space, space, local)
 
 
 def _flux_tables(space, side_tags, degree=None):
-    """Boundary tables for a data integral, by default at the form degree."""
+    """Boundary tables for a data integral, by default at the data degree."""
     return space.boundary_tables(
-        space.form_degree if degree is None else degree, side_tags)
+        space.data_degree if degree is None else degree, side_tags)
 
 
 def assemble_boundary_flux(space, params, side_tags=None):
@@ -151,7 +161,7 @@ def assemble_load(space, f, degree=10):
         fv = f.value(x[..., 0], x[..., 1])
         return np.einsum("cq,cqd,qi->cid", tab.wdet[cells], fv, tab.N)
 
-    return _scatter_vector(space.cell_dofs, _per_cell(tab, local),
+    return _scatter_vector(space.cell_dofs, _per_cell(space.mesh, local),
                            space.dof_count)
 
 
@@ -210,10 +220,8 @@ def assemble_weak_system(mesh, space, params, f, g, dirichlet_sides=None,
 
 def dirichlet_dofs_and_values(space, g, dirichlet_sides=None):
     """Vector DOF indices on the Dirichlet sides and nodal values of g."""
-    sides = _dirichlet_sides(space.mesh, dirichlet_sides)
-    scalar = sorted(set(
-        int(d) for tag in sides for d in space.scalar_side_dofs(tag)))
-    scalar = np.asarray(scalar, dtype=np.int64)
+    scalar = space.boundary_scalar_dofs(
+        _dirichlet_sides(space.mesh, dirichlet_sides))
     pts = space.dof_points[scalar]
     gv = g.value(pts[:, 0], pts[:, 1])
     dofs = np.empty(2 * len(scalar), dtype=np.int64)

@@ -11,14 +11,15 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .compressible import (AssembledSystem, MaterialParams, _dirichlet_sides,
-                           _flux_tables, _per_cell, _require_vector,
-                           _scatter_matrix, _scatter_vector,
+from .compressible import (_I2, AssembledSystem, MaterialParams,
+                           _cell_matrix, _dirichlet_sides, _flux_tables,
+                           _per_cell, _require_vector, _scatter_matrix,
+                           _scatter_vector, _stiffness_parts,
                            assemble_boundary_flux,
                            assemble_elasticity_stiffness, assemble_flux_load,
                            assemble_load, dirichlet_dofs_and_values,
                            eliminate_dofs)
-from .spaces import basis_hessians
+from .spaces import basis_hessians, reference_tensors
 
 
 @dataclass
@@ -56,18 +57,16 @@ def _stab_h(mesh, stab_h):
 def assemble_divergence(vspace, pspace):
     """Matrix D with D[q-test i, v-trial (j,d)] = (d_d phi_j, psi_i)."""
     _check_pair(vspace, pspace)
-    vt = vspace.interior_tables(vspace.form_degree)
-    pt = pspace.interior_tables(pspace.form_degree)
+    _, Jinv, detJ = vspace.geometry()
+    T = reference_tensors(vspace.order).value_grad
     nloc_p, nloc_v = pspace.cell_dofs.shape[1], vspace.cell_dofs.shape[1]
 
     def local(cells):
-        g = vt.physical_gradients(cells)
-        loc = np.einsum("cq,qi,cqjd->cijd", vt.wdet[cells], pt.N, g)
+        loc = np.einsum("c,ijp,cpd->cijd", np.abs(detJ[cells]), T,
+                        Jinv[cells])
         return loc.reshape(-1, nloc_p, nloc_v)
 
-    return _scatter_matrix(pspace.cell_dofs, vspace.cell_dofs,
-                           _per_cell(vt, local),
-                           (pspace.dof_count, vspace.dof_count))
+    return _cell_matrix(pspace, vspace, local)
 
 
 def assemble_mixed_volume(vspace, pspace, params):
@@ -97,16 +96,17 @@ def assemble_mixed_boundary_flux(vspace, pspace, params, side_tags=None):
     return sp.bmat([[-Bvv + Bvv.T, Bvp], [-Bvp.T, None]], format="csr")
 
 
-def _pressure_gradient_local(pt, cells, hK):
-    """Per-cell integrals of h_K^2 grad psi_i . grad psi_j."""
-    gp = pt.physical_gradients(cells)
-    w = pt.wdet[cells] * (hK[cells] ** 2)[:, None]
-    return np.einsum("cq,cqia,cqja->cij", w, gp, gp)
+def _pressure_h2_gram(pspace, hK):
+    """Matrix of sum_K h_K^2 (grad psi_j, grad psi_i)_K."""
+    return _cell_matrix(pspace, pspace, lambda cells: (
+        (hK[cells] ** 2)[:, None, None] * _stiffness_parts(pspace, cells)[0]))
 
 
-def _mass_local(tab, cells):
+def _mass_local(space, cells):
     """Per-cell integrals of phi_i phi_j (scalar basis)."""
-    return np.einsum("cq,qi,qj->cij", tab.wdet[cells], tab.N, tab.N)
+    _, _, detJ = space.geometry()
+    return (np.abs(detJ[cells])[:, None, None]
+            * reference_tensors(space.order).mass)
 
 
 def assemble_pressure_stabilization(vspace, pspace, params, stab_h="element"):
@@ -118,54 +118,45 @@ def assemble_pressure_stabilization(vspace, pspace, params, stab_h="element"):
     _check_pair(vspace, pspace)
     if params.gamma is None or params.gamma <= 0.0:
         raise ValueError("stabilization parameter gamma must be positive")
-    pt = pspace.interior_tables(pspace.form_degree)
     hK = _stab_h(vspace.mesh, stab_h)
     nU, nP = vspace.dof_count, pspace.dof_count
     gamma, mu = params.gamma, params.mu
 
-    Spp = _scatter_matrix(
-        pspace.cell_dofs, pspace.cell_dofs,
-        _per_cell(pt, lambda cells: (gamma / mu)
-                  * _pressure_gradient_local(pt, cells, hK)),
-        (nP, nP))
+    Spp = (gamma / mu) * _pressure_h2_gram(pspace, hK)
 
     if vspace.order == 1:
         Squ = sp.csr_matrix((nP, nU))
     else:
-        _, Jinv, _ = vspace.geometry()
+        _, Jinv, detJ = vspace.geometry()
         Hhat = basis_hessians(vspace.order)
+        grad_ref = reference_tensors(pspace.order).grad
         nloc_p, nloc_v = pspace.cell_dofs.shape[1], vspace.cell_dofs.shape[1]
 
         def local(cells):
-            gp = pt.physical_gradients(cells)
-            ip = np.einsum("cq,cqia->cia", pt.wdet[cells], gp)
             M = Jinv[cells]
+            # ip[c, i, a] = int_K d_a psi_i
+            ip = np.einsum("c,ip,cpa->cia", np.abs(detJ[cells]), grad_ref, M)
             H = np.einsum("mca,jcd,mdb->mjab", M, Hhat, M)
-            lap = np.einsum("mjaa->mj", H)
-            # -2 mu div eps(phi_{j,d}) . grad psi_i, scaled by (gamma/mu) h^2
-            loc = -gamma * (hK[cells] ** 2)[:, None, None, None] * (
-                np.einsum("mj,mid->mijd", lap, ip)
-                + np.einsum("mjad,mia->mijd", H, ip))
+            # -2 mu div eps(phi_j e_d) = -mu (lap phi_j e_d + grad d_d phi_j)
+            # has component a -mu R[m, j, a, d]; the weight is (gamma/mu) h^2
+            R = H + np.einsum("mjaa->mj", H)[..., None, None] * _I2
+            loc = -gamma * (hK[cells] ** 2)[:, None, None, None] * np.einsum(
+                "mjad,mia->mijd", R, ip)
             return loc.reshape(-1, nloc_p, nloc_v)
 
-        Squ = _scatter_matrix(pspace.cell_dofs, vspace.cell_dofs,
-                              _per_cell(pt, local), (nP, nU))
+        Squ = _cell_matrix(pspace, vspace, local)
     zero_vv = sp.csr_matrix((nU, nU))
     return sp.bmat([[zero_vv, None], [Squ, Spp]], format="csr")
 
 
 def assemble_pressure_mass(pspace):
-    pt = pspace.interior_tables(pspace.form_degree)
-    return _scatter_matrix(pspace.cell_dofs, pspace.cell_dofs,
-                           _per_cell(pt, lambda cells: _mass_local(pt, cells)),
-                           (pspace.dof_count,) * 2)
+    return _cell_matrix(pspace, pspace, lambda c: _mass_local(pspace, c))
 
 
 def pressure_integral_vector(pspace):
     """Vector of int_Omega psi_i dx (the pressure-mean functional)."""
-    pt = pspace.interior_tables(pspace.form_degree)
-    local = _per_cell(pt, lambda cells: np.einsum("cq,qi->ci", pt.wdet[cells],
-                                                  pt.N))
+    _, _, detJ = pspace.geometry()
+    local = np.abs(detJ)[:, None] * reference_tensors(pspace.order).value
     return _scatter_vector(pspace.cell_dofs, local, pspace.dof_count)
 
 
@@ -176,12 +167,10 @@ def _stabilized_load(pspace, params, f, hK, rhs_degree):
     def local(cells):
         x = pt.physical_points(cells)
         fv = f.value(x[..., 0], x[..., 1])
-        gp = pt.physical_gradients(cells)
-        w = pt.wdet[cells] * (hK[cells] ** 2)[:, None]
-        return (params.gamma / params.mu) * np.einsum("cq,cqa,cqia->ci",
-                                                      w, fv, gp)
+        return ((params.gamma / params.mu) * (hK[cells] ** 2)[:, None]
+                * pt.gradient_moments(cells, fv))
 
-    return _scatter_vector(pspace.cell_dofs, _per_cell(pt, local),
+    return _scatter_vector(pspace.cell_dofs, _per_cell(pspace.mesh, local),
                            pspace.dof_count)
 
 

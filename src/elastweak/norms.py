@@ -12,17 +12,17 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from .compressible import (_I2, MaterialParams, _dirichlet_sides, _per_cell,
-                           _scatter_matrix, _scatter_vector, _stiffness_parts,
-                           _weak_operator, assemble_elasticity_stiffness,
-                           assemble_flux_load)
+from .compressible import (_I2, MaterialParams, _cell_matrix,
+                           _dirichlet_sides, _per_cell, _scatter_matrix,
+                           _scatter_vector, _stiffness_parts, _weak_operator,
+                           assemble_elasticity_stiffness, assemble_flux_load)
 from .incompressible import (_mass_local, _mixed_operator,
-                             _pressure_gradient_local, _stab_h,
+                             _pressure_h2_gram, _stab_h,
                              _stabilized_load, assemble_incompressible_system,
                              pressure_integral_vector)
 from .solvers import (DENSE_CAP, SizeCapError,
                       smallest_generalized_singular_value)
-from .spaces import AnalyticField, DiscreteField, FESpace
+from .spaces import AnalyticField, DiscreteField, FESpace, cell_chunks
 
 ERROR_DEGREE = 16
 
@@ -48,14 +48,13 @@ class StabilityReport:
 
 
 def _discrete_tables(field, tab, cells):
+    """Values (m, nq[, 2]) and gradients (m, nq[, 2], 2): reference values and
+    gradients times the cell coefficients, then one map by Jinv per cell."""
     coef = field.cell_coefficients(cells)
-    if field.space.components == 1:
-        vals = np.einsum("qi,ci->cq", tab.N, coef)
-        grads = np.einsum("cqia,ci->cqa", tab.physical_gradients(cells), coef)
-    else:
-        vals = np.einsum("qi,cie->cqe", tab.N, coef)
-        grads = np.einsum("cqia,cie->cqea", tab.physical_gradients(cells), coef)
-    return vals, grads
+    vals = np.moveaxis(np.tensordot(coef, tab.N, axes=(1, 1)), -1, 1)
+    ref = np.moveaxis(np.tensordot(coef, tab.dN_ref, axes=(1, 1)), -2, 1)
+    Jinv = tab.Jinv[cells] if coef.ndim == 2 else tab.Jinv[cells][:, None]
+    return vals, ref @ Jinv
 
 
 def _boundary_values(field, bt):
@@ -106,9 +105,9 @@ def _vector_parts(field, degree, mesh=None, exact=None):
 
     The error norms and the triple norms are both read from these parts."""
     space = _tabulation_space(field, mesh)
-    tab = space.interior_tables(degree, symmetrize=False)
+    tab = space.interior_tables(degree)
     l2 = grad_sq = div_sq = 0.0
-    for cells in tab.cell_chunks():
+    for cells in cell_chunks(space.mesh):
         v, g = _interior_eval(field, tab, cells, exact)
         w = tab.wdet[cells]
         l2 += float(np.einsum("cq,cqe->", w, v ** 2))
@@ -130,10 +129,10 @@ def _pressure_parts(field, degree, mesh=None, exact=None):
     """Squared (L2, h-weighted gradient) norms of field - exact, or of the
     field itself when exact is None."""
     space = _tabulation_space(field, mesh)
-    tab = space.interior_tables(degree, symmetrize=False)
+    tab = space.interior_tables(degree)
     hK = space.mesh.triangle_diameters()
     l2 = h2_grad_sq = 0.0
-    for cells in tab.cell_chunks():
+    for cells in cell_chunks(space.mesh):
         v, g = _interior_eval(field, tab, cells, exact)
         w = tab.wdet[cells]
         l2 += float(np.sum(w * v ** 2))
@@ -238,19 +237,17 @@ def _vector_gram(space, kind):
     """Assemble (grad u, grad v), (u, v) or (div u, div v) for a vector space."""
     if kind not in ("mass", "grad", "div"):
         raise ValueError(kind)
-    tab = space.interior_tables(space.form_degree)
     nloc = 2 * space.scalar_basis_size
 
     def local(cells):
         if kind == "mass":
-            loc = np.einsum("cij,ab->ciajb", _mass_local(tab, cells), _I2)
+            loc = np.einsum("cij,ab->ciajb", _mass_local(space, cells), _I2)
         else:
-            gg, D = _stiffness_parts(tab, cells)
+            gg, D = _stiffness_parts(space, cells)
             loc = np.einsum("cij,ab->ciajb", gg, _I2) if kind == "grad" else D
         return loc.reshape(-1, nloc, nloc)
 
-    return _scatter_matrix(space.cell_dofs, space.cell_dofs,
-                           _per_cell(tab, local), (space.dof_count,) * 2)
+    return _cell_matrix(space, space, local)
 
 
 def _boundary_gram(space, normal_weighted):
@@ -267,15 +264,6 @@ def _boundary_gram(space, normal_weighted):
                            loc.reshape(-1, nloc, nloc), (space.dof_count,) * 2)
 
 
-def _pressure_h2_gram(pspace):
-    tab = pspace.interior_tables(pspace.form_degree)
-    hK = pspace.mesh.triangle_diameters()
-    local = _per_cell(tab, lambda cells: _pressure_gradient_local(tab, cells,
-                                                                  hK))
-    return _scatter_matrix(pspace.cell_dofs, pspace.cell_dofs, local,
-                           (pspace.dof_count,) * 2)
-
-
 def triple_norm_gram_compressible(space, params):
     return (params.mu * (_vector_gram(space, "grad") + _boundary_gram(space, False))
             + params.lam * (_vector_gram(space, "div") + _boundary_gram(space, True)))
@@ -283,7 +271,8 @@ def triple_norm_gram_compressible(space, params):
 
 def triple_norm_gram_incompressible(vspace, pspace, params):
     Nv = params.mu * (_vector_gram(vspace, "grad") + _boundary_gram(vspace, False))
-    Np = (1.0 / params.mu) * _pressure_h2_gram(pspace)
+    Np = (1.0 / params.mu) * _pressure_h2_gram(
+        pspace, pspace.mesh.triangle_diameters())
     return sp.bmat([[Nv, None], [None, Np]], format="csr")
 
 
@@ -355,19 +344,17 @@ def incompressible_infsup(mesh, vspace, pspace, params):
 
 def _exact_volume_rows(space, params, exact_u, degree):
     """Rows of (2 mu eps(u), eps(v)) + lam (div u, div v) for exact u."""
-    tab = space.interior_tables(degree, symmetrize=False)
+    tab = space.interior_tables(degree)
 
     def local(cells):
         x = tab.physical_points(cells)
         ge = exact_u.gradient(x[..., 0], x[..., 1])
         eps = 0.5 * (ge + np.swapaxes(ge, -1, -2))
         div = ge[..., 0, 0] + ge[..., 1, 1]
-        g = tab.physical_gradients(cells)
-        w = tab.wdet[cells]
-        return (2.0 * params.mu * np.einsum("cq,cqea,cqia->cie", w, eps, g)
-                + params.lam * np.einsum("cq,cq,cqie->cie", w, div, g))
+        stress = 2.0 * params.mu * eps + params.lam * div[..., None, None] * _I2
+        return tab.gradient_moments(cells, stress)
 
-    return _scatter_vector(space.cell_dofs, _per_cell(tab, local),
+    return _scatter_vector(space.cell_dofs, _per_cell(space.mesh, local),
                            space.dof_count)
 
 
@@ -431,15 +418,15 @@ def galerkin_orthogonality_residual_mixed(mesh, vspace, pspace, params,
     # velocity-test rows: (2 mu eps(u), eps(v)) - (p, div v) - b(u, v, p)
     # + the flux of the test function against the exact trace
     vel = _exact_volume_rows(vspace, mu_only, exact_u, degree)
-    tab = vspace.interior_tables(degree, symmetrize=False)
+    tab = vspace.interior_tables(degree)
 
     def pressure_div(cells):
         xq = tab.physical_points(cells)
         pe = exact_p.value(xq[..., 0], xq[..., 1])
-        g = tab.physical_gradients(cells)
-        return -np.einsum("cq,cq,cqie->cie", tab.wdet[cells], pe, g)
+        return tab.gradient_moments(cells, -pe[..., None, None] * _I2)
 
-    vel += _scatter_vector(vspace.cell_dofs, _per_cell(tab, pressure_div),
+    vel += _scatter_vector(vspace.cell_dofs,
+                           _per_cell(vspace.mesh, pressure_div),
                            vspace.dof_count)
     vel -= _exact_flux_rows(vspace, mu_only, exact_u, sides, degree)
     bt = vspace.boundary_tables(degree, sides)
@@ -450,7 +437,7 @@ def galerkin_orthogonality_residual_mixed(mesh, vspace, pspace, params,
 
     # pressure-test rows: (div u, q) - <q n, u> + stabilization with f;
     # one scatter keeps the interior-then-boundary accumulation order
-    ptab = pspace.interior_tables(degree, symmetrize=False)
+    ptab = pspace.interior_tables(degree)
 
     def velocity_div(cells):
         xq = ptab.physical_points(cells)
@@ -464,7 +451,8 @@ def galerkin_orthogonality_residual_mixed(mesh, vspace, pspace, params,
     loc = -np.einsum("eq,eqi->ei", pb.w * un, pb.N)
     prs = _scatter_vector(
         np.concatenate([pspace.cell_dofs.ravel(), pb.cell_dofs.ravel()]),
-        np.concatenate([_per_cell(ptab, velocity_div).ravel(), loc.ravel()]),
+        np.concatenate([_per_cell(pspace.mesh, velocity_div).ravel(),
+                        loc.ravel()]),
         pspace.dof_count)
     prs += _stabilized_load(pspace, params, f, _stab_h(mesh, "element"),
                             degree)

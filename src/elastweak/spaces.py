@@ -6,6 +6,9 @@ edges in lexicographic order of their sorted endpoint indices.  Vector spaces
 interleave components per node: scalar DOF d becomes (2d, 2d+1).
 """
 
+from functools import lru_cache
+from types import SimpleNamespace
+
 import numpy as np
 
 from .quadrature import edge_rule, triangle_rule
@@ -68,6 +71,31 @@ def basis_hessians(order):
     raise ValueError(f"unsupported polynomial order {order}")
 
 
+@lru_cache(maxsize=None)
+def reference_tensors(order):
+    """Reference-triangle integrals value[i] = int N_i, grad[i, p] =
+    int d_p N_i, mass[i, j] = int N_i N_j, value_grad[i, j, p] = int N_i d_p N_j
+    and grad_grad[i, p, j, r] = int d_p N_i d_r N_j.  An element matrix of a
+    bilinear form is one of them contracted with Jinv and |detJ| (Kirby &
+    Logg, "A compiler for variational forms", ACM TOMS 2006)."""
+    rule = triangle_rule(2 * order)
+    N, dN = basis_values(order, rule.points)
+    w = rule.weights
+    return SimpleNamespace(
+        value=w @ N,
+        grad=np.einsum("q,qip->ip", w, dN),
+        mass=np.einsum("q,qi,qj->ij", w, N, N),
+        value_grad=np.einsum("q,qi,qjp->ijp", w, N, dN),
+        grad_grad=np.einsum("q,qip,qjr->ipjr", w, dN, dN))
+
+
+def cell_chunks(mesh, chunk=4096):
+    """Consecutive slices of at most `chunk` cells that cover the mesh."""
+    nt = mesh.num_triangles
+    for start in range(0, nt, chunk):
+        yield slice(start, min(start + chunk, nt))
+
+
 # Local edges of the triangle in the order matching the P2 bubble functions.
 _LOCAL_EDGES = ((0, 1), (1, 2), (0, 2))
 
@@ -85,8 +113,11 @@ class FESpace:
         self.components = components
         self.scalar_basis_size = (order + 1) * (order + 2) // 2
 
-        # quadrature degree of every bilinear form and Gram matrix
+        # edge quadrature degree of the boundary bilinear forms, and the
+        # default degree of the boundary data integrals: two names, so that
+        # changing the form rule leaves the data integrals alone
         self.form_degree = 2 * order + 2
+        self.data_degree = 2 * order + 2
 
         nv = mesh.num_vertices
         tris = mesh.triangles
@@ -151,11 +182,11 @@ class FESpace:
             dofs.append(mesh.num_vertices + pos)
         return np.unique(np.concatenate(dofs))
 
-    def boundary_scalar_dofs(self):
-        dofs = set()
-        for tag in self.mesh.side_tags:
-            dofs.update(self.scalar_side_dofs(tag).tolist())
-        return np.array(sorted(dofs), dtype=np.int64)
+    def boundary_scalar_dofs(self, side_tags=None):
+        """Sorted scalar DOFs on the given sides (None: every side)."""
+        tags = self.mesh.side_tags if side_tags is None else side_tags
+        return np.unique(np.concatenate([np.zeros(0, dtype=np.int64)] + [
+            self.scalar_side_dofs(tag) for tag in tags]))
 
     def expand_dofs(self, scalar_dofs):
         """Vector DOF indices for the given scalar DOFs (all components)."""
@@ -170,13 +201,12 @@ class FESpace:
 
     # -- tabulation ---------------------------------------------------------
 
-    def interior_tables(self, degree, symmetrize=True):
-        key = (degree, symmetrize)
-        if key not in self._interior_cache:
-            rule = triangle_rule(degree, symmetrize)
+    def interior_tables(self, degree):
+        if degree not in self._interior_cache:
+            rule = triangle_rule(degree)
             N, dN = basis_values(self.order, rule.points)
-            self._interior_cache[key] = InteriorTables(self, rule, N, dN)
-        return self._interior_cache[key]
+            self._interior_cache[degree] = InteriorTables(self, rule, N, dN)
+        return self._interior_cache[degree]
 
     def boundary_tables(self, degree, side_tags=None):
         tags = (tuple(self.mesh.side_tags) if side_tags is None
@@ -205,17 +235,15 @@ class InteriorTables:
 
     def physical_points(self, cells=slice(None)):
         p0 = self.mesh.vertices[self.mesh.triangles[cells, 0]]
-        return p0[:, None, :] + np.einsum("cab,qb->cqa", self.J[cells],
-                                          self.rule.points)
+        return p0[:, None, :] + self.rule.points @ np.swapaxes(
+            self.J[cells], 1, 2)
 
-    def physical_gradients(self, cells=slice(None)):
-        """Basis gradients per cell and point, shape (m, nq, nsb, 2)."""
-        return np.einsum("qib,cba->cqia", self.dN_ref, self.Jinv[cells])
-
-    def cell_chunks(self, chunk=4096):
-        nt = self.mesh.num_triangles
-        for start in range(0, nt, chunk):
-            yield slice(start, min(start + chunk, nt))
+    def gradient_moments(self, cells, flux):
+        """Per-cell integrals of flux[..., a] d_a phi_i, shape (m, nsb, ...),
+        for a flux of shape (m, nq, ..., 2) at the cells' points."""
+        ref = np.einsum("cq,cq...a,cpa->cq...p", self.wdet[cells], flux,
+                        self.Jinv[cells])
+        return np.einsum("cq...p,qip->ci...", ref, self.dN_ref)
 
 
 class BoundaryTables:
@@ -354,10 +382,10 @@ def integrate_field(mesh_or_space, integrand, quadrature_degree=10):
     space = mesh_or_space
     if not isinstance(space, FESpace):
         space = FESpace(mesh_or_space, 1, 1)
-    tab = space.interior_tables(quadrature_degree, symmetrize=False)
+    tab = space.interior_tables(quadrature_degree)
     fn = integrand.value if isinstance(integrand, AnalyticField) else integrand
     total = 0.0
-    for cells in tab.cell_chunks():
+    for cells in cell_chunks(space.mesh):
         x = tab.physical_points(cells)
         total += float(np.sum(tab.wdet[cells] * fn(x[..., 0], x[..., 1])))
     return total

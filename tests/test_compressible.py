@@ -205,6 +205,29 @@ def test_neumann_load_totals():
     assert np.abs(zero_load).max() == 0.0
 
 
+TRIG = AnalyticField.vector(lambda x, y: np.stack(
+    [np.sin(3.0 * x) * np.cos(2.0 * y), np.exp(x) * np.sin(y)], axis=-1))
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_data_integrals_default_to_degree_2k_plus_2(order):
+    # the boundary data integrals keep their own rule when the boundary
+    # bilinear forms change theirs
+    from elastweak.compressible import assemble_flux_load
+    from elastweak.incompressible import _pressure_flux_load
+    pars = MaterialParams(1.3, 2.7)
+    mesh = build_cook_mesh(3)
+    V, Q = FESpace(mesh, order, 2), FESpace(mesh, order, 1)
+    V.form_degree = Q.form_degree = 1
+    degree = 2 * order + 2
+    assert np.array_equal(assemble_flux_load(V, pars, TRIG),
+                          assemble_flux_load(V, pars, TRIG, degree=degree))
+    assert np.array_equal(assemble_neumann_load(V, "AB", TRIG),
+                          assemble_neumann_load(V, "AB", TRIG, degree=degree))
+    assert np.array_equal(_pressure_flux_load(Q, TRIG, None),
+                          _pressure_flux_load(Q, TRIG, None, degree=degree))
+
+
 def test_weak_system_consistency_with_exact_solution():
     # inserting the exact manufactured field into the discrete operator
     # reproduces the right-hand side at quadrature precision

@@ -1,14 +1,21 @@
 """Entry-wise comparison of the vectorized assembly against a naive
-loop-based reference implementation on a small mesh."""
+loop-based reference implementation on small meshes.
+
+The P1 references use constant gradients on the unit square; the others
+loop over cells and quadrature points of the Cook membrane, whose cells are
+not right-angled, so that the element matrices see general affine maps."""
 
 import numpy as np
 import pytest
 
 from elastweak.compressible import (MaterialParams, assemble_boundary_flux,
                                     assemble_elasticity_stiffness)
-from elastweak.incompressible import assemble_divergence
-from elastweak.mesh import build_unit_square_mesh
-from elastweak.spaces import FESpace
+from elastweak.incompressible import (assemble_divergence,
+                                      assemble_pressure_mass,
+                                      assemble_pressure_stabilization)
+from elastweak.mesh import build_cook_mesh, build_unit_square_mesh
+from elastweak.quadrature import triangle_rule
+from elastweak.spaces import FESpace, basis_hessians, basis_values
 
 P1_GRADS = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
 
@@ -89,3 +96,118 @@ def test_divergence_matrix_matches_naive_reference():
                     ref[vs[i], 2 * vs[j] + d] += area * (1.0 / 3.0) * g[j][d]
     D = assemble_divergence(V, Q).toarray()
     assert np.abs(D - ref).max() < 1e-13
+
+
+# -- per-point loops on the Cook membrane -------------------------------------
+
+
+def _cell_points(mesh, order, c):
+    """Basis values (q, i), physical gradients (q, i, a) and weights times
+    |det J| at the points of a rule exact for products of two basis
+    functions in cell c."""
+    _, _, Jinv, area = _cell_geometry(mesh, c)
+    rule = triangle_rule(2 * order)
+    N, dN = basis_values(order, rule.points)
+    return N, dN @ Jinv, 2.0 * area * rule.weights
+
+
+def _assert_matches(A, ref):
+    assert np.abs(A - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def test_p2_stiffness_matches_naive_reference():
+    mu, lam = 1.3, 2.7
+    mesh = build_cook_mesh(2)
+    V = FESpace(mesh, 2, 2)
+    ref = np.zeros((V.dof_count, V.dof_count))
+    for c in range(mesh.num_triangles):
+        dofs = V.cell_dofs[c]
+        _, g, w = _cell_points(mesh, 2, c)
+        for q in range(len(w)):
+            for i in range(6):
+                for a in range(2):
+                    for j in range(6):
+                        for b in range(2):
+                            val = (mu * ((a == b) * (g[q, i] @ g[q, j])
+                                         + g[q, i, b] * g[q, j, a])
+                                   + lam * g[q, i, a] * g[q, j, b])
+                            ref[dofs[2 * i + a], dofs[2 * j + b]] += w[q] * val
+    K = assemble_elasticity_stiffness(V, MaterialParams(mu, lam)).toarray()
+    _assert_matches(K, ref)
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_pressure_mass_matches_naive_reference(order):
+    mesh = build_cook_mesh(2)
+    Q = FESpace(mesh, order, 1)
+    ref = np.zeros((Q.dof_count, Q.dof_count))
+    for c in range(mesh.num_triangles):
+        dofs = Q.cell_dofs[c]
+        N, _, w = _cell_points(mesh, order, c)
+        for q in range(len(w)):
+            ref[np.ix_(dofs, dofs)] += w[q] * np.outer(N[q], N[q])
+    _assert_matches(assemble_pressure_mass(Q).toarray(), ref)
+
+
+def _stabilization_blocks(order, gamma, mu):
+    mesh = build_cook_mesh(2)
+    V, Q = FESpace(mesh, order, 2), FESpace(mesh, order, 1)
+    S = assemble_pressure_stabilization(
+        V, Q, MaterialParams(mu, gamma=gamma), "element").toarray()
+    nU = V.dof_count
+    return mesh, V, Q, S[nU:, :nU], S[nU:, nU:]
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_pressure_stabilization_spp_matches_naive_reference(order):
+    gamma, mu = 0.3, 1.7
+    mesh, _, Q, _, Spp = _stabilization_blocks(order, gamma, mu)
+    hK = mesh.triangle_diameters()
+    ref = np.zeros((Q.dof_count, Q.dof_count))
+    for c in range(mesh.num_triangles):
+        dofs = Q.cell_dofs[c]
+        _, g, w = _cell_points(mesh, order, c)
+        for q in range(len(w)):
+            ref[np.ix_(dofs, dofs)] += ((gamma / mu) * hK[c] ** 2 * w[q]
+                                        * g[q] @ g[q].T)
+    _assert_matches(Spp, ref)
+
+
+def test_p2_pressure_stabilization_squ_matches_naive_reference():
+    # (gamma/mu) h_K^2 (-2 mu div eps(phi_j e_d), grad psi_i)_K with
+    # -2 div eps(phi e_d) = -(lap phi e_d + grad d_d phi)
+    gamma, mu = 0.3, 1.7
+    mesh, V, Q, Squ, _ = _stabilization_blocks(2, gamma, mu)
+    hK = mesh.triangle_diameters()
+    Hhat = basis_hessians(2)
+    ref = np.zeros((Q.dof_count, V.dof_count))
+    for c in range(mesh.num_triangles):
+        pdofs, vdofs = Q.cell_dofs[c], V.cell_dofs[c]
+        _, _, Jinv, _ = _cell_geometry(mesh, c)
+        _, g, w = _cell_points(mesh, 2, c)
+        for j in range(6):
+            H = Jinv.T @ Hhat[j] @ Jinv
+            for d in range(2):
+                residual = -mu * (np.trace(H) * np.eye(2)[d] + H[:, d])
+                for q in range(len(w)):
+                    for i in range(6):
+                        ref[pdofs[i], vdofs[2 * j + d]] += (
+                            (gamma / mu) * hK[c] ** 2 * w[q]
+                            * residual @ g[q, i])
+    _assert_matches(Squ, ref)
+
+
+def test_p2_divergence_matrix_matches_naive_reference():
+    mesh = build_cook_mesh(2)
+    V, Q = FESpace(mesh, 2, 2), FESpace(mesh, 2, 1)
+    ref = np.zeros((Q.dof_count, V.dof_count))
+    for c in range(mesh.num_triangles):
+        pdofs, vdofs = Q.cell_dofs[c], V.cell_dofs[c]
+        N, g, w = _cell_points(mesh, 2, c)
+        for q in range(len(w)):
+            for i in range(6):
+                for j in range(6):
+                    for d in range(2):
+                        ref[pdofs[i], vdofs[2 * j + d]] += (w[q] * N[q, i]
+                                                            * g[q, j, d])
+    _assert_matches(assemble_divergence(V, Q).toarray(), ref)

@@ -12,9 +12,8 @@ def tri_monomial_integral(a, b):
 
 
 @pytest.mark.parametrize("degree", [2, 4, 6, 10, 16])
-@pytest.mark.parametrize("symmetrize", [True, False])
-def test_triangle_rule_monomial_exactness(degree, symmetrize):
-    rule = triangle_rule(degree, symmetrize)
+def test_triangle_rule_monomial_exactness(degree):
+    rule = triangle_rule(degree)
     assert abs(rule.weights.sum() - 0.5) < 1e-14
     for a in range(degree + 1):
         for b in range(degree + 1 - a):
@@ -55,13 +54,3 @@ def test_edge_rule_exactness(degree):
         q = float(np.sum(rule.weights * rule.points[:, 0] ** p))
         assert q == pytest.approx(1.0 / (p + 1), abs=1e-13)
 
-
-def test_symmetrized_rule_is_permutation_invariant():
-    rule = triangle_rule(6)
-    x, y = rule.points[:, 0], rule.points[:, 1]
-    f = x ** 3 * y - 2 * x * y ** 2
-    # swapping the two coordinates must give the identical quadrature value
-    val = float(np.sum(rule.weights * f))
-    g = y ** 3 * x - 2 * y * x ** 2
-    swapped = float(np.sum(rule.weights * g))
-    assert val == pytest.approx(swapped, abs=1e-15)
