@@ -54,3 +54,16 @@ def test_edge_rule_exactness(degree):
         q = float(np.sum(rule.weights * rule.points[:, 0] ** p))
         assert q == pytest.approx(1.0 / (p + 1), abs=1e-13)
 
+
+
+def test_symmetrized_rule_is_permutation_invariant():
+    # The collapsed rule is not symmetric point by point, but it is exact to
+    # degree 6, so a quartic and its mirror image across x = y must still
+    # integrate to the same value within roundoff.
+    rule = triangle_rule(6)
+    x, y = rule.points[:, 0], rule.points[:, 1]
+    f = x ** 3 * y - 2 * x * y ** 2
+    val = float(np.sum(rule.weights * f))
+    g = y ** 3 * x - 2 * y * x ** 2
+    swapped = float(np.sum(rule.weights * g))
+    assert val == pytest.approx(swapped, abs=1e-15)
