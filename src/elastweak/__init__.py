@@ -12,7 +12,7 @@ from .incompressible import (MixedSystem, assemble_incompressible_system,
                              assemble_pressure_stabilization)
 from .mesh import (Mesh, MeshQuality, build_cook_mesh, build_unit_square_mesh,
                    dump_mesh, load_mesh, mesh_quality)
-from .norms import (ErrorReport, StabilityReport, discrete_infsup_constant,
+from .norms import (ErrorReport, discrete_infsup_constant,
                     discrete_korn_constant, error_norms,
                     galerkin_orthogonality_residual,
                     galerkin_orthogonality_residual_mixed,

@@ -12,7 +12,7 @@ import sys
 
 from .experiments import (RUN_KEYS, ExperimentConfig, ExperimentError,
                           check_convergence, run_convergence, run_cook,
-                          run_stability_diagnostics, stability_csv, write_csv)
+                          run_stability_diagnostics, write_csv)
 from .mesh import build_cook_mesh, build_unit_square_mesh, dump_mesh
 from .plotting import PlotSpec, Series, emit_plot, table_series
 from .solvers import SingularSystemError, SizeCapError
@@ -106,14 +106,14 @@ def cmd_run(args):
 def cmd_diagnose(args):
     config = _run_config(args)
     os.makedirs(config.out_dir, exist_ok=True)
-    reports = run_stability_diagnostics(config)
+    table = run_stability_diagnostics(config)
     path = os.path.join(config.out_dir,
                         f"stability_{config.problem}_k{config.order}.csv")
-    write_csv(stability_csv(config, reports), path)
+    write_csv(table.to_csv(), path)
     print(f"wrote {path}")
-    for rep in reports:
-        print(f"  h_max={rep.h_max:.6g} beta_h={rep.beta_h:.6g} "
-              f"korn_h={rep.korn_const_h:.6g}")
+    for row in table.rows:
+        print(f"  h_max={row.h_max:.6g} beta_h={row.beta_h:.6g} "
+              f"korn_h={row.korn_h:.6g}")
     return 0
 
 

@@ -130,23 +130,33 @@ def _flux_tables(space, side_tags, degree=None):
         space.data_degree if degree is None else degree, side_tags)
 
 
+def _stress(params, grad, pressure=0.0):
+    """Stress 2 mu eps(w) + (lambda div w - p) I from grad[..., c, a] =
+    d_a w_c: the one constitutive law of every flux and residual term."""
+    div = grad[..., 0, 0] + grad[..., 1, 1]
+    return (params.mu * (grad + np.swapaxes(grad, -1, -2))
+            + (params.lam * div - pressure)[..., None, None] * _I2)
+
+
+def _basis_tractions(params, bt):
+    """Tractions sigma(phi_j e_d) . n at the edge points, shape
+    (e, q, j, d, c) with c the traction component."""
+    grad = np.einsum("dc,eqja->eqjdca", _I2, bt.dN)
+    return np.einsum("eqjdca,ea->eqjdc", _stress(params, grad), bt.normal)
+
+
 def assemble_boundary_flux(space, params, side_tags=None):
-    """Matrix of the boundary flux pairing.
+    """Matrix of the boundary flux pairing <sigma(u) . n, v>.
 
     Entry (test (i,c), trial (j,d)) integrates, over the selected sides,
-    the normal elastic flux of the trial function against the trace of the
-    test function:
-        <2 mu eps(u) . n, v> + <lambda div u, v . n>.
+    the traction of the trial function against the trace of the test
+    function.
     """
     _require_vector(space)
     bt = space.boundary_tables(space.form_degree, side_tags)
     nloc = 2 * space.scalar_basis_size
-    gn = np.einsum("eqja,ea->eqj", bt.dN, bt.normal)
-    T1 = np.einsum("eqi,eqj,eq->eij", bt.N, gn, bt.w)
-    W = np.einsum("eqi,eqja,eq->eija", bt.N, bt.dN, bt.w)
-    loc = (params.mu * np.einsum("eij,cd->eicjd", T1, _I2)
-           + params.mu * np.einsum("eijc,ed->eicjd", W, bt.normal)
-           + params.lam * np.einsum("ec,eijd->eicjd", bt.normal, W))
+    loc = np.einsum("eq,eqi,eqjdc->eicjd", bt.w, bt.N,
+                    _basis_tractions(params, bt))
     return _scatter_matrix(bt.cell_dofs, bt.cell_dofs,
                            loc.reshape(-1, nloc, nloc), (space.dof_count,) * 2)
 
@@ -166,16 +176,12 @@ def assemble_load(space, f, degree=10):
 
 
 def assemble_flux_load(space, params, g, side_tags=None, degree=None):
-    """Boundary data term <2 mu eps(v) . n, g> + <lambda div v, g . n>."""
+    """Boundary data term <sigma(v) . n, g>."""
     _require_vector(space)
     bt = _flux_tables(space, side_tags, degree)
     gv = g.value(bt.x[..., 0], bt.x[..., 1])
-    gn_test = np.einsum("eqia,ea->eqi", bt.dN, bt.normal)
-    gdotg = np.einsum("eqia,eqa->eqi", bt.dN, gv)
-    gvn = np.einsum("eqa,ea->eq", gv, bt.normal)
-    loc = (params.mu * np.einsum("eq,eqc,eqi->eic", bt.w, gv, gn_test)
-           + params.mu * np.einsum("eq,ec,eqi->eic", bt.w, bt.normal, gdotg)
-           + params.lam * np.einsum("eq,eqic->eic", bt.w * gvn, bt.dN))
+    loc = np.einsum("eq,eqicb,eqb->eic", bt.w, _basis_tractions(params, bt),
+                    gv)
     return _scatter_vector(bt.cell_dofs, loc, space.dof_count)
 
 

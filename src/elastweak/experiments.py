@@ -15,9 +15,8 @@ from .compressible import (MaterialParams, assemble_strong_system,
 from .incompressible import assemble_incompressible_system
 from .mesh import (_COOK_A, _COOK_C, _COOK_D, build_cook_mesh,
                    build_unit_square_mesh, mesh_quality)
-from .norms import (ErrorReport, StabilityReport, compressible_infsup,
-                    discrete_korn_constant, error_norms,
-                    incompressible_infsup)
+from .norms import (ErrorReport, compressible_infsup, discrete_korn_constant,
+                    error_norms, incompressible_infsup)
 from .solvers import SingularSystemError, _residual_extended, lu_solve
 from .spaces import AnalyticField, DiscreteField, FESpace
 
@@ -473,35 +472,23 @@ def run_cook(config):
 
 
 def run_stability_diagnostics(config):
-    """Inf-sup and Korn constants per mesh; returns StabilityReport list."""
+    """Inf-sup and Korn constants per mesh, as a ConvergenceTable whose rows
+    carry beta_h and korn_h."""
     params = config.params
-    reports = []
+    table = ConvergenceTable(problem=config.problem, order=config.order,
+                             bc_mode=config.bc_mode)
     for n in config.mesh_sizes:
         mesh = build_unit_square_mesh(n)
-        quality = mesh_quality(mesh)
         vspace = FESpace(mesh, config.order, 2)
         if config.problem == "incompressible":
             pspace = FESpace(mesh, config.order, 1)
             beta = incompressible_infsup(mesh, vspace, pspace, params)
         else:
             beta = compressible_infsup(mesh, vspace, params)
-        korn = discrete_korn_constant(mesh, vspace)
-        reports.append(StabilityReport(
-            beta_h=beta, korn_const_h=korn, h_max=quality.h_max,
-            parameters={"mu": params.mu, "lambda": params.lam,
-                        "gamma": params.gamma, "k": config.order, "n": n}))
-    return reports
-
-
-def stability_csv(config, reports):
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_HEADER)
-    for rep in reports:
-        writer.writerow([config.problem, config.order, config.bc_mode,
-                         _fmt(rep.h_max), "", "", "", "", "", "", "",
-                         _fmt(rep.beta_h), _fmt(rep.korn_const_h), ""])
-    return buf.getvalue()
+        table.add(ConvergenceRow(h_max=mesh_quality(mesh).h_max, dofs=None,
+                                 beta_h=beta,
+                                 korn_h=discrete_korn_constant(mesh, vspace)))
+    return table
 
 
 # -- acceptance-style threshold checks ---------------------------------------

@@ -14,12 +14,12 @@ import scipy.sparse as sp
 
 from .compressible import (_I2, MaterialParams, _cell_matrix,
                            _dirichlet_sides, _per_cell, _scatter_matrix,
-                           _scatter_vector, _stiffness_parts, _weak_operator,
-                           assemble_elasticity_stiffness, assemble_flux_load)
+                           _scatter_vector, _stiffness_parts, _stress,
+                           _weak_operator, assemble_elasticity_stiffness,
+                           assemble_flux_load)
 from .incompressible import (_mass_local, _mixed_operator,
-                             _pressure_h2_gram, _stab_h,
-                             _stabilized_load, assemble_incompressible_system,
-                             pressure_integral_vector)
+                             _pressure_flux_load, _pressure_h2_gram, _stab_h,
+                             _stabilized_load, assemble_incompressible_system)
 from .solvers import (DENSE_CAP, SizeCapError,
                       smallest_generalized_singular_value)
 from .spaces import AnalyticField, DiscreteField, FESpace, cell_chunks
@@ -34,14 +34,6 @@ class ErrorReport:
     triple_norm_error: float
     h_max: float
     pressure_l2_error: float = None
-
-
-@dataclass(frozen=True)
-class StabilityReport:
-    beta_h: float
-    korn_const_h: float
-    h_max: float
-    parameters: dict
 
 
 # -- pointwise field evaluation helpers ---------------------------------------
@@ -217,16 +209,11 @@ def rigid_motion_gram(mesh, degree=8):
     Returns (3x3 Gram matrix, smallest eigenvalue); a positive eigenvalue
     certifies that the boundary seminorm is a norm on rigid motions.
     """
-    basis = rigid_motion_basis(mesh)
-    means = []
-    for b in basis:
-        m, lengths = _side_means(mesh, b, degree)
-        means.append(m)
-    G = np.empty((3, 3))
-    for a in range(3):
-        for b in range(3):
-            G[a, b] = np.sum(lengths * np.einsum("ia,ia->i",
-                                                 means[a], means[b]))
+    parts = [_side_means(mesh, b, degree) for b in rigid_motion_basis(mesh)]
+    lengths = parts[0][1]
+    # M[a, t, c]: mean over side t of component c of rigid motion a
+    M = np.stack([means for means, _ in parts])
+    G = np.einsum("t,atc,btc->ab", lengths, M, M)
     return G, float(sla.eigvalsh(G)[0])
 
 
@@ -319,11 +306,6 @@ def compressible_infsup(mesh, space, params):
     return discrete_infsup_constant(A, N)
 
 
-def _mean_free_pressure_basis(nU, pressure_integrals):
-    m = np.concatenate([np.zeros(nU), pressure_integrals])
-    return sla.null_space(m[None, :])
-
-
 def incompressible_infsup(mesh, vspace, pspace, params):
     """Inf-sup constant over velocity x mean-zero pressure."""
     n = vspace.dof_count + pspace.dof_count
@@ -332,42 +314,42 @@ def incompressible_infsup(mesh, vspace, pspace, params):
                            f"got {n}")
     A = _mixed_operator(vspace, pspace, params, mesh.side_tags)
     N = triple_norm_gram_incompressible(vspace, pspace, params)
-    Z = _mean_free_pressure_basis(vspace.dof_count,
-                                  pressure_integral_vector(pspace))
-    Ar = Z.T @ (A @ Z)
-    Nr = Z.T @ (N @ Z)
-    return discrete_infsup_constant(Ar, Nr)
+    # The constant pressure spans the kernels of A, of A^T and of N, so every
+    # complement of it gives the same constant; pin the last pressure DOF
+    # (as the pressure-mean solve does) instead of the mean-zero basis.
+    return discrete_infsup_constant(A[:-1, :-1], N[:-1, :-1])
 
 
 # -- Galerkin orthogonality -----------------------------------------------------
 
 
-def _exact_volume_rows(space, params, exact_u, degree):
-    """Rows of (2 mu eps(u), eps(v)) + lam (div u, div v) for exact u."""
+def _exact_value(field, x):
+    """Values of an analytic field at points x, or 0.0 for no field."""
+    return 0.0 if field is None else field.value(x[..., 0], x[..., 1])
+
+
+def _exact_volume_rows(space, params, exact_u, degree, exact_p=None):
+    """Rows of (sigma(u, p), grad v) for exact u and p (p = 0 if None)."""
     tab = space.interior_tables(degree)
 
     def local(cells):
         x = tab.physical_points(cells)
         ge = exact_u.gradient(x[..., 0], x[..., 1])
-        eps = 0.5 * (ge + np.swapaxes(ge, -1, -2))
-        div = ge[..., 0, 0] + ge[..., 1, 1]
-        stress = 2.0 * params.mu * eps + params.lam * div[..., None, None] * _I2
-        return tab.gradient_moments(cells, stress)
+        return tab.gradient_moments(
+            cells, _stress(params, ge, _exact_value(exact_p, x)))
 
     return _scatter_vector(space.cell_dofs, _per_cell(space.mesh, local),
                            space.dof_count)
 
 
-def _exact_flux_rows(space, params, exact_u, side_tags, degree):
-    """Rows of <2 mu eps(u).n, v> + <lam div u, v.n> for exact u."""
+def _exact_flux_rows(space, params, exact_u, side_tags, degree, exact_p=None):
+    """Rows of <sigma(u, p) . n, v> for exact u and p (p = 0 if None)."""
     bt = space.boundary_tables(degree, side_tags)
     ge = exact_u.gradient(bt.x[..., 0], bt.x[..., 1])
-    eps = 0.5 * (ge + np.swapaxes(ge, -1, -2))
-    div = ge[..., 0, 0] + ge[..., 1, 1]
-    flux = 2.0 * params.mu * np.einsum("eqca,ea->eqc", eps, bt.normal)
-    loc = (np.einsum("eq,eqc,eqi->eic", bt.w, flux, bt.N)
-           + params.lam * np.einsum("eq,eqi,ec->eic", bt.w * div, bt.N,
-                                    bt.normal))
+    traction = np.einsum("eqca,ea->eqc",
+                         _stress(params, ge, _exact_value(exact_p, bt.x)),
+                         bt.normal)
+    loc = np.einsum("eq,eqc,eqi->eic", bt.w, traction, bt.N)
     return _scatter_vector(bt.cell_dofs, loc, space.dof_count)
 
 
@@ -415,28 +397,14 @@ def galerkin_orthogonality_residual_mixed(mesh, vspace, pspace, params,
         raise ValueError("solution length does not match the system")
     mu_only = MaterialParams(params.mu)
 
-    # velocity-test rows: (2 mu eps(u), eps(v)) - (p, div v) - b(u, v, p)
+    # velocity-test rows: (sigma(u, p), grad v) - <sigma(u, p) . n, v>
     # + the flux of the test function against the exact trace
-    vel = _exact_volume_rows(vspace, mu_only, exact_u, degree)
-    tab = vspace.interior_tables(degree)
+    vel = (_exact_volume_rows(vspace, mu_only, exact_u, degree, exact_p)
+           - _exact_flux_rows(vspace, mu_only, exact_u, sides, degree,
+                              exact_p)
+           + assemble_flux_load(vspace, mu_only, exact_u, sides, degree))
 
-    def pressure_div(cells):
-        xq = tab.physical_points(cells)
-        pe = exact_p.value(xq[..., 0], xq[..., 1])
-        return tab.gradient_moments(cells, -pe[..., None, None] * _I2)
-
-    vel += _scatter_vector(vspace.cell_dofs,
-                           _per_cell(vspace.mesh, pressure_div),
-                           vspace.dof_count)
-    vel -= _exact_flux_rows(vspace, mu_only, exact_u, sides, degree)
-    bt = vspace.boundary_tables(degree, sides)
-    pe_b = exact_p.value(bt.x[..., 0], bt.x[..., 1])
-    loc = np.einsum("eq,eqi,ec->eic", bt.w * pe_b, bt.N, bt.normal)
-    vel += _scatter_vector(bt.cell_dofs, loc, vspace.dof_count)
-    vel += assemble_flux_load(vspace, mu_only, exact_u, sides, degree)
-
-    # pressure-test rows: (div u, q) - <q n, u> + stabilization with f;
-    # one scatter keeps the interior-then-boundary accumulation order
+    # pressure-test rows: (div u, q) - <q n, u> + stabilization with f
     ptab = pspace.interior_tables(degree)
 
     def velocity_div(cells):
@@ -445,17 +413,12 @@ def galerkin_orthogonality_residual_mixed(mesh, vspace, pspace, params,
         div = ge[..., 0, 0] + ge[..., 1, 1]
         return np.einsum("cq,qi->ci", ptab.wdet[cells] * div, ptab.N)
 
-    pb = pspace.boundary_tables(degree, sides)
-    ue_b = exact_u.value(pb.x[..., 0], pb.x[..., 1])
-    un = np.einsum("eqa,ea->eq", ue_b, pb.normal)
-    loc = -np.einsum("eq,eqi->ei", pb.w * un, pb.N)
-    prs = _scatter_vector(
-        np.concatenate([pspace.cell_dofs.ravel(), pb.cell_dofs.ravel()]),
-        np.concatenate([_per_cell(pspace.mesh, velocity_div).ravel(),
-                        loc.ravel()]),
-        pspace.dof_count)
-    prs += _stabilized_load(pspace, params, f, _stab_h(mesh, "element"),
-                            degree)
+    prs = (_scatter_vector(pspace.cell_dofs,
+                           _per_cell(pspace.mesh, velocity_div),
+                           pspace.dof_count)
+           + _pressure_flux_load(pspace, exact_u, sides, degree)
+           + _stabilized_load(pspace, params, f, _stab_h(mesh, "element"),
+                              degree))
 
     n = vspace.dof_count + pspace.dof_count
     r = np.concatenate([vel, prs]) - (A @ x)[:n]

@@ -9,13 +9,16 @@ import numpy as np
 import pytest
 
 from elastweak.compressible import (MaterialParams, assemble_boundary_flux,
-                                    assemble_elasticity_stiffness)
+                                    assemble_elasticity_stiffness,
+                                    assemble_flux_load)
 from elastweak.incompressible import (assemble_divergence,
+                                      assemble_mixed_boundary_flux,
                                       assemble_pressure_mass,
                                       assemble_pressure_stabilization)
 from elastweak.mesh import build_cook_mesh, build_unit_square_mesh
-from elastweak.quadrature import triangle_rule
-from elastweak.spaces import FESpace, basis_hessians, basis_values
+from elastweak.quadrature import edge_rule, triangle_rule
+from elastweak.spaces import (AnalyticField, FESpace, basis_hessians,
+                              basis_values)
 
 P1_GRADS = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
 
@@ -211,3 +214,95 @@ def test_p2_divergence_matrix_matches_naive_reference():
                         ref[pdofs[i], vdofs[2 * j + d]] += (w[q] * N[q, i]
                                                             * g[q, j, d])
     _assert_matches(assemble_divergence(V, Q).toarray(), ref)
+
+
+# -- per-point loops over the Cook membrane's boundary edges -------------------
+
+
+def _edge_points(mesh, order, e, degree):
+    """Points x, basis values N (i,), physical gradients g (i, a) and
+    weights w along boundary edge e, evaluated in its owner cell."""
+    p, _, Jinv, _ = _cell_geometry(mesh, mesh.edge_owner[e])
+    P0, P1 = mesh.vertices[mesh.edge_vertices[e]]
+    rule = edge_rule(degree)
+    for s, w in zip(rule.points[:, 0], rule.weights):
+        x = P0 + s * (P1 - P0)
+        N, dN = basis_values(order, (Jinv @ (x - p[0]))[None, :])
+        yield x, N[0], dN[0] @ Jinv, w * np.linalg.norm(P1 - P0)
+
+
+def _naive_boundary_flux(mesh, V, mu, lam):
+    """<2 mu eps(u) . n + lam div u n, v> entry by entry."""
+    nsb = V.scalar_basis_size
+    ref = np.zeros((V.dof_count, V.dof_count))
+    for e in range(mesh.num_boundary_edges):
+        nrm = mesh.edge_normal[e]
+        dofs = V.cell_dofs[mesh.edge_owner[e]]
+        for _, N, g, w in _edge_points(mesh, V.order, e, V.form_degree):
+            for i in range(nsb):
+                for c in range(2):
+                    for j in range(nsb):
+                        for d in range(2):
+                            flux = (mu * ((c == d) * (g[j] @ nrm)
+                                          + nrm[d] * g[j][c])
+                                    + lam * nrm[c] * g[j][d])
+                            ref[dofs[2 * i + c], dofs[2 * j + d]] += (
+                                w * N[i] * flux)
+    return ref
+
+
+def test_p2_boundary_flux_matches_naive_reference():
+    mu, lam = 1.3, 2.7
+    mesh = build_cook_mesh(2)
+    V = FESpace(mesh, 2, 2)
+    _assert_matches(assemble_boundary_flux(V, MaterialParams(mu, lam))
+                    .toarray(), _naive_boundary_flux(mesh, V, mu, lam))
+
+
+TRIG = AnalyticField.vector(lambda x, y: np.stack(
+    [np.sin(x / 7.0) * np.cos(y / 5.0), np.cos(x / 3.0) + np.sin(y / 11.0)],
+    axis=-1))
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_flux_load_matches_naive_reference(order):
+    # <2 mu eps(v) . n + lam div v n, g>, on the same edge rule
+    mu, lam = 1.3, 2.7
+    mesh = build_cook_mesh(2)
+    V = FESpace(mesh, order, 2)
+    ref = np.zeros(V.dof_count)
+    for e in range(mesh.num_boundary_edges):
+        nrm = mesh.edge_normal[e]
+        dofs = V.cell_dofs[mesh.edge_owner[e]]
+        for x, _, g, w in _edge_points(mesh, order, e, V.data_degree):
+            gv = TRIG.value(x[0], x[1])
+            for i in range(V.scalar_basis_size):
+                for c in range(2):
+                    val = (mu * (gv[c] * (g[i] @ nrm) + nrm[c] * (g[i] @ gv))
+                           + lam * (gv @ nrm) * g[i][c])
+                    ref[dofs[2 * i + c]] += w * val
+    _assert_matches(assemble_flux_load(V, MaterialParams(mu, lam), TRIG), ref)
+
+
+def test_mixed_boundary_flux_matches_naive_reference():
+    # [[-Bvv + Bvv^T, Bvp], [-Bvp^T, 0]] with Bvv the mu-only flux and
+    # Bvp[(i,c), j] = <psi_j n_c, phi_i>
+    mu = 1.3
+    mesh = build_cook_mesh(2)
+    V, Q = FESpace(mesh, 2, 2), FESpace(mesh, 2, 1)
+    Bvp = np.zeros((V.dof_count, Q.dof_count))
+    for e in range(mesh.num_boundary_edges):
+        nrm = mesh.edge_normal[e]
+        own = mesh.edge_owner[e]
+        vdofs, pdofs = V.cell_dofs[own], Q.cell_dofs[own]
+        for _, N, _, w in _edge_points(mesh, 2, e, V.form_degree):
+            for i in range(6):
+                for c in range(2):
+                    for j in range(6):
+                        Bvp[vdofs[2 * i + c], pdofs[j]] += (w * N[j] * nrm[c]
+                                                           * N[i])
+    Bvv = _naive_boundary_flux(mesh, V, mu, 0.0)
+    ref = np.block([[-Bvv + Bvv.T, Bvp],
+                    [-Bvp.T, np.zeros((Q.dof_count, Q.dof_count))]])
+    M = assemble_mixed_boundary_flux(V, Q, MaterialParams(mu, 2.7, gamma=0.1))
+    _assert_matches(M.toarray(), ref)

@@ -13,7 +13,7 @@ from elastweak.experiments import (COOK_CORNER_D_ANGLE, CSV_HEADER,
                                    manufactured_compressible,
                                    manufactured_incompressible,
                                    run_convergence, run_cook,
-                                   run_stability_diagnostics, stability_csv)
+                                   run_stability_diagnostics)
 from elastweak.norms import ErrorReport
 
 
@@ -236,10 +236,10 @@ def test_run_cook_smoke():
 def test_run_stability_diagnostics_csv():
     cfg = ExperimentConfig(problem="compressible", order=1, mesh_sizes=(2, 4),
                            mu=1.0, lam=1.0)
-    reports = run_stability_diagnostics(cfg)
-    assert len(reports) == 2
-    assert all(r.beta_h > 0 and r.korn_const_h > 0 for r in reports)
-    text = stability_csv(cfg, reports)
+    table = run_stability_diagnostics(cfg)
+    assert len(table.rows) == 2
+    assert all(r.beta_h > 0 and r.korn_h > 0 for r in table.rows)
+    text = table.to_csv()
     assert text.startswith(",".join(CSV_HEADER))
     assert len(text.strip().split("\n")) == 3
 

@@ -9,6 +9,7 @@ from elastweak.compressible import (MaterialParams,
 from elastweak.mesh import build_cook_mesh, build_unit_square_mesh
 from elastweak.norms import (discrete_infsup_constant, discrete_korn_constant,
                              error_norms, galerkin_orthogonality_residual,
+                             incompressible_infsup,
                              korn_boundary_seminorm,
                              rigid_motion_gram, side_mean_gram,
                              triple_norm_compressible,
@@ -258,6 +259,27 @@ def test_infsup_on_coercive_toy_system():
                                     zero, zero)
     A = system.matrix.toarray()
     assert discrete_infsup_constant(A, A) == pytest.approx(1.0, abs=1e-8)
+
+
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("builder", [build_unit_square_mesh, build_cook_mesh])
+def test_pinned_incompressible_infsup_matches_mean_zero_basis(builder, order):
+    # oracle: restrict A and N to the mean-zero pressures with a dense
+    # orthonormal null-space basis of the pressure-mean functional
+    from scipy.linalg import null_space
+
+    from elastweak.incompressible import (_mixed_operator,
+                                          pressure_integral_vector)
+    mesh = builder(4)
+    V, Q = FESpace(mesh, order, 2), FESpace(mesh, order, 1)
+    pars = MaterialParams(mu=1.3, gamma=0.1)
+    A = _mixed_operator(V, Q, pars, mesh.side_tags).toarray()
+    N = triple_norm_gram_incompressible(V, Q, pars).toarray()
+    m = np.concatenate([np.zeros(V.dof_count), pressure_integral_vector(Q)])
+    Z = null_space(m[None, :])
+    oracle = discrete_infsup_constant(Z.T @ A @ Z, Z.T @ N @ Z)
+    assert incompressible_infsup(mesh, V, Q, pars) == pytest.approx(
+        oracle, rel=1e-10)
 
 
 def test_orthogonality_residual_zero_problem():
