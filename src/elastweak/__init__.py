@@ -19,7 +19,7 @@ from .norms import (ErrorReport, discrete_infsup_constant,
                     korn_boundary_seminorm, rigid_motion_gram,
                     triple_norm_compressible, triple_norm_incompressible)
 from .quadrature import QuadratureRule, edge_rule, triangle_rule
-from .solvers import (SingularSystemError, SizeCapError, SolveReport, lu_solve,
+from .solvers import (SingularSystemError, SolveReport, lu_solve,
                       smallest_generalized_singular_value)
 from .spaces import (AnalyticField, DiscreteField, FESpace, build_space,
                      integrate_field, interpolate)

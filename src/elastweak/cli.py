@@ -15,7 +15,7 @@ from .experiments import (RUN_KEYS, ExperimentConfig, ExperimentError,
                           run_stability_diagnostics, write_csv)
 from .mesh import build_cook_mesh, build_unit_square_mesh, dump_mesh
 from .plotting import PlotSpec, Series, emit_plot, table_series
-from .solvers import SingularSystemError, SizeCapError
+from .solvers import SingularSystemError
 
 
 def _add_run_overrides(parser):
@@ -173,7 +173,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ExperimentError, SingularSystemError, SizeCapError) as exc:
+    except (ExperimentError, SingularSystemError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

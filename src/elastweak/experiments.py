@@ -473,7 +473,12 @@ def run_cook(config):
 
 def run_stability_diagnostics(config):
     """Inf-sup and Korn constants per mesh, as a ConvergenceTable whose rows
-    carry beta_h and korn_h."""
+    carry beta_h and korn_h.  Only the unit-square compressible and
+    incompressible problems have diagnostics."""
+    if config.problem not in ("compressible", "incompressible"):
+        raise ExperimentError(
+            f"no stability diagnostics for problem {config.problem!r}: "
+            "use compressible or incompressible")
     params = config.params
     table = ConvergenceTable(problem=config.problem, order=config.order,
                              bc_mode=config.bc_mode)

@@ -195,6 +195,15 @@ def _mixed_operator(vspace, pspace, params, flux_sides, stab_h="element"):
     return A
 
 
+def _pressure_mean_bordered(core, vspace, pspace):
+    """core bordered by the pressure-mean row and column (the multiplier of
+    the mean-zero pressure constraint)."""
+    mvec = np.concatenate([np.zeros(vspace.dof_count),
+                           pressure_integral_vector(pspace)])
+    return sp.bmat([[core, mvec[:, None]], [mvec[None, :], None]],
+                   format="csr")
+
+
 def assemble_incompressible_system(mesh, vspace, pspace, params, f, g,
                                    nearly_lambda=None, dirichlet_sides=None,
                                    bc_mode="weak", enforce_pressure_mean=None,
@@ -244,9 +253,7 @@ def assemble_incompressible_system(mesh, vspace, pspace, params, f, g,
 
     constraint_index = None
     if enforce_pressure_mean:
-        mvec = np.concatenate([np.zeros(nU), pressure_integral_vector(pspace)])
-        core = sp.bmat([[core, mvec[:, None]], [mvec[None, :], None]],
-                       format="csr")
+        core = _pressure_mean_bordered(core, vspace, pspace)
         rhs = np.concatenate([rhs, [0.0]])
         constraint_index = nU + nP
 

@@ -2,8 +2,9 @@
 
 The triple norms weight boundary traces by the owning element's diameter;
 the boundary seminorm projects a field onto its componentwise mean over each
-whole polygon side.  Stability diagnostics (inf-sup constant, discrete Korn
-constant, rigid-motion Gram) densify and are limited to DENSE_CAP unknowns.
+whole polygon side.  The stability diagnostics (inf-sup constant, discrete
+Korn constant) are sparse shift-invert eigensolves on sparse Gram matrices;
+only the 3x3 rigid-motion Gram is dense.
 """
 
 from dataclasses import dataclass
@@ -18,10 +19,10 @@ from .compressible import (_I2, MaterialParams, _cell_matrix,
                            _weak_operator, assemble_elasticity_stiffness,
                            assemble_flux_load)
 from .incompressible import (_mass_local, _mixed_operator,
-                             _pressure_flux_load, _pressure_h2_gram, _stab_h,
-                             _stabilized_load, assemble_incompressible_system)
-from .solvers import (DENSE_CAP, SizeCapError,
-                      smallest_generalized_singular_value)
+                             _pressure_flux_load, _pressure_h2_gram,
+                             _pressure_mean_bordered, _stab_h,
+                             _stabilized_load)
+from .solvers import _smallest_eigenvalue, smallest_generalized_singular_value
 from .spaces import AnalyticField, DiscreteField, FESpace, cell_chunks
 
 ERROR_DEGREE = 16
@@ -264,20 +265,22 @@ def triple_norm_gram_incompressible(vspace, pspace, params):
 
 
 def side_mean_gram(space, degree=8):
-    """Dense Gram of the boundary seminorm on a vector space's DOFs."""
+    """Gram of the boundary seminorm on a vector space's DOFs, R^T L R.
+
+    Row 2 t + c of the sparse R takes the mean of component c over side t;
+    L holds the side lengths."""
     mesh = space.mesh
     bt = space.boundary_tables(degree)
     tags = mesh.edge_tag[bt.edge_ids]
-    n = space.dof_count
-    S = np.zeros((n, n))
-    for t in range(len(mesh.side_tags)):
-        sel = np.flatnonzero(tags == t)
-        length = bt.w[sel].sum()
-        wN = np.einsum("eq,eqi->ei", bt.w[sel], bt.N[sel]) / length
-        for comp in range(2):
-            row = _scatter_vector(bt.cell_dofs[sel][:, comp::2], wN, n)
-            S += length * np.outer(row, row)
-    return S
+    lengths = np.bincount(tags, weights=bt.w.sum(axis=1),
+                          minlength=len(mesh.side_tags))
+    wN = np.einsum("eq,eqi->ei", bt.w, bt.N) / lengths[tags][:, None]
+    # the edge's (component c, scalar basis i, component d) block is
+    # wN[i] delta_cd; cell_dofs number the vector basis as 2 i + d
+    local = np.einsum("ei,cd->ecid", wN, _I2).reshape(len(tags), 2, -1)
+    R = _scatter_matrix(2 * tags[:, None] + np.arange(2), bt.cell_dofs, local,
+                        (2 * len(lengths), space.dof_count))
+    return (R.T @ sp.diags(np.repeat(lengths, 2)) @ R).tocsr()
 
 
 # -- stability diagnostics ------------------------------------------------------
@@ -285,14 +288,10 @@ def side_mean_gram(space, degree=8):
 
 def discrete_korn_constant(mesh, vspace):
     """sqrt of the smallest eigenvalue of |eps(u)|^2 + |u|_bnd^2 vs |u|_H1^2."""
-    if vspace.dof_count > DENSE_CAP:
-        raise SizeCapError(f"dense diagnostic limited to {DENSE_CAP} unknowns, "
-                           f"got {vspace.dof_count}")
     eps_gram = assemble_elasticity_stiffness(vspace, MaterialParams(mu=0.5))
-    A = eps_gram.toarray() + side_mean_gram(vspace)
-    H = (_vector_gram(vspace, "mass") + _vector_gram(vspace, "grad")).toarray()
-    ev = sla.eigh(A, H, eigvals_only=True, subset_by_index=[0, 0])
-    return float(np.sqrt(max(ev[0], 0.0)))
+    A = eps_gram + side_mean_gram(vspace)
+    H = _vector_gram(vspace, "mass") + _vector_gram(vspace, "grad")
+    return float(np.sqrt(max(_smallest_eigenvalue(A, H), 0.0)))
 
 
 def discrete_infsup_constant(system_matrix, norm_gram):
@@ -308,10 +307,6 @@ def compressible_infsup(mesh, space, params):
 
 def incompressible_infsup(mesh, vspace, pspace, params):
     """Inf-sup constant over velocity x mean-zero pressure."""
-    n = vspace.dof_count + pspace.dof_count
-    if n > DENSE_CAP:
-        raise SizeCapError(f"dense diagnostic limited to {DENSE_CAP} unknowns, "
-                           f"got {n}")
     A = _mixed_operator(vspace, pspace, params, mesh.side_tags)
     N = triple_norm_gram_incompressible(vspace, pspace, params)
     # The constant pressure spans the kernels of A, of A^T and of N, so every
@@ -389,9 +384,11 @@ def galerkin_orthogonality_residual_mixed(mesh, vspace, pspace, params,
     included.
     """
     sides = _dirichlet_sides(mesh, dirichlet_sides)
-    mixed = assemble_incompressible_system(mesh, vspace, pspace, params, f,
-                                           exact_u, dirichlet_sides=sides)
-    A = mixed.system.matrix
+    # the weak system's matrix: bordered by the pressure mean when the
+    # Dirichlet data covers the whole boundary
+    A = _mixed_operator(vspace, pspace, params, sides)
+    if set(sides) == set(mesh.side_tags):
+        A = _pressure_mean_bordered(A, vspace, pspace)
     x = np.asarray(solution, dtype=float)
     if x.shape != (A.shape[0],):
         raise ValueError("solution length does not match the system")

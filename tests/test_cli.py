@@ -66,6 +66,19 @@ def test_diagnose_subcommand(tmp_path):
     assert all(float(r["beta_h"]) > 0 for r in rows)
 
 
+@pytest.mark.parametrize("problem", ["cook", "nearly_incompressible"])
+def test_diagnose_rejects_problems_without_diagnostics(tmp_path, capsys,
+                                                       problem):
+    # diagnostics exist only for the unit-square problems; no CSV may carry
+    # their constants under another problem's name
+    code = main(["diagnose", "--problem", problem, "--k", "1",
+                 "--mesh-sizes", "2", "--out", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: no stability diagnostics for problem ")
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_plot_subcommand(tmp_path):
     main(["run", "--problem", "compressible", "--k", "1",
           "--mesh-sizes", "2,4", "--mu", "1", "--lambda", "1",

@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
-from elastweak.compressible import (MaterialParams,
+from elastweak.compressible import (MaterialParams, _weak_operator,
                                     assemble_elasticity_stiffness,
                                     assemble_strong_system)
 from elastweak.mesh import build_cook_mesh, build_unit_square_mesh
-from elastweak.norms import (discrete_infsup_constant, discrete_korn_constant,
+from elastweak.norms import (compressible_infsup, discrete_infsup_constant,
+                             discrete_korn_constant,
                              error_norms, galerkin_orthogonality_residual,
                              incompressible_infsup,
                              korn_boundary_seminorm,
@@ -16,7 +18,6 @@ from elastweak.norms import (discrete_infsup_constant, discrete_korn_constant,
                              triple_norm_gram_compressible,
                              triple_norm_gram_incompressible,
                              triple_norm_incompressible, _vector_gram)
-from elastweak.solvers import SizeCapError
 from elastweak.spaces import AnalyticField, DiscreteField, FESpace, interpolate
 
 
@@ -227,6 +228,16 @@ def test_side_mean_gram_matches_seminorm():
     assert quad == pytest.approx(direct ** 2, rel=1e-12)
 
 
+def test_side_mean_gram_weights_unequal_sides():
+    # Cook sides differ in length, unlike the unit square's
+    mesh = build_cook_mesh(3)
+    V = FESpace(mesh, 2, 2)
+    u = DiscreteField(V, np.random.default_rng(5).standard_normal(V.dof_count))
+    quad = u.coefficients @ (side_mean_gram(V) @ u.coefficients)
+    assert quad == pytest.approx(korn_boundary_seminorm(mesh, u) ** 2,
+                                 rel=1e-12)
+
+
 def test_discrete_korn_constant_positive_and_rotation_quotient():
     mesh = build_unit_square_mesh(4)
     V = FESpace(mesh, 1, 2)
@@ -243,11 +254,17 @@ def test_discrete_korn_constant_positive_and_rotation_quotient():
     assert ck ** 2 <= quot + 1e-12
 
 
-def test_discrete_korn_constant_size_cap():
-    mesh = build_unit_square_mesh(50)   # 5202 vector DOFs, above the cap
+def test_discrete_korn_constant_beyond_former_dense_size():
+    # 5202 vector DOFs
+    mesh = build_unit_square_mesh(50)
     V = FESpace(mesh, 1, 2)
-    with pytest.raises(SizeCapError):
-        discrete_korn_constant(mesh, V)
+    ck = discrete_korn_constant(mesh, V)
+    assert ck > 0.0
+    rot = interpolate(V, ROTATION).coefficients
+    E = assemble_elasticity_stiffness(V, MaterialParams(mu=0.5))
+    H = _vector_gram(V, "mass") + _vector_gram(V, "grad")
+    quot = (rot @ ((E + side_mean_gram(V)) @ rot)) / (rot @ (H @ rot))
+    assert ck ** 2 <= quot + 1e-12
 
 
 def test_infsup_on_coercive_toy_system():
@@ -280,6 +297,40 @@ def test_pinned_incompressible_infsup_matches_mean_zero_basis(builder, order):
     oracle = discrete_infsup_constant(Z.T @ A @ Z, Z.T @ N @ Z)
     assert incompressible_infsup(mesh, V, Q, pars) == pytest.approx(
         oracle, rel=1e-10)
+
+
+def _dense_infsup(A, N):
+    """Smallest singular value of N^-1/2 A N^-1/2 from dense eigh and SVD."""
+    w, Q = sla.eigh(N.toarray())
+    Nmh = (Q * w ** -0.5) @ Q.T
+    return sla.svdvals(Nmh @ A.toarray() @ Nmh)[-1]
+
+
+@pytest.mark.parametrize("order,n", [(1, 16), (2, 8)])
+@pytest.mark.parametrize("builder", [build_unit_square_mesh, build_cook_mesh])
+def test_sparse_diagnostics_match_dense_oracles(builder, order, n):
+    from elastweak.incompressible import _mixed_operator
+    mesh = builder(n)
+    V, Q = FESpace(mesh, order, 2), FESpace(mesh, order, 1)
+    cpars = MaterialParams(1.0, 1.0)
+    oracle = _dense_infsup(_weak_operator(V, cpars, None),
+                           triple_norm_gram_compressible(V, cpars))
+    assert compressible_infsup(mesh, V, cpars) == pytest.approx(
+        oracle, rel=1e-10)
+
+    ipars = MaterialParams(1.0, 0.0, gamma=0.1)
+    A = _mixed_operator(V, Q, ipars, mesh.side_tags)
+    N = triple_norm_gram_incompressible(V, Q, ipars)
+    oracle = _dense_infsup(A[:-1, :-1], N[:-1, :-1])
+    assert incompressible_infsup(mesh, V, Q, ipars) == pytest.approx(
+        oracle, rel=1e-10)
+
+    E = assemble_elasticity_stiffness(V, MaterialParams(mu=0.5))
+    H = _vector_gram(V, "mass") + _vector_gram(V, "grad")
+    ev = sla.eigh((E + side_mean_gram(V)).toarray(), H.toarray(),
+                  eigvals_only=True, subset_by_index=[0, 0])
+    assert discrete_korn_constant(mesh, V) == pytest.approx(
+        np.sqrt(ev[0]), rel=1e-10)
 
 
 def test_orthogonality_residual_zero_problem():

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from elastweak.solvers import (SingularSystemError, SizeCapError, dump_matrix_coo,
-                               lu_solve, smallest_generalized_singular_value)
+from elastweak.solvers import (SingularSystemError, dump_matrix_coo, lu_solve,
+                               smallest_generalized_singular_value)
 
 
 def test_identity_solve():
@@ -77,6 +77,11 @@ def test_sgsv_matches_dense_oracle():
         assert got == pytest.approx(ref, abs=1e-8)
 
 
+def test_sgsv_singular_operator_gives_zero():
+    A = np.diag([1.0, 0.0, 2.0])
+    assert smallest_generalized_singular_value(A, np.eye(3)) == 0.0
+
+
 def test_sgsv_rejects_indefinite_norm():
     A = np.eye(3)
     N = np.diag([1.0, -1.0, 1.0])
@@ -84,11 +89,18 @@ def test_sgsv_rejects_indefinite_norm():
         smallest_generalized_singular_value(A, N)
 
 
-def test_sgsv_size_cap():
+def test_sgsv_rejects_nonsymmetric_norm():
+    A = np.eye(3)
+    N = np.array([[2.0, 0.5, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 2.0]])
+    with pytest.raises(ValueError, match="not symmetric"):
+        smallest_generalized_singular_value(A, N)
+
+
+def test_sgsv_beyond_former_dense_size():
     n = 5001
     A = sp.identity(n, format="csr")
-    with pytest.raises(SizeCapError):
-        smallest_generalized_singular_value(A, A)
+    assert smallest_generalized_singular_value(A, A) == pytest.approx(
+        1.0, rel=1e-12)
 
 
 def test_matrix_dump_format(tmp_path):
