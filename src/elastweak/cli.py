@@ -10,9 +10,9 @@ import csv
 import os
 import sys
 
-from .experiments import (RUN_KEYS, ExperimentConfig, ExperimentError,
-                          check_convergence, run_convergence, run_cook,
-                          run_stability_diagnostics, write_csv)
+from .experiments import (COOK_FORMULATIONS, RUN_KEYS, ExperimentConfig,
+                          ExperimentError, check_convergence, run_convergence,
+                          run_cook, run_stability_diagnostics, write_csv)
 from .mesh import build_cook_mesh, build_unit_square_mesh, dump_mesh
 from .plotting import PlotSpec, Series, emit_plot, table_series
 from .solvers import SingularSystemError
@@ -22,7 +22,10 @@ def _add_run_overrides(parser):
     parser.add_argument("--config", help="key=value config file with a [run] section")
     parser.add_argument("--problem",
                         choices=["compressible", "incompressible",
-                                 "nearly_incompressible", "cook"])
+                                 "nearly_incompressible", "cook"],
+                        help="unit-square manufactured solution, or the Cook "
+                             "membrane: cook (compressible) or "
+                             "nearly_incompressible")
     parser.add_argument("--k", type=int, dest="k")
     parser.add_argument("--mesh-sizes", dest="mesh_sizes",
                         help="space or comma separated subdivision counts")
@@ -32,11 +35,6 @@ def _add_run_overrides(parser):
     parser.add_argument("--young", type=float)
     parser.add_argument("--poisson", type=float)
     parser.add_argument("--bc-mode", dest="bc_mode", choices=["weak", "strong"])
-    parser.add_argument("--formulation",
-                        choices=["compressible", "nearly_incompressible"])
-    parser.add_argument("--deterministic", action="store_true", default=None,
-                        help="accepted and ignored: output is always "
-                             "byte-stable")
     parser.add_argument("--out", dest="out_dir", help="output directory")
 
 
@@ -63,12 +61,10 @@ def cmd_mesh(args):
 def cmd_run(args):
     config = _run_config(args)
     os.makedirs(config.out_dir, exist_ok=True)
-    if config.problem == "nearly_incompressible":
-        config.problem = "cook"
-        config.formulation = "nearly_incompressible"
-    if config.problem == "cook":
+    if config.problem in COOK_FORMULATIONS:
         table = run_cook(config)
-        stem = f"cook_k{config.order}_{config.bc_mode}_{config.formulation}"
+        stem = (f"cook_k{config.order}_{config.bc_mode}_"
+                f"{COOK_FORMULATIONS[config.problem]}")
         columns = ["qoi"]
     else:
         table = run_convergence(config)

@@ -6,7 +6,7 @@ no eliminated DOFs) or strongly (nodal elimination), for comparison.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -50,7 +50,6 @@ class AssembledSystem:
     matrix: sp.csr_matrix
     rhs: np.ndarray
     dof_count: int
-    constraint_meta: dict = field(default_factory=dict)
 
 
 def _require_vector(space):
@@ -219,9 +218,7 @@ def assemble_weak_system(mesh, space, params, f, g, dirichlet_sides=None,
     A = _weak_operator(space, params, sides)
     rhs = assemble_load(space, f, rhs_degree)
     rhs += assemble_flux_load(space, params, g, sides, flux_degree)
-    meta = {"bc": "weak", "dirichlet_sides": sides}
-    return AssembledSystem(matrix=A, rhs=rhs, dof_count=space.dof_count,
-                           constraint_meta=meta)
+    return AssembledSystem(matrix=A, rhs=rhs, dof_count=space.dof_count)
 
 
 def dirichlet_dofs_and_values(space, g, dirichlet_sides=None):
@@ -263,7 +260,4 @@ def assemble_strong_system(mesh, space, params, f, g, dirichlet_sides=None,
     rhs = assemble_load(space, f, rhs_degree)
     dofs, vals = dirichlet_dofs_and_values(space, g, sides)
     A, rhs = eliminate_dofs(K, rhs, dofs, vals)
-    meta = {"bc": "strong", "dirichlet_sides": sides,
-            "fixed_dofs": int(len(dofs))}
-    return AssembledSystem(matrix=A, rhs=rhs, dof_count=space.dof_count,
-                           constraint_meta=meta)
+    return AssembledSystem(matrix=A, rhs=rhs, dof_count=space.dof_count)

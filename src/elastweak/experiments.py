@@ -127,12 +127,16 @@ def manufactured_incompressible(params):
 # -- configuration ---------------------------------------------------------------
 
 
+# The Cook membrane problems and the formulation each one solves: "cook" is
+# compressible elasticity, "nearly_incompressible" the stabilized mixed form
+# with div u = -p/lambda.
+COOK_FORMULATIONS = {"cook": "compressible",
+                     "nearly_incompressible": "nearly_incompressible"}
+
 _CHOICES = {
-    "problem": ("compressible", "incompressible", "nearly_incompressible",
-                "cook"),
+    "problem": ("compressible", "incompressible", *COOK_FORMULATIONS),
     "order": (1, 2),
     "bc_mode": ("weak", "strong"),
-    "formulation": ("compressible", "nearly_incompressible"),
     "stab_h": ("element", "global"),
 }
 
@@ -148,7 +152,6 @@ class ExperimentConfig:
     young: float = None
     poisson: float = None
     bc_mode: str = "weak"
-    formulation: str = "compressible"   # cook runs: compressible | nearly_incompressible
     stab_h: str = "element"
     rhs_degree: int = 10
     out_dir: str = "."
@@ -172,10 +175,8 @@ class ExperimentConfig:
             raise ValueError(f"mesh_sizes must be positive and strictly "
                              f"increasing, got {self.mesh_sizes}")
         gamma = self.params.gamma   # MaterialParams rejects bad mu, lam, gamma
-        stabilized = (self.problem in ("incompressible", "nearly_incompressible")
-                      or (self.problem == "cook"
-                          and self.formulation == "nearly_incompressible"))
-        if stabilized and not (gamma is not None and gamma > 0.0):
+        if (self.problem in ("incompressible", "nearly_incompressible")
+                and not (gamma is not None and gamma > 0.0)):
             raise ValueError(f"stabilization parameter gamma must be "
                              f"positive, got {gamma!r}")
 
@@ -196,7 +197,7 @@ class ExperimentConfig:
         kwargs = {}
         # table order sets precedence: k over order, lam over lambda
         for key, (name, cast) in RUN_KEYS.items():
-            if key in section and name is not None:
+            if key in section:
                 kwargs[name] = cast(section[key])
         return cls(**kwargs)
 
@@ -222,16 +223,14 @@ def _mesh_sizes(text):
     return tuple(int(tok) for tok in text.replace(",", " ").split())
 
 
-# [run] key -> (ExperimentConfig field, cast).  "deterministic" is accepted
-# and ignored: output is always byte-stable.
+# [run] key -> (ExperimentConfig field, cast)
 RUN_KEYS = {
     "problem": ("problem", str), "order": ("order", int), "k": ("order", int),
     "mesh_sizes": ("mesh_sizes", _mesh_sizes), "mu": ("mu", float),
     "lambda": ("lam", float), "lam": ("lam", float), "gamma": ("gamma", float),
     "young": ("young", float), "poisson": ("poisson", float),
-    "bc_mode": ("bc_mode", str), "formulation": ("formulation", str),
-    "stab_h": ("stab_h", str), "rhs_degree": ("rhs_degree", int),
-    "out_dir": ("out_dir", str), "deterministic": (None, None),
+    "bc_mode": ("bc_mode", str), "stab_h": ("stab_h", str),
+    "rhs_degree": ("rhs_degree", int), "out_dir": ("out_dir", str),
 }
 
 
@@ -434,10 +433,14 @@ def cook_tip_displacement(mesh, solution_field):
 
 
 def run_cook(config):
-    """Cook membrane sweep: clamped on CD, traction (0, 100) on AB.
+    """Cook membrane sweep: clamped on CD, traction (0, 100) on AB, for the
+    problem "cook" (compressible) or "nearly_incompressible".
 
     Returns a ConvergenceTable whose rows carry the tip displacement as qoi.
     """
+    if config.problem not in COOK_FORMULATIONS:
+        raise ValueError("run_cook handles cook/nearly_incompressible only")
+    formulation = COOK_FORMULATIONS[config.problem]
     params = config.params
     fzero = AnalyticField.constant_vector(0.0, 0.0)
     gzero = AnalyticField.constant_vector(0.0, 0.0)
@@ -448,7 +451,7 @@ def run_cook(config):
         mesh = build_cook_mesh(n)
         quality = mesh_quality(mesh)
         space = FESpace(mesh, config.order, 2)
-        if config.formulation == "compressible":
+        if formulation == "compressible":
             assemble = (assemble_weak_system if config.bc_mode == "weak"
                         else assemble_strong_system)
             system = assemble(mesh, space, params, fzero, gzero,
@@ -463,8 +466,8 @@ def run_cook(config):
         if config.bc_mode == "strong":
             # the clamped rows hold the Dirichlet value g = 0
             rhs[space.expand_dofs(space.scalar_side_dofs("CD"))] = 0.0
-        x = _checked_solve(system.matrix, rhs, f"cook {config.formulation} "
-                           f"{config.bc_mode} n={n}")
+        x = _checked_solve(system.matrix, rhs,
+                           f"cook {formulation} {config.bc_mode} n={n}")
         u_h = DiscreteField(space, x[:space.dof_count])
         table.add(ConvergenceRow(h_max=quality.h_max, dofs=system.dof_count,
                                  qoi=cook_tip_displacement(mesh, u_h)))
@@ -474,11 +477,15 @@ def run_cook(config):
 def run_stability_diagnostics(config):
     """Inf-sup and Korn constants per mesh, as a ConvergenceTable whose rows
     carry beta_h and korn_h.  Only the unit-square compressible and
-    incompressible problems have diagnostics."""
+    incompressible problems have diagnostics, and only of the weak operator."""
     if config.problem not in ("compressible", "incompressible"):
         raise ExperimentError(
             f"no stability diagnostics for problem {config.problem!r}: "
             "use compressible or incompressible")
+    if config.bc_mode != "weak":
+        raise ExperimentError(
+            f"no stability diagnostics for bc_mode {config.bc_mode!r}: "
+            "the constants are those of the weak operator; use weak")
     params = config.params
     table = ConvergenceTable(problem=config.problem, order=config.order,
                              bc_mode=config.bc_mode)
@@ -568,7 +575,7 @@ def check_convergence(table, config):
         ps = table.pressure_slope_last()
         if ps < 1.3:
             violations.append(f"pressure L2 slope {ps:.3f} below 1.3")
-    elif config.problem == "cook":
+    elif config.problem in COOK_FORMULATIONS:
         q = [r.qoi for r in table.rows]
         if len(q) >= 3:
             nu = config.poisson

@@ -206,9 +206,8 @@ def _pressure_mean_bordered(core, vspace, pspace):
 
 def assemble_incompressible_system(mesh, vspace, pspace, params, f, g,
                                    nearly_lambda=None, dirichlet_sides=None,
-                                   bc_mode="weak", enforce_pressure_mean=None,
-                                   rhs_degree=10, stab_h="element",
-                                   flux_degree=None):
+                                   bc_mode="weak", rhs_degree=10,
+                                   stab_h="element", flux_degree=None):
     """Full mixed system, optionally nearly incompressible.
 
     With nearly_lambda set, the mass balance becomes div u = -p/lambda (the
@@ -247,12 +246,8 @@ def assemble_incompressible_system(mesh, vspace, pspace, params, f, g,
                                        sides, flux_degree)
         rhs[nU:] += _pressure_flux_load(pspace, g, sides, flux_degree)
 
-    if enforce_pressure_mean is None:
-        enforce_pressure_mean = (set(sides) == set(mesh.side_tags)
-                                 and nearly_lambda is None)
-
     constraint_index = None
-    if enforce_pressure_mean:
+    if set(sides) == set(mesh.side_tags) and nearly_lambda is None:
         core = _pressure_mean_bordered(core, vspace, pspace)
         rhs = np.concatenate([rhs, [0.0]])
         constraint_index = nU + nP
@@ -263,10 +258,6 @@ def assemble_incompressible_system(mesh, vspace, pspace, params, f, g,
 
     core = core.tocsr()
     core.sort_indices()
-    meta = {"bc": bc_mode, "dirichlet_sides": sides,
-            "pressure_mean": bool(enforce_pressure_mean),
-            "nearly_lambda": nearly_lambda}
-    system = AssembledSystem(matrix=core, rhs=rhs, dof_count=core.shape[0],
-                             constraint_meta=meta)
+    system = AssembledSystem(matrix=core, rhs=rhs, dof_count=core.shape[0])
     return MixedSystem(system=system, n_velocity=nU, n_pressure=nP,
                        constraint_index=constraint_index)

@@ -28,7 +28,6 @@ class SingularSystemError(RuntimeError):
 @dataclass(frozen=True)
 class SolveReport:
     residual_norm: float      # ||A x - b||_2 / ||b||_2
-    condition_estimate: float
     elapsed: float
     fill: int                 # entries SuperLU stores for L and U
 
@@ -47,7 +46,7 @@ def _residual_extended(A, x, b):
     return b.astype(np.longdouble) - Ax
 
 
-def lu_solve(matrix, rhs, want_condition=False):
+def lu_solve(matrix, rhs):
     """Direct solve of a square sparse system; returns (x, SolveReport)."""
     A = _as_csr(matrix)
     n, m = A.shape
@@ -85,16 +84,8 @@ def lu_solve(matrix, rhs, want_condition=False):
         if res_new >= res:
             break
         x, r, res = x_new, r_new, res_new
-    elapsed = time.perf_counter() - t0
-    cond = np.nan
-    if want_condition:
-        inv = spla.LinearOperator(
-            (n, n),
-            matvec=lambda v: d * factor.solve(d * np.ravel(v)),
-            rmatvec=lambda v: d * factor.solve(d * np.ravel(v), trans="T"))
-        cond = float(spla.onenormest(A) * spla.onenormest(inv))
-    return x, SolveReport(residual_norm=float(res), condition_estimate=cond,
-                          elapsed=elapsed,
+    return x, SolveReport(residual_norm=float(res),
+                          elapsed=time.perf_counter() - t0,
                           fill=int(factor.nnz))
 
 
@@ -157,11 +148,3 @@ def smallest_generalized_singular_value(A, N):
         dtype=float)
     return float(np.sqrt(max(_smallest_eigenvalue(gram, N, inverse), 0.0)))
 
-
-def dump_matrix_coo(matrix, path):
-    """Write a sparse matrix as 'row col value' lines, 17 significant digits."""
-    A = _as_csr(matrix).tocoo()
-    with open(path, "w") as fh:
-        fh.write(f"% {A.shape[0]} {A.shape[1]} {A.nnz}\n")
-        for r, c, v in zip(A.row, A.col, A.data):
-            fh.write(f"{r} {c} {v:.17g}\n")

@@ -148,7 +148,6 @@ class FESpace:
         self.dof_count = components * self.scalar_dof_count
 
         self._geometry = None
-        self._interior_cache = {}
         self._boundary_cache = {}
 
     # -- geometry -----------------------------------------------------------
@@ -202,11 +201,12 @@ class FESpace:
     # -- tabulation ---------------------------------------------------------
 
     def interior_tables(self, degree):
-        if degree not in self._interior_cache:
-            rule = triangle_rule(degree)
-            N, dN = basis_values(self.order, rule.points)
-            self._interior_cache[degree] = InteriorTables(self, rule, N, dN)
-        return self._interior_cache[degree]
+        """Volume tables at a quadrature degree, built on each call; not
+        cached, since a solve and its error norms ask a space for each
+        degree once."""
+        rule = triangle_rule(degree)
+        N, dN = basis_values(self.order, rule.points)
+        return InteriorTables(self, rule, N, dN)
 
     def boundary_tables(self, degree, side_tags=None):
         tags = (tuple(self.mesh.side_tags) if side_tags is None
@@ -218,12 +218,7 @@ class FESpace:
 
 
 class InteriorTables:
-    """Shared reference tables plus per-cell geometry for volume integrals.
-
-    The tables keep the mesh and the geometry but not the space that caches
-    them: without that reference cycle a space and its tables are freed as
-    soon as the space is unused, not at a later garbage collection.
-    """
+    """Shared reference tables plus per-cell geometry for volume integrals."""
 
     def __init__(self, space, rule, N, dN):
         self.mesh = space.mesh
@@ -247,7 +242,12 @@ class InteriorTables:
 
 
 class BoundaryTables:
-    """Basis traces and fluxes on selected boundary edges."""
+    """Basis traces and fluxes on selected boundary edges.
+
+    The tables keep the mesh's data but not the space that caches them:
+    without that reference cycle a space and its tables are freed as soon
+    as the space is unused, not at a later garbage collection.
+    """
 
     def __init__(self, space, degree, side_tags):
         mesh = space.mesh

@@ -142,12 +142,11 @@ def test_criterion_5_stability_diagnostics():
     _report("criterion 5 (stability diagnostics)", checks)
 
 
-def _cook_series(order, bc_mode, young, poisson, formulation, mesh_sizes):
-    key = ("cook", order, bc_mode, young, poisson, formulation, mesh_sizes)
+def _cook_series(problem, order, bc_mode, young, poisson, mesh_sizes):
+    key = (problem, order, bc_mode, young, poisson, mesh_sizes)
     if key not in _cache:
-        cfg = ExperimentConfig(problem="cook", order=order, bc_mode=bc_mode,
-                               young=young, poisson=poisson,
-                               formulation=formulation, gamma=0.1,
+        cfg = ExperimentConfig(problem=problem, order=order, bc_mode=bc_mode,
+                               young=young, poisson=poisson, gamma=0.1,
                                mesh_sizes=mesh_sizes)
         _cache[key] = [r.qoi for r in run_cook(cfg).rows]
     return _cache[key]
@@ -163,7 +162,7 @@ def test_criterion_6_cook_membrane():
         meshes = (8, 16, 32, 64) if order == 1 else (4, 8, 16, 32)
         tips = {}
         for bc in ("weak", "strong"):
-            q = _cook_series(order, bc, 1e5, 0.3333, "compressible", meshes)
+            q = _cook_series("cook", order, bc, 1e5, 0.3333, meshes)
             tips[bc] = q
             inc = [abs(b - a) for a, b in zip(q, q[1:])]
             checks.append(
@@ -173,10 +172,9 @@ def test_criterion_6_cook_membrane():
         rel = abs(tips["weak"][-1] - tips["strong"][-1]) / abs(tips["strong"][-1])
         checks.append((f"E=1e5 k={order} |weak-strong| {rel:.2e} <= 1e-2",
                        rel <= 1e-2))
-    near = _cook_series(1, "weak", 250.0, 0.4999, "nearly_incompressible",
+    near = _cook_series("nearly_incompressible", 1, "weak", 250.0, 0.4999,
                         (8, 16, 32, 64))
-    comp = _cook_series(1, "weak", 250.0, 0.4999, "compressible",
-                        (8, 16, 32, 64))
+    comp = _cook_series("cook", 1, "weak", 250.0, 0.4999, (8, 16, 32, 64))
     inc_near = [abs(b - a) for a, b in zip(near, near[1:])]
     inc_comp = [abs(b - a) for a, b in zip(comp, comp[1:])]
     bound_near = cook_tip_ratio_bound(0.4999)

@@ -1,8 +1,10 @@
 import csv
+import dataclasses
 
 import pytest
 
-from elastweak.cli import main
+from elastweak.cli import build_parser, main
+from elastweak.experiments import RUN_KEYS, ExperimentConfig
 from elastweak.mesh import load_mesh
 
 
@@ -37,12 +39,10 @@ def test_run_subcommand_config_file(tmp_path):
     cfg = tmp_path / "run.ini"
     cfg.write_text("[run]\nproblem = compressible\nk = 1\n"
                    "mesh_sizes = 2 4\nmu = 1.0\nlambda = 1.0\n")
-    code = main(["run", "--config", str(cfg), "--out", str(tmp_path),
-                 "--deterministic"])
+    code = main(["run", "--config", str(cfg), "--out", str(tmp_path)])
     assert code == 0
     first = (tmp_path / "compressible_k1_weak.csv").read_bytes()
-    assert main(["run", "--config", str(cfg), "--out", str(tmp_path),
-                 "--deterministic"]) == 0
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 0
     assert (tmp_path / "compressible_k1_weak.csv").read_bytes() == first
 
 
@@ -66,16 +66,20 @@ def test_diagnose_subcommand(tmp_path):
     assert all(float(r["beta_h"]) > 0 for r in rows)
 
 
-@pytest.mark.parametrize("problem", ["cook", "nearly_incompressible"])
+@pytest.mark.parametrize("argv", [
+    ["--problem", "cook"],
+    ["--problem", "nearly_incompressible"],
+    ["--problem", "compressible", "--bc-mode", "strong"],
+], ids=["cook", "nearly_incompressible", "strong"])
 def test_diagnose_rejects_problems_without_diagnostics(tmp_path, capsys,
-                                                       problem):
-    # diagnostics exist only for the unit-square problems; no CSV may carry
-    # their constants under another problem's name
-    code = main(["diagnose", "--problem", problem, "--k", "1",
-                 "--mesh-sizes", "2", "--out", str(tmp_path)])
+                                                       argv):
+    # diagnostics exist only for the weak operator on the unit square; no
+    # CSV may carry its constants under another problem's or mode's name
+    code = main(["diagnose", *argv, "--k", "1", "--mesh-sizes", "2",
+                 "--out", str(tmp_path)])
     assert code == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: no stability diagnostics for problem ")
+    assert err.startswith("error: no stability diagnostics for ")
     assert not list(tmp_path.glob("*.csv"))
 
 
@@ -101,6 +105,55 @@ def test_cook_run_subcommand(tmp_path):
     with open(path, newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert all(r["qoi"] != "" for r in rows)
+
+
+def test_nearly_incompressible_problem_is_the_cook_membrane(tmp_path):
+    code = main(["run", "--problem", "nearly_incompressible", "--k", "1",
+                 "--mesh-sizes", "2,4", "--young", "250", "--poisson",
+                 "0.4999", "--gamma", "0.1", "--out", str(tmp_path)])
+    assert code == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "cook_k1_weak_nearly_incompressible.csv",
+        "cook_k1_weak_nearly_incompressible.svg"]
+    with open(tmp_path / "cook_k1_weak_nearly_incompressible.csv",
+              newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r["problem"] for r in rows] == ["cook", "cook"]
+    assert all(float(r["qoi"]) > 0 for r in rows)
+
+
+def test_run_keys_and_flags_name_config_fields():
+    # no [run] key is accepted and then ignored, and no run/diagnose flag is
+    # dropped by _run_config for want of a [run] key
+    fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
+    assert {name for name, _ in RUN_KEYS.values()} <= fields
+    for command in ("run", "diagnose"):
+        dests = set(vars(build_parser().parse_args([command])))
+        # command and func belong to the top-level parser
+        assert dests - {"command", "func", "config", "check"} <= set(RUN_KEYS)
+
+
+@pytest.mark.parametrize("argv", [
+    ["--formulation", "nearly_incompressible"],
+    ["--deterministic"],
+], ids=["formulation", "deterministic"])
+def test_removed_flags_are_usage_errors(tmp_path, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--problem", "cook", *argv, "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line", ["formulation = nearly_incompressible",
+                                  "deterministic = true"],
+                         ids=["formulation", "deterministic"])
+def test_removed_run_keys_are_config_errors(tmp_path, capsys, line):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(f"[run]\nproblem = cook\n{line}\n")
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid configuration: unknown [run] keys: ")
+    assert not list(tmp_path.glob("*.csv"))
 
 
 def test_solver_failure_exit_code(monkeypatch):

@@ -126,12 +126,11 @@ def test_config_from_file(tmp_path):
     path = tmp_path / "run.ini"
     path.write_text("[run]\nproblem = incompressible\nk = 1\n"
                     "mesh_sizes = 4 8\nmu = 2.0\ngamma = 0.5\n"
-                    "bc_mode = weak\ndeterministic = true\n")
+                    "bc_mode = weak\n")
     cfg = ExperimentConfig.from_file(path)
     assert cfg.problem == "incompressible"
     assert cfg.mesh_sizes == (4, 8)
     assert cfg.mu == 2.0 and cfg.gamma == 0.5
-    assert not hasattr(cfg, "deterministic")   # accepted and ignored
     over = ExperimentConfig.from_file(path, {"gamma": "0.9", "k": "2"})
     assert over.gamma == 0.9 and over.order == 2
 
@@ -322,14 +321,12 @@ def test_check_convergence_cook_poisson_from_lame():
 
 
 def test_run_cook_strong_nearly_incompressible():
-    weak = ExperimentConfig(problem="cook", order=1, mesh_sizes=(4, 8),
-                            young=250.0, poisson=0.4999, gamma=0.1,
-                            formulation="nearly_incompressible",
-                            bc_mode="weak")
-    strong = ExperimentConfig(problem="cook", order=1, mesh_sizes=(4, 8),
-                              young=250.0, poisson=0.4999, gamma=0.1,
-                              formulation="nearly_incompressible",
-                              bc_mode="strong")
+    weak = ExperimentConfig(problem="nearly_incompressible", order=1,
+                            mesh_sizes=(4, 8), young=250.0, poisson=0.4999,
+                            gamma=0.1, bc_mode="weak")
+    strong = ExperimentConfig(problem="nearly_incompressible", order=1,
+                              mesh_sizes=(4, 8), young=250.0, poisson=0.4999,
+                              gamma=0.1, bc_mode="strong")
     qw = [r.qoi for r in run_cook(weak).rows]
     qs = [r.qoi for r in run_cook(strong).rows]
     assert all(q > 0 for q in qw + qs)

@@ -197,17 +197,19 @@ def test_manufactured_data_compatibility():
 def test_nearly_infinite_lambda_recovers_incompressible_matrix():
     mesh, V, Q = spaces(2)
     pars = MaterialParams(1.0, gamma=0.1)
-    base = assemble_incompressible_system(mesh, V, Q, pars, ZERO, ZERO,
-                                          enforce_pressure_mean=False)
+    # the incompressible system is bordered by the pressure mean; its core
+    # is the unbordered operator
+    bordered = assemble_incompressible_system(mesh, V, Q, pars, ZERO, ZERO)
+    nc = bordered.constraint_index
+    base = bordered.system.matrix[:nc, :nc]
     near = assemble_incompressible_system(mesh, V, Q, pars, ZERO, ZERO,
-                                          nearly_lambda=np.inf,
-                                          enforce_pressure_mean=False)
-    diff = (base.system.matrix - near.system.matrix)
+                                          nearly_lambda=np.inf)
+    assert near.constraint_index is None
+    diff = (base - near.system.matrix)
     assert np.abs(diff.toarray()).max() == 0.0
     near2 = assemble_incompressible_system(mesh, V, Q, pars, ZERO, ZERO,
-                                           nearly_lambda=1e14,
-                                           enforce_pressure_mean=False)
-    diff2 = (base.system.matrix - near2.system.matrix).toarray()
+                                           nearly_lambda=1e14)
+    diff2 = (base - near2.system.matrix).toarray()
     assert np.abs(diff2).max() < 1e-10
 
 
@@ -222,13 +224,12 @@ def test_nearly_lambda_must_be_positive():
 def test_mean_constraint_removes_singularity():
     mesh, V, Q = spaces(2)
     pars = MaterialParams(1.0, gamma=0.1)
-    free = assemble_incompressible_system(mesh, V, Q, pars, ZERO, ZERO,
-                                          enforce_pressure_mean=False)
+    constrained = assemble_incompressible_system(mesh, V, Q, pars, ZERO, ZERO)
+    nc = constrained.constraint_index
+    assert nc == V.dof_count + Q.dof_count
     # constant pressure spans the kernel of the unconstrained operator
     X = mixed_vector(V, Q, pfield=AnalyticField.scalar(lambda x, y: 1 + 0 * x))
-    assert np.abs(free.system.matrix @ X).max() < 1e-12
-    constrained = assemble_incompressible_system(mesh, V, Q, pars, ZERO, ZERO)
-    assert constrained.constraint_index == V.dof_count + Q.dof_count
+    assert np.abs(constrained.system.matrix[:nc, :nc] @ X).max() < 1e-12
     rng = np.random.default_rng(0)
     b = rng.standard_normal(constrained.system.dof_count)
     x, report = lu_solve(constrained.system.matrix, b)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from elastweak.solvers import (SingularSystemError, dump_matrix_coo, lu_solve,
+from elastweak.solvers import (SingularSystemError, lu_solve,
                                smallest_generalized_singular_value)
 
 
@@ -46,9 +46,8 @@ def test_residual_report_well_conditioned():
     rng = np.random.default_rng(0)
     A = rng.standard_normal((80, 80)) + 10 * np.eye(80)
     b = rng.standard_normal(80)
-    x, report = lu_solve(sp.csr_matrix(A), b, want_condition=True)
+    x, report = lu_solve(sp.csr_matrix(A), b)
     assert report.residual_norm <= 1e-9
-    assert report.condition_estimate > 1.0
     assert report.elapsed >= 0.0
 
 
@@ -101,16 +100,6 @@ def test_sgsv_beyond_former_dense_size():
     A = sp.identity(n, format="csr")
     assert smallest_generalized_singular_value(A, A) == pytest.approx(
         1.0, rel=1e-12)
-
-
-def test_matrix_dump_format(tmp_path):
-    A = sp.csr_matrix(np.array([[1.5, 0.0], [0.25, -2.0]]))
-    path = tmp_path / "mat.txt"
-    dump_matrix_coo(A, path)
-    lines = path.read_text().strip().split("\n")
-    assert lines[0].startswith("%")
-    assert lines[1].split() == ["0", "0", "1.5"]
-    assert len(lines) == 1 + A.nnz
 
 
 def test_report_fill_counts_factor_entries():

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from elastweak.mesh import build_cook_mesh, build_unit_square_mesh
-from elastweak.spaces import (AnalyticField, basis_values, build_space,
-                              integrate_field, interpolate)
+from elastweak.spaces import (AnalyticField, basis_hessians, basis_values,
+                              build_space, integrate_field, interpolate)
 
 
 def test_dof_counts_minimal_mesh():
@@ -47,6 +47,19 @@ def test_basis_kronecker_and_partition_of_unity():
         N, dN = basis_values(order, rand)
         assert np.abs(N.sum(axis=1) - 1.0).max() < 1e-13
         assert np.abs(dN.sum(axis=1)).max() < 1e-13
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_basis_hessians_match_differenced_gradients(order):
+    # central differences are exact for the (at most linear) gradients
+    pts = np.array([[0.2, 0.3], [0.6, 0.1], [0.05, 0.85]])
+    step = 1e-3
+    for b, shift in enumerate(np.eye(2) * step):
+        _, up = basis_values(order, pts + shift)
+        _, down = basis_values(order, pts - shift)
+        diff = (up - down) / (2.0 * step)          # (np, nsb, a)
+        expected = np.broadcast_to(basis_hessians(order)[:, :, b], diff.shape)
+        assert np.abs(diff - expected).max() < 1e-10
 
 
 def test_p2_edge_midpoint_values():
@@ -202,15 +215,14 @@ def test_p2_side_dofs_reject_edge_outside_triangulation():
 
 
 def test_space_and_tables_freed_without_garbage_collection():
-    # the tables a space caches hold no reference back to it, so a space's
-    # tabulation is freed when the space is unused, not at the next cyclic
-    # garbage collection
+    # the boundary tables a space caches hold no reference back to it, so a
+    # space's tabulation is freed when the space is unused, not at the next
+    # cyclic garbage collection
     import gc
     import weakref
     mesh = build_unit_square_mesh(2)
     space = build_space(mesh, 2, 2)
-    tables = weakref.ref(space.interior_tables(4))
-    space.boundary_tables(4)
+    tables = weakref.ref(space.boundary_tables(4))
     ref = weakref.ref(space)
     gc.disable()
     try:
