@@ -1,8 +1,9 @@
 """Command-line entry points: mesh generation, experiment sweeps, stability
 diagnostics and convergence plots.
 
-Exit codes: 0 success, 2 solver failure or invalid configuration, 3 threshold
-violation with --check.
+Exit codes: 0 success, 2 solver failure, invalid configuration or a sweep
+column that a log-log plot cannot show (the CSV is written first), 3
+threshold violation with --check.
 """
 
 import argparse
@@ -76,9 +77,16 @@ def cmd_run(args):
     write_csv(table.to_csv(), csv_path)
     svg_path = os.path.join(config.out_dir, stem + ".svg")
     ref = (1.0, 2.0) if config.order == 1 else (2.0, 3.0)
-    emit_plot([table_series(table, c) for c in columns],
-              PlotSpec(title=stem, ref_slopes=ref if columns != ["qoi"] else ()),
-              svg_path)
+    series = [table_series(table, c) for c in columns]
+    try:
+        emit_plot(series, PlotSpec(title=stem,
+                                   ref_slopes=ref if columns != ["qoi"] else ()),
+                  svg_path)
+    except ValueError as exc:
+        # a diverged sweep (say a negative Cook tip) has no log-log plot
+        bad = [s.label for s in series if any(v <= 0 for v in s.y)] or columns
+        raise ExperimentError(
+            f"cannot plot column {', '.join(bad)} of {csv_path}: {exc}") from exc
     print(f"wrote {csv_path} and {svg_path}")
     for row in table.rows:
         bits = [f"h_max={row.h_max:.6g}", f"dofs={row.dofs}"]

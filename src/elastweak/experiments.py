@@ -43,22 +43,26 @@ def manufactured_compressible(params):
     """
     mu, lam = params.mu, params.lam
 
-    # factor names mirror the product structure of the solution
-    A = lambda x: x ** 5 - x ** 4
-    dA = lambda x: 5 * x ** 4 - 4 * x ** 3
-    d2A = lambda x: 20 * x ** 3 - 12 * x ** 2
-    B = lambda y: y ** 3 - y ** 2
-    dB = lambda y: 3 * y ** 2 - 2 * y
+    # factor names mirror the product structure of the solution; each is a
+    # monomial times a linear factor, multiplied out without np.power
+    A = lambda x: x * x * x * x * (x - 1)
+    dA = lambda x: x * x * x * (5 * x - 4)
+    d2A = lambda x: x * x * (20 * x - 12)
+    B = lambda y: y * y * (y - 1)
+    dB = lambda y: y * (3 * y - 2)
     d2B = lambda y: 6 * y - 2
-    C = lambda x: x ** 4 - x ** 3
-    dC = lambda x: 4 * x ** 3 - 3 * x ** 2
-    d2C = lambda x: 12 * x ** 2 - 6 * x
-    D = lambda y: y ** 6 - y ** 5
-    dD = lambda y: 6 * y ** 5 - 5 * y ** 4
-    d2D = lambda y: 30 * y ** 4 - 20 * y ** 3
+    C = lambda x: x * x * x * (x - 1)
+    dC = lambda x: x * x * (4 * x - 3)
+    d2C = lambda x: x * (12 * x - 6)
+    D = lambda y: y * y * y * y * y * (y - 1)
+    dD = lambda y: y * y * y * y * (6 * y - 5)
+    d2D = lambda y: y * y * y * (30 * y - 20)
 
     def value(x, y):
-        return np.stack([A(x) * B(y), C(x) * D(y)], axis=-1)
+        v = np.empty(np.shape(x) + (2,))
+        v[..., 0] = A(x) * B(y)
+        v[..., 1] = C(x) * D(y)
+        return v
 
     def gradient(x, y):
         g = np.empty(np.shape(x) + (2, 2))
@@ -93,30 +97,45 @@ def manufactured_incompressible(params):
     mu = params.mu
     w = 4.0 * math.pi
 
+    # the velocity fields and the pressure gradient share these four values,
+    # computed once per call
+    def trig(x, y):
+        return np.sin(w * x), np.cos(w * x), np.sin(w * y), np.cos(w * y)
+
+    def velocity(sx, cx, sy, cy):
+        v = np.empty(np.shape(sx) + (2,))
+        v[..., 0] = sx * cy
+        v[..., 1] = -cx * sy
+        return v
+
+    def pressure_gradient(sx, cx, sy, cy):
+        g = np.empty(np.shape(sx) + (2,))
+        g[..., 0] = -math.pi * w * sx * cy
+        g[..., 1] = -math.pi * w * cx * sy
+        return g
+
     def value(x, y):
-        return np.stack([np.sin(w * x) * np.cos(w * y),
-                         -np.cos(w * x) * np.sin(w * y)], axis=-1)
+        return velocity(*trig(x, y))
 
     def gradient(x, y):
+        sx, cx, sy, cy = trig(x, y)
         g = np.empty(np.shape(x) + (2, 2))
-        g[..., 0, 0] = w * np.cos(w * x) * np.cos(w * y)
-        g[..., 0, 1] = -w * np.sin(w * x) * np.sin(w * y)
-        g[..., 1, 0] = w * np.sin(w * x) * np.sin(w * y)
-        g[..., 1, 1] = -w * np.cos(w * x) * np.cos(w * y)
+        g[..., 0, 0] = w * cx * cy
+        g[..., 0, 1] = -w * sx * sy
+        g[..., 1, 0] = w * sx * sy
+        g[..., 1, 1] = -w * cx * cy
         return g
 
     def p_value(x, y):
         return math.pi * np.cos(w * x) * np.cos(w * y)
 
     def p_gradient(x, y):
-        return np.stack([-math.pi * w * np.sin(w * x) * np.cos(w * y),
-                         -math.pi * w * np.cos(w * x) * np.sin(w * y)],
-                        axis=-1)
+        return pressure_gradient(*trig(x, y))
 
     def force(x, y):
         # -mu lap u + grad p (u is divergence free)
-        f = 2.0 * mu * w ** 2 * value(x, y)
-        return f + p_gradient(x, y)
+        t = trig(x, y)
+        return 2.0 * mu * w ** 2 * velocity(*t) + pressure_gradient(*t)
 
     exact_u = AnalyticField.vector(value, gradient)
     exact_p = AnalyticField.scalar(p_value, p_gradient)

@@ -89,8 +89,16 @@ def reference_tensors(order):
         grad_grad=np.einsum("q,qip,qjr->ipjr", w, dN, dN))
 
 
-def cell_chunks(mesh, chunk=4096):
-    """Consecutive slices of at most `chunk` cells that cover the mesh."""
+def cell_chunks(mesh, chunk=512):
+    """Consecutive slices of at most `chunk` cells that cover the mesh.
+
+    The per-point temporaries of a block stay in a core's L2 cache: on the
+    81-point degree-16 error rule a vector field's gradient over 512 cells
+    is 1.3 MB.  At 4096 cells each such array was 10.6 MB, a fresh mmap
+    faulted in on first touch.  Of 256, 512 and 1024 cells, 512 gave the
+    fastest cold n=128 P1 `error_norms` call (2-core Xeon, 2 MiB L2 per
+    core: 0.55 s against 0.74 s at 4096).
+    """
     nt = mesh.num_triangles
     for start in range(0, nt, chunk):
         yield slice(start, min(start + chunk, nt))

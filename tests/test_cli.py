@@ -221,14 +221,41 @@ def test_malformed_config_file_exit_code(tmp_path, capsys, text, message):
 
 
 def test_value_error_outside_config_escapes(tmp_path, monkeypatch):
-    # only configuration errors become exit 2; a ValueError raised later
-    # (the plotter's, on diverging Cook P2 tips) still propagates
+    # only configuration and plotting errors become exit 2; a ValueError
+    # raised anywhere else in a sweep still propagates
     import elastweak.cli as cli
 
-    def no_plot(series, spec, path):
-        raise ValueError("log-log plot needs positive data")
+    def boom(config):
+        raise ValueError("unexpected")
 
-    monkeypatch.setattr(cli, "emit_plot", no_plot)
-    with pytest.raises(ValueError, match="positive data"):
+    monkeypatch.setattr(cli, "run_convergence", boom)
+    with pytest.raises(ValueError, match="unexpected"):
         main(["run", "--problem", "compressible", "--k", "1",
               "--mesh-sizes", "2", "--out", str(tmp_path)])
+
+
+def test_diverged_cook_sweep_exit_code(tmp_path, monkeypatch, capsys):
+    # a negative tip has no log-log plot: exit 2 with an error line that
+    # names the column, and the CSV stays on disk
+    import elastweak.cli as cli
+    from elastweak.experiments import ConvergenceRow, ConvergenceTable
+
+    def diverged(config):
+        table = ConvergenceTable(problem="cook", order=2,
+                                 bc_mode=config.bc_mode)
+        for h, tip in ((0.5, 138.8), (0.25, -139.9)):
+            table.add(ConvergenceRow(h_max=h, dofs=10, qoi=tip))
+        return table
+
+    monkeypatch.setattr(cli, "run_cook", diverged)
+    code = main(["run", "--problem", "nearly_incompressible", "--k", "2",
+                 "--mesh-sizes", "2,4", "--out", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot plot column qoi of ")
+    assert "log-log plot needs positive data" in err
+    csv_path = tmp_path / "cook_k2_weak_nearly_incompressible.csv"
+    with open(csv_path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [float(r["qoi"]) for r in rows] == [138.8, -139.9]
+    assert not (tmp_path / "cook_k2_weak_nearly_incompressible.svg").exists()

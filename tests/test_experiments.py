@@ -34,6 +34,55 @@ def test_compressible_point_value():
     assert val[1] == pytest.approx(0.0009765625, abs=1e-15)
 
 
+def _points_with_boundary(seed, count=200):
+    """Random points of the unit square plus points on each of its sides."""
+    rng = np.random.default_rng(seed)
+    t = rng.uniform(0.0, 1.0, size=8)
+    zero, one = np.zeros_like(t), np.ones_like(t)
+    sides = [np.stack(xy, axis=1)
+             for xy in ((t, zero), (t, one), (zero, t), (one, t))]
+    return np.vstack([rng.uniform(0.0, 1.0, size=(count, 2)), *sides,
+                      [[0.0, 0.0], [1.0, 1.0]]])
+
+
+def test_compressible_value_is_the_expanded_polynomial():
+    exact, _, _ = manufactured_compressible(MaterialParams(1.0, 1.0))
+    pts = _points_with_boundary(5)
+    x, y = pts[:, 0], pts[:, 1]
+    expected = np.stack([(x ** 5 - x ** 4) * (y ** 3 - y ** 2),
+                         (x ** 4 - x ** 3) * (y ** 6 - y ** 5)], axis=-1)
+    val = exact.value(x, y)
+    assert val.shape == expected.shape
+    assert np.abs(val - expected).max() <= 1e-15
+
+
+def _central_gradient(fn, x, y, step=1e-6):
+    """Central differences of fn in x and y, stacked on a new last axis."""
+    return np.stack([(fn(x + step, y) - fn(x - step, y)) / (2 * step),
+                     (fn(x, y + step) - fn(x, y - step)) / (2 * step)],
+                    axis=-1)
+
+
+def _fields_with_gradients():
+    pars = MaterialParams(2.0, 10.0, gamma=0.1)
+    exact, _, _ = manufactured_compressible(pars)
+    exact_u, exact_p, _, _ = manufactured_incompressible(pars)
+    return {"compressible u": exact, "incompressible u": exact_u,
+            "incompressible p": exact_p}
+
+
+@pytest.mark.parametrize("name", ["compressible u", "incompressible u",
+                                  "incompressible p"])
+def test_gradients_match_central_differences(name):
+    field = _fields_with_gradients()[name]
+    pts = _points_with_boundary(11)
+    x, y = pts[:, 0], pts[:, 1]
+    an = field.gradient(x, y)
+    fd = _central_gradient(field.value, x, y)
+    assert an.shape == fd.shape
+    assert np.abs(fd - an).max() / np.abs(an).max() <= 1e-7
+
+
 def _finite_difference_force(exact, mu, lam, pts, step):
     x, y = pts[:, 0], pts[:, 1]
     u = exact.value

@@ -417,3 +417,50 @@ def test_gram_matrices_reproduce_norms(builder, order):
     mean = pressure_integral_vector(Q)
     lumped = assemble_pressure_mass(Q) @ np.ones(Q.dof_count)
     assert np.abs(lumped - mean).max() <= 1e-12 * np.abs(mean).max()
+
+
+def _one_block(monkeypatch):
+    """Make every per-cell loop run over the whole mesh as one block."""
+    import elastweak.compressible as compressible
+    import elastweak.norms as norms
+
+    def whole_mesh(mesh, chunk=None):
+        yield slice(0, mesh.num_triangles)
+
+    monkeypatch.setattr(compressible, "cell_chunks", whole_mesh)
+    monkeypatch.setattr(norms, "cell_chunks", whole_mesh)
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_quadrature_point_layers_do_not_depend_on_the_block(monkeypatch,
+                                                             order):
+    from elastweak.compressible import assemble_load
+    from elastweak.experiments import (manufactured_compressible,
+                                       manufactured_incompressible)
+    from elastweak.spaces import cell_chunks
+
+    mesh = build_unit_square_mesh(23)      # 1058 cells: no multiple of a block
+    assert len(list(cell_chunks(mesh))) > 1
+    params = MaterialParams(1.0, 2.0, gamma=0.1)
+    exact, f, _ = manufactured_compressible(params)
+    exact_u, exact_p, f_mixed, _ = manufactured_incompressible(params)
+    V, Q = FESpace(mesh, order, 2), FESpace(mesh, order, 1)
+    rng = np.random.default_rng(order)
+    u_h = DiscreteField(V, 1e-3 * rng.standard_normal(V.dof_count))
+    p_h = DiscreteField(Q, rng.standard_normal(Q.dof_count))
+
+    def measured():
+        compressible = error_norms(u_h, exact, params)
+        mixed = error_norms(u_h, exact_u, params, p_h, exact_p)
+        return ([compressible.l2_error, compressible.h1_semi_error,
+                 compressible.triple_norm_error, mixed.l2_error,
+                 mixed.h1_semi_error, mixed.triple_norm_error,
+                 mixed.pressure_l2_error],
+                assemble_load(V, f), assemble_load(V, f_mixed))
+
+    blocked = measured()
+    _one_block(monkeypatch)
+    whole = measured()
+    np.testing.assert_allclose(blocked[0], whole[0], rtol=1e-13, atol=0.0)
+    for a, b in zip(blocked[1:], whole[1:]):
+        assert np.abs(a - b).max() <= 1e-13 * np.abs(b).max()

@@ -1,9 +1,12 @@
+import inspect
+
 import numpy as np
 import pytest
 
 from elastweak.mesh import build_cook_mesh, build_unit_square_mesh
 from elastweak.spaces import (AnalyticField, basis_hessians, basis_values,
-                              build_space, integrate_field, interpolate)
+                              build_space, cell_chunks, integrate_field,
+                              interpolate)
 
 
 def test_dof_counts_minimal_mesh():
@@ -230,3 +233,16 @@ def test_space_and_tables_freed_without_garbage_collection():
         assert ref() is None and tables() is None
     finally:
         gc.enable()
+
+
+# n = 15, 16 and 23 give 450, 512 and 1058 cells: fewer than one block of the
+# default 512, exactly one, and two blocks plus a remainder
+@pytest.mark.parametrize("n", [15, 16, 23])
+def test_cell_chunks_cover_every_cell_once_in_order(n):
+    mesh = build_unit_square_mesh(n)
+    block = inspect.signature(cell_chunks).parameters["chunk"].default
+    chunks = list(cell_chunks(mesh))
+    covered = np.concatenate([np.arange(mesh.num_triangles)[c] for c in chunks])
+    np.testing.assert_array_equal(covered, np.arange(mesh.num_triangles))
+    assert all(0 < c.stop - c.start <= block for c in chunks)
+    assert len(chunks) == -(-mesh.num_triangles // block)
