@@ -7,6 +7,7 @@ no eliminated DOFs) or strongly (nodal elimination), for comparison.
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -96,15 +97,33 @@ def _scatter_vector(dofs, local, size):
 
 _I2 = np.eye(2)
 
+# d_a phi_i d_b phi_j = sum_pr Jinv[p, a] Jinv[r, b] d_p N_i d_r N_j
+_STIFFNESS_SUBSCRIPTS = "c,ipjr,cpa,crb->ciajb"
+
+
+@lru_cache(maxsize=16)
+def _stiffness_path(order, n_cells):
+    """Contraction path of the stiffness einsum for a block of n_cells.
+
+    The path depends only on the operand shapes, so it is searched once per
+    order and block size instead of on every block (with 512-cell blocks
+    the search cost half as much as a P1 block's contraction).  A mesh has
+    at most two block sizes, the full block and the last one."""
+    grad_grad = reference_tensors(order).grad_grad
+    jinv = np.empty((n_cells, 2, 2))
+    return np.einsum_path(_STIFFNESS_SUBSCRIPTS, np.empty(n_cells), grad_grad,
+                          jinv, jinv, optimize="greedy")[0]
+
 
 def _stiffness_parts(space, cells):
     """Per-cell integrals of grad phi_i . grad phi_j, shape (m, i, j), and of
     d_a phi_i d_b phi_j, shape (m, i, a, j, b), of the scalar basis."""
     _, Jinv, detJ = space.geometry()
-    # d_a phi_i d_b phi_j = sum_pr Jinv[p, a] Jinv[r, b] d_p N_i d_r N_j
-    D = np.einsum("c,ipjr,cpa,crb->ciajb", np.abs(detJ[cells]),
+    weights = np.abs(detJ[cells])
+    path = _stiffness_path(space.order, len(weights))
+    D = np.einsum(_STIFFNESS_SUBSCRIPTS, weights,
                   reference_tensors(space.order).grad_grad, Jinv[cells],
-                  Jinv[cells], optimize=True)
+                  Jinv[cells], optimize=path)
     return np.einsum("ciaja->cij", D), D
 
 

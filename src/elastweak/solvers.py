@@ -1,9 +1,13 @@
 """Sparse direct solves and sparse spectral diagnostics.
 
-Matrices are scipy CSR (sorted, duplicate-free column indices per row);
-factorization uses SuperLU with partial pivoting.  The generalized singular
-value diagnostic is an ARPACK shift-invert eigensolve that reuses one sparse
-LU of the operator, so it never densifies.
+Matrices are scipy CSR (sorted, duplicate-free column indices per row).
+Every sparse LU is made by ``_factor``: SuperLU in symmetric mode, which
+orders rows and columns alike by minimum degree on the pattern of A^T + A
+and pivots by threshold, keeping a diagonal pivot unless it falls below
+``PIVOT_THRESHOLD`` times the largest entry of its column.  The systems are
+nonsymmetric but their sparsity is symmetric, which this ordering exploits.
+The generalized singular value diagnostic is an ARPACK shift-invert
+eigensolve that reuses one sparse LU of the operator, so it never densifies.
 """
 
 import time
@@ -20,6 +24,15 @@ import scipy.sparse.linalg as spla
 # iterations than 1e-8.
 EIG_TOL = 1e-10
 
+# Diagonal pivot threshold of every sparse LU (SuperLU's diag_pivot_thresh):
+# a diagonal pivot is kept while its magnitude is at least this fraction of
+# the largest in its column, so the minimum-degree order survives pivoting.
+# On the P2 Cook membrane mixed system at n=32 (nu=0.4999) the factor holds
+# 10.54M entries at 0.1 but 3.09M at 0.01, 2.39M at 0.001 and 2.32M at 0;
+# 0.01 keeps most of that fill saving with a margin against small pivots;
+# lu_solve's refinement repairs the accuracy that a small pivot costs.
+PIVOT_THRESHOLD = 0.01
+
 
 class SingularSystemError(RuntimeError):
     """Raised when LU factorization hits a zero pivot."""
@@ -30,6 +43,8 @@ class SolveReport:
     residual_norm: float      # ||A x - b||_2 / ||b||_2
     elapsed: float
     fill: int                 # entries SuperLU stores for L and U
+    factor_s: float           # seconds spent in the sparse LU factorization
+    refinements: int          # refinement steps applied to the solution
 
 
 def _as_csr(matrix):
@@ -46,6 +61,25 @@ def _residual_extended(A, x, b):
     return b.astype(np.longdouble) - Ax
 
 
+def _factor(A, pivot_threshold=PIVOT_THRESHOLD):
+    """SuperLU factorization of the square sparse A in symmetric mode, with
+    minimum-degree ordering of A^T + A (Liu, ACM TOMS 1985) and threshold
+    pivoting; RuntimeError on an exactly singular A.  The ordering depends
+    on the pattern alone, so repeated factorizations are identical."""
+    return spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A",
+                     diag_pivot_thresh=pivot_threshold,
+                     options={"SymmetricMode": True})
+
+
+def _equilibrate(A):
+    """(D A D as CSC, d) with D = diag(d), d_i = 1/sqrt(max_j |A_ij|)."""
+    rowmax = np.asarray(abs(A).max(axis=1).todense()).ravel()
+    rowmax[rowmax == 0.0] = 1.0
+    d = 1.0 / np.sqrt(rowmax)
+    D = sp.diags(d)
+    return (D @ A @ D).tocsc(), d
+
+
 def lu_solve(matrix, rhs):
     """Direct solve of a square sparse system; returns (x, SolveReport)."""
     A = _as_csr(matrix)
@@ -56,13 +90,11 @@ def lu_solve(matrix, rhs):
     t0 = time.perf_counter()
     # symmetric equilibration tames the λ-scaled entries; refinement sweeps on
     # the original system then push the residual near roundoff
-    rowmax = np.asarray(abs(A).max(axis=1).todense()).ravel()
-    rowmax[rowmax == 0.0] = 1.0
-    d = 1.0 / np.sqrt(rowmax)
-    D = sp.diags(d)
-    As = (D @ A @ D).tocsc()
+    As, d = _equilibrate(A)
     try:
-        factor = spla.splu(As)
+        t_factor = time.perf_counter()
+        factor = _factor(As)
+        factor_s = time.perf_counter() - t_factor
         x = d * factor.solve(d * b)
     except RuntimeError as exc:
         raise SingularSystemError(f"LU factorization failed: {exc}") from exc
@@ -76,24 +108,28 @@ def lu_solve(matrix, rhs):
         return r, float(np.sqrt(np.sum((r * r).astype(float)))) / scale
 
     r, res = true_res(x)
-    for _ in range(4):
-        if res <= 1e-13:
-            break
+    refinements = 0
+    while refinements < 4 and res > 1e-13:
         x_new = x + d * factor.solve(d * r.astype(float))
         r_new, res_new = true_res(x_new)
         if res_new >= res:
             break
         x, r, res = x_new, r_new, res_new
+        refinements += 1
     return x, SolveReport(residual_norm=float(res),
                           elapsed=time.perf_counter() - t0,
-                          fill=int(factor.nnz))
+                          fill=int(factor.nnz), factor_s=factor_s,
+                          refinements=refinements)
 
 
 def _smallest_eigenvalue(A, M, OPinv=None):
     """Smallest eigenvalue of the symmetric pencil (A, M), M positive
     definite, by ARPACK shift-invert about 0.  OPinv applies A^-1; without
-    it A is factored with a sparse LU.  The start vector is fixed so that
+    it A is factored by ``_factor``.  The start vector is fixed so that
     repeated runs give identical digits."""
+    if OPinv is None:
+        factor = _factor(A)
+        OPinv = spla.LinearOperator(A.shape, matvec=factor.solve, dtype=float)
     v0 = np.random.default_rng(0).standard_normal(A.shape[0])
     return float(spla.eigsh(A, k=1, M=M, sigma=0.0, OPinv=OPinv,
                             tol=EIG_TOL, v0=v0, return_eigenvectors=False)[0])
@@ -107,9 +143,7 @@ def _positive_definite_factor(N):
     Sylvester's law of inertia N is positive definite exactly when the
     pivots diag(U) are all positive."""
     try:
-        factor = spla.splu(N.tocsc(), permc_spec="MMD_AT_PLUS_A",
-                           diag_pivot_thresh=0.0,
-                           options={"SymmetricMode": True})
+        factor = _factor(N, pivot_threshold=0.0)
     except RuntimeError as exc:
         raise ValueError("norm Gram matrix is not positive definite") from exc
     if (not np.array_equal(factor.perm_r, factor.perm_c)
@@ -136,7 +170,7 @@ def smallest_generalized_singular_value(A, N):
         raise ValueError("norm Gram matrix is not symmetric")
     nfactor = _positive_definite_factor(N)
     try:
-        afactor = spla.splu(A.tocsc())
+        afactor = _factor(A)
     except RuntimeError:
         return 0.0
     # shift-invert applies only the inverse and N; the pencil's own operator

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from elastweak.compressible import (MaterialParams, assemble_boundary_flux,
+from elastweak.compressible import (_STIFFNESS_SUBSCRIPTS, MaterialParams,
+                                    _stiffness_parts, assemble_boundary_flux,
                                     assemble_elasticity_stiffness,
                                     assemble_load, assemble_neumann_load,
                                     assemble_strong_system,
@@ -14,7 +15,8 @@ from elastweak.mesh import Mesh, build_cook_mesh, build_unit_square_mesh
 from elastweak.norms import (galerkin_orthogonality_residual,
                              triple_norm_compressible)
 from elastweak.solvers import lu_solve
-from elastweak.spaces import AnalyticField, DiscreteField, FESpace, interpolate
+from elastweak.spaces import (AnalyticField, DiscreteField, FESpace,
+                              cell_chunks, interpolate, reference_tensors)
 
 
 def reference_triangle_mesh():
@@ -323,3 +325,17 @@ def test_empty_dirichlet_sides_select_no_side():
                                           np.zeros(V.dof_count),
                                           dirichlet_sides=())
     assert res == pytest.approx(expected, rel=1e-10)
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_stiffness_blocks_match_searched_contraction(order):
+    # n=23 has 1058 cells: two full 512-cell blocks and a 34-cell last one;
+    # the cached contraction path must give the bits of a fresh search
+    space = FESpace(build_cook_mesh(23), order, 2)
+    _, Jinv, detJ = space.geometry()
+    for cells in cell_chunks(space.mesh):
+        ref = np.einsum(_STIFFNESS_SUBSCRIPTS, np.abs(detJ[cells]),
+                        reference_tensors(order).grad_grad, Jinv[cells],
+                        Jinv[cells], optimize=True)
+        _, D = _stiffness_parts(space, cells)
+        assert D.tobytes() == ref.tobytes()

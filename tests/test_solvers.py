@@ -1,9 +1,16 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
-from elastweak.solvers import (SingularSystemError, lu_solve,
+from elastweak.compressible import MaterialParams, assemble_weak_system
+from elastweak.experiments import manufactured_compressible
+from elastweak.incompressible import assemble_incompressible_system
+from elastweak.mesh import build_cook_mesh, build_unit_square_mesh
+from elastweak.solvers import (SingularSystemError, _equilibrate, lu_solve,
                                smallest_generalized_singular_value)
+from elastweak.spaces import AnalyticField, FESpace
 
 
 def test_identity_solve():
@@ -110,3 +117,83 @@ def test_report_fill_counts_factor_entries():
     _, report = lu_solve(sp.csr_matrix(np.array([[2.0, 1.0], [1.0, 3.0]])),
                          np.ones(2))
     assert report.fill == 6
+
+
+def test_report_times_factor_and_counts_no_refinement():
+    _, report = lu_solve(sp.identity(5, format="csr"), np.arange(1.0, 6.0))
+    assert report.refinements == 0
+    assert 0.0 <= report.factor_s <= report.elapsed
+
+
+def test_report_counts_refinement_steps():
+    # the Hilbert matrix (condition 1.5e7 at n=6) leaves an unrefined
+    # residual above the 1e-13 target; one step brings it to roundoff
+    A = sp.csr_matrix(sla.hilbert(6))
+    _, report = lu_solve(A, np.ones(6))
+    assert report.refinements >= 1
+    assert report.residual_norm <= 1e-13
+    assert 0.0 <= report.factor_s <= report.elapsed
+
+
+def _saddle_point(n=60, m=20):
+    """[[K, B], [B^T, 0]] with K the 1D Laplacian and B of full rank."""
+    K = sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(n, n))
+    B = sp.random(n, m, density=0.1, random_state=np.random.default_rng(3))
+    B = B + sp.eye(n, m)
+    return sp.bmat([[K, B], [B.T, None]], format="csr")
+
+
+def test_saddle_point_with_zero_block_solves():
+    A = _saddle_point()
+    assert A.diagonal()[60:].max() == 0.0
+    b = np.random.default_rng(4).standard_normal(A.shape[0])
+    x, report = lu_solve(A, b)
+    assert report.residual_norm <= 1e-13
+    assert np.abs(x - np.linalg.solve(A.toarray(), b)).max() <= 1e-10
+
+
+def test_repeated_solves_are_bit_identical():
+    A = _saddle_point()
+    b = np.random.default_rng(5).standard_normal(A.shape[0])
+    x1, _ = lu_solve(A, b)
+    x2, _ = lu_solve(A, b)
+    assert x1.tobytes() == x2.tobytes()
+
+
+def test_locking_p2_weak_system_matches_dense_solve():
+    # the k=2, lambda=1e5 weak system of acceptance criterion 2 at n=8
+    params = MaterialParams(1.0, 1e5)
+    _, f, g = manufactured_compressible(params)
+    mesh = build_unit_square_mesh(8)
+    system = assemble_weak_system(mesh, FESpace(mesh, 2, 2), params, f, g)
+    x, report = lu_solve(system.matrix, system.rhs)
+    ref = np.linalg.solve(system.matrix.toarray(), system.rhs)
+    assert np.abs(x - ref).max() <= 1e-10 * np.abs(ref).max()
+    assert report.residual_norm <= 1e-8
+
+
+def _square_weak_p1(n):
+    params = MaterialParams(1.0, 1.0)
+    _, f, g = manufactured_compressible(params)
+    mesh = build_unit_square_mesh(n)
+    return assemble_weak_system(mesh, FESpace(mesh, 1, 2), params, f, g)
+
+
+def _cook_mixed_p1(n):
+    params = MaterialParams.from_young_poisson(250.0, 0.4999, gamma=0.1)
+    zero = AnalyticField.constant_vector(0.0, 0.0)
+    mesh = build_cook_mesh(n)
+    return assemble_incompressible_system(
+        mesh, FESpace(mesh, 1, 2), FESpace(mesh, 1, 1), params, zero, zero,
+        nearly_lambda=params.lam, dirichlet_sides=("CD",)).system
+
+
+@pytest.mark.parametrize("build, n", [(_square_weak_p1, 32),
+                                      (_cook_mixed_p1, 16)])
+def test_fill_below_default_ordering(build, n):
+    system = build(n)
+    b = np.ones(system.matrix.shape[0])
+    _, report = lu_solve(system.matrix, b)
+    As, _ = _equilibrate(system.matrix.tocsr())
+    assert report.fill < spla.splu(As).nnz
+    assert report.residual_norm <= 1e-8
