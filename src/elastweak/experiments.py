@@ -72,6 +72,25 @@ def manufactured_compressible(params):
         g[..., 1, 1] = C(x) * dD(y)
         return g
 
+    def jet(x, y):
+        # the factors above from one set of powers, multiplied in the same
+        # order, so the digits are those of value and gradient
+        x2 = x * x
+        x3 = x2 * x
+        xm1, ym1 = x - 1, y - 1
+        y4 = y * y * y * y
+        Ax, Cx = x3 * x * xm1, x3 * xm1
+        By, Dy = y * y * ym1, y4 * y * ym1
+        v = np.empty(np.shape(x) + (2,))
+        v[..., 0] = Ax * By
+        v[..., 1] = Cx * Dy
+        g = np.empty(np.shape(x) + (2, 2))
+        g[..., 0, 0] = x3 * (5 * x - 4) * By
+        g[..., 0, 1] = Ax * (y * (3 * y - 2))
+        g[..., 1, 0] = x2 * (4 * x - 3) * Dy
+        g[..., 1, 1] = Cx * (y4 * (6 * y - 5))
+        return v, g
+
     def force(x, y):
         lap1 = d2A(x) * B(y) + A(x) * d2B(y)
         lap2 = d2C(x) * D(y) + C(x) * d2D(y)
@@ -81,7 +100,7 @@ def manufactured_compressible(params):
         f2 = -mu * lap2 - (mu + lam) * ddiv_dy
         return np.stack([f1, f2], axis=-1)
 
-    exact = AnalyticField.vector(value, gradient)
+    exact = AnalyticField.vector(value, gradient, jet)
     f = AnalyticField.vector(force)
     g = AnalyticField.constant_vector(0.0, 0.0)
     return exact, f, g
@@ -97,8 +116,8 @@ def manufactured_incompressible(params):
     mu = params.mu
     w = 4.0 * math.pi
 
-    # the velocity fields and the pressure gradient share these four values,
-    # computed once per call
+    # the velocity fields and the pressure share these four values, computed
+    # once per call
     def trig(x, y):
         return np.sin(w * x), np.cos(w * x), np.sin(w * y), np.cos(w * y)
 
@@ -114,17 +133,23 @@ def manufactured_incompressible(params):
         g[..., 1] = -math.pi * w * cx * sy
         return g
 
-    def value(x, y):
-        return velocity(*trig(x, y))
-
-    def gradient(x, y):
-        sx, cx, sy, cy = trig(x, y)
-        g = np.empty(np.shape(x) + (2, 2))
+    def velocity_gradient(sx, cx, sy, cy):
+        g = np.empty(np.shape(sx) + (2, 2))
         g[..., 0, 0] = w * cx * cy
         g[..., 0, 1] = -w * sx * sy
         g[..., 1, 0] = w * sx * sy
         g[..., 1, 1] = -w * cx * cy
         return g
+
+    def value(x, y):
+        return velocity(*trig(x, y))
+
+    def gradient(x, y):
+        return velocity_gradient(*trig(x, y))
+
+    def jet(x, y):
+        t = trig(x, y)
+        return velocity(*t), velocity_gradient(*t)
 
     def p_value(x, y):
         return math.pi * np.cos(w * x) * np.cos(w * y)
@@ -132,13 +157,18 @@ def manufactured_incompressible(params):
     def p_gradient(x, y):
         return pressure_gradient(*trig(x, y))
 
+    def p_jet(x, y):
+        sx, cx, sy, cy = trig(x, y)
+        return (math.pi * cx * cy,
+                pressure_gradient(sx, cx, sy, cy))
+
     def force(x, y):
         # -mu lap u + grad p (u is divergence free)
         t = trig(x, y)
         return 2.0 * mu * w ** 2 * velocity(*t) + pressure_gradient(*t)
 
-    exact_u = AnalyticField.vector(value, gradient)
-    exact_p = AnalyticField.scalar(p_value, p_gradient)
+    exact_u = AnalyticField.vector(value, gradient, jet)
+    exact_p = AnalyticField.scalar(p_value, p_gradient, p_jet)
     f = AnalyticField.vector(force)
     return exact_u, exact_p, f, exact_u
 

@@ -115,43 +115,39 @@ def mesh_quality(mesh):
 def _square_connectivity(n):
     """Vertices, triangles and tagged boundary edges of the n x n split square.
 
-    Each grid cell is split along its bottom-left to top-right diagonal; the
-    lower triangle owns the cell's bottom and right edges, the upper one the
-    top and left edges.
+    Vertex (i, j) of the grid has index j (n + 1) + i, and cell (i, j) is
+    number j n + i.  Each cell is split along its bottom-left to top-right
+    diagonal into triangles 2 c (lower) and 2 c + 1 (upper); the lower
+    triangle owns the cell's bottom and right edges, the upper one the top
+    and left edges.  The boundary runs counterclockwise from (0, 0): bottom,
+    right, top, left.
     """
-    idx = lambda i, j: j * (n + 1) + i
     xs = np.linspace(0.0, 1.0, n + 1)
     xv, yv = np.meshgrid(xs, xs, indexing="xy")
     vertices = np.column_stack([xv.ravel(), yv.ravel()])
 
+    j, i = np.divmod(np.arange(n * n, dtype=np.int64), n)
+    v00 = j * (n + 1) + i
+    v10, v01 = v00 + 1, v00 + n + 1
+    v11 = v01 + 1
     tris = np.empty((2 * n * n, 3), dtype=np.int64)
-    for j in range(n):
-        for i in range(n):
-            c = j * n + i
-            v00, v10 = idx(i, j), idx(i + 1, j)
-            v11, v01 = idx(i + 1, j + 1), idx(i, j + 1)
-            tris[2 * c] = (v00, v10, v11)
-            tris[2 * c + 1] = (v00, v11, v01)
+    tris[0::2] = np.column_stack([v00, v10, v11])
+    tris[1::2] = np.column_stack([v00, v11, v01])
 
-    edges, tags, owners = [], [], []
-    for i in range(n):                       # bottom, left to right
-        edges.append((idx(i, 0), idx(i + 1, 0)))
-        tags.append(0)
-        owners.append(2 * i)
-    for j in range(n):                       # right, upwards
-        edges.append((idx(n, j), idx(n, j + 1)))
-        tags.append(1)
-        owners.append(2 * (j * n + n - 1))
-    for i in range(n - 1, -1, -1):           # top, right to left
-        edges.append((idx(i + 1, n), idx(i, n)))
-        tags.append(2)
-        owners.append(2 * ((n - 1) * n + i) + 1)
-    for j in range(n - 1, -1, -1):           # left, downwards
-        edges.append((idx(0, j + 1), idx(0, j)))
-        tags.append(3)
-        owners.append(2 * (j * n) + 1)
-    return (vertices, tris, np.asarray(edges, dtype=np.int64),
-            np.asarray(tags, dtype=np.int64), np.asarray(owners, dtype=np.int64))
+    k = np.arange(n, dtype=np.int64)
+    down = k[::-1]
+    top = n * (n + 1)
+    # bottom rightward, right upward, top leftward, left downward
+    edges = np.concatenate([
+        np.column_stack([k, k + 1]),
+        np.column_stack([k * (n + 1) + n, (k + 1) * (n + 1) + n]),
+        np.column_stack([top + down + 1, top + down]),
+        np.column_stack([(down + 1) * (n + 1), down * (n + 1)]),
+    ])
+    tags = np.repeat(np.arange(4, dtype=np.int64), n)
+    owners = np.concatenate([2 * k, 2 * (k * n + n - 1),
+                             2 * ((n - 1) * n + down) + 1, 2 * down * n + 1])
+    return vertices, tris, edges, tags, owners
 
 
 def _finish_mesh(vertices, tris, edges, tags, owners, side_tags):

@@ -41,13 +41,19 @@ class ErrorReport:
 
 
 def _discrete_tables(field, tab, cells):
-    """Values (m, nq[, 2]) and gradients (m, nq[, 2], 2): reference values and
-    gradients times the cell coefficients, then one map by Jinv per cell."""
+    """Values (m, nq[, 2]) and gradients (m, nq[, 2], 2) at the cells'
+    points, each one matrix product with the reference tables: the values
+    from the cell coefficients, the gradients from the coefficients folded
+    with Jinv, G[m, c, a, i, p] = coef[m, i, c] Jinv[m, p, a]."""
     coef = field.cell_coefficients(cells)
     vals = np.moveaxis(np.tensordot(coef, tab.N, axes=(1, 1)), -1, 1)
-    ref = np.moveaxis(np.tensordot(coef, tab.dN_ref, axes=(1, 1)), -2, 1)
-    Jinv = tab.Jinv[cells] if coef.ndim == 2 else tab.Jinv[cells][:, None]
-    return vals, ref @ Jinv
+    c = np.swapaxes(coef.reshape(coef.shape[:2] + (-1,)), 1, 2)    # (m, c, i)
+    Jt = np.swapaxes(tab.Jinv[cells], 1, 2)                         # (m, a, p)
+    G = c[:, :, None, :, None] * Jt[:, None, :, None, :]      # (m, c, a, i, p)
+    nq, nsb, _ = tab.dN_ref.shape
+    grads = G.reshape(-1, 2 * nsb) @ tab.dN_ref.reshape(nq, -1).T
+    return vals, np.moveaxis(grads.reshape(coef.shape[:1] + coef.shape[2:]
+                                           + (2, nq)), -1, 1)
 
 
 def _boundary_values(field, bt):
@@ -61,10 +67,9 @@ def _boundary_values(field, bt):
 
 
 def _analytic_tables(field, x):
-    if field.gradient is None:
-        raise ValueError("analytic field lacks a derivative contract")
-    return (field.value(x[..., 0], x[..., 1]),
-            field.gradient(x[..., 0], x[..., 1]))
+    """Values and gradients of an analytic field at points x: the one
+    caller of AnalyticField.jet."""
+    return field.jet(x[..., 0], x[..., 1])
 
 
 def _interior_eval(field, tab, cells, exact=None):

@@ -33,6 +33,16 @@ EIG_TOL = 1e-10
 # lu_solve's refinement repairs the accuracy that a small pivot costs.
 PIVOT_THRESHOLD = 0.01
 
+# lu_solve refines the solution until the relative residual reaches
+# REFINEMENT_TARGET, for at most REFINEMENT_STEPS steps, and stops after a
+# step that cuts the residual by less than REFINEMENT_MIN_GAIN: the target
+# can lie below the roundoff floor of x itself, where further steps gain a
+# few percent each.  On the P2 Cook membrane systems at n=32 the first step
+# gains a factor 3 to 70 and the next three 4-7% together.
+REFINEMENT_TARGET = 1e-13
+REFINEMENT_STEPS = 4
+REFINEMENT_MIN_GAIN = 2.0
+
 
 class SingularSystemError(RuntimeError):
     """Raised when LU factorization hits a zero pivot."""
@@ -109,13 +119,16 @@ def lu_solve(matrix, rhs):
 
     r, res = true_res(x)
     refinements = 0
-    while refinements < 4 and res > 1e-13:
+    while refinements < REFINEMENT_STEPS and res > REFINEMENT_TARGET:
         x_new = x + d * factor.solve(d * r.astype(float))
         r_new, res_new = true_res(x_new)
         if res_new >= res:
             break
+        stalled = res_new * REFINEMENT_MIN_GAIN > res
         x, r, res = x_new, r_new, res_new
         refinements += 1
+        if stalled:
+            break
     return x, SolveReport(residual_norm=float(res),
                           elapsed=time.perf_counter() - t0,
                           fill=int(factor.nnz), factor_s=factor_s,

@@ -233,20 +233,38 @@ class InteriorTables:
         self.rule = rule
         self.N = N            # (nq, nsb)
         self.dN_ref = dN      # (nq, nsb, 2)
+        # dN_ref[q, i, p] at row q * 2 + p: the right factor of
+        # gradient_moments' one matrix product
+        self._dN_qp = np.swapaxes(dN, 1, 2).reshape(-1, dN.shape[1])
+        self._affine_ref = np.vstack([np.ones(rule.num_points),
+                                      rule.points.T])        # (3, nq)
         self.J, self.Jinv, detJ = space.geometry()
         self.wdet = np.abs(detJ)[:, None] * rule.weights[None, :]  # (nt, nq)
 
     def physical_points(self, cells=slice(None)):
+        """(m, nq, 2) points p0 + J xi: the rows [p0_a, J_a0, J_a1] of the
+        cells times the columns [1, xi_0, xi_1] of the rule, one product."""
         p0 = self.mesh.vertices[self.mesh.triangles[cells, 0]]
-        return p0[:, None, :] + self.rule.points @ np.swapaxes(
-            self.J[cells], 1, 2)
+        rows = np.concatenate([p0[:, :, None], self.J[cells]], axis=2)
+        x = rows.reshape(-1, 3) @ self._affine_ref
+        return np.swapaxes(x.reshape(len(p0), 2, -1), 1, 2)
 
     def gradient_moments(self, cells, flux):
         """Per-cell integrals of flux[..., a] d_a phi_i, shape (m, nsb, ...),
-        for a flux of shape (m, nq, ..., 2) at the cells' points."""
-        ref = np.einsum("cq,cq...a,cpa->cq...p", self.wdet[cells], flux,
-                        self.Jinv[cells])
-        return np.einsum("cq...p,qip->ci...", ref, self.dN_ref)
+        for a flux of shape (m, nq, ..., 2) at the cells' points.
+
+        The weighted flux is mapped to reference derivatives,
+        ref[..., q, p] = sum_a Jinv[p, a] wdet[q] flux[q, ..., a], and then
+        contracted over (q, p) with dN_ref in one matrix product."""
+        m, nq = flux.shape[:2]
+        # (m, e, nq, 2) with the trailing dimensions of the flux as e
+        f = (np.moveaxis(flux.reshape(m, nq, -1, 2), 2, 1)
+             * self.wdet[cells][:, None, :, None])
+        J = self.Jinv[cells][:, None, None]              # (m, 1, 1, 2, 2)
+        ref = f[..., :1] * J[..., :, 0] + f[..., 1:] * J[..., :, 1]
+        out = ref.reshape(-1, 2 * nq) @ self._dN_qp      # (m e, nsb)
+        return np.moveaxis(out.reshape(flux.shape[:1] + flux.shape[2:-1]
+                                       + (-1,)), -1, 1)
 
 
 class BoundaryTables:
@@ -302,20 +320,31 @@ class AnalyticField:
     vector fields return shape x.shape + (2,).  gradient(x, y), if given,
     returns x.shape + (2,) for scalars and x.shape + (2, 2) for vectors with
     entry [i, j] = d u_i / d x_j.
+
+    jet(x, y) returns (value(x, y), gradient(x, y)) in one call.  A field
+    may be built with its own jet function, which must return those two
+    arrays (to roundoff) while sharing the work between them, such as
+    common powers or sines; without one, jet makes the two calls.
     """
 
-    def __init__(self, value, gradient=None, components=1):
+    def __init__(self, value, gradient=None, components=1, jet=None):
         self.value = value
         self.gradient = gradient
         self.components = components
+        self.jet = self._two_calls if jet is None else jet
 
     @classmethod
-    def scalar(cls, value, gradient=None):
-        return cls(value, gradient, components=1)
+    def scalar(cls, value, gradient=None, jet=None):
+        return cls(value, gradient, components=1, jet=jet)
 
     @classmethod
-    def vector(cls, value, gradient=None):
-        return cls(value, gradient, components=2)
+    def vector(cls, value, gradient=None, jet=None):
+        return cls(value, gradient, components=2, jet=jet)
+
+    def _two_calls(self, x, y):
+        if self.gradient is None:
+            raise ValueError("analytic field lacks a derivative contract")
+        return self.value(x, y), self.gradient(x, y)
 
     @classmethod
     def constant_vector(cls, vx, vy):

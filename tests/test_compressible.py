@@ -339,3 +339,32 @@ def test_stiffness_blocks_match_searched_contraction(order):
                         Jinv[cells], optimize=True)
         _, D = _stiffness_parts(space, cells)
         assert D.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_degree_10_loads_match_collapsed_rule(monkeypatch, order):
+    # data of degree 10 - k makes the load integrands polynomials of degree
+    # <= 10, which the symmetric and the collapsed rule both integrate exactly
+    import elastweak.spaces as spaces
+    from elastweak.incompressible import _stab_h, _stabilized_load
+    from elastweak.quadrature import _collapsed_rule
+
+    mesh = build_cook_mesh(3)
+    V, Q = FESpace(mesh, order, 2), FESpace(mesh, order, 1)
+    d = 10 - order
+    f = AnalyticField.vector(lambda x, y: np.stack(
+        [(x / 48) ** d - 2 * (y / 60) ** (d - 1) * (x / 48),
+         (x / 48 + y / 60) ** d], axis=-1))
+    params = MaterialParams(1.0, 2.0, gamma=0.1)
+    hK = _stab_h(mesh, "element")
+
+    def loads():
+        return (assemble_load(V, f, 10),
+                _stabilized_load(Q, params, f, hK, 10))
+
+    symmetric = loads()
+    assert V.interior_tables(10).rule.num_points == 25
+    monkeypatch.setattr(spaces, "triangle_rule", _collapsed_rule)
+    assert V.interior_tables(10).rule.num_points == 36
+    for got, want in zip(symmetric, loads()):
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()

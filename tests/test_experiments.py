@@ -15,6 +15,7 @@ from elastweak.experiments import (COOK_CORNER_D_ANGLE, CSV_HEADER,
                                    run_convergence, run_cook,
                                    run_stability_diagnostics)
 from elastweak.norms import ErrorReport
+from elastweak.spaces import AnalyticField
 
 
 def test_compressible_solution_vanishes_on_boundary():
@@ -381,3 +382,29 @@ def test_run_cook_strong_nearly_incompressible():
     assert all(q > 0 for q in qw + qs)
     # same physics: both approximations land in the same range
     assert abs(qw[-1] - qs[-1]) / abs(qs[-1]) < 0.25
+
+
+def _jet_fields():
+    plain = AnalyticField.vector(
+        lambda x, y: np.stack([x * y * y, np.sin(x) - y], axis=-1),
+        lambda x, y: np.stack([np.stack([y * y, 2 * x * y], axis=-1),
+                               np.stack([np.cos(x), -np.ones_like(x)],
+                                        axis=-1)], axis=-2))
+    return {**_fields_with_gradients(),
+            "constant": AnalyticField.constant_vector(0.5, -2.0),
+            "without a fused jet": plain}
+
+
+@pytest.mark.parametrize("name", ["compressible u", "incompressible u",
+                                  "incompressible p", "constant",
+                                  "without a fused jet"])
+def test_jet_is_value_and_gradient(name):
+    field = _jet_fields()[name]
+    pts = np.random.default_rng(3).uniform(0, 1, size=(5, 7, 2))
+    x, y = pts[..., 0], pts[..., 1]
+    value, gradient = field.jet(x, y)
+    for got, want in ((value, field.value(x, y)),
+                      (gradient, field.gradient(x, y))):
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-15 * max(np.abs(want).max(),
+                                                        1.0)

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from elastweak.mesh import (build_cook_mesh, build_unit_square_mesh, dump_mesh,
-                            load_mesh, mesh_quality)
+from elastweak.mesh import (COOK_SIDES, SQUARE_SIDES, _finish_mesh,
+                            build_cook_mesh, build_unit_square_mesh, cook_map,
+                            dump_mesh, load_mesh, mesh_quality)
 
 
 def test_minimal_square_split():
@@ -209,3 +210,61 @@ def test_load_rejects_clockwise_triangle(tmp_path):
     lines[row] = f"{a} {c} {b}"
     with pytest.raises(ValueError, match="triangle 1 is not counterclockwise"):
         load_mesh(_write(path, lines))
+
+
+def _loop_square_connectivity(n):
+    """Reference: the split square built cell by cell and edge by edge."""
+    idx = lambda i, j: j * (n + 1) + i
+    xs = np.linspace(0.0, 1.0, n + 1)
+    xv, yv = np.meshgrid(xs, xs, indexing="xy")
+    vertices = np.column_stack([xv.ravel(), yv.ravel()])
+
+    tris = np.empty((2 * n * n, 3), dtype=np.int64)
+    for j in range(n):
+        for i in range(n):
+            c = j * n + i
+            v00, v10 = idx(i, j), idx(i + 1, j)
+            v11, v01 = idx(i + 1, j + 1), idx(i, j + 1)
+            tris[2 * c] = (v00, v10, v11)
+            tris[2 * c + 1] = (v00, v11, v01)
+
+    edges, tags, owners = [], [], []
+    for i in range(n):                       # bottom, left to right
+        edges.append((idx(i, 0), idx(i + 1, 0)))
+        tags.append(0)
+        owners.append(2 * i)
+    for j in range(n):                       # right, upwards
+        edges.append((idx(n, j), idx(n, j + 1)))
+        tags.append(1)
+        owners.append(2 * (j * n + n - 1))
+    for i in range(n - 1, -1, -1):           # top, right to left
+        edges.append((idx(i + 1, n), idx(i, n)))
+        tags.append(2)
+        owners.append(2 * ((n - 1) * n + i) + 1)
+    for j in range(n - 1, -1, -1):           # left, downwards
+        edges.append((idx(0, j + 1), idx(0, j)))
+        tags.append(3)
+        owners.append(2 * (j * n) + 1)
+    return (vertices, tris, np.asarray(edges, dtype=np.int64),
+            np.asarray(tags, dtype=np.int64), np.asarray(owners, dtype=np.int64))
+
+
+def _loop_cook_mesh(n):
+    vertices, tris, edges, tags, owners = _loop_square_connectivity(n)
+    mapped = cook_map(vertices[:, 0], vertices[:, 1])
+    return _finish_mesh(mapped, tris, edges, tags, owners, COOK_SIDES)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 17])
+@pytest.mark.parametrize("builder,reference", [
+    (build_unit_square_mesh,
+     lambda n: _finish_mesh(*_loop_square_connectivity(n), SQUARE_SIDES)),
+    (build_cook_mesh, _loop_cook_mesh)])
+def test_builders_match_cell_by_cell_reference(builder, reference, n):
+    mesh, want = builder(n), reference(n)
+    for name in ("vertices", "triangles", "edge_vertices", "edge_tag",
+                 "edge_normal", "edge_tangent", "edge_owner"):
+        got, ref = getattr(mesh, name), getattr(want, name)
+        assert got.dtype == ref.dtype and got.shape == ref.shape, name
+        assert got.tobytes() == ref.tobytes(), name
+    assert mesh.side_tags == want.side_tags

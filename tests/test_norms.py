@@ -8,7 +8,8 @@ from elastweak.compressible import (MaterialParams, _weak_operator,
                                     assemble_elasticity_stiffness,
                                     assemble_strong_system)
 from elastweak.mesh import build_cook_mesh, build_unit_square_mesh
-from elastweak.norms import (compressible_infsup, discrete_infsup_constant,
+from elastweak.norms import (_discrete_tables, compressible_infsup,
+                             discrete_infsup_constant,
                              discrete_korn_constant,
                              error_norms, galerkin_orthogonality_residual,
                              incompressible_infsup,
@@ -437,6 +438,7 @@ def test_quadrature_point_layers_do_not_depend_on_the_block(monkeypatch,
     from elastweak.compressible import assemble_load
     from elastweak.experiments import (manufactured_compressible,
                                        manufactured_incompressible)
+    from elastweak.incompressible import _stab_h, _stabilized_load
     from elastweak.spaces import cell_chunks
 
     mesh = build_unit_square_mesh(23)      # 1058 cells: no multiple of a block
@@ -456,7 +458,9 @@ def test_quadrature_point_layers_do_not_depend_on_the_block(monkeypatch,
                  compressible.triple_norm_error, mixed.l2_error,
                  mixed.h1_semi_error, mixed.triple_norm_error,
                  mixed.pressure_l2_error],
-                assemble_load(V, f), assemble_load(V, f_mixed))
+                assemble_load(V, f), assemble_load(V, f_mixed),
+                _stabilized_load(Q, params, f_mixed, _stab_h(mesh, "element"),
+                                 10))
 
     blocked = measured()
     _one_block(monkeypatch)
@@ -464,3 +468,24 @@ def test_quadrature_point_layers_do_not_depend_on_the_block(monkeypatch,
     np.testing.assert_allclose(blocked[0], whole[0], rtol=1e-13, atol=0.0)
     for a, b in zip(blocked[1:], whole[1:]):
         assert np.abs(a - b).max() <= 1e-13 * np.abs(b).max()
+
+
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("components", [1, 2])
+def test_discrete_tables_match_per_point_reference(order, components):
+    # the Cook mesh's Jinv is not symmetric, so a transposed map shows
+    space = FESpace(build_cook_mesh(2), order, components)
+    tab = space.interior_tables(10)
+    field = DiscreteField(space, np.random.default_rng(order).standard_normal(
+        space.dof_count))
+    cells = range(1, space.mesh.num_triangles)
+    vals, grads = _discrete_tables(field, tab, slice(1, None))
+    coef = field.cell_coefficients(slice(1, None))
+    want_v, want_g = np.zeros_like(vals), np.zeros_like(grads)
+    for k, c in enumerate(cells):
+        for q in range(tab.rule.num_points):
+            grad_phi = tab.dN_ref[q] @ tab.Jinv[c]       # (nsb, a)
+            want_v[k, q] = np.tensordot(tab.N[q], coef[k], axes=(0, 0))
+            want_g[k, q] = np.tensordot(coef[k], grad_phi, axes=(0, 0))
+    for got, want in ((vals, want_v), (grads, want_g)):
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()

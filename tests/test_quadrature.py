@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -44,6 +45,36 @@ def test_triangle_points_inside_weights_positive():
         x, y = rule.points[:, 0], rule.points[:, 1]
         assert np.all(rule.weights > 0)
         assert np.all(x > 0) and np.all(y > 0) and np.all(x + y < 1)
+
+
+def test_degree_10_rule_is_symmetric_interior_and_exact():
+    rule = triangle_rule(10)
+    assert rule.num_points == 25 and rule.exact_degree == 10
+    x, y = rule.points[:, 0], rule.points[:, 1]
+    for a in range(11):
+        for b in range(11 - a):
+            exact = tri_monomial_integral(a, b)
+            q = float(np.sum(rule.weights * x ** a * y ** b))
+            assert abs(q - exact) <= 1e-15 * exact, (a, b)
+    assert np.all(rule.weights > 0)
+    assert np.all(x > 0) and np.all(y > 0) and np.all(1 - x - y > 0)
+    # a vertex permutation permutes the barycentric coordinates
+    # (1 - x - y, x, y); it must map each weighted point onto its own one
+    bary = np.column_stack([1 - x - y, x, y])
+    reference = np.column_stack([x, y, rule.weights])
+    for perm in itertools.permutations(range(3)):
+        moved = np.column_stack([bary[:, perm[1]], bary[:, perm[2]],
+                                 rule.weights])
+        gap = np.abs(moved[:, None, :] - reference[None, :, :]).max(axis=2)
+        image = gap.argmin(axis=1)
+        assert sorted(image) == list(range(rule.num_points)), perm
+        assert gap.min(axis=1).max() <= 1e-15, perm
+
+
+def test_rules_other_than_degree_10_stay_collapsed():
+    # ceil((d+1)/2) * ceil((d+2)/2) points, 81 at the error degree 16
+    for degree, points in ((2, 4), (9, 30), (11, 42), (16, 81)):
+        assert triangle_rule(degree).num_points == points
 
 
 @pytest.mark.parametrize("degree", [2, 4, 10, 16])

@@ -8,7 +8,9 @@ from elastweak.compressible import MaterialParams, assemble_weak_system
 from elastweak.experiments import manufactured_compressible
 from elastweak.incompressible import assemble_incompressible_system
 from elastweak.mesh import build_cook_mesh, build_unit_square_mesh
-from elastweak.solvers import (SingularSystemError, _equilibrate, lu_solve,
+from elastweak import solvers
+from elastweak.solvers import (REFINEMENT_MIN_GAIN, REFINEMENT_STEPS,
+                               SingularSystemError, _equilibrate, lu_solve,
                                smallest_generalized_singular_value)
 from elastweak.spaces import AnalyticField, FESpace
 
@@ -133,6 +135,38 @@ def test_report_counts_refinement_steps():
     assert report.refinements >= 1
     assert report.residual_norm <= 1e-13
     assert 0.0 <= report.factor_s <= report.elapsed
+
+
+class _ScaledFactor:
+    """A factor whose solves return theta times the exact ones, so that each
+    refinement step multiplies the error, and the residual, by 1 - theta."""
+
+    def __init__(self, factor, theta):
+        self.factor, self.theta, self.nnz = factor, theta, factor.nnz
+
+    def solve(self, v):
+        return self.theta * self.factor.solve(v)
+
+
+@pytest.mark.parametrize("theta,steps", [
+    (0.3, 1),                   # gain 1/0.7 < 2: stop after the first step
+    (0.6, REFINEMENT_STEPS),    # gain 2.5: refine up to the cap
+])
+def test_refinement_stops_once_a_step_gains_too_little(monkeypatch, theta,
+                                                        steps):
+    exact_factor = solvers._factor
+    monkeypatch.setattr(solvers, "_factor", lambda A, **kw: _ScaledFactor(
+        exact_factor(A, **kw), theta))
+    A = sp.diags([2.0, 3.0, 4.0, 5.0]).tocsr()
+    b = np.ones(4)
+    x, report = lu_solve(A, b)
+    assert 1.0 / (1.0 - 0.3) < REFINEMENT_MIN_GAIN < 1.0 / (1.0 - 0.6)
+    assert report.refinements == steps
+    # the unrefined residual is 1 - theta; each applied step multiplies it
+    # by 1 - theta
+    want = (1.0 - theta) ** (steps + 1)
+    assert report.residual_norm == pytest.approx(want, rel=1e-12)
+    assert np.abs(A @ x - b).max() == pytest.approx(want, rel=1e-12)
 
 
 def _saddle_point(n=60, m=20):

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from elastweak.mesh import build_cook_mesh, build_unit_square_mesh
-from elastweak.spaces import (AnalyticField, basis_hessians, basis_values,
-                              build_space, cell_chunks, integrate_field,
-                              interpolate)
+from elastweak.spaces import (AnalyticField, FESpace, basis_hessians,
+                              basis_values, build_space, cell_chunks,
+                              integrate_field, interpolate)
 
 
 def test_dof_counts_minimal_mesh():
@@ -246,3 +246,31 @@ def test_cell_chunks_cover_every_cell_once_in_order(n):
     np.testing.assert_array_equal(covered, np.arange(mesh.num_triangles))
     assert all(0 < c.stop - c.start <= block for c in chunks)
     assert len(chunks) == -(-mesh.num_triangles // block)
+
+
+def _naive_gradient_moments(tab, cells, flux):
+    """Sum over points of wdet flux[..., a] d_a phi_i, cell by cell, with
+    d_a phi_i from dN_ref[q] and the cell's Jinv."""
+    out = np.zeros((len(cells), tab.N.shape[1]) + flux.shape[2:-1])
+    for k, c in enumerate(cells):
+        for q in range(tab.rule.num_points):
+            grad = tab.dN_ref[q] @ tab.Jinv[c]           # (nsb, a)
+            out[k] += tab.wdet[c, q] * np.tensordot(grad, flux[k, q],
+                                                    axes=([1], [-1]))
+    return out
+
+
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("extra", [(), (2,)])
+def test_gradient_moments_match_per_point_reference(order, extra):
+    # the Cook mesh's Jinv is not symmetric, so a transposed map shows
+    space = FESpace(build_cook_mesh(2), order, 1)
+    tab = space.interior_tables(10)
+    cells = range(1, space.mesh.num_triangles)
+    flux = np.random.default_rng(order).standard_normal(
+        (len(cells), tab.rule.num_points) + extra + (2,))
+    got = tab.gradient_moments(slice(1, None), flux)
+    want = _naive_gradient_moments(tab, cells, flux)
+    assert got.shape == want.shape == ((len(cells), space.scalar_basis_size)
+                                       + extra)
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
