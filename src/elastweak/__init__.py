@@ -21,7 +21,6 @@ from .norms import (ErrorReport, discrete_infsup_constant,
 from .quadrature import QuadratureRule, edge_rule, triangle_rule
 from .solvers import (SingularSystemError, SolveReport, lu_solve,
                       smallest_generalized_singular_value)
-from .spaces import (AnalyticField, DiscreteField, FESpace, build_space,
-                     integrate_field, interpolate)
+from .spaces import AnalyticField, DiscreteField, FESpace, interpolate
 
 __version__ = "0.1.0"

@@ -1,9 +1,10 @@
 """Command-line entry points: mesh generation, experiment sweeps, stability
 diagnostics and convergence plots.
 
-Exit codes: 0 success, 2 solver failure, invalid configuration or a sweep
-column that a log-log plot cannot show (the CSV is written first), 3
-threshold violation with --check.
+Exit codes: 0 success, 2 solver failure, invalid configuration, --check
+with fewer meshes than the check needs, or a sweep column that a log-log
+plot cannot show (the CSV is written first), 3 threshold violation with
+--check.
 """
 
 import argparse
@@ -11,9 +12,10 @@ import csv
 import os
 import sys
 
-from .experiments import (COOK_FORMULATIONS, RUN_KEYS, ExperimentConfig,
-                          ExperimentError, check_convergence, run_convergence,
-                          run_cook, run_stability_diagnostics, write_csv)
+from .experiments import (PROBLEMS, RUN_KEYS, ExperimentConfig,
+                          ExperimentError, check_convergence,
+                          require_check_meshes, run_convergence, run_cook,
+                          run_stability_diagnostics, write_csv)
 from .mesh import build_cook_mesh, build_unit_square_mesh, dump_mesh
 from .plotting import PlotSpec, Series, emit_plot, table_series
 from .solvers import SingularSystemError
@@ -21,12 +23,9 @@ from .solvers import SingularSystemError
 
 def _add_run_overrides(parser):
     parser.add_argument("--config", help="key=value config file with a [run] section")
-    parser.add_argument("--problem",
-                        choices=["compressible", "incompressible",
-                                 "nearly_incompressible", "cook"],
-                        help="unit-square manufactured solution, or the Cook "
-                             "membrane: cook (compressible) or "
-                             "nearly_incompressible")
+    parser.add_argument("--problem", choices=list(PROBLEMS),
+                        help="an entry of experiments.PROBLEMS: its mesh, "
+                             "Dirichlet sides, formulation, data and check")
     parser.add_argument("--k", type=int, dest="k")
     parser.add_argument("--mesh-sizes", dest="mesh_sizes",
                         help="space or comma separated subdivision counts")
@@ -61,30 +60,25 @@ def cmd_mesh(args):
 
 def cmd_run(args):
     config = _run_config(args)
+    problem = PROBLEMS[config.problem]
+    if args.check:
+        require_check_meshes(config, len(config.mesh_sizes))
     os.makedirs(config.out_dir, exist_ok=True)
-    if config.problem in COOK_FORMULATIONS:
-        table = run_cook(config)
-        stem = (f"cook_k{config.order}_{config.bc_mode}_"
-                f"{COOK_FORMULATIONS[config.problem]}")
-        columns = ["qoi"]
-    else:
-        table = run_convergence(config)
-        stem = f"{config.problem}_k{config.order}_{config.bc_mode}"
-        columns = ["err_l2", "err_h1", "err_triple"]
-        if config.problem == "incompressible":
-            columns.append("err_p_l2")
+    table = (run_cook(config) if problem.rows == "tip"
+             else run_convergence(config))
+    stem = problem.stem.format(k=config.order, bc_mode=config.bc_mode)
     csv_path = os.path.join(config.out_dir, stem + ".csv")
     write_csv(table.to_csv(), csv_path)
     svg_path = os.path.join(config.out_dir, stem + ".svg")
-    ref = (1.0, 2.0) if config.order == 1 else (2.0, 3.0)
-    series = [table_series(table, c) for c in columns]
+    series = [table_series(table, c) for c in problem.columns]
     try:
-        emit_plot(series, PlotSpec(title=stem,
-                                   ref_slopes=ref if columns != ["qoi"] else ()),
-                  svg_path)
+        emit_plot(series, PlotSpec(
+            title=stem, ref_slopes=problem.ref_slopes.get(config.order, ())),
+            svg_path)
     except ValueError as exc:
         # a diverged sweep (say a negative Cook tip) has no log-log plot
-        bad = [s.label for s in series if any(v <= 0 for v in s.y)] or columns
+        bad = ([s.label for s in series if any(v <= 0 for v in s.y)]
+               or problem.columns)
         raise ExperimentError(
             f"cannot plot column {', '.join(bad)} of {csv_path}: {exc}") from exc
     print(f"wrote {csv_path} and {svg_path}")

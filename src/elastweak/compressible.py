@@ -213,6 +213,14 @@ def assemble_neumann_load(space, side_tag, traction, degree=None):
     return _scatter_vector(bt.cell_dofs, loc, space.dof_count)
 
 
+def _add_neumann_loads(rhs, space, neumann):
+    """Add the Neumann load of each {side tag: traction} item to rhs, whose
+    leading entries are the DOFs of the vector space."""
+    for side_tag, traction in (neumann or {}).items():
+        rhs[:space.dof_count] += assemble_neumann_load(space, side_tag,
+                                                       traction)
+
+
 def _weak_operator(space, params, side_tags):
     """Volume stiffness minus the flux pairing on side_tags plus its
     transpose: the penalty-free weak-Dirichlet operator."""
@@ -224,19 +232,21 @@ def _weak_operator(space, params, side_tags):
 
 
 def assemble_weak_system(mesh, space, params, f, g, dirichlet_sides=None,
-                         rhs_degree=10, flux_degree=None):
+                         rhs_degree=10, flux_degree=None, neumann=None):
     """Full system with weakly imposed Dirichlet data.
 
     The matrix is the volume stiffness minus the flux pairing plus its
     transpose; no DOFs are eliminated and no penalty term appears.
     dirichlet_sides=None selects every side, () none.  rhs_degree and
     flux_degree set the quadrature of the load and flux-load data terms.
+    neumann maps side tags to tractions, whose loads are added last.
     """
     _require_vector(space)
     sides = _dirichlet_sides(mesh, dirichlet_sides)
     A = _weak_operator(space, params, sides)
     rhs = assemble_load(space, f, rhs_degree)
     rhs += assemble_flux_load(space, params, g, sides, flux_degree)
+    _add_neumann_loads(rhs, space, neumann)
     return AssembledSystem(matrix=A, rhs=rhs, dof_count=space.dof_count)
 
 
@@ -271,12 +281,17 @@ def eliminate_dofs(matrix, rhs, dofs, values):
 
 
 def assemble_strong_system(mesh, space, params, f, g, dirichlet_sides=None,
-                           rhs_degree=10):
-    """Volume system with Dirichlet DOFs eliminated by nodal interpolation."""
+                           rhs_degree=10, neumann=None):
+    """Volume system with Dirichlet DOFs eliminated by nodal interpolation.
+
+    neumann maps side tags to tractions; their loads enter before the
+    elimination, which sets the Dirichlet rows to the nodal data.
+    """
     _require_vector(space)
     sides = _dirichlet_sides(mesh, dirichlet_sides)
     K = assemble_elasticity_stiffness(space, params)
     rhs = assemble_load(space, f, rhs_degree)
+    _add_neumann_loads(rhs, space, neumann)
     dofs, vals = dirichlet_dofs_and_values(space, g, sides)
     A, rhs = eliminate_dofs(K, rhs, dofs, vals)
     return AssembledSystem(matrix=A, rhs=rhs, dof_count=space.dof_count)

@@ -1,17 +1,18 @@
-"""Experiment drivers: manufactured solutions, convergence sweeps, the Cook
-membrane bending benchmark and stability diagnostics, with CSV output.
+"""Experiment drivers: manufactured solutions, the PROBLEMS table of the
+paper's four settings, convergence sweeps, the Cook membrane bending
+benchmark and stability diagnostics, with CSV output.
 """
 
 import configparser
 import csv
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .compressible import (MaterialParams, assemble_strong_system,
-                           assemble_neumann_load, assemble_weak_system)
+                           assemble_weak_system)
 from .incompressible import assemble_incompressible_system
 from .mesh import (_COOK_A, _COOK_C, _COOK_D, build_cook_mesh,
                    build_unit_square_mesh, mesh_quality)
@@ -173,20 +174,131 @@ def manufactured_incompressible(params):
     return exact_u, exact_p, f, exact_u
 
 
+# -- problems --------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class ProblemData:
+    """Body force, Dirichlet data, Neumann tractions by side tag and, for a
+    manufactured solution, the exact velocity and pressure."""
+
+    f: AnalyticField
+    g: AnalyticField
+    neumann: dict = None
+    exact_u: AnalyticField = None
+    exact_p: AnalyticField = None
+
+
+def _compressible_data(params):
+    exact, f, g = manufactured_compressible(params)
+    return ProblemData(f, g, exact_u=exact)
+
+
+def _incompressible_data(params):
+    exact_u, exact_p, f, g = manufactured_incompressible(params)
+    return ProblemData(f, g, exact_u=exact_u, exact_p=exact_p)
+
+
+def _cook_data(params):
+    zero = AnalyticField.constant_vector(0.0, 0.0)
+    return ProblemData(zero, zero, neumann={
+        "AB": AnalyticField.constant_vector(0.0, 100.0)})
+
+
+# order -> band of the last refinement step's slope
+H1_SLOPE_BANDS = {1: (0.85, 1.15), 2: (1.8, 2.2)}
+L2_SLOPE_BANDS = {1: (1.8, 2.2), 2: (2.7, 3.3)}
+
+
+def _check_slopes(table, config):
+    """The last step's H1 slope in its band for the order, and the L2 slope
+    in its band, or on a mixed problem the pressure L2 slope at least 1.3."""
+    last, k = table.rows[-1], config.order
+    if PROBLEMS[config.problem].formulation == "compressible":
+        slopes = [("H1", last.slope_h1, H1_SLOPE_BANDS[k]),
+                  ("L2", last.slope_l2, L2_SLOPE_BANDS[k])]
+    else:
+        slopes = [("velocity H1", last.slope_h1, H1_SLOPE_BANDS[k]),
+                  ("pressure L2", table.pressure_slope_last(),
+                   (1.3, math.inf))]
+    return [f"{name} slope {slope:.3f} outside [{lo}, {hi}]"
+            for name, slope, (lo, hi) in slopes if not lo <= slope <= hi]
+
+
+def _check_tip(table, config):
+    """The last tip increment at most 2^-alpha_D times the one before it,
+    with nu from config.poisson or from the Lame parameters."""
+    nu = config.poisson
+    if nu is None:
+        nu = config.lam / (2.0 * (config.lam + config.mu))
+    bound = cook_tip_ratio_bound(nu)
+    q = [r.qoi for r in table.rows]
+    inc = [abs(b - a) for a, b in zip(q, q[1:])]
+    if inc[-1] <= bound * inc[-2]:
+        return []
+    return ["tip displacement sequence is not settling: last increment "
+            f"{inc[-1]:.3g} exceeds 2^-alpha_D = {bound:.3f} times the "
+            f"previous {inc[-2]:.3g}"]
+
+
+@dataclass(frozen=True)
+class Problem:
+    """One experiment setting of the paper; see PROBLEMS."""
+
+    mesh: object            # n -> Mesh
+    dirichlet_sides: tuple  # side tags with Dirichlet data; None: every side
+    formulation: str        # compressible, mixed or nearly_incompressible
+    data: object            # MaterialParams -> ProblemData
+    rows: str               # "errors" (run_convergence) or "tip" (run_cook)
+    csv_name: str           # the CSV problem cell
+    stem: str               # output file stem, formatted with k and bc_mode
+    columns: tuple          # plotted against h_max
+    ref_slopes: dict        # order -> slopes of the plot's reference lines
+    check: object           # (table, config) -> violations, for --check
+    check_meshes: int       # the fewest meshes check can judge
+    diagnose: bool          # whether `diagnose` computes beta_h and korn_h
+
+
+# The four settings of the paper: the unit square with a manufactured
+# solution, compressible or stabilized mixed (div u = 0), and the Cook
+# membrane clamped on CD and loaded on AB, compressible or mixed with
+# div u = -p/lambda.  Each second entry is the first one of its geometry
+# with the fields that differ replaced.  The mesh builders are called
+# through this module's names, not held as objects, so that a wrapper
+# installed on those names sees every call.
+_SQUARE = Problem(
+    mesh=lambda n: build_unit_square_mesh(n), dirichlet_sides=None,
+    formulation="compressible", data=_compressible_data, rows="errors",
+    csv_name="compressible", stem="compressible_k{k}_{bc_mode}",
+    columns=("err_l2", "err_h1", "err_triple"),
+    ref_slopes={1: (1.0, 2.0), 2: (2.0, 3.0)}, check=_check_slopes,
+    check_meshes=2, diagnose=True)
+_COOK = Problem(
+    mesh=lambda n: build_cook_mesh(n), dirichlet_sides=("CD",),
+    formulation="compressible", data=_cook_data, rows="tip",
+    csv_name="cook", stem="cook_k{k}_{bc_mode}_compressible",
+    columns=("qoi",), ref_slopes={}, check=_check_tip, check_meshes=3,
+    diagnose=False)
+PROBLEMS = {
+    "compressible": _SQUARE,
+    "incompressible": replace(
+        _SQUARE, formulation="mixed", data=_incompressible_data,
+        csv_name="incompressible", stem="incompressible_k{k}_{bc_mode}",
+        columns=_SQUARE.columns + ("err_p_l2",)),
+    "cook": _COOK,
+    "nearly_incompressible": replace(
+        _COOK, formulation="nearly_incompressible",
+        stem="cook_k{k}_{bc_mode}_nearly_incompressible"),
+}
+
+
 # -- configuration ---------------------------------------------------------------
 
 
-# The Cook membrane problems and the formulation each one solves: "cook" is
-# compressible elasticity, "nearly_incompressible" the stabilized mixed form
-# with div u = -p/lambda.
-COOK_FORMULATIONS = {"cook": "compressible",
-                     "nearly_incompressible": "nearly_incompressible"}
-
 _CHOICES = {
-    "problem": ("compressible", "incompressible", *COOK_FORMULATIONS),
+    "problem": tuple(PROBLEMS),
     "order": (1, 2),
     "bc_mode": ("weak", "strong"),
-    "stab_h": ("element", "global"),
 }
 
 
@@ -201,8 +313,6 @@ class ExperimentConfig:
     young: float = None
     poisson: float = None
     bc_mode: str = "weak"
-    stab_h: str = "element"
-    rhs_degree: int = 10
     out_dir: str = "."
 
     def __post_init__(self):
@@ -224,7 +334,7 @@ class ExperimentConfig:
             raise ValueError(f"mesh_sizes must be positive and strictly "
                              f"increasing, got {self.mesh_sizes}")
         gamma = self.params.gamma   # MaterialParams rejects bad mu, lam, gamma
-        if (self.problem in ("incompressible", "nearly_incompressible")
+        if (PROBLEMS[self.problem].formulation != "compressible"
                 and not (gamma is not None and gamma > 0.0)):
             raise ValueError(f"stabilization parameter gamma must be "
                              f"positive, got {gamma!r}")
@@ -278,8 +388,7 @@ RUN_KEYS = {
     "mesh_sizes": ("mesh_sizes", _mesh_sizes), "mu": ("mu", float),
     "lambda": ("lam", float), "lam": ("lam", float), "gamma": ("gamma", float),
     "young": ("young", float), "poisson": ("poisson", float),
-    "bc_mode": ("bc_mode", str), "stab_h": ("stab_h", str),
-    "rhs_degree": ("rhs_degree", int), "out_dir": ("out_dir", str),
+    "bc_mode": ("bc_mode", str), "out_dir": ("out_dir", str),
 }
 
 
@@ -320,9 +429,6 @@ class ConvergenceTable:
                                     / cur.report.l2_error) / ratio
             cur.slope_h1 = math.log(prev.report.h1_semi_error
                                     / cur.report.h1_semi_error) / ratio
-
-    def last_slopes(self):
-        return self.rows[-1].slope_l2, self.rows[-1].slope_h1
 
     def pressure_slope_last(self):
         a, b = self.rows[-2], self.rows[-1]
@@ -406,28 +512,24 @@ def _pinned_mean_solve(mixed, rhs, context):
 
 
 def solve_compressible(mesh, order, params, f, g, bc_mode="weak",
-                       dirichlet_sides=None, rhs_degree=10):
+                       dirichlet_sides=None, neumann=None):
     space = FESpace(mesh, order, 2)
-    if bc_mode == "weak":
-        system = assemble_weak_system(mesh, space, params, f, g,
-                                      dirichlet_sides, rhs_degree)
-    else:
-        system = assemble_strong_system(mesh, space, params, f, g,
-                                        dirichlet_sides, rhs_degree)
+    assemble = (assemble_weak_system if bc_mode == "weak"
+                else assemble_strong_system)
+    system = assemble(mesh, space, params, f, g, dirichlet_sides,
+                      neumann=neumann)
     x = _checked_solve(system.matrix, system.rhs,
                        f"{bc_mode} compressible solve")
     return DiscreteField(space, x), system
 
 
 def solve_incompressible(mesh, order, params, f, g, nearly_lambda=None,
-                         bc_mode="weak", dirichlet_sides=None, rhs_degree=10,
-                         stab_h="element"):
+                         bc_mode="weak", dirichlet_sides=None, neumann=None):
     vspace = FESpace(mesh, order, 2)
     pspace = FESpace(mesh, order, 1)
     mixed = assemble_incompressible_system(
         mesh, vspace, pspace, params, f, g, nearly_lambda=nearly_lambda,
-        dirichlet_sides=dirichlet_sides, bc_mode=bc_mode,
-        rhs_degree=rhs_degree, stab_h=stab_h)
+        dirichlet_sides=dirichlet_sides, bc_mode=bc_mode, neumann=neumann)
     context = f"{bc_mode} incompressible solve"
     if mixed.constraint_index is None:
         x = _checked_solve(mixed.system.matrix, mixed.system.rhs, context)
@@ -440,36 +542,58 @@ def solve_incompressible(mesh, order, params, f, g, nearly_lambda=None,
 # -- drivers ---------------------------------------------------------------------
 
 
-def run_convergence(config):
-    """Manufactured-solution sweep; returns a ConvergenceTable."""
-    params = config.params
-    table = ConvergenceTable(problem=config.problem, order=config.order,
+def _sweep(config, row):
+    """ConvergenceTable of config.problem with one row per mesh: h_max and
+    the ConvergenceRow fields that row(mesh) returns."""
+    problem = PROBLEMS[config.problem]
+    table = ConvergenceTable(problem=problem.csv_name, order=config.order,
                              bc_mode=config.bc_mode)
-    if config.problem not in ("compressible", "incompressible"):
-        raise ValueError(
-            "run_convergence handles compressible/incompressible only")
     for n in config.mesh_sizes:
-        mesh = build_unit_square_mesh(n)
+        mesh = problem.mesh(n)
         quality = mesh_quality(mesh)
         try:
-            if config.problem == "compressible":
-                exact, f, g = manufactured_compressible(params)
-                u_h, system = solve_compressible(
-                    mesh, config.order, params, f, g, config.bc_mode,
-                    rhs_degree=config.rhs_degree)
-                report = error_norms(u_h, exact, params)
-            else:
-                exact_u, exact_p, f, g = manufactured_incompressible(params)
-                u_h, p_h, _, mixed = solve_incompressible(
-                    mesh, config.order, params, f, g, bc_mode=config.bc_mode,
-                    rhs_degree=config.rhs_degree, stab_h=config.stab_h)
-                report = error_norms(u_h, exact_u, params, p_h, exact_p)
-                system = mixed.system
+            fields = row(mesh)
         except ExperimentError as exc:
             raise ExperimentError(f"mesh n={n}: {exc}") from exc
-        table.add(ConvergenceRow(h_max=quality.h_max, dofs=system.dof_count,
-                                 report=report))
+        table.add(ConvergenceRow(h_max=quality.h_max, **fields))
     return table
+
+
+def _solution_sweep(config, rows):
+    """Solve config.problem, whose rows must be `rows`, on each mesh; a row
+    holds the error norms ("errors") or the Cook tip displacement ("tip")."""
+    problem = PROBLEMS[config.problem]
+    if problem.rows != rows:
+        raise ValueError(f"problem {config.problem!r} has {problem.rows} "
+                         f"rows, not {rows} rows")
+    params = config.params
+    data = problem.data(params)
+    nearly_lambda = (params.lam if problem.formulation
+                     == "nearly_incompressible" else None)
+
+    def row(mesh):
+        if problem.formulation == "compressible":
+            u_h, system = solve_compressible(
+                mesh, config.order, params, data.f, data.g, config.bc_mode,
+                problem.dirichlet_sides, data.neumann)
+            p_h = None
+        else:
+            u_h, p_h, _, mixed = solve_incompressible(
+                mesh, config.order, params, data.f, data.g, nearly_lambda,
+                config.bc_mode, problem.dirichlet_sides, data.neumann)
+            system = mixed.system
+        if rows == "tip":
+            return {"dofs": system.dof_count,
+                    "qoi": cook_tip_displacement(mesh, u_h)}
+        return {"dofs": system.dof_count, "report": error_norms(
+            u_h, data.exact_u, params, p_h, data.exact_p)}
+
+    return _sweep(config, row)
+
+
+def run_convergence(config):
+    """Manufactured-solution sweep: a ConvergenceTable of error norms."""
+    return _solution_sweep(config, "errors")
 
 
 def cook_tip_displacement(mesh, solution_field):
@@ -482,74 +606,39 @@ def cook_tip_displacement(mesh, solution_field):
 
 
 def run_cook(config):
-    """Cook membrane sweep: clamped on CD, traction (0, 100) on AB, for the
-    problem "cook" (compressible) or "nearly_incompressible".
+    """Cook membrane sweep: clamped on CD, traction (0, 100) on AB.
 
     Returns a ConvergenceTable whose rows carry the tip displacement as qoi.
     """
-    if config.problem not in COOK_FORMULATIONS:
-        raise ValueError("run_cook handles cook/nearly_incompressible only")
-    formulation = COOK_FORMULATIONS[config.problem]
-    params = config.params
-    fzero = AnalyticField.constant_vector(0.0, 0.0)
-    gzero = AnalyticField.constant_vector(0.0, 0.0)
-    traction = AnalyticField.constant_vector(0.0, 100.0)
-    table = ConvergenceTable(problem="cook", order=config.order,
-                             bc_mode=config.bc_mode)
-    for n in config.mesh_sizes:
-        mesh = build_cook_mesh(n)
-        quality = mesh_quality(mesh)
-        space = FESpace(mesh, config.order, 2)
-        if formulation == "compressible":
-            assemble = (assemble_weak_system if config.bc_mode == "weak"
-                        else assemble_strong_system)
-            system = assemble(mesh, space, params, fzero, gzero,
-                              dirichlet_sides=("CD",))
-        else:
-            system = assemble_incompressible_system(
-                mesh, space, FESpace(mesh, config.order, 1), params, fzero,
-                gzero, nearly_lambda=params.lam, dirichlet_sides=("CD",),
-                bc_mode=config.bc_mode, stab_h=config.stab_h).system
-        rhs = system.rhs.copy()
-        rhs[:space.dof_count] += assemble_neumann_load(space, "AB", traction)
-        if config.bc_mode == "strong":
-            # the clamped rows hold the Dirichlet value g = 0
-            rhs[space.expand_dofs(space.scalar_side_dofs("CD"))] = 0.0
-        x = _checked_solve(system.matrix, rhs,
-                           f"cook {formulation} {config.bc_mode} n={n}")
-        u_h = DiscreteField(space, x[:space.dof_count])
-        table.add(ConvergenceRow(h_max=quality.h_max, dofs=system.dof_count,
-                                 qoi=cook_tip_displacement(mesh, u_h)))
-    return table
+    return _solution_sweep(config, "tip")
 
 
 def run_stability_diagnostics(config):
     """Inf-sup and Korn constants per mesh, as a ConvergenceTable whose rows
-    carry beta_h and korn_h.  Only the unit-square compressible and
-    incompressible problems have diagnostics, and only of the weak operator."""
-    if config.problem not in ("compressible", "incompressible"):
+    carry beta_h and korn_h.  Only the problems marked diagnose in PROBLEMS
+    have them, and only of the weak operator."""
+    problem = PROBLEMS[config.problem]
+    if not problem.diagnose:
+        known = " or ".join(name for name, p in PROBLEMS.items() if p.diagnose)
         raise ExperimentError(
             f"no stability diagnostics for problem {config.problem!r}: "
-            "use compressible or incompressible")
+            f"use {known}")
     if config.bc_mode != "weak":
         raise ExperimentError(
             f"no stability diagnostics for bc_mode {config.bc_mode!r}: "
             "the constants are those of the weak operator; use weak")
-    params = config.params
-    table = ConvergenceTable(problem=config.problem, order=config.order,
-                             bc_mode=config.bc_mode)
-    for n in config.mesh_sizes:
-        mesh = build_unit_square_mesh(n)
+
+    def row(mesh):
         vspace = FESpace(mesh, config.order, 2)
-        if config.problem == "incompressible":
-            pspace = FESpace(mesh, config.order, 1)
-            beta = incompressible_infsup(mesh, vspace, pspace, params)
+        if problem.formulation == "compressible":
+            beta = compressible_infsup(mesh, vspace, config.params)
         else:
-            beta = compressible_infsup(mesh, vspace, params)
-        table.add(ConvergenceRow(h_max=mesh_quality(mesh).h_max, dofs=None,
-                                 beta_h=beta,
-                                 korn_h=discrete_korn_constant(mesh, vspace)))
-    return table
+            beta = incompressible_infsup(
+                mesh, vspace, FESpace(mesh, config.order, 1), config.params)
+        return {"dofs": None, "beta_h": beta,
+                "korn_h": discrete_korn_constant(mesh, vspace)}
+
+    return _sweep(config, row)
 
 
 # -- acceptance-style threshold checks ---------------------------------------
@@ -606,35 +695,16 @@ def cook_tip_ratio_bound(poisson):
     return 2.0 ** -clamped_free_exponent(COOK_CORNER_D_ANGLE, poisson)
 
 
+def require_check_meshes(config, count):
+    """Raise ExperimentError when count meshes are too few for the check of
+    config.problem: a slope needs two, a ratio of tip increments three."""
+    need = PROBLEMS[config.problem].check_meshes
+    if count < need:
+        raise ExperimentError(f"checking problem {config.problem} needs at "
+                              f"least {need} meshes, got {count}")
+
+
 def check_convergence(table, config):
-    """Slope-band violations for a finished sweep (empty list if clean)."""
-    violations = []
-    slope_l2, slope_h1 = table.last_slopes()
-    if config.problem == "compressible":
-        lo, hi = (0.85, 1.15) if config.order == 1 else (1.8, 2.2)
-        if not lo <= slope_h1 <= hi:
-            violations.append(f"H1 slope {slope_h1:.3f} outside [{lo}, {hi}]")
-        lo2, hi2 = (1.8, 2.2) if config.order == 1 else (2.7, 3.3)
-        if not lo2 <= slope_l2 <= hi2:
-            violations.append(f"L2 slope {slope_l2:.3f} outside [{lo2}, {hi2}]")
-    elif config.problem == "incompressible":
-        if not 0.85 <= slope_h1 <= 1.15:
-            violations.append(f"velocity H1 slope {slope_h1:.3f} "
-                              "outside [0.85, 1.15]")
-        ps = table.pressure_slope_last()
-        if ps < 1.3:
-            violations.append(f"pressure L2 slope {ps:.3f} below 1.3")
-    elif config.problem in COOK_FORMULATIONS:
-        q = [r.qoi for r in table.rows]
-        if len(q) >= 3:
-            nu = config.poisson
-            if nu is None:
-                nu = config.lam / (2.0 * (config.lam + config.mu))
-            bound = cook_tip_ratio_bound(nu)
-            inc = [abs(b - a) for a, b in zip(q, q[1:])]
-            if not inc[-1] <= bound * inc[-2]:
-                violations.append(
-                    "tip displacement sequence is not settling: last "
-                    f"increment {inc[-1]:.3g} exceeds 2^-alpha_D = "
-                    f"{bound:.3f} times the previous {inc[-2]:.3g}")
-    return violations
+    """Threshold violations of a finished sweep (empty list if clean)."""
+    require_check_meshes(config, len(table.rows))
+    return PROBLEMS[config.problem].check(table, config)

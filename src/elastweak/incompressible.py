@@ -12,7 +12,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .compressible import (_I2, AssembledSystem, MaterialParams,
-                           _cell_matrix, _dirichlet_sides, _flux_tables,
+                           _add_neumann_loads, _cell_matrix,
+                           _dirichlet_sides, _flux_tables,
                            _per_cell, _require_vector, _scatter_matrix,
                            _scatter_vector, _stiffness_parts,
                            assemble_boundary_flux,
@@ -46,12 +47,9 @@ def _check_pair(vspace, pspace):
         raise ValueError("equal-order interpolation required")
 
 
-def _stab_h(mesh, stab_h):
-    if stab_h == "element":
-        return mesh.triangle_diameters()
-    if stab_h == "global":
-        return np.full(mesh.num_triangles, mesh.triangle_diameters().max())
-    raise ValueError("stab_h must be 'element' or 'global'")
+def _stab_h(mesh):
+    """Element length h_K of the stabilization: the triangle diameters."""
+    return mesh.triangle_diameters()
 
 
 def assemble_divergence(vspace, pspace):
@@ -109,7 +107,7 @@ def _mass_local(space, cells):
             * reference_tensors(space.order).mass)
 
 
-def assemble_pressure_stabilization(vspace, pspace, params, stab_h="element"):
+def assemble_pressure_stabilization(vspace, pspace, params):
     """Element-residual stabilization coupling into the mass-balance rows.
 
     (gamma/mu) sum_K int_K h_K^2 (-2 mu div eps(u_h) + grad p_h) . grad q_h.
@@ -118,7 +116,7 @@ def assemble_pressure_stabilization(vspace, pspace, params, stab_h="element"):
     _check_pair(vspace, pspace)
     if params.gamma is None or params.gamma <= 0.0:
         raise ValueError("stabilization parameter gamma must be positive")
-    hK = _stab_h(vspace.mesh, stab_h)
+    hK = _stab_h(vspace.mesh)
     nU, nP = vspace.dof_count, pspace.dof_count
     gamma, mu = params.gamma, params.mu
 
@@ -183,12 +181,12 @@ def _pressure_flux_load(pspace, g, side_tags, degree=None):
     return _scatter_vector(pb.cell_dofs, loc, pspace.dof_count)
 
 
-def _mixed_operator(vspace, pspace, params, flux_sides, stab_h="element"):
+def _mixed_operator(vspace, pspace, params, flux_sides):
     """Volume part plus stabilization plus the antisymmetric flux on
     flux_sides (() adds none): the mixed analogue of the compressible
     weak operator."""
     A = assemble_mixed_volume(vspace, pspace, params)
-    A = A + assemble_pressure_stabilization(vspace, pspace, params, stab_h)
+    A = A + assemble_pressure_stabilization(vspace, pspace, params)
     if flux_sides:
         A = A + assemble_mixed_boundary_flux(vspace, pspace, params,
                                              flux_sides)
@@ -207,7 +205,7 @@ def _pressure_mean_bordered(core, vspace, pspace):
 def assemble_incompressible_system(mesh, vspace, pspace, params, f, g,
                                    nearly_lambda=None, dirichlet_sides=None,
                                    bc_mode="weak", rhs_degree=10,
-                                   stab_h="element", flux_degree=None):
+                                   flux_degree=None, neumann=None):
     """Full mixed system, optionally nearly incompressible.
 
     With nearly_lambda set, the mass balance becomes div u = -p/lambda (the
@@ -217,6 +215,8 @@ def assemble_incompressible_system(mesh, vspace, pspace, params, f, g,
     Dirichlet data covers the whole boundary and no nearly_lambda is given.
     dirichlet_sides=None selects every side, () none.  rhs_degree and
     flux_degree set the quadrature of the load and flux-load data terms.
+    neumann maps side tags to tractions; their loads enter the velocity
+    rows after the flux loads and before any strong elimination.
     """
     _check_pair(vspace, pspace)
     if params.gamma is None or params.gamma <= 0.0:
@@ -227,10 +227,10 @@ def assemble_incompressible_system(mesh, vspace, pspace, params, f, g,
         raise ValueError("bc_mode must be 'weak' or 'strong'")
     sides = _dirichlet_sides(mesh, dirichlet_sides)
     nU, nP = vspace.dof_count, pspace.dof_count
-    hK = _stab_h(mesh, stab_h)
+    hK = _stab_h(mesh)
 
     core = _mixed_operator(vspace, pspace, params,
-                           sides if bc_mode == "weak" else (), stab_h)
+                           sides if bc_mode == "weak" else ())
     if nearly_lambda is not None:
         Mpp = assemble_pressure_mass(pspace)
         core = core + sp.bmat(
@@ -245,6 +245,7 @@ def assemble_incompressible_system(mesh, vspace, pspace, params, f, g,
         rhs[:nU] += assemble_flux_load(vspace, MaterialParams(params.mu), g,
                                        sides, flux_degree)
         rhs[nU:] += _pressure_flux_load(pspace, g, sides, flux_degree)
+    _add_neumann_loads(rhs, vspace, neumann)
 
     constraint_index = None
     if set(sides) == set(mesh.side_tags) and nearly_lambda is None:

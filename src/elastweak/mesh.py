@@ -84,13 +84,6 @@ class Mesh:
         p1 = self.vertices[self.edge_vertices[:, 1]]
         return np.linalg.norm(p1 - p0, axis=1)
 
-    def unique_edges(self):
-        """All mesh edges as sorted vertex pairs, lexicographically ordered."""
-        t = self.triangles
-        pairs = np.vstack([t[:, [0, 1]], t[:, [1, 2]], t[:, [0, 2]]])
-        pairs = np.sort(pairs, axis=1)
-        return np.unique(pairs, axis=0)
-
     def centroid(self):
         """Area centroid of the meshed domain."""
         areas = self.triangle_areas()

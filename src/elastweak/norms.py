@@ -419,7 +419,7 @@ def galerkin_orthogonality_residual_mixed(mesh, vspace, pspace, params,
                            _per_cell(pspace.mesh, velocity_div),
                            pspace.dof_count)
            + _pressure_flux_load(pspace, exact_u, sides, degree)
-           + _stabilized_load(pspace, params, f, _stab_h(mesh, "element"),
+           + _stabilized_load(pspace, params, f, _stab_h(mesh),
                               degree))
 
     n = vspace.dof_count + pspace.dof_count

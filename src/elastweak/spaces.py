@@ -195,17 +195,6 @@ class FESpace:
         return np.unique(np.concatenate([np.zeros(0, dtype=np.int64)] + [
             self.scalar_side_dofs(tag) for tag in tags]))
 
-    def expand_dofs(self, scalar_dofs):
-        """Vector DOF indices for the given scalar DOFs (all components)."""
-        scalar_dofs = np.asarray(scalar_dofs, dtype=np.int64)
-        if self.components == 1:
-            return scalar_dofs
-        return np.sort(np.concatenate([2 * scalar_dofs, 2 * scalar_dofs + 1]))
-
-    @property
-    def boundary_dofs(self):
-        return self.expand_dofs(self.boundary_scalar_dofs())
-
     # -- tabulation ---------------------------------------------------------
 
     def interior_tables(self, degree):
@@ -359,9 +348,6 @@ class AnalyticField:
 
         return cls(val, grad, components=2)
 
-    def __call__(self, x, y):
-        return self.value(x, y)
-
 
 class DiscreteField:
     """Coefficient vector over an FESpace."""
@@ -381,24 +367,6 @@ class DiscreteField:
             gathered = gathered.reshape(m, nloc // 2, 2)
         return gathered
 
-    def eval_in_cells(self, cells, points):
-        """Values at physical points known to lie in the given cells."""
-        cells = np.asarray(cells, dtype=np.int64)
-        points = np.asarray(points, dtype=float)
-        mesh = self.space.mesh
-        _, Jinv, _ = self.space.geometry()
-        a = mesh.vertices[mesh.triangles[cells, 0]]
-        ref = np.einsum("pab,pb->pa", Jinv[cells], points - a)
-        N, _ = basis_values(self.space.order, ref)
-        coef = self.cell_coefficients(cells)
-        if self.space.components == 1:
-            return np.einsum("pi,pi->p", N, coef)
-        return np.einsum("pi,pic->pc", N, coef)
-
-
-def build_space(mesh, order, components=1):
-    return FESpace(mesh, order, components)
-
 
 def interpolate(space, analytic):
     """Nodal interpolation of an analytic field onto the space."""
@@ -412,17 +380,3 @@ def interpolate(space, analytic):
     coeffs[0::2] = vals[..., 0]
     coeffs[1::2] = vals[..., 1]
     return DiscreteField(space, coeffs)
-
-
-def integrate_field(mesh_or_space, integrand, quadrature_degree=10):
-    """Integral over the mesh of a pointwise function (x, y) -> scalar."""
-    space = mesh_or_space
-    if not isinstance(space, FESpace):
-        space = FESpace(mesh_or_space, 1, 1)
-    tab = space.interior_tables(quadrature_degree)
-    fn = integrand.value if isinstance(integrand, AnalyticField) else integrand
-    total = 0.0
-    for cells in cell_chunks(space.mesh):
-        x = tab.physical_points(cells)
-        total += float(np.sum(tab.wdet[cells] * fn(x[..., 0], x[..., 1])))
-    return total

@@ -4,7 +4,7 @@ import dataclasses
 import pytest
 
 from elastweak.cli import build_parser, main
-from elastweak.experiments import RUN_KEYS, ExperimentConfig
+from elastweak.experiments import PROBLEMS, RUN_KEYS, ExperimentConfig
 from elastweak.mesh import load_mesh
 
 
@@ -83,6 +83,33 @@ def test_diagnose_rejects_problems_without_diagnostics(tmp_path, capsys,
     assert not list(tmp_path.glob("*.csv"))
 
 
+def _problem_choices(command):
+    subparsers = build_parser()._subparsers._group_actions[0]
+    action, = [a for a in subparsers.choices[command]._actions
+               if a.dest == "problem"]
+    return action.choices
+
+
+@pytest.mark.parametrize("command", ["run", "diagnose"])
+def test_problem_choices_are_the_problem_table(command):
+    assert set(_problem_choices(command)) == set(PROBLEMS)
+
+
+@pytest.mark.parametrize("name", sorted(PROBLEMS))
+def test_diagnose_follows_the_problem_table(tmp_path, capsys, name):
+    # diagnose runs exactly the table entries marked diagnose and rejects
+    # the others before writing anything
+    code = main(["diagnose", "--problem", name, "--k", "1", "--mesh-sizes",
+                 "2", "--out", str(tmp_path)])
+    csvs = list(tmp_path.glob("*.csv"))
+    if PROBLEMS[name].diagnose:
+        assert code == 0 and len(csvs) == 1
+    else:
+        assert code == 2 and not csvs
+        assert capsys.readouterr().err.startswith(
+            f"error: no stability diagnostics for problem {name!r}")
+
+
 def test_plot_subcommand(tmp_path):
     main(["run", "--problem", "compressible", "--k", "1",
           "--mesh-sizes", "2,4", "--mu", "1", "--lambda", "1",
@@ -145,8 +172,10 @@ def test_removed_flags_are_usage_errors(tmp_path, capsys, argv):
 
 
 @pytest.mark.parametrize("line", ["formulation = nearly_incompressible",
-                                  "deterministic = true"],
-                         ids=["formulation", "deterministic"])
+                                  "deterministic = true", "stab_h = global",
+                                  "rhs_degree = 8"],
+                         ids=["formulation", "deterministic", "stab_h",
+                              "rhs_degree"])
 def test_removed_run_keys_are_config_errors(tmp_path, capsys, line):
     cfg = tmp_path / "run.ini"
     cfg.write_text(f"[run]\nproblem = cook\n{line}\n")
@@ -205,6 +234,22 @@ def test_config_error_exit_code(tmp_path, capsys, command, argv, message):
     err = capsys.readouterr().err
     assert err.startswith("error: invalid configuration: ")
     assert message in err
+
+
+@pytest.mark.parametrize("argv,need", [
+    (["--problem", "compressible", "--mesh-sizes", "4"], 2),
+    (["--problem", "incompressible", "--mesh-sizes", "4"], 2),
+    (["--problem", "cook", "--mesh-sizes", "2,4"], 3),
+], ids=["compressible-one-mesh", "incompressible-one-mesh", "cook-two-meshes"])
+def test_check_with_too_few_meshes_exit_code(tmp_path, capsys, argv, need):
+    # a slope needs two meshes and a ratio of tip increments three; a check
+    # that cannot be made fails before the sweep runs
+    code = main(["run", *argv, "--check", "--out", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert f"needs at least {need} meshes" in err
+    assert not list(tmp_path.glob("*"))
 
 
 @pytest.mark.parametrize("text,message", [

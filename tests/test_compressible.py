@@ -173,7 +173,12 @@ def test_strong_system_fixes_boundary_values():
     V = FESpace(mesh, 1, 2)
     system = assemble_strong_system(mesh, V, MaterialParams(1.0), ZERO, ZERO)
     x, _ = lu_solve(system.matrix, system.rhs)
-    assert np.abs(x[V.boundary_dofs]).max() == 0.0
+    # the unit-square boundary nodes, found by position
+    pts = V.dof_points
+    boundary = np.flatnonzero(((pts == 0.0) | (pts == 1.0)).any(axis=1))
+    assert len(boundary) == 8
+    assert np.abs(x[2 * boundary]).max() == 0.0
+    assert np.abs(x[2 * boundary + 1]).max() == 0.0
 
 
 def test_weak_and_strong_solutions_approach_each_other():
@@ -205,6 +210,33 @@ def test_neumann_load_totals():
     assert ex @ load == pytest.approx(0.0, abs=1e-12)
     zero_load = assemble_neumann_load(V, "AB", ZERO)
     assert np.abs(zero_load).max() == 0.0
+
+
+
+@pytest.mark.parametrize("mode", ["weak", "strong"])
+def test_neumann_loads_enter_every_row_but_the_dirichlet_ones(mode):
+    # the loaded bottom side shares the corner (0, 0) with the Dirichlet
+    # side left: strong rows there keep the nodal data, every other row
+    # gains the traction load
+    mesh = build_unit_square_mesh(3)
+    V = FESpace(mesh, 2, 2)
+    pars = MaterialParams(1.3, 2.0)
+    traction = AnalyticField.constant_vector(1.5, -2.0)
+    assemble = (assemble_weak_system if mode == "weak"
+                else assemble_strong_system)
+    plain = assemble(mesh, V, pars, ZERO, linear_field(), ("left",))
+    loaded = assemble(mesh, V, pars, ZERO, linear_field(), ("left",),
+                      neumann={"bottom": traction})
+    load = assemble_neumann_load(V, "bottom", traction)
+    free = np.ones(V.dof_count, dtype=bool)
+    if mode == "strong":
+        dofs, vals = dirichlet_dofs_and_values(V, linear_field(), ("left",))
+        assert np.array_equal(loaded.rhs[dofs], vals)
+        assert np.abs(load[dofs]).max() > 0.0
+        free[dofs] = False
+    assert (loaded.matrix != plain.matrix).nnz == 0
+    assert np.abs(loaded.rhs[free] - plain.rhs[free] - load[free]).max() \
+        <= 1e-13 * np.abs(load).max()
 
 
 TRIG = AnalyticField.vector(lambda x, y: np.stack(
@@ -356,7 +388,7 @@ def test_degree_10_loads_match_collapsed_rule(monkeypatch, order):
         [(x / 48) ** d - 2 * (y / 60) ** (d - 1) * (x / 48),
          (x / 48 + y / 60) ** d], axis=-1))
     params = MaterialParams(1.0, 2.0, gamma=0.1)
-    hK = _stab_h(mesh, "element")
+    hK = _stab_h(mesh)
 
     def loads():
         return (assemble_load(V, f, 10),

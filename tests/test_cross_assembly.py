@@ -156,7 +156,7 @@ def _stabilization_blocks(order, gamma, mu):
     mesh = build_cook_mesh(2)
     V, Q = FESpace(mesh, order, 2), FESpace(mesh, order, 1)
     S = assemble_pressure_stabilization(
-        V, Q, MaterialParams(mu, gamma=gamma), "element").toarray()
+        V, Q, MaterialParams(mu, gamma=gamma)).toarray()
     nU = V.dof_count
     return mesh, V, Q, S[nU:, :nU], S[nU:, nU:]
 

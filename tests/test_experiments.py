@@ -132,11 +132,11 @@ def test_incompressible_fields():
 
 def test_incompressible_pressure_zero_mean():
     from elastweak.mesh import build_unit_square_mesh
-    from elastweak.spaces import integrate_field
+    from fem_helpers import integrate_field
     pars = MaterialParams(1.0, gamma=0.1)
     _, exact_p, _, _ = manufactured_incompressible(pars)
     mesh = build_unit_square_mesh(8)
-    val = integrate_field(mesh, exact_p, quadrature_degree=20)
+    val = integrate_field(mesh, exact_p.value, quadrature_degree=20)
     assert abs(val) < 1e-10
 
 
@@ -194,9 +194,12 @@ def test_config_rejects_unknown_run_keys(tmp_path):
         ExperimentConfig.from_mapping({"lamda": "5"})
     with pytest.raises(ValueError, match="mesh_sizes"):
         ExperimentConfig.from_mapping({"mesh_sizes": ","})
-    cfg = ExperimentConfig.from_mapping({"stab_h": "global", "rhs_degree": "8",
-                                         "lambda": "3", "lam": "4"})
-    assert cfg.stab_h == "global" and cfg.rhs_degree == 8 and cfg.lam == 4.0
+    # removed keys are unknown keys
+    for key, value in (("stab_h", "global"), ("rhs_degree", "8")):
+        with pytest.raises(ValueError, match=key):
+            ExperimentConfig.from_mapping({key: value})
+    cfg = ExperimentConfig.from_mapping({"lambda": "3", "lam": "4"})
+    assert cfg.lam == 4.0
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -309,6 +312,37 @@ def test_check_convergence_flags_bad_slopes():
     bad.add(ConvergenceRow(h_max=0.25, dofs=34, report=ErrorReport(
         l2_error=0.9, h1_semi_error=0.9, triple_norm_error=0.9, h_max=0.25)))
     assert len(check_convergence(bad, cfg)) == 2
+    # a converging P2 incompressible sweep: velocity H1 slope 2 lies in the
+    # k=2 band, pressure L2 slope 3 above 1.3
+    p2 = ExperimentConfig(problem="incompressible", order=2,
+                          mesh_sizes=(2, 4))
+    assert check_convergence(_incompressible_table(2, 0.25, 0.125), p2) == []
+
+
+def _incompressible_table(order, h1_ratio, p_ratio):
+    """Two rows whose velocity H1 and pressure L2 errors shrink by the
+    given factors while h halves."""
+    table = ConvergenceTable(problem="incompressible", order=order,
+                             bc_mode="weak")
+    for h, h1, p in ((0.5, 1.0, 1.0), (0.25, h1_ratio, p_ratio)):
+        table.add(ConvergenceRow(h_max=h, dofs=10, report=ErrorReport(
+            l2_error=1.0, h1_semi_error=h1, triple_norm_error=1.0, h_max=h,
+            pressure_l2_error=p)))
+    return table
+
+
+@pytest.mark.parametrize("order,h1_ratio,p_ratio,count", [
+    (1, 0.5, 0.25, 0),      # slopes 1 and 2
+    (1, 0.25, 0.25, 1),     # H1 slope 2 is too steep at k=1
+    (1, 0.5, 0.5, 1),       # pressure slope 1 is below 1.3
+    (2, 0.5, 0.125, 1),     # H1 slope 1 is too shallow at k=2
+])
+def test_check_convergence_incompressible_bands(order, h1_ratio, p_ratio,
+                                                count):
+    cfg = ExperimentConfig(problem="incompressible", order=order,
+                           mesh_sizes=(2, 4))
+    table = _incompressible_table(order, h1_ratio, p_ratio)
+    assert len(check_convergence(table, cfg)) == count
 
 
 def test_clamped_free_exponent_matches_williams():

@@ -134,16 +134,6 @@ def test_stabilization_pressure_block_spd():
     assert ev.min() > -1e-12 * max(ev.max(), 1.0)
 
 
-def test_stabilization_global_h_mode():
-    mesh, V, Q = spaces(4)
-    Se = assemble_pressure_stabilization(V, Q, MaterialParams(1.0, gamma=1.0),
-                                         stab_h="element")
-    Sg = assemble_pressure_stabilization(V, Q, MaterialParams(1.0, gamma=1.0),
-                                         stab_h="global")
-    # uniform structured mesh: element h equals global h
-    assert np.abs((Se - Sg)).max() < 1e-13
-
-
 def test_stabilization_requires_positive_gamma():
     mesh, V, Q = spaces(2)
     with pytest.raises(ValueError):

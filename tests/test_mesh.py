@@ -6,6 +6,7 @@ import pytest
 from elastweak.mesh import (COOK_SIDES, SQUARE_SIDES, _finish_mesh,
                             build_cook_mesh, build_unit_square_mesh, cook_map,
                             dump_mesh, load_mesh, mesh_quality)
+from fem_helpers import unique_edges
 
 
 def test_minimal_square_split():
@@ -52,7 +53,7 @@ def test_refinement_halves_hmax():
 
 def test_euler_relation_and_conformity():
     for mesh in (build_unit_square_mesh(4), build_cook_mesh(3)):
-        edges = mesh.unique_edges()
+        edges = unique_edges(mesh)
         V, E, F = mesh.num_vertices, len(edges), mesh.num_triangles
         assert V - E + F == 1
         # every edge is shared by exactly two triangles or lies on the boundary

@@ -459,8 +459,7 @@ def test_quadrature_point_layers_do_not_depend_on_the_block(monkeypatch,
                  mixed.h1_semi_error, mixed.triple_norm_error,
                  mixed.pressure_l2_error],
                 assemble_load(V, f), assemble_load(V, f_mixed),
-                _stabilized_load(Q, params, f_mixed, _stab_h(mesh, "element"),
-                                 10))
+                _stabilized_load(Q, params, f_mixed, _stab_h(mesh), 10))
 
     blocked = measured()
     _one_block(monkeypatch)

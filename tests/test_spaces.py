@@ -5,29 +5,29 @@ import pytest
 
 from elastweak.mesh import build_cook_mesh, build_unit_square_mesh
 from elastweak.spaces import (AnalyticField, FESpace, basis_hessians,
-                              basis_values, build_space, cell_chunks,
-                              integrate_field, interpolate)
+                              basis_values, cell_chunks, interpolate)
+from fem_helpers import eval_in_cells, integrate_field, unique_edges
 
 
 def test_dof_counts_minimal_mesh():
     mesh = build_unit_square_mesh(1)
-    assert build_space(mesh, 1, 1).dof_count == 4
-    assert build_space(mesh, 2, 1).dof_count == 9    # 4 vertices + 5 edges
-    assert build_space(mesh, 1, 2).dof_count == 8
+    assert FESpace(mesh, 1, 1).dof_count == 4
+    assert FESpace(mesh, 2, 1).dof_count == 9    # 4 vertices + 5 edges
+    assert FESpace(mesh, 1, 2).dof_count == 8
 
 
 def test_dof_count_formula():
     mesh = build_unit_square_mesh(4)
-    V, E = mesh.num_vertices, len(mesh.unique_edges())
-    assert build_space(mesh, 1, 1).dof_count == V
-    assert build_space(mesh, 2, 1).dof_count == V + E
-    assert build_space(mesh, 2, 2).dof_count == 2 * (V + E)
+    V, E = mesh.num_vertices, len(unique_edges(mesh))
+    assert FESpace(mesh, 1, 1).dof_count == V
+    assert FESpace(mesh, 2, 1).dof_count == V + E
+    assert FESpace(mesh, 2, 2).dof_count == 2 * (V + E)
 
 
 def test_cell_dof_lengths():
     mesh = build_unit_square_mesh(3)
     for order, comps in ((1, 1), (1, 2), (2, 1), (2, 2)):
-        space = build_space(mesh, order, comps)
+        space = FESpace(mesh, order, comps)
         nloc = comps * (order + 1) * (order + 2) // 2
         assert space.cell_dofs.shape == (mesh.num_triangles, nloc)
 
@@ -35,9 +35,9 @@ def test_cell_dof_lengths():
 def test_invalid_order_rejected():
     mesh = build_unit_square_mesh(1)
     with pytest.raises(ValueError):
-        build_space(mesh, 3, 1)
+        FESpace(mesh, 3, 1)
     with pytest.raises(ValueError):
-        build_space(mesh, 1, 3)
+        FESpace(mesh, 1, 3)
 
 
 def test_basis_kronecker_and_partition_of_unity():
@@ -85,15 +85,15 @@ def test_c0_continuity_across_shared_edges():
     rng = np.random.default_rng(7)
     from elastweak.spaces import DiscreteField
     for order in (1, 2):
-        space = build_space(mesh, order, 1)
+        space = FESpace(mesh, order, 1)
         coeffs = rng.standard_normal(space.dof_count)
         field = DiscreteField(space, coeffs)
         for edge, (c1, c2) in shared[:6]:
             p0, p1 = mesh.vertices[list(edge)]
             s = rng.uniform(0.1, 0.9, size=4)
             pts = p0[None, :] + s[:, None] * (p1 - p0)[None, :]
-            v1 = field.eval_in_cells(np.full(4, c1), pts)
-            v2 = field.eval_in_cells(np.full(4, c2), pts)
+            v1 = eval_in_cells(field, np.full(4, c1), pts)
+            v2 = eval_in_cells(field, np.full(4, c2), pts)
             assert np.abs(v1 - v2).max() < 1e-12
 
 
@@ -103,18 +103,18 @@ def test_interpolation_reproduces_polynomials():
     pts = rng.uniform(0, 1, size=(40, 2))
 
     const = AnalyticField.scalar(lambda x, y: 2.5 + 0 * x)
-    f1 = interpolate(build_space(mesh, 1, 1), const)
+    f1 = interpolate(FESpace(mesh, 1, 1), const)
     assert np.abs(f1.coefficients - 2.5).max() < 1e-15
 
     lin = AnalyticField.scalar(lambda x, y: x + y)
-    f2 = interpolate(build_space(mesh, 1, 1), lin)
+    f2 = interpolate(FESpace(mesh, 1, 1), lin)
     cells = _locate_cells(mesh, pts)
-    vals = f2.eval_in_cells(cells, pts)
+    vals = eval_in_cells(f2, cells, pts)
     assert np.abs(vals - (pts[:, 0] + pts[:, 1])).max() < 1e-13
 
     quad = AnalyticField.scalar(lambda x, y: x ** 2)
-    f3 = interpolate(build_space(mesh, 2, 1), quad)
-    vals = f3.eval_in_cells(cells, pts)
+    f3 = interpolate(FESpace(mesh, 2, 1), quad)
+    vals = eval_in_cells(f3, cells, pts)
     assert np.abs(vals - pts[:, 0] ** 2).max() < 1e-13
 
 
@@ -132,9 +132,9 @@ def test_interpolation_random_degree_k(seed=5):
                 val = val + c[3] * x * x + c[4] * x * y + c[5] * y * y
             return val
 
-        field = interpolate(build_space(mesh, order, 1),
+        field = interpolate(FESpace(mesh, order, 1),
                             AnalyticField.scalar(poly))
-        vals = field.eval_in_cells(cells, pts)
+        vals = eval_in_cells(field, cells, pts)
         assert np.abs(vals - poly(pts[:, 0], pts[:, 1])).max() <= 1e-11
 
 
@@ -163,7 +163,7 @@ def test_integrate_field_examples():
 
 def test_vector_interpolation_interleaving():
     mesh = build_unit_square_mesh(2)
-    space = build_space(mesh, 1, 2)
+    space = FESpace(mesh, 1, 2)
     field = interpolate(space, AnalyticField.vector(
         lambda x, y: np.stack([x, -y], axis=-1)))
     xs = space.dof_points[:, 0]
@@ -174,7 +174,7 @@ def test_vector_interpolation_interleaving():
 
 def test_boundary_dofs_on_sides():
     mesh = build_unit_square_mesh(2)
-    space = build_space(mesh, 2, 1)
+    space = FESpace(mesh, 2, 1)
     bottom = space.scalar_side_dofs("bottom")
     pts = space.dof_points[bottom]
     assert np.abs(pts[:, 1]).max() < 1e-15
@@ -186,7 +186,7 @@ def test_p2_edge_dofs_follow_lexicographic_rule(n):
     # edge DOFs come after the vertices, in lexicographic order of their
     # sorted endpoint pairs; a Cook mesh is not numbered row by row
     mesh = build_cook_mesh(n)
-    space = build_space(mesh, 2, 1)
+    space = FESpace(mesh, 2, 1)
     nv = mesh.num_vertices
     edges = sorted({tuple(sorted((int(t[a]), int(t[b]))))
                     for t in mesh.triangles for a, b in ((0, 1), (1, 2), (0, 2))})
@@ -214,7 +214,7 @@ def test_p2_side_dofs_reject_edge_outside_triangulation():
     bad = dataclasses.replace(mesh, edge_vertices=edge_vertices)
     tag = mesh.side_tags[int(mesh.edge_tag[0])]
     with pytest.raises(ValueError, match="no triangle"):
-        build_space(bad, 2, 1).scalar_side_dofs(tag)
+        FESpace(bad, 2, 1).scalar_side_dofs(tag)
 
 
 def test_space_and_tables_freed_without_garbage_collection():
@@ -224,7 +224,7 @@ def test_space_and_tables_freed_without_garbage_collection():
     import gc
     import weakref
     mesh = build_unit_square_mesh(2)
-    space = build_space(mesh, 2, 2)
+    space = FESpace(mesh, 2, 2)
     tables = weakref.ref(space.boundary_tables(4))
     ref = weakref.ref(space)
     gc.disable()
