@@ -8,7 +8,7 @@ from .compressible import (AssembledSystem, MaterialParams,
                            assemble_neumann_load, assemble_strong_system,
                            assemble_weak_system)
 from .incompressible import (MixedSystem, assemble_incompressible_system,
-                             assemble_mixed_boundary_flux, assemble_mixed_volume,
+                             assemble_mixed_boundary_flux,
                              assemble_pressure_stabilization)
 from .mesh import (Mesh, MeshQuality, build_cook_mesh, build_unit_square_mesh,
                    dump_mesh, load_mesh, mesh_quality)

@@ -2,9 +2,10 @@
 diagnostics and convergence plots.
 
 Exit codes: 0 success, 2 solver failure, invalid configuration, --check
-with fewer meshes than the check needs, or a sweep column that a log-log
-plot cannot show (the CSV is written first), 3 threshold violation with
---check.
+with fewer meshes than the check needs, a sweep column that a log-log
+plot cannot show (the CSV is written first), or unusable mesh or plot
+input (n < 1, an unreadable CSV, an absent or unplottable column, an
+unwritable output), 3 threshold violation with --check.
 """
 
 import argparse
@@ -53,7 +54,12 @@ def _run_config(args):
 
 def cmd_mesh(args):
     builder = build_unit_square_mesh if args.shape == "square" else build_cook_mesh
-    dump_mesh(builder(args.n), args.out)
+    try:
+        dump_mesh(builder(args.n), args.out)
+    except ValueError as exc:
+        raise ExperimentError(f"invalid mesh: {exc}") from exc
+    except OSError as exc:
+        raise ExperimentError(f"cannot write {args.out}: {exc.strerror}") from exc
     print(f"wrote {args.shape} mesh (n={args.n}) to {args.out}")
     return 0
 
@@ -116,19 +122,29 @@ def cmd_diagnose(args):
 
 
 def cmd_plot(args):
-    with open(args.csv, newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    series = []
-    for column in args.y:
-        pts = [(float(r[args.x]), float(r[column]))
-               for r in rows if r.get(column)]
-        if pts:
-            series.append(Series(label=column, x=tuple(p[0] for p in pts),
-                                 y=tuple(p[1] for p in pts)))
-    emit_plot(series, PlotSpec(title=os.path.basename(args.csv),
-                               xlabel=args.x,
-                               ref_slopes=tuple(args.ref_slopes or ())),
-              args.out)
+    try:
+        with open(args.csv, newline="") as fh:
+            reader = csv.DictReader(fh)
+            rows = list(reader)
+    except OSError as exc:
+        raise ExperimentError(f"cannot read {args.csv}: {exc.strerror}") from exc
+    missing = [c for c in (args.x, *args.y) if c not in (reader.fieldnames or ())]
+    if missing:
+        raise ExperimentError(f"no column {', '.join(missing)} in {args.csv}")
+    try:
+        # render_svg leaves out the columns without values
+        series = [Series(label=c, x=tuple(float(r[args.x]) for r in rows if r[c]),
+                         y=tuple(float(r[c]) for r in rows if r[c]))
+                  for c in args.y]
+        emit_plot(series, PlotSpec(title=os.path.basename(args.csv),
+                                   xlabel=args.x,
+                                   ref_slopes=tuple(args.ref_slopes or ())),
+                  args.out)
+    except ValueError as exc:
+        raise ExperimentError(
+            f"cannot plot {', '.join(args.y)} of {args.csv}: {exc}") from exc
+    except OSError as exc:
+        raise ExperimentError(f"cannot write {args.out}: {exc.strerror}") from exc
     print(f"wrote {args.out}")
     return 0
 

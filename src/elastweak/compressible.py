@@ -222,11 +222,12 @@ def _add_neumann_loads(rhs, space, neumann):
 
 
 def _weak_operator(space, params, side_tags):
-    """Volume stiffness minus the flux pairing on side_tags plus its
-    transpose: the penalty-free weak-Dirichlet operator."""
+    """Volume stiffness plus the antisymmetric flux part B^T - B on
+    side_tags: the penalty-free weak-Dirichlet operator, also the velocity
+    block of the mixed operator."""
     K = assemble_elasticity_stiffness(space, params)
     B = assemble_boundary_flux(space, params, side_tags)
-    A = (K - B + B.T).tocsr()
+    A = (K + (B.T - B)).tocsr()
     A.sort_indices()
     return A
 

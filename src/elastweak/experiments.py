@@ -29,7 +29,8 @@ RESIDUAL_LIMIT = 1e-8
 
 
 class ExperimentError(RuntimeError):
-    """A solver failure or invalid configuration inside a sweep."""
+    """A solver failure, an invalid configuration or input that a command
+    cannot use; the command line reports it and exits 2."""
 
 
 # -- manufactured solutions ----------------------------------------------------
@@ -406,6 +407,18 @@ class ConvergenceRow:
     korn_h: float = None
     qoi: float = None
 
+    def cell(self, column):
+        """Value of a CSV column after bc_mode; None leaves the cell empty."""
+        if column in _REPORT_CELLS:
+            return getattr(self.report, _REPORT_CELLS[column], None)
+        return getattr(self, column)
+
+
+# CSV column -> ErrorReport field
+_REPORT_CELLS = {"err_l2": "l2_error", "err_h1": "h1_semi_error",
+                 "err_triple": "triple_norm_error",
+                 "err_p_l2": "pressure_l2_error"}
+
 
 @dataclass
 class ConvergenceTable:
@@ -440,18 +453,9 @@ class ConvergenceTable:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(CSV_HEADER)
-        for r in self.rows:
-            rep = r.report
-            writer.writerow([
-                self.problem, self.order, self.bc_mode,
-                _fmt(r.h_max), r.dofs,
-                _fmt(rep.l2_error if rep else None),
-                _fmt(rep.h1_semi_error if rep else None),
-                _fmt(rep.triple_norm_error if rep else None),
-                _fmt(rep.pressure_l2_error if rep else None),
-                _fmt(r.slope_l2), _fmt(r.slope_h1),
-                _fmt(r.beta_h), _fmt(r.korn_h), _fmt(r.qoi),
-            ])
+        writer.writerows([self.problem, self.order, self.bc_mode,
+                          *(_fmt(r.cell(c)) for c in CSV_HEADER[3:])]
+                         for r in self.rows)
         return buf.getvalue()
 
 

@@ -16,8 +16,7 @@ from .compressible import (_I2, AssembledSystem, MaterialParams,
                            _dirichlet_sides, _flux_tables,
                            _per_cell, _require_vector, _scatter_matrix,
                            _scatter_vector, _stiffness_parts,
-                           assemble_boundary_flux,
-                           assemble_elasticity_stiffness, assemble_flux_load,
+                           _weak_operator, assemble_flux_load,
                            assemble_load, dirichlet_dofs_and_values,
                            eliminate_dofs)
 from .spaces import basis_hessians, reference_tensors
@@ -67,31 +66,18 @@ def assemble_divergence(vspace, pspace):
     return _cell_matrix(pspace, vspace, local)
 
 
-def assemble_mixed_volume(vspace, pspace, params):
-    """Volume part: [[2 mu (eps, eps), -(p, div v)], [(div u, q), 0]]."""
+def assemble_mixed_boundary_flux(vspace, pspace, side_tags=None):
+    """Pressure part Bvp[(i,c), j] = <psi_j n_c, phi_i> of the boundary
+    pairing <(2 mu eps(u) - p I) . n, v>; its velocity part is the flux of
+    the compressible weak operator."""
     _check_pair(vspace, pspace)
-    Avv = assemble_elasticity_stiffness(vspace, MaterialParams(params.mu))
-    D = assemble_divergence(vspace, pspace)
-    return sp.bmat([[Avv, -D.T], [D, None]], format="csr")
-
-
-def assemble_mixed_boundary_flux(vspace, pspace, params, side_tags=None):
-    """Antisymmetric boundary pairing built from <(2 mu eps(u) - p I) . n, v>.
-
-    Returns the combined contribution entering the system matrix, i.e. the
-    pairing with trial/test roles swapped minus the consistency term.
-    """
-    _check_pair(vspace, pspace)
-    Bvv = assemble_boundary_flux(vspace, MaterialParams(params.mu), side_tags)
     vb = vspace.boundary_tables(vspace.form_degree, side_tags)
     pb = pspace.boundary_tables(pspace.form_degree, side_tags)
-    nU, nP = vspace.dof_count, pspace.dof_count
-    # Bvp[(i,c), j] = <psi_j n_c, phi_i>
     loc = np.einsum("eq,eqi,eqj,ec->eicj", vb.w, vb.N, pb.N, vb.normal)
     loc = loc.reshape(len(vb.edge_ids), vb.cell_dofs.shape[1],
                       pb.cell_dofs.shape[1])
-    Bvp = _scatter_matrix(vb.cell_dofs, pb.cell_dofs, loc, (nU, nP))
-    return sp.bmat([[-Bvv + Bvv.T, Bvp], [-Bvp.T, None]], format="csr")
+    return _scatter_matrix(vb.cell_dofs, pb.cell_dofs, loc,
+                           (vspace.dof_count, pspace.dof_count))
 
 
 def _pressure_h2_gram(pspace, hK):
@@ -110,20 +96,20 @@ def _mass_local(space, cells):
 def assemble_pressure_stabilization(vspace, pspace, params):
     """Element-residual stabilization coupling into the mass-balance rows.
 
-    (gamma/mu) sum_K int_K h_K^2 (-2 mu div eps(u_h) + grad p_h) . grad q_h.
-    The velocity coupling vanishes identically for P1.
+    (gamma/mu) sum_K int_K h_K^2 (-2 mu div eps(u_h) + grad p_h) . grad q_h
+    as the blocks (Squ, Spp) of the velocity and pressure trials.  The
+    velocity coupling Squ vanishes identically for P1.
     """
     _check_pair(vspace, pspace)
     if params.gamma is None or params.gamma <= 0.0:
         raise ValueError("stabilization parameter gamma must be positive")
     hK = _stab_h(vspace.mesh)
-    nU, nP = vspace.dof_count, pspace.dof_count
     gamma, mu = params.gamma, params.mu
 
     Spp = (gamma / mu) * _pressure_h2_gram(pspace, hK)
 
     if vspace.order == 1:
-        Squ = sp.csr_matrix((nP, nU))
+        Squ = sp.csr_matrix((pspace.dof_count, vspace.dof_count))
     else:
         _, Jinv, detJ = vspace.geometry()
         Hhat = basis_hessians(vspace.order)
@@ -143,8 +129,7 @@ def assemble_pressure_stabilization(vspace, pspace, params):
             return loc.reshape(-1, nloc_p, nloc_v)
 
         Squ = _cell_matrix(pspace, vspace, local)
-    zero_vv = sp.csr_matrix((nU, nU))
-    return sp.bmat([[zero_vv, None], [Squ, Spp]], format="csr")
+    return Squ, Spp
 
 
 def assemble_pressure_mass(pspace):
@@ -181,25 +166,32 @@ def _pressure_flux_load(pspace, g, side_tags, degree=None):
     return _scatter_vector(pb.cell_dofs, loc, pspace.dof_count)
 
 
-def _mixed_operator(vspace, pspace, params, flux_sides):
-    """Volume part plus stabilization plus the antisymmetric flux on
-    flux_sides (() adds none): the mixed analogue of the compressible
-    weak operator."""
-    A = assemble_mixed_volume(vspace, pspace, params)
-    A = A + assemble_pressure_stabilization(vspace, pspace, params)
-    if flux_sides:
-        A = A + assemble_mixed_boundary_flux(vspace, pspace, params,
-                                             flux_sides)
+def _mixed_operator(vspace, pspace, params, flux_sides, nearly_lambda=None,
+                    mean=False):
+    """The mixed operator as one block matrix, with the antisymmetric flux
+    on flux_sides (() adds none):
+
+        [[A_mu,              -D^T + Bvp,       0],
+         [D + Squ - Bvp^T,   Spp + M/lambda,   m],
+         [0,                 m^T,              0]]
+
+    A_mu is the compressible weak operator with lambda = 0.  The pressure
+    mass M/lambda of div u = -p/lambda comes with nearly_lambda, the
+    pressure-mean border m with mean.  Exact zeros are not stored."""
+    D = assemble_divergence(vspace, pspace)
+    Squ, Spp = assemble_pressure_stabilization(vspace, pspace, params)
+    Avv = _weak_operator(vspace, MaterialParams(params.mu), flux_sides)
+    Bvp = assemble_mixed_boundary_flux(vspace, pspace, flux_sides)
+    if nearly_lambda is not None:
+        Spp = Spp + (1.0 / nearly_lambda) * assemble_pressure_mass(pspace)
+    blocks = [[Avv, -D.T + Bvp], [D + Squ - Bvp.T, Spp]]
+    if mean:
+        m = sp.csr_matrix(pressure_integral_vector(pspace)[:, None])
+        blocks = [blocks[0] + [None], blocks[1] + [m], [None, m.T, None]]
+    A = sp.bmat(blocks, format="csr")
+    A.eliminate_zeros()
+    A.sort_indices()
     return A
-
-
-def _pressure_mean_bordered(core, vspace, pspace):
-    """core bordered by the pressure-mean row and column (the multiplier of
-    the mean-zero pressure constraint)."""
-    mvec = np.concatenate([np.zeros(vspace.dof_count),
-                           pressure_integral_vector(pspace)])
-    return sp.bmat([[core, mvec[:, None]], [mvec[None, :], None]],
-                   format="csr")
 
 
 def assemble_incompressible_system(mesh, vspace, pspace, params, f, g,
@@ -228,14 +220,11 @@ def assemble_incompressible_system(mesh, vspace, pspace, params, f, g,
     sides = _dirichlet_sides(mesh, dirichlet_sides)
     nU, nP = vspace.dof_count, pspace.dof_count
     hK = _stab_h(mesh)
+    mean = set(sides) == set(mesh.side_tags) and nearly_lambda is None
 
     core = _mixed_operator(vspace, pspace, params,
-                           sides if bc_mode == "weak" else ())
-    if nearly_lambda is not None:
-        Mpp = assemble_pressure_mass(pspace)
-        core = core + sp.bmat(
-            [[sp.csr_matrix((nU, nU)), None],
-             [None, (1.0 / nearly_lambda) * Mpp]], format="csr")
+                           sides if bc_mode == "weak" else (), nearly_lambda,
+                           mean)
 
     rhs = np.concatenate([
         assemble_load(vspace, f, rhs_degree),
@@ -247,18 +236,13 @@ def assemble_incompressible_system(mesh, vspace, pspace, params, f, g,
         rhs[nU:] += _pressure_flux_load(pspace, g, sides, flux_degree)
     _add_neumann_loads(rhs, vspace, neumann)
 
-    constraint_index = None
-    if set(sides) == set(mesh.side_tags) and nearly_lambda is None:
-        core = _pressure_mean_bordered(core, vspace, pspace)
+    if mean:
         rhs = np.concatenate([rhs, [0.0]])
-        constraint_index = nU + nP
 
     if bc_mode == "strong":
         dofs, vals = dirichlet_dofs_and_values(vspace, g, sides)
-        core, rhs = eliminate_dofs(core.tocsr(), rhs, dofs, vals)
+        core, rhs = eliminate_dofs(core, rhs, dofs, vals)
 
-    core = core.tocsr()
-    core.sort_indices()
     system = AssembledSystem(matrix=core, rhs=rhs, dof_count=core.shape[0])
     return MixedSystem(system=system, n_velocity=nU, n_pressure=nP,
-                       constraint_index=constraint_index)
+                       constraint_index=nU + nP if mean else None)

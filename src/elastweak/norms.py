@@ -20,8 +20,7 @@ from .compressible import (_I2, MaterialParams, _cell_matrix,
                            assemble_flux_load)
 from .incompressible import (_mass_local, _mixed_operator,
                              _pressure_flux_load, _pressure_h2_gram,
-                             _pressure_mean_bordered, _stab_h,
-                             _stabilized_load)
+                             _stab_h, _stabilized_load)
 from .solvers import _smallest_eigenvalue, smallest_generalized_singular_value
 from .spaces import AnalyticField, DiscreteField, FESpace, cell_chunks
 
@@ -391,9 +390,8 @@ def galerkin_orthogonality_residual_mixed(mesh, vspace, pspace, params,
     sides = _dirichlet_sides(mesh, dirichlet_sides)
     # the weak system's matrix: bordered by the pressure mean when the
     # Dirichlet data covers the whole boundary
-    A = _mixed_operator(vspace, pspace, params, sides)
-    if set(sides) == set(mesh.side_tags):
-        A = _pressure_mean_bordered(A, vspace, pspace)
+    A = _mixed_operator(vspace, pspace, params, sides,
+                        mean=set(sides) == set(mesh.side_tags))
     x = np.asarray(solution, dtype=float)
     if x.shape != (A.shape[0],):
         raise ValueError("solution length does not match the system")

@@ -147,15 +147,9 @@ def emit_plot(series, spec, path):
 
 
 def table_series(table, column):
-    """Series of a ConvergenceTable error column versus h_max."""
-    getters = {
-        "err_l2": lambda r: r.report.l2_error,
-        "err_h1": lambda r: r.report.h1_semi_error,
-        "err_triple": lambda r: r.report.triple_norm_error,
-        "err_p_l2": lambda r: r.report.pressure_l2_error,
-        "qoi": lambda r: r.qoi,
-    }
-    get = getters[column]
-    pts = [(r.h_max, get(r)) for r in table.rows if get(r) is not None]
+    """Series of a ConvergenceTable CSV column versus h_max, over the rows
+    where the column has a value."""
+    pts = [(r.h_max, r.cell(column)) for r in table.rows
+           if r.cell(column) is not None]
     return Series(label=column, x=tuple(p[0] for p in pts),
                   y=tuple(p[1] for p in pts))

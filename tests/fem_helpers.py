@@ -1,9 +1,17 @@
 """Reference computations that only the tests need: the mesh's edge list,
-point evaluation of a discrete field and integration of a pointwise
-function."""
+point evaluation of a discrete field, integration of a pointwise function
+and the mixed operator as a sum of zero-padded parts."""
 
 import numpy as np
+import scipy.sparse as sp
 
+from elastweak.compressible import (MaterialParams, assemble_boundary_flux,
+                                    assemble_elasticity_stiffness)
+from elastweak.incompressible import (assemble_divergence,
+                                      assemble_mixed_boundary_flux,
+                                      assemble_pressure_mass,
+                                      assemble_pressure_stabilization,
+                                      pressure_integral_vector)
 from elastweak.spaces import FESpace, basis_values, cell_chunks
 
 
@@ -39,3 +47,41 @@ def integrate_field(mesh, fn, quadrature_degree=10):
         x = tab.physical_points(cells)
         total += float(np.sum(tab.wdet[cells] * fn(x[..., 0], x[..., 1])))
     return total
+
+
+def padded_mixed_operator(vspace, pspace, params, flux_sides,
+                          nearly_lambda=None, mean=False):
+    """The mixed operator as a sum of full-size zero-padded parts, in the
+    order volume, stabilization, boundary flux, pressure mass, then the
+    pressure-mean border: the reference that the one block matrix of
+    incompressible._mixed_operator must equal bit for bit."""
+    nU, nP = vspace.dof_count, pspace.dof_count
+    mu_only = MaterialParams(params.mu)
+    zero_vv = sp.csr_matrix((nU, nU))
+    K = assemble_elasticity_stiffness(vspace, mu_only)
+    D = assemble_divergence(vspace, pspace)
+    Squ, Spp = assemble_pressure_stabilization(vspace, pspace, params)
+    A = sp.bmat([[K, -D.T], [D, None]], format="csr")
+    A = A + sp.bmat([[zero_vv, None], [Squ, Spp]], format="csr")
+    if flux_sides:
+        Bvv = assemble_boundary_flux(vspace, mu_only, flux_sides)
+        Bvp = assemble_mixed_boundary_flux(vspace, pspace, flux_sides)
+        A = A + sp.bmat([[-Bvv + Bvv.T, Bvp], [-Bvp.T, None]], format="csr")
+    if nearly_lambda is not None:
+        M = (1.0 / nearly_lambda) * assemble_pressure_mass(pspace)
+        A = A + sp.bmat([[zero_vv, None], [None, M]], format="csr")
+    if mean:
+        m = np.concatenate([np.zeros(nU), pressure_integral_vector(pspace)])
+        A = sp.bmat([[A, m[:, None]], [m[None, :], None]], format="csr")
+    A.sort_indices()
+    return A
+
+
+def assert_same_csr(A, B):
+    """A and B store the same entries with the same bits, in the same
+    order."""
+    A, B = sp.csr_matrix(A), sp.csr_matrix(B)
+    assert A.shape == B.shape
+    assert np.array_equal(A.indptr, B.indptr)
+    assert np.array_equal(A.indices, B.indices)
+    assert np.array_equal(A.data.view(np.int64), B.data.view(np.int64))

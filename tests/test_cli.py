@@ -304,3 +304,62 @@ def test_diverged_cook_sweep_exit_code(tmp_path, monkeypatch, capsys):
         rows = list(csv.DictReader(fh))
     assert [float(r["qoi"]) for r in rows] == [138.8, -139.9]
     assert not (tmp_path / "cook_k2_weak_nearly_incompressible.svg").exists()
+
+
+def _sweep_csv(tmp_path):
+    main(["run", "--problem", "compressible", "--k", "1",
+          "--mesh-sizes", "2,4", "--mu", "1", "--lambda", "1",
+          "--out", str(tmp_path)])
+    return str(tmp_path / "compressible_k1_weak.csv")
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["--y", "err_p_l2"], "cannot plot err_p_l2 of {csv}: nothing to plot"),
+    (["--y", "err_l3"], "no column err_l3 in {csv}"),
+    (["--y", "err_l2", "--y", "err_l3"], "no column err_l3 in {csv}"),
+    (["--x", "h", "--y", "err_l2"], "no column h in {csv}"),
+    (["--x", "problem", "--y", "err_l2"],
+     "cannot plot err_l2 of {csv}: could not convert string to float"),
+    (["--y", "problem"], "cannot plot problem of {csv}: could not convert"),
+    (["--y", "slope_h1", "--x", "slope_l2", "--csv", "{nowhere}"],
+     "cannot read {nowhere}: No such file or directory"),
+    (["--y", "err_l2", "--out", "{nodir}"],
+     "cannot write {nodir}: No such file or directory"),
+], ids=["empty-column", "absent-y", "one-absent-y", "absent-x",
+        "non-numeric-x", "non-numeric-y", "missing-csv", "unwritable-out"])
+def test_plot_bad_input_exit_code(tmp_path, capsys, argv, message):
+    names = {"csv": _sweep_csv(tmp_path),
+             "nowhere": str(tmp_path / "nowhere.csv"),
+             "nodir": str(tmp_path / "no" / "plot.svg")}
+    argv = ["plot", "--csv", "{csv}", "--out", str(tmp_path / "p.svg"), *argv]
+    capsys.readouterr()
+    code = main([a.format(**names) for a in argv])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: " + message.format(**names))
+    assert not (tmp_path / "p.svg").exists()
+
+
+def test_plot_skips_empty_columns_beside_data(tmp_path):
+    # a column without values is left out when another has data
+    out = tmp_path / "p.svg"
+    assert main(["plot", "--csv", _sweep_csv(tmp_path), "--y", "err_l2",
+                 "--y", "err_p_l2", "--out", str(out)]) == 0
+    assert out.read_text().count("<polyline") == 1
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["--n", "0"], "invalid mesh: subdivision count must be >= 1"),
+    (["--n", "-3"], "invalid mesh: subdivision count must be >= 1"),
+    (["--n", "2", "--out", "{nodir}"],
+     "cannot write {nodir}: No such file or directory"),
+], ids=["zero-n", "negative-n", "unwritable-out"])
+@pytest.mark.parametrize("shape", ["square", "cook"])
+def test_mesh_bad_input_exit_code(tmp_path, capsys, shape, argv, message):
+    nodir = str(tmp_path / "no" / "mesh.txt")
+    argv = ["mesh", "--shape", shape, "--out", str(tmp_path / "m.txt"), *argv]
+    code = main([a.format(nodir=nodir) for a in argv])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: " + message.format(nodir=nodir) + "\n")
+    assert not list(tmp_path.glob("**/*.txt"))

@@ -319,9 +319,9 @@ def test_material_params_reject_bad_inputs(make):
 
 
 def test_empty_dirichlet_sides_select_no_side():
-    from elastweak.incompressible import (assemble_incompressible_system,
-                                          assemble_mixed_volume,
-                                          assemble_pressure_stabilization)
+    from fem_helpers import padded_mixed_operator
+
+    from elastweak.incompressible import assemble_incompressible_system
     mesh = build_unit_square_mesh(3)
     V, Q = FESpace(mesh, 1, 2), FESpace(mesh, 1, 1)
     pars = MaterialParams(1.0, 2.0, gamma=0.1)
@@ -339,8 +339,8 @@ def test_empty_dirichlet_sides_select_no_side():
     strong = assemble_strong_system(mesh, V, pars, g, g, dirichlet_sides=())
     assert abs(strong.matrix - K).max() == 0.0
 
-    core = (assemble_mixed_volume(V, Q, pars)
-            + assemble_pressure_stabilization(V, Q, pars))
+    # volume plus stabilization: no flux, no border
+    core = padded_mixed_operator(V, Q, pars, ())
     for mode in ("weak", "strong"):
         mixed = assemble_incompressible_system(mesh, V, Q, pars, g, g,
                                                dirichlet_sides=(),

@@ -11,7 +11,7 @@ import pytest
 from elastweak.compressible import (MaterialParams, assemble_boundary_flux,
                                     assemble_elasticity_stiffness,
                                     assemble_flux_load)
-from elastweak.incompressible import (assemble_divergence,
+from elastweak.incompressible import (_mixed_operator, assemble_divergence,
                                       assemble_mixed_boundary_flux,
                                       assemble_pressure_mass,
                                       assemble_pressure_stabilization)
@@ -155,10 +155,9 @@ def test_pressure_mass_matches_naive_reference(order):
 def _stabilization_blocks(order, gamma, mu):
     mesh = build_cook_mesh(2)
     V, Q = FESpace(mesh, order, 2), FESpace(mesh, order, 1)
-    S = assemble_pressure_stabilization(
-        V, Q, MaterialParams(mu, gamma=gamma)).toarray()
-    nU = V.dof_count
-    return mesh, V, Q, S[nU:, :nU], S[nU:, nU:]
+    Squ, Spp = assemble_pressure_stabilization(
+        V, Q, MaterialParams(mu, gamma=gamma))
+    return mesh, V, Q, Squ.toarray(), Spp.toarray()
 
 
 @pytest.mark.parametrize("order", [1, 2])
@@ -301,8 +300,12 @@ def test_mixed_boundary_flux_matches_naive_reference():
                     for j in range(6):
                         Bvp[vdofs[2 * i + c], pdofs[j]] += (w * N[j] * nrm[c]
                                                            * N[i])
+    _assert_matches(assemble_mixed_boundary_flux(V, Q).toarray(), Bvp)
+    # what the flux adds to the mixed operator; lambda = 2.7 must not enter
     Bvv = _naive_boundary_flux(mesh, V, mu, 0.0)
     ref = np.block([[-Bvv + Bvv.T, Bvp],
                     [-Bvp.T, np.zeros((Q.dof_count, Q.dof_count))]])
-    M = assemble_mixed_boundary_flux(V, Q, MaterialParams(mu, 2.7, gamma=0.1))
+    pars = MaterialParams(mu, 2.7, gamma=0.1)
+    M = (_mixed_operator(V, Q, pars, mesh.side_tags)
+         - _mixed_operator(V, Q, pars, ()))
     _assert_matches(M.toarray(), ref)

@@ -267,6 +267,30 @@ def test_convergence_table_schema_and_slopes():
         table.add(ConvergenceRow(h_max=0.5, dofs=99))
 
 
+def test_row_cells_are_the_csv_columns():
+    # cell() reads every column after bc_mode; to_csv and table_series
+    # both go through it
+    from elastweak.plotting import table_series
+    rep = ErrorReport(l2_error=0.1, h1_semi_error=0.2, triple_norm_error=0.3,
+                      h_max=0.5, pressure_l2_error=0.4)
+    row = ConvergenceRow(h_max=0.5, dofs=12, report=rep, slope_l2=1.9,
+                         slope_h1=0.9, beta_h=0.7, korn_h=0.6, qoi=5.5)
+    assert [row.cell(c) for c in CSV_HEADER[3:]] == [
+        0.5, 12, 0.1, 0.2, 0.3, 0.4, 1.9, 0.9, 0.7, 0.6, 5.5]
+    bare = ConvergenceRow(h_max=0.25, dofs=None, beta_h=0.5)
+    assert [bare.cell(c) for c in CSV_HEADER[3:]] == [
+        0.25, None, None, None, None, None, None, None, 0.5, None, None]
+    table = ConvergenceTable(problem="cook", order=2, bc_mode="strong",
+                             rows=[row, bare])
+    assert table.to_csv().splitlines()[1:] == [
+        "cook,2,strong,0.5,12,0.10000000000000001,0.20000000000000001,"
+        "0.29999999999999999,0.40000000000000002,1.8999999999999999,"
+        "0.90000000000000002,0.69999999999999996,0.59999999999999998,5.5",
+        "cook,2,strong,0.25,,,,,,,,0.5,,"]
+    assert table_series(table, "qoi").x == (0.5,)
+    assert table_series(table, "beta_h").y == (0.7, 0.5)
+
+
 def test_run_convergence_deterministic_rerun():
     cfg = ExperimentConfig(problem="compressible", order=1, mesh_sizes=(2, 4),
                            mu=1.0, lam=1.0)

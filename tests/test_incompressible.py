@@ -1,14 +1,15 @@
 import numpy as np
 import pytest
+from fem_helpers import assert_same_csr, padded_mixed_operator
 
-from elastweak.compressible import MaterialParams
-from elastweak.incompressible import (assemble_divergence,
+from elastweak.compressible import (MaterialParams, _weak_operator,
+                                    dirichlet_dofs_and_values, eliminate_dofs)
+from elastweak.incompressible import (_mixed_operator, assemble_divergence,
                                       assemble_incompressible_system,
                                       assemble_mixed_boundary_flux,
-                                      assemble_mixed_volume,
                                       assemble_pressure_stabilization,
                                       pressure_integral_vector)
-from elastweak.mesh import build_unit_square_mesh
+from elastweak.mesh import build_cook_mesh, build_unit_square_mesh
 from elastweak.solvers import lu_solve
 from elastweak.spaces import AnalyticField, FESpace, interpolate
 
@@ -30,9 +31,11 @@ def mixed_vector(V, Q, vfield=None, pfield=None):
 
 
 def test_mixed_volume_divergence_pairing():
+    # with no flux side the operator is the volume part plus the
+    # stabilization, whose velocity coupling vanishes for P1
     mesh, V, Q = spaces(2)
     pars = MaterialParams(1.0, gamma=0.1)
-    A = assemble_mixed_volume(V, Q, pars)
+    A = _mixed_operator(V, Q, pars, ())
     ux = AnalyticField.vector(lambda x, y: np.stack([x, 0 * y], axis=-1))
     one = AnalyticField.scalar(lambda x, y: 1.0 + 0 * x)
     X = mixed_vector(V, Q, vfield=ux)
@@ -43,7 +46,7 @@ def test_mixed_volume_divergence_pairing():
 
 def test_mixed_volume_divergence_free_rotation():
     mesh, V, Q = spaces(3)
-    A = assemble_mixed_volume(V, Q, MaterialParams(1.0, gamma=0.1))
+    A = _mixed_operator(V, Q, MaterialParams(1.0, gamma=0.1), ())
     rot = AnalyticField.vector(lambda x, y: np.stack([y, -x], axis=-1))
     q = AnalyticField.scalar(lambda x, y: x * 0 + 2.0)
     X = mixed_vector(V, Q, vfield=rot)
@@ -53,7 +56,7 @@ def test_mixed_volume_divergence_free_rotation():
 
 def test_mixed_volume_pressure_blocks_negative_transpose():
     mesh, V, Q = spaces(2)
-    A = assemble_mixed_volume(V, Q, MaterialParams(1.0, gamma=0.1)).toarray()
+    A = _mixed_operator(V, Q, MaterialParams(1.0, gamma=0.1), ()).toarray()
     nU = V.dof_count
     vp = A[:nU, nU:]
     qv = A[nU:, :nU]
@@ -64,18 +67,30 @@ def test_mixed_volume_mismatched_meshes_rejected():
     mesh1 = build_unit_square_mesh(2)
     mesh2 = build_unit_square_mesh(2)
     with pytest.raises(ValueError):
-        assemble_mixed_volume(FESpace(mesh1, 1, 2), FESpace(mesh2, 1, 1),
-                              MaterialParams(1.0, gamma=0.1))
+        _mixed_operator(FESpace(mesh1, 1, 2), FESpace(mesh2, 1, 1),
+                        MaterialParams(1.0, gamma=0.1), ())
+    with pytest.raises(ValueError):
+        assemble_mixed_boundary_flux(FESpace(mesh1, 1, 2),
+                                     FESpace(mesh2, 1, 1))
+
+
+def _flux_part(V, Q, pars, sides):
+    """What the flux on sides adds to the mixed operator."""
+    return _mixed_operator(V, Q, pars, sides) - _mixed_operator(V, Q, pars, ())
 
 
 def test_boundary_flux_pressure_edge_value():
     # b(u=0, v=(1,0), p=1) over the right edge equals -1; it enters the
     # matrix through -b(u,v,p), so the assembled pairing gives +1
     mesh, V, Q = spaces(1)
-    N = assemble_mixed_boundary_flux(V, Q, MaterialParams(1.0, gamma=0.1),
-                                     side_tags=("right",))
     one = AnalyticField.scalar(lambda x, y: 1.0 + 0 * x)
     ex = AnalyticField.constant_vector(1.0, 0.0)
+    Bvp = assemble_mixed_boundary_flux(V, Q, side_tags=("right",))
+    assert Bvp.shape == (V.dof_count, Q.dof_count)
+    assert (interpolate(V, ex).coefficients
+            @ (Bvp @ interpolate(Q, one).coefficients)) == pytest.approx(
+                1.0, rel=1e-13)
+    N = _flux_part(V, Q, MaterialParams(1.0, gamma=0.1), ("right",))
     X = mixed_vector(V, Q, pfield=one)
     Y = mixed_vector(V, Q, vfield=ex)
     assert Y @ (N @ X) == pytest.approx(1.0, rel=1e-13)
@@ -93,42 +108,102 @@ def test_boundary_flux_constant_velocity_zero_pressure():
 
 def test_boundary_flux_antisymmetric():
     mesh, V, Q = spaces(3)
-    N = assemble_mixed_boundary_flux(V, Q, MaterialParams(2.0, gamma=0.1))
+    N = _flux_part(V, Q, MaterialParams(2.0, gamma=0.1), mesh.side_tags)
+    assert abs(N).max() > 0.1
     D = (N + N.T).toarray()
     assert np.abs(D).max() < 1e-12
 
 
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("builder,sides", [
+    *((build_unit_square_mesh, (tag,))
+      for tag in build_unit_square_mesh(1).side_tags),
+    (build_unit_square_mesh, None),
+    (build_unit_square_mesh, ()),
+    (build_cook_mesh, ("CD",)),
+    (build_cook_mesh, ()),
+])
+def test_velocity_block_is_the_weak_operator(builder, sides, order):
+    mesh = builder(3)
+    V, Q = FESpace(mesh, order, 2), FESpace(mesh, order, 1)
+    pars = MaterialParams(1.3, 2.7, gamma=0.1)
+    sides = mesh.side_tags if sides is None else sides
+    A = _mixed_operator(V, Q, pars, sides)
+    nU = V.dof_count
+    assert_same_csr(A[:nU, :nU], _weak_operator(V, MaterialParams(1.3), sides))
+
+
+@pytest.mark.parametrize("n", [4, 32])
+@pytest.mark.parametrize("bc_mode", ["weak", "strong"])
+def test_mixed_matrix_equals_padded_sum_on_square(n, bc_mode):
+    # bordered by the pressure mean; strong mode eliminates on the bordered
+    # operator without flux
+    mesh, V, Q = spaces(n)
+    pars = MaterialParams(1.0, gamma=0.1)
+    g = AnalyticField.constant_vector(0.3, -0.2)
+    mixed = assemble_incompressible_system(mesh, V, Q, pars, g, g,
+                                           bc_mode=bc_mode)
+    assert mixed.constraint_index == V.dof_count + Q.dof_count
+    flux_sides = mesh.side_tags if bc_mode == "weak" else ()
+    ref = padded_mixed_operator(V, Q, pars, flux_sides, mean=True)
+    if bc_mode == "strong":
+        dofs, vals = dirichlet_dofs_and_values(V, g)
+        ref, _ = eliminate_dofs(ref, mixed.system.rhs, dofs, vals)
+    assert_same_csr(mixed.system.matrix, ref)
+
+
+@pytest.mark.parametrize("bc_mode", ["weak", "strong"])
+def test_mixed_matrix_equals_padded_sum_on_nearly_incompressible_cook(
+        bc_mode):
+    mesh = build_cook_mesh(8)
+    V, Q = FESpace(mesh, 2, 2), FESpace(mesh, 2, 1)
+    full = MaterialParams.from_young_poisson(250.0, 0.4999, gamma=0.1)
+    pars = MaterialParams(full.mu, gamma=0.1)
+    g = AnalyticField.constant_vector(0.0, 0.0)
+    mixed = assemble_incompressible_system(
+        mesh, V, Q, pars, g, g, nearly_lambda=full.lam,
+        dirichlet_sides=("CD",), bc_mode=bc_mode)
+    assert mixed.constraint_index is None
+    flux_sides = ("CD",) if bc_mode == "weak" else ()
+    ref = padded_mixed_operator(V, Q, pars, flux_sides,
+                                nearly_lambda=full.lam)
+    if bc_mode == "strong":
+        dofs, vals = dirichlet_dofs_and_values(V, g, ("CD",))
+        ref, _ = eliminate_dofs(ref, mixed.system.rhs, dofs, vals)
+    assert_same_csr(mixed.system.matrix, ref)
+
+
 def test_stabilization_velocity_block_vanishes_for_p1():
     mesh, V, Q = spaces(3)
-    S = assemble_pressure_stabilization(V, Q, MaterialParams(1.0, gamma=0.1))
-    nU = V.dof_count
-    Sd = S.toarray()
-    assert np.abs(Sd[:, :nU]).max() == 0.0
-    assert np.abs(Sd[:nU, :]).max() == 0.0
+    Squ, Spp = assemble_pressure_stabilization(V, Q,
+                                               MaterialParams(1.0, gamma=0.1))
+    assert Squ.shape == (Q.dof_count, V.dof_count)
+    assert Spp.shape == (Q.dof_count, Q.dof_count)
+    assert Squ.nnz == 0
 
 
 @pytest.mark.parametrize("n", [2, 4, 8])
 def test_stabilization_linear_pressure_value(n):
     mesh, V, Q = spaces(n)
-    S = assemble_pressure_stabilization(V, Q, MaterialParams(1.0, gamma=1.0))
-    px = AnalyticField.scalar(lambda x, y: x)
-    X = mixed_vector(V, Q, pfield=px)
-    assert X @ (S @ X) == pytest.approx(2.0 / n ** 2, rel=1e-12)
+    _, Spp = assemble_pressure_stabilization(V, Q,
+                                             MaterialParams(1.0, gamma=1.0))
+    p = interpolate(Q, AnalyticField.scalar(lambda x, y: x)).coefficients
+    assert p @ (Spp @ p) == pytest.approx(2.0 / n ** 2, rel=1e-12)
 
 
 def test_stabilization_constant_pressure_zero():
     mesh, V, Q = spaces(2)
-    S = assemble_pressure_stabilization(V, Q, MaterialParams(1.0, gamma=0.5))
-    X = mixed_vector(V, Q, pfield=AnalyticField.scalar(lambda x, y: 3 + 0 * x))
-    assert np.abs(S @ X).max() < 1e-14
+    _, Spp = assemble_pressure_stabilization(V, Q,
+                                             MaterialParams(1.0, gamma=0.5))
+    p = np.full(Q.dof_count, 3.0)
+    assert np.abs(Spp @ p).max() < 1e-14
 
 
 def test_stabilization_pressure_block_spd():
     mesh, V, Q = spaces(3)
-    S = assemble_pressure_stabilization(V, Q,
-                                        MaterialParams(1.0, gamma=0.1)).toarray()
-    nU = V.dof_count
-    Spp = S[nU:, nU:]
+    _, Spp = assemble_pressure_stabilization(V, Q,
+                                             MaterialParams(1.0, gamma=0.1))
+    Spp = Spp.toarray()
     assert np.abs(Spp - Spp.T).max() < 1e-12
     ev = np.linalg.eigvalsh(Spp)
     assert ev.min() > -1e-12 * max(ev.max(), 1.0)
@@ -150,16 +225,15 @@ def test_p2_stabilization_velocity_coupling_consistent():
     mesh = build_unit_square_mesh(3)
     V, Q = FESpace(mesh, 2, 2), FESpace(mesh, 2, 1)
     mu, gamma = 1.7, 0.3
-    S = assemble_pressure_stabilization(V, Q, MaterialParams(mu, gamma=gamma))
+    Squ, _ = assemble_pressure_stabilization(V, Q,
+                                             MaterialParams(mu, gamma=gamma))
     u2 = AnalyticField.vector(lambda x, y: np.stack([x ** 2, 0 * y], axis=-1))
     qx = AnalyticField.scalar(lambda x, y: x)
-    X = np.zeros(V.dof_count + Q.dof_count)
-    X[:V.dof_count] = interpolate(V, u2).coefficients
-    Y = np.zeros_like(X)
-    Y[V.dof_count:] = interpolate(Q, qx).coefficients
+    u = interpolate(V, u2).coefficients
+    q = interpolate(Q, qx).coefficients
     h2 = 2.0 / 9.0   # uniform h_K^2 on the n=3 mesh
     expected = (gamma / mu) * h2 * (-2.0 * mu) * 2.0
-    assert Y @ (S @ X) == pytest.approx(expected, rel=1e-12)
+    assert q @ (Squ @ u) == pytest.approx(expected, rel=1e-12)
 
 
 def test_zero_data_zero_solution():

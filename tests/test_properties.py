@@ -1,20 +1,22 @@
-"""Property tests on unit-square meshes whose interior vertices are randomly
-perturbed, so that the cells are general affine triangles rather than the
-builder's right-angled ones."""
+"""Property tests on unit-square and Cook-membrane meshes whose interior
+vertices are randomly perturbed, so that the cells are general affine
+triangles rather than the builders' structured ones."""
 
 import dataclasses
 
 import numpy as np
 import pytest
+from fem_helpers import unique_edges
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from elastweak.compressible import (MaterialParams, _weak_operator,
+from elastweak.compressible import (MaterialParams, _stress, _weak_operator,
                                     assemble_boundary_flux,
                                     assemble_elasticity_stiffness)
 from elastweak.experiments import solve_compressible
-from elastweak.incompressible import assemble_pressure_stabilization
+from elastweak.incompressible import (_mixed_operator,
+                                      assemble_pressure_stabilization)
 from elastweak.mesh import build_cook_mesh, build_unit_square_mesh
 from elastweak.norms import galerkin_orthogonality_residual, rigid_motion_basis
 from elastweak.quadrature import triangle_rule
@@ -40,8 +42,32 @@ def perturbed_squares(draw):
     return mesh
 
 
+@st.composite
+def perturbed_cooks(draw):
+    """Cook membranes whose interior vertices move by at most a tenth of
+    their shortest incident edge (at most 0.07 of it per coordinate)."""
+    mesh = build_cook_mesh(draw(st.integers(2, 4)))
+    v = mesh.vertices.copy()
+    inner = np.setdiff1d(np.arange(len(v)), mesh.edge_vertices)
+    edges = unique_edges(mesh)
+    length = np.linalg.norm(v[edges[:, 0]] - v[edges[:, 1]], axis=1)
+    shortest = np.full(len(v), np.inf)
+    np.minimum.at(shortest, edges.ravel(), np.repeat(length, 2))
+    shift = draw(arrays(np.float64, (len(inner), 2),
+                        elements=st.floats(-0.07, 0.07)))
+    v[inner] += shift * shortest[inner, None]
+    mesh = dataclasses.replace(mesh, vertices=v)
+    assert mesh.triangle_areas().min() > 0.0
+    return mesh
+
+
+# the Cook membrane's Dirichlet side; the tractions of the linear field
+# load the other three
+COOK_SIDES = ("CD",)
+G = np.array([[0.7, -1.1], [0.4, 1.9]])
+
+
 def _linear_field():
-    G = np.array([[0.7, -1.1], [0.4, 1.9]])
 
     def value(x, y):
         return np.stack([0.3 + G[0, 0] * x + G[0, 1] * y,
@@ -53,20 +79,23 @@ def _linear_field():
     return AnalyticField.vector(value, gradient)
 
 
-@pytest.mark.parametrize("order", [1, 2])
-@PROPERTY
-@given(mesh=perturbed_squares())
-def test_weak_operator_boundary_part_is_antisymmetric(order, mesh):
+def _neumann_tractions(mesh, sides):
+    """{side: constant traction sigma(G) . n} of the linear field on the
+    straight sides not in sides."""
+    sigma = _stress(PARAMS, G)
+    return {tag: AnalyticField.constant_vector(
+                *(sigma @ mesh.edge_normal[mesh.edge_tag == i][0]))
+            for i, tag in enumerate(mesh.side_tags) if tag not in sides}
+
+
+def _check_flux_antisymmetry(order, mesh):
     V = FESpace(mesh, order, 2)
     S = (_weak_operator(V, PARAMS, None)
          - assemble_elasticity_stiffness(V, PARAMS)).toarray()
     assert np.abs(S + S.T).max() <= 1e-14 * np.abs(S).max()
 
 
-@pytest.mark.parametrize("order", [1, 2])
-@PROPERTY
-@given(mesh=perturbed_squares())
-def test_boundary_flux_annihilates_rigid_motions(order, mesh):
+def _check_rigid_motions(order, mesh):
     V = FESpace(mesh, order, 2)
     B = assemble_boundary_flux(V, PARAMS)
     scale = np.abs(B).max()
@@ -75,14 +104,45 @@ def test_boundary_flux_annihilates_rigid_motions(order, mesh):
         assert np.abs(B @ r).max() <= 1e-14 * scale * np.abs(r).max()
 
 
+def _check_galerkin_residual(order, mesh, sides=None):
+    V = FESpace(mesh, order, 2)
+    exact = _linear_field()
+    assert galerkin_orthogonality_residual(
+        mesh, V, PARAMS, exact, interpolate(V, exact), sides) <= 1e-14
+
+
+def _check_patch_test(order, bc_mode, mesh, sides=None):
+    # a linear displacement has zero body force, so both boundary treatments
+    # must return its interpolant on any affine triangulation
+    exact = _linear_field()
+    zero = AnalyticField.constant_vector(0.0, 0.0)
+    neumann = _neumann_tractions(mesh, sides) if sides else None
+    u_h, _ = solve_compressible(mesh, order, PARAMS, zero, exact, bc_mode,
+                                sides, neumann)
+    ref = interpolate(u_h.space, exact).coefficients
+    assert (np.linalg.norm(u_h.coefficients - ref)
+            <= 1e-10 * np.linalg.norm(ref))
+
+
+@pytest.mark.parametrize("order", [1, 2])
+@PROPERTY
+@given(mesh=perturbed_squares())
+def test_weak_operator_boundary_part_is_antisymmetric(order, mesh):
+    _check_flux_antisymmetry(order, mesh)
+
+
+@pytest.mark.parametrize("order", [1, 2])
+@PROPERTY
+@given(mesh=perturbed_squares())
+def test_boundary_flux_annihilates_rigid_motions(order, mesh):
+    _check_rigid_motions(order, mesh)
+
+
 @pytest.mark.parametrize("order", [1, 2])
 @PROPERTY
 @given(mesh=perturbed_squares())
 def test_galerkin_residual_vanishes_for_linear_fields(order, mesh):
-    V = FESpace(mesh, order, 2)
-    exact = _linear_field()
-    assert galerkin_orthogonality_residual(
-        mesh, V, PARAMS, exact, interpolate(V, exact)) <= 1e-14
+    _check_galerkin_residual(order, mesh)
 
 
 @pytest.mark.parametrize("bc_mode", ["weak", "strong"])
@@ -90,14 +150,53 @@ def test_galerkin_residual_vanishes_for_linear_fields(order, mesh):
 @PROPERTY
 @given(mesh=perturbed_squares())
 def test_patch_test_reproduces_linear_fields(order, bc_mode, mesh):
-    # a linear displacement has zero body force, so both boundary treatments
-    # must return its interpolant on any affine triangulation
-    exact = _linear_field()
-    zero = AnalyticField.constant_vector(0.0, 0.0)
-    u_h, _ = solve_compressible(mesh, order, PARAMS, zero, exact, bc_mode)
-    ref = interpolate(u_h.space, exact).coefficients
-    assert (np.linalg.norm(u_h.coefficients - ref)
-            <= 1e-10 * np.linalg.norm(ref))
+    _check_patch_test(order, bc_mode, mesh)
+
+
+@pytest.mark.parametrize("order", [1, 2])
+@PROPERTY
+@given(mesh=perturbed_cooks())
+def test_weak_operator_boundary_part_is_antisymmetric_on_cook(order, mesh):
+    _check_flux_antisymmetry(order, mesh)
+
+
+@pytest.mark.parametrize("order", [1, 2])
+@PROPERTY
+@given(mesh=perturbed_cooks())
+def test_boundary_flux_annihilates_rigid_motions_on_cook(order, mesh):
+    _check_rigid_motions(order, mesh)
+
+
+@pytest.mark.parametrize("order", [1, 2])
+@PROPERTY
+@given(mesh=perturbed_cooks())
+def test_galerkin_residual_vanishes_for_linear_fields_on_cook(order, mesh):
+    _check_galerkin_residual(order, mesh, COOK_SIDES)
+
+
+@pytest.mark.parametrize("bc_mode", ["weak", "strong"])
+@pytest.mark.parametrize("order", [1, 2])
+@PROPERTY
+@given(mesh=perturbed_cooks())
+def test_patch_test_reproduces_linear_fields_on_cook(order, bc_mode, mesh):
+    # Dirichlet data on CD, the linear field's tractions on the other sides
+    _check_patch_test(order, bc_mode, mesh, COOK_SIDES)
+
+
+@pytest.mark.parametrize("family", ["square", "cook"])
+@pytest.mark.parametrize("order", [1, 2])
+@PROPERTY
+@given(data=st.data())
+def test_mixed_flux_part_is_antisymmetric(order, family, data):
+    # what the flux on the Dirichlet sides adds to the mixed operator
+    mesh = data.draw(perturbed_squares() if family == "square"
+                     else perturbed_cooks())
+    sides = mesh.side_tags if family == "square" else COOK_SIDES
+    V, Q = FESpace(mesh, order, 2), FESpace(mesh, order, 1)
+    pars = MaterialParams(1.3, gamma=0.7)
+    S = (_mixed_operator(V, Q, pars, sides)
+         - _mixed_operator(V, Q, pars, ())).toarray()
+    assert np.abs(S + S.T).max() <= 1e-14 * np.abs(S).max()
 
 
 # A quadratic velocity q and its constant Hessians, _HESS[c, a, b] =
@@ -141,8 +240,7 @@ def _velocity_residual_moments(mesh, Q, gamma, mu):
 def _check_velocity_coupling(mesh):
     pars = MaterialParams(1.3, gamma=0.7)
     V, Q = FESpace(mesh, 2, 2), FESpace(mesh, 2, 1)
-    S = assemble_pressure_stabilization(V, Q, pars)
-    Squ = S[V.dof_count:, :V.dof_count]
+    Squ, _ = assemble_pressure_stabilization(V, Q, pars)
     got = Squ @ interpolate(V, _quadratic_field()).coefficients
     ref = _velocity_residual_moments(mesh, Q, pars.gamma, pars.mu)
     assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
