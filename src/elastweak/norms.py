@@ -32,7 +32,6 @@ class ErrorReport:
     l2_error: float
     h1_semi_error: float
     triple_norm_error: float
-    h_max: float
     pressure_l2_error: float = None
 
 
@@ -65,21 +64,17 @@ def _boundary_values(field, bt):
     return field.value(bt.x[..., 0], bt.x[..., 1])
 
 
-def _analytic_tables(field, x):
-    """Values and gradients of an analytic field at points x: the one
-    caller of AnalyticField.jet."""
-    return field.jet(x[..., 0], x[..., 1])
-
-
 def _interior_eval(field, tab, cells, exact=None):
     """Values and gradients at the cells' quadrature points of field - exact,
     or of the field itself when exact is None."""
     if isinstance(field, DiscreteField):
         vals, grads = _discrete_tables(field, tab, cells)
     else:
-        vals, grads = _analytic_tables(field, tab.physical_points(cells))
+        x = tab.physical_points(cells)
+        vals, grads = field.jet(x[..., 0], x[..., 1])
     if exact is not None:
-        ev, eg = _analytic_tables(exact, tab.physical_points(cells))
+        x = tab.physical_points(cells)
+        ev, eg = exact.jet(x[..., 0], x[..., 1])
         vals, grads = vals - ev, grads - eg
     return vals, grads
 
@@ -168,7 +163,6 @@ def error_norms(u_h, exact_u, params, p_h=None, exact_p=None,
     return ErrorReport(l2_error=float(np.sqrt(vparts[0])),
                        h1_semi_error=float(np.sqrt(vparts[1])),
                        triple_norm_error=_triple(params, vparts, pparts),
-                       h_max=float(u_h.space.mesh.triangle_diameters().max()),
                        pressure_l2_error=(None if pparts is None
                                           else float(np.sqrt(pparts[0]))))
 
@@ -333,7 +327,7 @@ def _exact_volume_rows(space, params, exact_u, degree, exact_p=None):
 
     def local(cells):
         x = tab.physical_points(cells)
-        ge = exact_u.gradient(x[..., 0], x[..., 1])
+        _, ge = exact_u.jet(x[..., 0], x[..., 1])
         return tab.gradient_moments(
             cells, _stress(params, ge, _exact_value(exact_p, x)))
 
@@ -344,7 +338,7 @@ def _exact_volume_rows(space, params, exact_u, degree, exact_p=None):
 def _exact_flux_rows(space, params, exact_u, side_tags, degree, exact_p=None):
     """Rows of <sigma(u, p) . n, v> for exact u and p (p = 0 if None)."""
     bt = space.boundary_tables(degree, side_tags)
-    ge = exact_u.gradient(bt.x[..., 0], bt.x[..., 1])
+    _, ge = exact_u.jet(bt.x[..., 0], bt.x[..., 1])
     traction = np.einsum("eqca,ea->eqc",
                          _stress(params, ge, _exact_value(exact_p, bt.x)),
                          bt.normal)
@@ -409,7 +403,7 @@ def galerkin_orthogonality_residual_mixed(mesh, vspace, pspace, params,
 
     def velocity_div(cells):
         xq = ptab.physical_points(cells)
-        ge = exact_u.gradient(xq[..., 0], xq[..., 1])
+        _, ge = exact_u.jet(xq[..., 0], xq[..., 1])
         div = ge[..., 0, 0] + ge[..., 1, 1]
         return np.einsum("cq,qi->ci", ptab.wdet[cells] * div, ptab.N)
 

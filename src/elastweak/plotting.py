@@ -116,7 +116,14 @@ def render_svg(series, spec=PlotSpec()):
     y0 = min(ys)
     for idx, slope in enumerate(spec.ref_slopes):
         base = y0 * (2.0 ** idx)
-        x1, y1 = 2.0 * x0, base * (2.0 ** slope)
+        x1 = 2.0 * x0
+        try:
+            y1 = base * (2.0 ** slope)
+        except OverflowError:
+            y1 = math.inf
+        if not 0.0 < y1 < math.inf:
+            raise ValueError(f"reference slope {slope:g} has no finite "
+                             "triangle")
         p = (f"{_fmt(ax(x0))},{_fmt(ay(base))} {_fmt(ax(x1))},{_fmt(ay(base))} "
              f"{_fmt(ax(x1))},{_fmt(ay(y1))}")
         out.append(f'<polygon points="{p}" fill="none" stroke="#555555" '

@@ -303,37 +303,29 @@ class BoundaryTables:
 
 
 class AnalyticField:
-    """A closed-form scalar or vector field with optional derivatives.
+    """A closed-form scalar or vector field with an optional derivative.
 
     value(x, y) is vectorized: scalar fields return an array shaped like x,
-    vector fields return shape x.shape + (2,).  gradient(x, y), if given,
-    returns x.shape + (2,) for scalars and x.shape + (2, 2) for vectors with
-    entry [i, j] = d u_i / d x_j.
-
-    jet(x, y) returns (value(x, y), gradient(x, y)) in one call.  A field
-    may be built with its own jet function, which must return those two
-    arrays (to roundoff) while sharing the work between them, such as
-    common powers or sines; without one, jet makes the two calls.
+    vector fields return shape x.shape + (2,).  jet(x, y), the only
+    derivative, returns (value(x, y), gradient) in one call, the gradient
+    of shape x.shape + (2,) for scalars and x.shape + (2, 2) for vectors
+    with entry [i, j] = d u_i / d x_j; the two may share work, such as
+    common powers or sines.  A field built without a jet raises
+    ValueError where a derivative is needed.
     """
 
-    def __init__(self, value, gradient=None, components=1, jet=None):
+    def __init__(self, value, jet=None, components=1):
         self.value = value
-        self.gradient = gradient
         self.components = components
-        self.jet = self._two_calls if jet is None else jet
+        self.jet = _no_jet if jet is None else jet
 
     @classmethod
-    def scalar(cls, value, gradient=None, jet=None):
-        return cls(value, gradient, components=1, jet=jet)
+    def scalar(cls, value, jet=None):
+        return cls(value, jet, components=1)
 
     @classmethod
-    def vector(cls, value, gradient=None, jet=None):
-        return cls(value, gradient, components=2, jet=jet)
-
-    def _two_calls(self, x, y):
-        if self.gradient is None:
-            raise ValueError("analytic field lacks a derivative contract")
-        return self.value(x, y), self.gradient(x, y)
+    def vector(cls, value, jet=None):
+        return cls(value, jet, components=2)
 
     @classmethod
     def constant_vector(cls, vx, vy):
@@ -343,10 +335,14 @@ class AnalyticField:
             z[..., 1] = vy
             return z
 
-        def grad(x, y):
-            return np.zeros(np.shape(x) + (2, 2))
+        def jet(x, y):
+            return val(x, y), np.zeros(np.shape(x) + (2, 2))
 
-        return cls(val, grad, components=2)
+        return cls.vector(val, jet)
+
+
+def _no_jet(x, y):
+    raise ValueError("analytic field lacks a derivative contract")
 
 
 class DiscreteField:

@@ -1,6 +1,7 @@
 """Reference computations that only the tests need: the mesh's edge list,
-point evaluation of a discrete field, integration of a pointwise function
-and the mixed operator as a sum of zero-padded parts."""
+point evaluation of a discrete field, integration of a pointwise function,
+the mixed operator as a sum of zero-padded parts and analytic test fields
+written as a value and a gradient."""
 
 import numpy as np
 import scipy.sparse as sp
@@ -12,7 +13,7 @@ from elastweak.incompressible import (assemble_divergence,
                                       assemble_pressure_mass,
                                       assemble_pressure_stabilization,
                                       pressure_integral_vector)
-from elastweak.spaces import FESpace, basis_values, cell_chunks
+from elastweak.spaces import AnalyticField, FESpace, basis_values, cell_chunks
 
 
 def unique_edges(mesh):
@@ -21,6 +22,13 @@ def unique_edges(mesh):
     pairs = np.sort(np.vstack([t[:, [0, 1]], t[:, [1, 2]], t[:, [0, 2]]]),
                     axis=1)
     return np.unique(pairs, axis=0)
+
+
+def field_with_gradient(value, gradient):
+    """A vector AnalyticField whose jet joins a value and a gradient
+    written as two functions."""
+    return AnalyticField.vector(
+        value, lambda x, y: (value(x, y), gradient(x, y)))
 
 
 def eval_in_cells(field, cells, points):

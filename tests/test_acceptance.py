@@ -9,6 +9,7 @@ asserted exactly as stated; known desk-scale transients are NOT loosened
 import math
 
 import numpy as np
+from fem_helpers import field_with_gradient
 
 from elastweak.compressible import MaterialParams
 from elastweak.experiments import (ExperimentConfig, cook_tip_ratio_bound,
@@ -63,7 +64,8 @@ def test_criterion_2_locking_reproduction():
     errs = {}
     for lam in (1.0, 1e5):
         pars = MaterialParams(1.0, lam)
-        exact, f, g = manufactured_compressible(pars)
+        data = manufactured_compressible(pars)
+        exact, f, g = data.exact_u, data.f, data.g
         u_h, _ = solve_compressible(mesh, 1, pars, f, g)
         errs[lam] = error_norms(u_h, exact, pars).l2_error
     ratio = errs[1e5] / errs[1.0]
@@ -92,7 +94,8 @@ def test_criterion_3_incompressible_convergence():
 
 def test_criterion_4_galerkin_orthogonality():
     pars = MaterialParams(1.0, 1.0)
-    exact, f, g = manufactured_compressible(pars)
+    data = manufactured_compressible(pars)
+    exact, f, g = data.exact_u, data.f, data.g
     mesh = build_unit_square_mesh(4)
     u_h, _ = solve_compressible(mesh, 2, pars, f, g)
     res = galerkin_orthogonality_residual(mesh, u_h.space, pars, exact, u_h,
@@ -196,16 +199,17 @@ def test_criterion_7_oracle_equivalence():
     checks = []
 
     pars = MaterialParams(1.0, 1.0)
-    exact, f, _ = manufactured_compressible(pars)
+    data = manufactured_compressible(pars)
+    exact, f = data.exact_u, data.f
 
     def fd_second(u, c):
         return (u(x + step, y)[..., c] + u(x - step, y)[..., c]
                 + u(x, y + step)[..., c] + u(x, y - step)[..., c]
                 - 4 * u(x, y)[..., c]) / step ** 2
 
-    def fd_div_grad(gradfun):
+    def fd_div_grad(field):
         def div(a, b):
-            g = gradfun(a, b)
+            _, g = field.jet(a, b)
             return g[..., 0, 0] + g[..., 1, 1]
         return (np.stack([(div(x + step, y) - div(x - step, y)),
                           (div(x, y + step) - div(x, y - step))],
@@ -213,14 +217,15 @@ def test_criterion_7_oracle_equivalence():
 
     fd = (-pars.mu * np.stack([fd_second(exact.value, 0),
                                fd_second(exact.value, 1)], axis=-1)
-          - (pars.mu + pars.lam) * fd_div_grad(exact.gradient))
+          - (pars.mu + pars.lam) * fd_div_grad(exact))
     an = f.value(x, y)
     err_c = np.abs(fd - an).max() / np.abs(an).max()
     checks.append((f"compressible forcing FD error {err_c:.2e} <= 1e-6",
                    err_c <= 1e-6))
 
     ipars = MaterialParams(1.0, gamma=0.1)
-    eu, ep, fi, _ = manufactured_incompressible(ipars)
+    data = manufactured_incompressible(ipars)
+    eu, ep, fi = data.exact_u, data.exact_p, data.f
     dpx = (ep.value(x + step, y) - ep.value(x - step, y)) / (2 * step)
     dpy = (ep.value(x, y + step) - ep.value(x, y - step)) / (2 * step)
     fd_i = np.stack([-ipars.mu * fd_second(eu.value, 0) + dpx,
@@ -254,7 +259,7 @@ def test_criterion_8_exactness_suite():
     checks = []
 
     G = np.array([[0.7, -0.2], [0.4, 0.9]])
-    lin = AnalyticField.vector(
+    lin = field_with_gradient(
         lambda x, y: np.stack([0.3 + 0.7 * x - 0.2 * y,
                                -0.1 + 0.4 * x + 0.9 * y], axis=-1),
         lambda x, y: np.broadcast_to(G, np.shape(x) + (2, 2)).copy())

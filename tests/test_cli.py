@@ -306,6 +306,17 @@ def test_diverged_cook_sweep_exit_code(tmp_path, monkeypatch, capsys):
     assert not (tmp_path / "cook_k2_weak_nearly_incompressible.svg").exists()
 
 
+def test_nan_residual_fails_the_solve(tmp_path, capsys):
+    # lambda = 1e300 overflows the rhs norm, so the residual is NaN: the
+    # sweep stops at the first solve and writes no CSV
+    code = main(["run", "--problem", "compressible", "--lambda", "1e300",
+                 "--mesh-sizes", "2,4", "--out", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: mesh n=2: relative residual nan ")
+    assert not list(tmp_path.iterdir())
+
+
 def _sweep_csv(tmp_path):
     main(["run", "--problem", "compressible", "--k", "1",
           "--mesh-sizes", "2,4", "--mu", "1", "--lambda", "1",
@@ -325,8 +336,15 @@ def _sweep_csv(tmp_path):
      "cannot read {nowhere}: No such file or directory"),
     (["--y", "err_l2", "--out", "{nodir}"],
      "cannot write {nodir}: No such file or directory"),
+    (["--y", "err_l2", "--ref-slopes", "nan"],
+     "cannot plot err_l2 of {csv}: reference slope nan has no finite"),
+    (["--y", "err_l2", "--ref-slopes", "1", "--ref-slopes", "inf"],
+     "cannot plot err_l2 of {csv}: reference slope inf has no finite"),
+    (["--y", "err_l2", "--ref-slopes", "2000"],
+     "cannot plot err_l2 of {csv}: reference slope 2000 has no finite"),
 ], ids=["empty-column", "absent-y", "one-absent-y", "absent-x",
-        "non-numeric-x", "non-numeric-y", "missing-csv", "unwritable-out"])
+        "non-numeric-x", "non-numeric-y", "missing-csv", "unwritable-out",
+        "nan-ref-slope", "inf-ref-slope", "overflowing-ref-slope"])
 def test_plot_bad_input_exit_code(tmp_path, capsys, argv, message):
     names = {"csv": _sweep_csv(tmp_path),
              "nowhere": str(tmp_path / "nowhere.csv"),

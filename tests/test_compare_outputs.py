@@ -77,16 +77,18 @@ def test_header_change_fails(tmp_path):
 
 
 def _fake_tree(root, code, value):
-    """A tree whose elastweak writes one CSV cell and exits with code."""
+    """A tree whose elastweak writes one CSV cell (none when value is None)
+    and exits with code."""
     pkg = root / "src" / "elastweak"
     pkg.mkdir(parents=True)
     (pkg / "__init__.py").write_text("")
+    write = ("" if value is None else
+             "with open(os.path.join(out, 'x.csv'), 'w') as fh:\n"
+             f"    fh.write('n,err\\n4,{value}\\n')\n")
     (pkg / "__main__.py").write_text(
         "import os, sys\n"
         "out = sys.argv[sys.argv.index('--out') + 1]\n"
-        "with open(os.path.join(out, 'x.csv'), 'w') as fh:\n"
-        f"    fh.write('n,err\\n4,{value}\\n')\n"
-        f"sys.exit({code})\n")
+        f"{write}sys.exit({code})\n")
     bench = root / "perfbench"
     bench.mkdir()
     (bench / "workloads.py").write_text(
@@ -94,9 +96,10 @@ def _fake_tree(root, code, value):
     return str(root)
 
 
-def _compare(parent, change):
+def _compare(parent, change, cwd=None):
     return subprocess.run([sys.executable, str(TOOL), parent, change],
-                          capture_output=True, text=True, timeout=60)
+                          capture_output=True, text=True, timeout=60,
+                          cwd=cwd)
 
 
 def test_trees_with_equal_exit_codes_pass(tmp_path):
@@ -115,3 +118,20 @@ def test_trees_with_different_exit_codes_fail(tmp_path):
     assert proc.returncode == 1
     assert "  exit code 0 -> 2" in proc.stdout.splitlines()
     assert "  x.csv: identical" in proc.stdout.splitlines()
+
+
+def test_relative_tree_paths_are_resolved(tmp_path):
+    _fake_tree(tmp_path / "p", 0, "0.5")
+    _fake_tree(tmp_path / "c", 0, "0.25")
+    proc = _compare("p", "c", cwd=tmp_path)
+    assert proc.returncode == 0, proc.stdout
+    assert proc.stdout.splitlines()[1].startswith(
+        "  x.csv: max relative difference 0.5 at row 1, column err")
+
+
+def test_command_writing_no_file_fails(tmp_path):
+    proc = _compare(_fake_tree(tmp_path / "p", 0, None),
+                    _fake_tree(tmp_path / "c", 0, None))
+    assert proc.returncode == 1
+    assert proc.stdout.splitlines() == ["run --k 1",
+                                        "  no output file in either tree"]

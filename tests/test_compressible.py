@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from fem_helpers import field_with_gradient
 
 from elastweak.compressible import (_STIFFNESS_SUBSCRIPTS, MaterialParams,
                                     _stiffness_parts, assemble_boundary_flux,
@@ -33,7 +34,7 @@ def reference_triangle_mesh():
 
 
 def field_x0():
-    return AnalyticField.vector(
+    return field_with_gradient(
         lambda x, y: np.stack([x, 0 * y], axis=-1),
         lambda x, y: np.broadcast_to(
             np.array([[1.0, 0.0], [0.0, 0.0]]), np.shape(x) + (2, 2)).copy())
@@ -149,7 +150,7 @@ def linear_field():
     def grad(x, y):
         return np.broadcast_to(G, np.shape(x) + (2, 2)).copy()
 
-    return AnalyticField.vector(val, grad)
+    return field_with_gradient(val, grad)
 
 
 @pytest.mark.parametrize("order", [1, 2])
@@ -184,7 +185,8 @@ def test_strong_system_fixes_boundary_values():
 def test_weak_and_strong_solutions_approach_each_other():
     from elastweak.experiments import manufactured_compressible
     pars = MaterialParams(1.0, 1.0)
-    exact, f, g = manufactured_compressible(pars)
+    data = manufactured_compressible(pars)
+    exact, f, g = data.exact_u, data.f, data.g
     dists = []
     for n in (4, 8, 16):
         mesh = build_unit_square_mesh(n)
@@ -269,7 +271,8 @@ def test_weak_system_consistency_with_exact_solution():
     from elastweak.norms import _exact_flux_rows, _exact_volume_rows
     from elastweak.compressible import assemble_flux_load, assemble_load
     pars = MaterialParams(1.0, 1.0)
-    exact, f, g = manufactured_compressible(pars)
+    data = manufactured_compressible(pars)
+    exact, f, g = data.exact_u, data.f, data.g
     mesh = build_unit_square_mesh(4)
     V = FESpace(mesh, 2, 2)
     sides = tuple(mesh.side_tags)

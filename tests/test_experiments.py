@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from elastweak.compressible import MaterialParams
-from elastweak.experiments import (COOK_CORNER_D_ANGLE, CSV_HEADER,
+from elastweak.experiments import (COOK_CORNER_D_ANGLE, CSV_HEADER, PROBLEMS,
                                    ConvergenceRow, ConvergenceTable,
-                                   ExperimentConfig, check_convergence,
+                                   ExperimentConfig, ProblemData,
+                                   check_convergence,
                                    clamped_free_exponent,
                                    cook_tip_displacement,
                                    cook_tip_ratio_bound,
@@ -19,7 +20,8 @@ from elastweak.spaces import AnalyticField
 
 
 def test_compressible_solution_vanishes_on_boundary():
-    exact, f, g = manufactured_compressible(MaterialParams(1.0, 1.0))
+    data = manufactured_compressible(MaterialParams(1.0, 1.0))
+    exact, g = data.exact_u, data.g
     t = np.linspace(0.0, 1.0, 33)
     zero = np.zeros_like(t)
     one = np.ones_like(t)
@@ -29,7 +31,7 @@ def test_compressible_solution_vanishes_on_boundary():
 
 
 def test_compressible_point_value():
-    exact, _, _ = manufactured_compressible(MaterialParams(1.0, 1.0))
+    exact = manufactured_compressible(MaterialParams(1.0, 1.0)).exact_u
     val = exact.value(np.array(0.5), np.array(0.5))
     assert val[0] == pytest.approx(0.00390625, abs=1e-15)
     assert val[1] == pytest.approx(0.0009765625, abs=1e-15)
@@ -47,7 +49,7 @@ def _points_with_boundary(seed, count=200):
 
 
 def test_compressible_value_is_the_expanded_polynomial():
-    exact, _, _ = manufactured_compressible(MaterialParams(1.0, 1.0))
+    exact = manufactured_compressible(MaterialParams(1.0, 1.0)).exact_u
     pts = _points_with_boundary(5)
     x, y = pts[:, 0], pts[:, 1]
     expected = np.stack([(x ** 5 - x ** 4) * (y ** 3 - y ** 2),
@@ -57,6 +59,18 @@ def test_compressible_value_is_the_expanded_polynomial():
     assert np.abs(val - expected).max() <= 1e-15
 
 
+@pytest.mark.parametrize("name,make,has_pressure", [
+    ("compressible", manufactured_compressible, False),
+    ("incompressible", manufactured_incompressible, True)],
+    ids=["compressible", "incompressible"])
+def test_manufactured_solutions_are_the_problem_data(name, make, has_pressure):
+    assert PROBLEMS[name].data is make
+    data = make(MaterialParams(1.0, 1.0, gamma=0.1))
+    assert isinstance(data, ProblemData) and data.neumann is None
+    assert data.exact_u is not None
+    assert (data.exact_p is not None) == has_pressure
+
+
 def _central_gradient(fn, x, y, step=1e-6):
     """Central differences of fn in x and y, stacked on a new last axis."""
     return np.stack([(fn(x + step, y) - fn(x - step, y)) / (2 * step),
@@ -64,21 +78,21 @@ def _central_gradient(fn, x, y, step=1e-6):
                     axis=-1)
 
 
-def _fields_with_gradients():
+def _exact_fields():
     pars = MaterialParams(2.0, 10.0, gamma=0.1)
-    exact, _, _ = manufactured_compressible(pars)
-    exact_u, exact_p, _, _ = manufactured_incompressible(pars)
-    return {"compressible u": exact, "incompressible u": exact_u,
-            "incompressible p": exact_p}
+    mixed = manufactured_incompressible(pars)
+    return {"compressible u": manufactured_compressible(pars).exact_u,
+            "incompressible u": mixed.exact_u,
+            "incompressible p": mixed.exact_p}
 
 
 @pytest.mark.parametrize("name", ["compressible u", "incompressible u",
                                   "incompressible p"])
 def test_gradients_match_central_differences(name):
-    field = _fields_with_gradients()[name]
+    field = _exact_fields()[name]
     pts = _points_with_boundary(11)
     x, y = pts[:, 0], pts[:, 1]
-    an = field.gradient(x, y)
+    _, an = field.jet(x, y)
     fd = _central_gradient(field.value, x, y)
     assert an.shape == fd.shape
     assert np.abs(fd - an).max() / np.abs(an).max() <= 1e-7
@@ -94,7 +108,7 @@ def _finite_difference_force(exact, mu, lam, pts, step):
                 - 4 * u(x, y)[..., component]) / step ** 2
 
     def div(a, b):
-        g = exact.gradient(a, b)
+        _, g = exact.jet(a, b)
         return g[..., 0, 0] + g[..., 1, 1]
 
     ddiv_dx = (div(x + step, y) - div(x - step, y)) / (2 * step)
@@ -107,7 +121,8 @@ def _finite_difference_force(exact, mu, lam, pts, step):
 @pytest.mark.parametrize("mu,lam", [(1.0, 1.0), (2.0, 10.0)])
 def test_compressible_force_matches_finite_differences(mu, lam):
     pars = MaterialParams(mu, lam)
-    exact, f, _ = manufactured_compressible(pars)
+    data = manufactured_compressible(pars)
+    exact, f = data.exact_u, data.f
     rng = np.random.default_rng(17)
     pts = rng.uniform(0.05, 0.95, size=(20, 2))
     fd = _finite_difference_force(exact, mu, lam, pts, step=1e-5)
@@ -117,24 +132,25 @@ def test_compressible_force_matches_finite_differences(mu, lam):
 
 def test_incompressible_fields():
     pars = MaterialParams(1.0, gamma=0.1)
-    exact_u, exact_p, f, g = manufactured_incompressible(pars)
+    data = manufactured_incompressible(pars)
     rng = np.random.default_rng(23)
     pts = rng.uniform(0, 1, size=(20, 2))
     x, y = pts[:, 0], pts[:, 1]
-    grad = exact_u.gradient(x, y)
+    _, grad = data.exact_u.jet(x, y)
     assert np.abs(grad[..., 0, 0] + grad[..., 1, 1]).max() < 1e-12
     expected = np.stack([
         28 * math.pi ** 2 * np.sin(4 * math.pi * x) * np.cos(4 * math.pi * y),
         -36 * math.pi ** 2 * np.cos(4 * math.pi * x) * np.sin(4 * math.pi * y),
     ], axis=-1)
-    assert np.abs(f.value(x, y) - expected).max() < 1e-10
+    assert np.abs(data.f.value(x, y) - expected).max() < 1e-10
+    assert data.g is data.exact_u
 
 
 def test_incompressible_pressure_zero_mean():
     from elastweak.mesh import build_unit_square_mesh
     from fem_helpers import integrate_field
     pars = MaterialParams(1.0, gamma=0.1)
-    _, exact_p, _, _ = manufactured_incompressible(pars)
+    exact_p = manufactured_incompressible(pars).exact_p
     mesh = build_unit_square_mesh(8)
     val = integrate_field(mesh, exact_p.value, quadrature_degree=20)
     assert abs(val) < 1e-10
@@ -142,7 +158,8 @@ def test_incompressible_pressure_zero_mean():
 
 def test_incompressible_force_matches_finite_differences():
     pars = MaterialParams(3.0, gamma=0.1)
-    exact_u, exact_p, f, _ = manufactured_incompressible(pars)
+    data = manufactured_incompressible(pars)
+    exact_u, exact_p, f = data.exact_u, data.exact_p, data.f
     rng = np.random.default_rng(31)
     pts = rng.uniform(0.05, 0.95, size=(20, 2))
     x, y = pts[:, 0], pts[:, 1]
@@ -251,10 +268,8 @@ def test_config_young_poisson_and_defaults():
 
 def test_convergence_table_schema_and_slopes():
     table = ConvergenceTable(problem="compressible", order=1, bc_mode="weak")
-    rep1 = ErrorReport(l2_error=1.0, h1_semi_error=2.0, triple_norm_error=3.0,
-                       h_max=0.5)
-    rep2 = ErrorReport(l2_error=0.25, h1_semi_error=1.0, triple_norm_error=1.5,
-                       h_max=0.25)
+    rep1 = ErrorReport(l2_error=1.0, h1_semi_error=2.0, triple_norm_error=3.0)
+    rep2 = ErrorReport(l2_error=0.25, h1_semi_error=1.0, triple_norm_error=1.5)
     table.add(ConvergenceRow(h_max=0.5, dofs=10, report=rep1))
     table.add(ConvergenceRow(h_max=0.25, dofs=34, report=rep2))
     text = table.to_csv()
@@ -272,7 +287,7 @@ def test_row_cells_are_the_csv_columns():
     # both go through it
     from elastweak.plotting import table_series
     rep = ErrorReport(l2_error=0.1, h1_semi_error=0.2, triple_norm_error=0.3,
-                      h_max=0.5, pressure_l2_error=0.4)
+                      pressure_l2_error=0.4)
     row = ConvergenceRow(h_max=0.5, dofs=12, report=rep, slope_l2=1.9,
                          slope_h1=0.9, beta_h=0.7, korn_h=0.6, qoi=5.5)
     assert [row.cell(c) for c in CSV_HEADER[3:]] == [
@@ -324,17 +339,15 @@ def test_check_convergence_flags_bad_slopes():
     cfg = ExperimentConfig(problem="compressible", order=1,
                            mesh_sizes=(2, 4), mu=1.0, lam=1.0)
     table = ConvergenceTable(problem="compressible", order=1, bc_mode="weak")
-    r1 = ErrorReport(l2_error=1.0, h1_semi_error=1.0, triple_norm_error=1.0,
-                     h_max=0.5)
-    r2 = ErrorReport(l2_error=0.25, h1_semi_error=0.5, triple_norm_error=0.5,
-                     h_max=0.25)
+    r1 = ErrorReport(l2_error=1.0, h1_semi_error=1.0, triple_norm_error=1.0)
+    r2 = ErrorReport(l2_error=0.25, h1_semi_error=0.5, triple_norm_error=0.5)
     table.add(ConvergenceRow(h_max=0.5, dofs=10, report=r1))
     table.add(ConvergenceRow(h_max=0.25, dofs=34, report=r2))
     assert check_convergence(table, cfg) == []
     bad = ConvergenceTable(problem="compressible", order=1, bc_mode="weak")
     bad.add(ConvergenceRow(h_max=0.5, dofs=10, report=r1))
     bad.add(ConvergenceRow(h_max=0.25, dofs=34, report=ErrorReport(
-        l2_error=0.9, h1_semi_error=0.9, triple_norm_error=0.9, h_max=0.25)))
+        l2_error=0.9, h1_semi_error=0.9, triple_norm_error=0.9)))
     assert len(check_convergence(bad, cfg)) == 2
     # a converging P2 incompressible sweep: velocity H1 slope 2 lies in the
     # k=2 band, pressure L2 slope 3 above 1.3
@@ -350,7 +363,7 @@ def _incompressible_table(order, h1_ratio, p_ratio):
                              bc_mode="weak")
     for h, h1, p in ((0.5, 1.0, 1.0), (0.25, h1_ratio, p_ratio)):
         table.add(ConvergenceRow(h_max=h, dofs=10, report=ErrorReport(
-            l2_error=1.0, h1_semi_error=h1, triple_norm_error=1.0, h_max=h,
+            l2_error=1.0, h1_semi_error=h1, triple_norm_error=1.0,
             pressure_l2_error=p)))
     return table
 
@@ -443,26 +456,21 @@ def test_run_cook_strong_nearly_incompressible():
 
 
 def _jet_fields():
-    plain = AnalyticField.vector(
-        lambda x, y: np.stack([x * y * y, np.sin(x) - y], axis=-1),
-        lambda x, y: np.stack([np.stack([y * y, 2 * x * y], axis=-1),
-                               np.stack([np.cos(x), -np.ones_like(x)],
-                                        axis=-1)], axis=-2))
-    return {**_fields_with_gradients(),
-            "constant": AnalyticField.constant_vector(0.5, -2.0),
-            "without a fused jet": plain}
+    return {**_exact_fields(),
+            "constant": AnalyticField.constant_vector(0.5, -2.0)}
 
 
 @pytest.mark.parametrize("name", ["compressible u", "incompressible u",
-                                  "incompressible p", "constant",
-                                  "without a fused jet"])
+                                  "incompressible p", "constant"])
 def test_jet_is_value_and_gradient(name):
+    # the jet's value is the field's value to the bit, and its gradient has
+    # one more axis of length 2 (central differences check its entries)
     field = _jet_fields()[name]
     pts = np.random.default_rng(3).uniform(0, 1, size=(5, 7, 2))
     x, y = pts[..., 0], pts[..., 1]
     value, gradient = field.jet(x, y)
-    for got, want in ((value, field.value(x, y)),
-                      (gradient, field.gradient(x, y))):
-        assert got.shape == want.shape
-        assert np.abs(got - want).max() <= 1e-15 * max(np.abs(want).max(),
-                                                        1.0)
+    assert np.array_equal(value, field.value(x, y))
+    assert gradient.shape == value.shape + (2,)
+    if name == "constant":
+        assert not gradient.any()
+

@@ -249,7 +249,8 @@ def test_manufactured_data_compatibility():
     from elastweak.experiments import manufactured_incompressible
     from elastweak.spaces import FESpace
     pars = MaterialParams(1.0, gamma=0.1)
-    eu, ep, f, g = manufactured_incompressible(pars)
+    data = manufactured_incompressible(pars)
+    eu, ep, f, g = data.exact_u, data.exact_p, data.f, data.g
     mesh = build_unit_square_mesh(6)
     space = FESpace(mesh, 1, 1)
     bt = space.boundary_tables(16)
@@ -304,7 +305,8 @@ def test_solved_pressure_has_zero_mean_and_multiplier_vanishes():
     from elastweak.experiments import manufactured_incompressible, \
         solve_incompressible
     pars = MaterialParams(1.0, gamma=0.1)
-    eu, ep, f, g = manufactured_incompressible(pars)
+    data = manufactured_incompressible(pars)
+    eu, ep, f, g = data.exact_u, data.exact_p, data.f, data.g
     mesh = build_unit_square_mesh(8)
     u_h, p_h, mult, mixed = solve_incompressible(mesh, 1, pars, f, g)
     Q = p_h.space
@@ -320,7 +322,8 @@ def test_discrete_mass_balance_identity():
     from elastweak.experiments import manufactured_incompressible, \
         solve_incompressible
     pars = MaterialParams(1.0, gamma=0.1)
-    eu, ep, f, g = manufactured_incompressible(pars)
+    data = manufactured_incompressible(pars)
+    eu, ep, f, g = data.exact_u, data.exact_p, data.f, data.g
     mesh = build_unit_square_mesh(8)
     u_h, p_h, mult, mixed = solve_incompressible(mesh, 1, pars, f, g)
     V, Q = u_h.space, p_h.space
@@ -338,7 +341,8 @@ def test_repeat_solve_is_identical():
     from elastweak.experiments import manufactured_incompressible, \
         solve_incompressible
     pars = MaterialParams(1.0, gamma=0.1)
-    eu, ep, f, g = manufactured_incompressible(pars)
+    data = manufactured_incompressible(pars)
+    eu, ep, f, g = data.exact_u, data.exact_p, data.f, data.g
     mesh = build_unit_square_mesh(4)
     u1, p1, _, _ = solve_incompressible(mesh, 1, pars, f, g)
     u2, p2, _, _ = solve_incompressible(mesh, 1, pars, f, g)
@@ -359,7 +363,8 @@ def test_pinned_solve_matches_bordered_lu(order, n, bc_mode):
     from elastweak.experiments import manufactured_incompressible, \
         solve_incompressible
     pars = MaterialParams(1.0, gamma=0.1)
-    eu, ep, f, g = manufactured_incompressible(pars)
+    data = manufactured_incompressible(pars)
+    eu, ep, f, g = data.exact_u, data.exact_p, data.f, data.g
     u_h, p_h, mult, mixed = solve_incompressible(
         build_unit_square_mesh(n), order, pars, f, g, bc_mode=bc_mode)
     u, p, lam = mixed.split(lu_solve(mixed.system.matrix,

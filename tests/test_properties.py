@@ -6,7 +6,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from fem_helpers import unique_edges
+from fem_helpers import field_with_gradient, unique_edges
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -76,7 +76,7 @@ def _linear_field():
     def gradient(x, y):
         return np.broadcast_to(G, np.shape(x) + (2, 2)).copy()
 
-    return AnalyticField.vector(value, gradient)
+    return field_with_gradient(value, gradient)
 
 
 def _neumann_tractions(mesh, sides):

@@ -197,7 +197,8 @@ def test_repeated_solves_are_bit_identical():
 def test_locking_p2_weak_system_matches_dense_solve():
     # the k=2, lambda=1e5 weak system of acceptance criterion 2 at n=8
     params = MaterialParams(1.0, 1e5)
-    _, f, g = manufactured_compressible(params)
+    data = manufactured_compressible(params)
+    f, g = data.f, data.g
     mesh = build_unit_square_mesh(8)
     system = assemble_weak_system(mesh, FESpace(mesh, 2, 2), params, f, g)
     x, report = lu_solve(system.matrix, system.rhs)
@@ -208,7 +209,8 @@ def test_locking_p2_weak_system_matches_dense_solve():
 
 def _square_weak_p1(n):
     params = MaterialParams(1.0, 1.0)
-    _, f, g = manufactured_compressible(params)
+    data = manufactured_compressible(params)
+    f, g = data.f, data.g
     mesh = build_unit_square_mesh(n)
     return assemble_weak_system(mesh, FESpace(mesh, 1, 2), params, f, g)
 

@@ -9,9 +9,10 @@ each tree's ``src`` on PYTHONPATH, one at a time.  For each output file the
 tool prints ``identical`` when the bytes agree; otherwise, for a CSV, the
 largest relative cell difference with its row and column, and for other
 files ``differs``.  Exit status 1 when a file is missing on one side, a
-CSV's row count or header differs, or a command line exits differently;
-0 otherwise.  There is deliberately no tolerance: judge the printed
-differences.
+CSV's row count or header differs, a command line exits differently or
+writes no file in either tree; 0 otherwise.  Relative tree paths are
+resolved before the commands run.  There is deliberately no tolerance:
+judge the printed differences.
 """
 
 import argparse
@@ -108,6 +109,9 @@ def workload_commands(tree):
 def compare_trees(parent_tree, change_tree, commands):
     """Run each command line in both trees and print the comparison;
     True when nothing is missing, mismatched in rows or exit code."""
+    # the commands run in their output directories, so a relative tree
+    # path would put nothing importable on PYTHONPATH
+    parent_tree, change_tree = map(os.path.abspath, (parent_tree, change_tree))
     ok = True
     with tempfile.TemporaryDirectory() as scratch:
         for i, argv in enumerate(commands):
@@ -122,7 +126,11 @@ def compare_trees(parent_tree, change_tree, commands):
             if code_a != code_b:
                 print(f"  exit code {code_a} -> {code_b}")
                 ok = False
-            for name, message, file_ok in compare_dirs(dir_a, dir_b):
+            compared = compare_dirs(dir_a, dir_b)
+            if not compared:
+                print("  no output file in either tree")
+                ok = False
+            for name, message, file_ok in compared:
                 print(f"  {name}: {message}")
                 ok = ok and file_ok
     return ok
