@@ -18,7 +18,8 @@ from .mesh import (_COOK_A, _COOK_C, _COOK_D, build_cook_mesh,
                    build_unit_square_mesh, mesh_quality)
 from .norms import (ErrorReport, compressible_infsup, discrete_korn_constant,
                     error_norms, incompressible_infsup)
-from .solvers import SingularSystemError, _residual_extended, lu_solve
+from .solvers import (SingularSystemError, _norm_ratio, _residual_extended,
+                      lu_solve)
 from .spaces import AnalyticField, DiscreteField, FESpace
 
 CSV_HEADER = ("problem", "k", "bc_mode", "h_max", "dofs", "err_l2", "err_h1",
@@ -439,7 +440,7 @@ def _lu_solve(matrix, rhs, context):
 
 
 def _check_residual(residual, context):
-    # a NaN residual (say from an overflowed rhs norm) fails too
+    # a NaN residual fails too
     if not residual <= RESIDUAL_LIMIT:
         raise ExperimentError(
             f"relative residual {residual:.3e} is not at most "
@@ -471,8 +472,7 @@ def _pinned_mean_solve(mixed, rhs, context):
     x[:nc - 1], _ = _lu_solve(A[:nc - 1, :nc - 1],
                               (rhs[:nc] - x[nc] * m)[:nc - 1], context)
     x[pressure] += (rhs[nc] - m @ x[:nc]) / m[pressure].sum()
-    r = _residual_extended(A, x, rhs).astype(float)
-    _check_residual(np.linalg.norm(r) / (np.linalg.norm(rhs) or 1.0), context)
+    _check_residual(_norm_ratio(_residual_extended(A, x, rhs), rhs), context)
     return x
 
 

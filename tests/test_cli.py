@@ -1,5 +1,7 @@
 import csv
 import dataclasses
+import math
+import re
 
 import pytest
 
@@ -307,14 +309,22 @@ def test_diverged_cook_sweep_exit_code(tmp_path, monkeypatch, capsys):
 
 
 def test_nan_residual_fails_the_solve(tmp_path, capsys):
-    # lambda = 1e300 overflows the rhs norm, so the residual is NaN: the
-    # sweep stops at the first solve and writes no CSV
-    code = main(["run", "--problem", "compressible", "--lambda", "1e300",
-                 "--mesh-sizes", "2,4", "--out", str(tmp_path)])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: mesh n=2: relative residual nan ")
-    assert not list(tmp_path.iterdir())
+    # at lambda = 1e200 and 1e300 the squares of the residual and rhs entries
+    # overflow a double; the residual ratio is still a finite number, too
+    # large, so the sweep stops at the first solve and writes no CSV
+    for lam in ("1e200", "1e300"):
+        out = tmp_path / lam
+        out.mkdir()
+        code = main(["run", "--problem", "compressible", "--lambda", lam,
+                     "--mesh-sizes", "2,4", "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        found = re.match(r"error: mesh n=2: relative residual (\S+) is not at "
+                         r"most 1.0e-08 for weak compressible solve$",
+                         err.strip().splitlines()[-1])
+        assert found, err
+        assert math.isfinite(float(found[1])) and float(found[1]) > 1e10
+        assert not list(out.iterdir())
 
 
 def _sweep_csv(tmp_path):

@@ -10,14 +10,29 @@ For every workload and side the output holds, from the untraced records,
 each end-to-end metric's value per run (in command-line order), their median
 and quartiles; from the traced records, the median of each per-layer metric
 over the runs; and the distinct ``env`` records and source hashes seen.
+
+A workload measured on both sides also gets a verdict per end-to-end metric
+of ``BENCHMARK.json``: the i-th untraced parent record is paired with the
+i-th untraced change record.  The change wins a pair when its value is
+better (ties count for neither side).  It gains when it wins at least nine
+tenths of at least ten pairs and its median is better than the parent's by
+more than the parent's quartile distance.  It regressed when its median is
+worse than the parent's by more than the metric's bound, a fraction of the
+parent's median.  ``BENCHMARK.json`` is read for each metric's ``better``
+and ``bound`` only.
 """
 
 import argparse
 import json
+import os
 import statistics
 import sys
 
 SIDES = ("parent", "change")
+BENCHMARK = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                         os.pardir, "BENCHMARK.json")
+MIN_PAIRS = 10
+MIN_WIN_SHARE = 0.9
 
 
 class BenchInputError(ValueError):
@@ -84,17 +99,79 @@ def side_summary(records):
                                        for r in records)}
 
 
-def bench(labelled_records):
+def load_rules():
+    """{metric: (better, bound)} for the end-to-end metrics of BENCHMARK.json."""
+    with open(BENCHMARK) as fh:
+        spec = json.load(fh)
+    return {m["name"]: (m["better"], m["bound"]) for m in spec["end_to_end"]}
+
+
+def verdict(parent_runs, change_runs, better, bound):
+    """Pair verdict of one metric on one workload (see the module docstring)."""
+    sign = 1.0 if better == "lower" else -1.0
+
+    def improvement(parent, change):
+        return sign * (parent - change)
+
+    pairs = list(zip(parent_runs, change_runs))
+    wins = sum(improvement(p, c) > 0 for p, c in pairs)
+    parent, change = summary(parent_runs), summary(change_runs)
+    iqr = parent["q3"] - parent["q1"]
+    step = improvement(parent["median"], change["median"])
+    return {"pairs": len(pairs), "wins": wins,
+            "parent_median": parent["median"],
+            "change_median": change["median"], "parent_iqr": iqr,
+            "gain": (len(pairs) >= MIN_PAIRS
+                     and wins >= MIN_WIN_SHARE * len(pairs) and step > iqr),
+            "regressed": -step > bound * abs(parent["median"])}
+
+
+def workload_verdicts(workload, sides, rules):
+    """{metric: verdict} for one workload measured on both sides."""
+    runs = {side: [r for r in records if not r["trace"]]
+            for side, records in sides.items()}
+    if len(runs["parent"]) != len(runs["change"]):
+        raise BenchInputError(
+            f"{workload}: {len(runs['parent'])} parent and "
+            f"{len(runs['change'])} change untraced records cannot be paired")
+    out = {}
+    for name, (better, bound) in rules.items():
+        values = {side: [r["metrics"][name]["value"] for r in rs
+                         if name in r["metrics"]]
+                  for side, rs in runs.items()}
+        if values["parent"] and len(values["parent"]) == len(values["change"]):
+            out[name] = verdict(values["parent"], values["change"], better,
+                                bound)
+    return out
+
+
+def bench(labelled_records, rules):
     workloads = _distinct(r["workload"] for _, r in labelled_records)
     out = {}
     for workload in workloads:
         out[workload] = {}
+        sides = {}
         for side in SIDES:
             records = [r for s, r in labelled_records
                        if s == side and r["workload"] == workload]
             if records:
+                sides[side] = records
                 out[workload][side] = side_summary(records)
+        if len(sides) == len(SIDES):
+            out[workload]["verdict"] = workload_verdicts(workload, sides,
+                                                         rules)
     return {"workloads": out}
+
+
+def report_lines(result):
+    """One human-readable line per workload and verdict."""
+    for workload, entry in result["workloads"].items():
+        for name, v in entry.get("verdict", {}).items():
+            outcome = ("gain" if v["gain"] else
+                       "REGRESSED" if v["regressed"] else "no gain")
+            yield (f"{workload} {name}: {v['wins']}/{v['pairs']} wins, median "
+                   f"{v['parent_median']:.4g} -> {v['change_median']:.4g} "
+                   f"(parent IQR {v['parent_iqr']:.3g}): {outcome}")
 
 
 def main(argv=None):
@@ -104,13 +181,15 @@ def main(argv=None):
                         help="a perfbench record labelled parent or change")
     args = parser.parse_args(argv)
     try:
-        result = bench(load(args.records))
+        result = bench(load(args.records), load_rules())
     except (OSError, BenchInputError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     with open(args.out, "w") as fh:
         json.dump(result, fh, indent=1, sort_keys=True)
         fh.write("\n")
+    for line in report_lines(result):
+        print(line)
     print(f"wrote {args.out}")
     return 0
 
