@@ -13,11 +13,7 @@ from .incompressible import (MixedSystem, assemble_incompressible_system,
 from .mesh import (Mesh, MeshQuality, build_cook_mesh, build_unit_square_mesh,
                    dump_mesh, load_mesh, mesh_quality)
 from .norms import (ErrorReport, discrete_infsup_constant,
-                    discrete_korn_constant, error_norms,
-                    galerkin_orthogonality_residual,
-                    galerkin_orthogonality_residual_mixed,
-                    korn_boundary_seminorm, rigid_motion_gram,
-                    triple_norm_compressible, triple_norm_incompressible)
+                    discrete_korn_constant, error_norms)
 from .quadrature import QuadratureRule, edge_rule, triangle_rule
 from .solvers import (SingularSystemError, SolveReport, lu_solve,
                       smallest_generalized_singular_value)

@@ -143,9 +143,9 @@ def assemble_elasticity_stiffness(space, params):
 
 
 def _flux_tables(space, side_tags, degree=None):
-    """Boundary tables for a data integral, by default at the data degree."""
+    """Boundary tables for a data integral, by default at the form degree."""
     return space.boundary_tables(
-        space.data_degree if degree is None else degree, side_tags)
+        space.form_degree if degree is None else degree, side_tags)
 
 
 def _stress(params, grad, pressure=0.0):

@@ -205,8 +205,9 @@ def dump_mesh(mesh, path):
 def load_mesh(path):
     """Read a mesh written by dump_mesh.
 
-    Raises ValueError on a truncated or malformed section, on a vertex or
-    owner index out of range and on a triangle that is not counterclockwise.
+    Raises ValueError on a truncated or malformed section, on a non-finite
+    vertex coordinate, normal or tangent, on a vertex or owner index out of
+    range and on a triangle that is not counterclockwise.
     """
     with open(path) as fh:
         lines = fh.read().split("\n")
@@ -239,6 +240,11 @@ def load_mesh(path):
     tag_of = {name: i for i, name in enumerate(tag_names)}
     tags = np.array([tag_of[name] for name in names], dtype=np.int64)
 
+    for what, values in (("vertex coordinate", vertices),
+                         ("boundary edge normal", normals),
+                         ("boundary edge tangent", tangents)):
+        if not np.isfinite(values).all():
+            raise ValueError(f"non-finite {what}")
     for what, index, size in (("triangle vertex", tris, len(vertices)),
                               ("boundary edge vertex", edges, len(vertices)),
                               ("boundary edge owner", owners, len(tris))):

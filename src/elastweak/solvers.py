@@ -158,6 +158,10 @@ def lu_solve(matrix, rhs):
     r, res = true_res(x)
     refinements = 0
     while refinements < REFINEMENT_STEPS and res > REFINEMENT_TARGET:
+        # a residual beyond the double range gives no correction: rejected
+        # like a step that does not reduce the residual
+        if not np.all(np.abs(r) <= np.finfo(float).max):
+            break
         x_new = x + d * factor.solve(d * r.astype(float))
         r_new, res_new = true_res(x_new)
         if not res_new < res:

@@ -121,11 +121,9 @@ class FESpace:
         self.components = components
         self.scalar_basis_size = (order + 1) * (order + 2) // 2
 
-        # edge quadrature degree of the boundary bilinear forms, and the
-        # default degree of the boundary data integrals: two names, so that
-        # changing the form rule leaves the data integrals alone
+        # edge quadrature degree of the boundary bilinear forms and the
+        # default degree of the boundary data integrals
         self.form_degree = 2 * order + 2
-        self.data_degree = 2 * order + 2
 
         nv = mesh.num_vertices
         tris = mesh.triangles
@@ -206,8 +204,10 @@ class FESpace:
         return InteriorTables(self, rule, N, dN)
 
     def boundary_tables(self, degree, side_tags=None):
-        tags = (tuple(self.mesh.side_tags) if side_tags is None
-                else tuple(side_tags))
+        """Tables on the given sides (None: every side), each side taken
+        once however often its tag is repeated; cached per degree."""
+        tags = tuple(dict.fromkeys(self.mesh.side_tags if side_tags is None
+                                   else side_tags))
         key = (degree, tags)
         if key not in self._boundary_cache:
             self._boundary_cache[key] = BoundaryTables(self, degree, tags)

@@ -10,6 +10,7 @@ import math
 
 import numpy as np
 from fem_helpers import field_with_gradient
+from oracles import galerkin_orthogonality_residual, rigid_motion_gram
 
 from elastweak.compressible import MaterialParams
 from elastweak.experiments import (ExperimentConfig, cook_tip_ratio_bound,
@@ -19,8 +20,7 @@ from elastweak.experiments import (ExperimentConfig, cook_tip_ratio_bound,
                                    solve_compressible)
 from elastweak.mesh import build_cook_mesh, build_unit_square_mesh
 from elastweak.norms import (compressible_infsup, discrete_korn_constant,
-                             error_norms, galerkin_orthogonality_residual,
-                             incompressible_infsup, rigid_motion_gram)
+                             error_norms, incompressible_infsup)
 from elastweak.solvers import smallest_generalized_singular_value
 from elastweak.spaces import AnalyticField, FESpace, interpolate
 

@@ -1,13 +1,19 @@
 import csv
 import dataclasses
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from elastweak.cli import build_parser, main
 from elastweak.experiments import PROBLEMS, RUN_KEYS, ExperimentConfig
 from elastweak.mesh import load_mesh
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def test_mesh_subcommand(tmp_path):
@@ -325,6 +331,20 @@ def test_nan_residual_fails_the_solve(tmp_path, capsys):
         assert found, err
         assert math.isfinite(float(found[1])) and float(found[1]) > 1e10
         assert not list(out.iterdir())
+    # from the command line, too, the failed solve prints its error alone:
+    # a residual beyond the double range ends the refinement without an
+    # overflow warning
+    out = tmp_path / "command"
+    out.mkdir()
+    proc = subprocess.run(
+        [sys.executable, "-m", "elastweak", "run", "--problem",
+         "compressible", "--lambda", "1e300", "--mesh-sizes", "4", "--out",
+         str(out)], capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert proc.returncode == 2
+    assert "RuntimeWarning" not in proc.stderr
+    assert proc.stderr.startswith("error: mesh n=4: relative residual"), \
+        proc.stderr
 
 
 def _sweep_csv(tmp_path):

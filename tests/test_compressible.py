@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 from fem_helpers import field_with_gradient
+from oracles import (_exact_flux_rows, _exact_volume_rows,
+                     galerkin_orthogonality_residual, triple_norm_compressible)
 
 from elastweak.compressible import (_STIFFNESS_SUBSCRIPTS, MaterialParams,
                                     _stiffness_parts, assemble_boundary_flux,
@@ -13,8 +15,6 @@ from elastweak.compressible import (_STIFFNESS_SUBSCRIPTS, MaterialParams,
                                     assemble_weak_system,
                                     dirichlet_dofs_and_values)
 from elastweak.mesh import Mesh, build_cook_mesh, build_unit_square_mesh
-from elastweak.norms import (galerkin_orthogonality_residual,
-                             triple_norm_compressible)
 from elastweak.solvers import lu_solve
 from elastweak.spaces import (AnalyticField, DiscreteField, FESpace,
                               cell_chunks, interpolate, reference_tensors)
@@ -247,15 +247,15 @@ TRIG = AnalyticField.vector(lambda x, y: np.stack(
 
 @pytest.mark.parametrize("order", [1, 2])
 def test_data_integrals_default_to_degree_2k_plus_2(order):
-    # the boundary data integrals keep their own rule when the boundary
-    # bilinear forms change theirs
+    # the boundary data integrals default to the edge rule of the boundary
+    # bilinear forms
     from elastweak.compressible import assemble_flux_load
     from elastweak.incompressible import _pressure_flux_load
     pars = MaterialParams(1.3, 2.7)
     mesh = build_cook_mesh(3)
     V, Q = FESpace(mesh, order, 2), FESpace(mesh, order, 1)
-    V.form_degree = Q.form_degree = 1
     degree = 2 * order + 2
+    assert V.form_degree == Q.form_degree == degree
     assert np.array_equal(assemble_flux_load(V, pars, TRIG),
                           assemble_flux_load(V, pars, TRIG, degree=degree))
     assert np.array_equal(assemble_neumann_load(V, "AB", TRIG),
@@ -268,7 +268,6 @@ def test_weak_system_consistency_with_exact_solution():
     # inserting the exact manufactured field into the discrete operator
     # reproduces the right-hand side at quadrature precision
     from elastweak.experiments import manufactured_compressible
-    from elastweak.norms import _exact_flux_rows, _exact_volume_rows
     from elastweak.compressible import assemble_flux_load, assemble_load
     pars = MaterialParams(1.0, 1.0)
     data = manufactured_compressible(pars)
@@ -322,7 +321,7 @@ def test_material_params_reject_bad_inputs(make):
 
 
 def test_empty_dirichlet_sides_select_no_side():
-    from fem_helpers import padded_mixed_operator
+    from fem_helpers import assert_same_csr, padded_mixed_operator
 
     from elastweak.incompressible import assemble_incompressible_system
     mesh = build_unit_square_mesh(3)
@@ -332,6 +331,14 @@ def test_empty_dirichlet_sides_select_no_side():
     K = assemble_elasticity_stiffness(V, pars)
 
     assert assemble_boundary_flux(V, pars, ()).nnz == 0
+    # a repeated side is counted once
+    assert_same_csr(assemble_boundary_flux(V, pars, ("left", "left")),
+                    assemble_boundary_flux(V, pars, ("left",)))
+    twice, once = (assemble_incompressible_system(mesh, V, Q, pars, g, g,
+                                                  dirichlet_sides=sides)
+                   for sides in (("left", "left"), ("left",)))
+    assert_same_csr(twice.system.matrix, once.system.matrix)
+    assert np.array_equal(twice.system.rhs, once.system.rhs)
     dofs, vals = dirichlet_dofs_and_values(V, g, ())
     assert len(dofs) == 0 and len(vals) == 0
     assert len(dirichlet_dofs_and_values(V, g, None)[0]) == 2 * 12

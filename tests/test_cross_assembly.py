@@ -273,7 +273,7 @@ def test_flux_load_matches_naive_reference(order):
     for e in range(mesh.num_boundary_edges):
         nrm = mesh.edge_normal[e]
         dofs = V.cell_dofs[mesh.edge_owner[e]]
-        for x, _, g, w in _edge_points(mesh, order, e, V.data_degree):
+        for x, _, g, w in _edge_points(mesh, order, e, V.form_degree):
             gv = TRIG.value(x[0], x[1])
             for i in range(V.scalar_basis_size):
                 for c in range(2):

@@ -211,6 +211,22 @@ def test_load_rejects_clockwise_triangle(tmp_path):
     lines[row] = f"{a} {c} {b}"
     with pytest.raises(ValueError, match="triangle 1 is not counterclockwise"):
         load_mesh(_write(path, lines))
+    # a non-finite coordinate gives a NaN area, which is not <= 0, so the
+    # numbers themselves are checked
+    _, lines = _dumped_lines(tmp_path)
+    edge = lines.index(next(line for line in lines
+                            if line.startswith("BOUNDARY_EDGES"))) + 1
+    for row, column, value, what in (
+            (1, 0, "nan", "vertex coordinate"),
+            (1, 1, "inf", "vertex coordinate"),
+            (edge, 4, "nan", "boundary edge normal"),
+            (edge, 7, "-inf", "boundary edge tangent")):
+        bad = lines.copy()
+        fields = bad[row].split()
+        fields[column] = value
+        bad[row] = " ".join(fields)
+        with pytest.raises(ValueError, match=f"non-finite {what}"):
+            load_mesh(_write(path, bad))
 
 
 def _loop_square_connectivity(n):
