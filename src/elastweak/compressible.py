@@ -50,7 +50,10 @@ class MaterialParams:
 class AssembledSystem:
     matrix: sp.csr_matrix
     rhs: np.ndarray
-    dof_count: int
+
+    @property
+    def dof_count(self):
+        return self.matrix.shape[0]
 
 
 def _require_vector(space):
@@ -60,9 +63,7 @@ def _require_vector(space):
 
 def _dirichlet_sides(mesh, dirichlet_sides):
     """Side tags carrying Dirichlet data: None means every side, () none."""
-    if dirichlet_sides is None:
-        return tuple(mesh.side_tags)
-    return tuple(dirichlet_sides)
+    return tuple(mesh.side_tags if dirichlet_sides is None else dirichlet_sides)
 
 
 def _per_cell(mesh, kernel):
@@ -232,7 +233,7 @@ def _weak_operator(space, params, side_tags):
     return A
 
 
-def assemble_weak_system(mesh, space, params, f, g, dirichlet_sides=None,
+def assemble_weak_system(space, params, f, g, dirichlet_sides=None,
                          rhs_degree=10, flux_degree=None, neumann=None):
     """Full system with weakly imposed Dirichlet data.
 
@@ -243,12 +244,12 @@ def assemble_weak_system(mesh, space, params, f, g, dirichlet_sides=None,
     neumann maps side tags to tractions, whose loads are added last.
     """
     _require_vector(space)
-    sides = _dirichlet_sides(mesh, dirichlet_sides)
+    sides = _dirichlet_sides(space.mesh, dirichlet_sides)
     A = _weak_operator(space, params, sides)
     rhs = assemble_load(space, f, rhs_degree)
     rhs += assemble_flux_load(space, params, g, sides, flux_degree)
     _add_neumann_loads(rhs, space, neumann)
-    return AssembledSystem(matrix=A, rhs=rhs, dof_count=space.dof_count)
+    return AssembledSystem(matrix=A, rhs=rhs)
 
 
 def dirichlet_dofs_and_values(space, g, dirichlet_sides=None):
@@ -281,7 +282,7 @@ def eliminate_dofs(matrix, rhs, dofs, values):
     return out, rhs
 
 
-def assemble_strong_system(mesh, space, params, f, g, dirichlet_sides=None,
+def assemble_strong_system(space, params, f, g, dirichlet_sides=None,
                            rhs_degree=10, neumann=None):
     """Volume system with Dirichlet DOFs eliminated by nodal interpolation.
 
@@ -289,10 +290,10 @@ def assemble_strong_system(mesh, space, params, f, g, dirichlet_sides=None,
     elimination, which sets the Dirichlet rows to the nodal data.
     """
     _require_vector(space)
-    sides = _dirichlet_sides(mesh, dirichlet_sides)
+    sides = _dirichlet_sides(space.mesh, dirichlet_sides)
     K = assemble_elasticity_stiffness(space, params)
     rhs = assemble_load(space, f, rhs_degree)
     _add_neumann_loads(rhs, space, neumann)
     dofs, vals = dirichlet_dofs_and_values(space, g, sides)
     A, rhs = eliminate_dofs(K, rhs, dofs, vals)
-    return AssembledSystem(matrix=A, rhs=rhs, dof_count=space.dof_count)
+    return AssembledSystem(matrix=A, rhs=rhs)

@@ -481,8 +481,7 @@ def solve_compressible(mesh, order, params, f, g, bc_mode="weak",
     space = FESpace(mesh, order, 2)
     assemble = (assemble_weak_system if bc_mode == "weak"
                 else assemble_strong_system)
-    system = assemble(mesh, space, params, f, g, dirichlet_sides,
-                      neumann=neumann)
+    system = assemble(space, params, f, g, dirichlet_sides, neumann=neumann)
     x = _checked_solve(system.matrix, system.rhs,
                        f"{bc_mode} compressible solve")
     return DiscreteField(space, x), system
@@ -493,7 +492,7 @@ def solve_incompressible(mesh, order, params, f, g, nearly_lambda=None,
     vspace = FESpace(mesh, order, 2)
     pspace = FESpace(mesh, order, 1)
     mixed = assemble_incompressible_system(
-        mesh, vspace, pspace, params, f, g, nearly_lambda=nearly_lambda,
+        vspace, pspace, params, f, g, nearly_lambda=nearly_lambda,
         dirichlet_sides=dirichlet_sides, bc_mode=bc_mode, neumann=neumann)
     context = f"{bc_mode} incompressible solve"
     if mixed.constraint_index is None:
@@ -549,7 +548,7 @@ def _solution_sweep(config, rows):
             system = mixed.system
         if rows == "tip":
             return {"dofs": system.dof_count,
-                    "qoi": cook_tip_displacement(mesh, u_h)}
+                    "qoi": cook_tip_displacement(u_h)}
         return {"dofs": system.dof_count, "report": error_norms(
             u_h, data.exact_u, params, p_h, data.exact_p)}
 
@@ -561,9 +560,9 @@ def run_convergence(config):
     return _solution_sweep(config, "errors")
 
 
-def cook_tip_displacement(mesh, solution_field):
+def cook_tip_displacement(solution_field):
     """Vertical displacement at the mesh vertex on the corner A = (48, 60)."""
-    dist = np.hypot(*(mesh.vertices - _COOK_A).T)
+    dist = np.hypot(*(solution_field.space.mesh.vertices - _COOK_A).T)
     tip = int(np.argmin(dist))
     if dist[tip] > 1e-9 * math.hypot(*_COOK_A):
         raise ValueError("no mesh vertex at the Cook corner A = (48, 60)")
@@ -595,13 +594,16 @@ def run_stability_diagnostics(config):
 
     def row(mesh):
         vspace = FESpace(mesh, config.order, 2)
-        if problem.formulation == "compressible":
-            beta = compressible_infsup(mesh, vspace, config.params)
-        else:
-            beta = incompressible_infsup(
-                mesh, vspace, FESpace(mesh, config.order, 1), config.params)
+        try:
+            if problem.formulation == "compressible":
+                beta = compressible_infsup(vspace, config.params)
+            else:
+                beta = incompressible_infsup(
+                    vspace, FESpace(mesh, config.order, 1), config.params)
+        except ValueError as exc:   # an indefinite norm Gram: lambda=1e300
+            raise ExperimentError(str(exc)) from exc
         return {"dofs": None, "beta_h": beta,
-                "korn_h": discrete_korn_constant(mesh, vspace)}
+                "korn_h": discrete_korn_constant(vspace)}
 
     return _sweep(config, row)
 

@@ -194,7 +194,7 @@ def _mixed_operator(vspace, pspace, params, flux_sides, nearly_lambda=None,
     return A
 
 
-def assemble_incompressible_system(mesh, vspace, pspace, params, f, g,
+def assemble_incompressible_system(vspace, pspace, params, f, g,
                                    nearly_lambda=None, dirichlet_sides=None,
                                    bc_mode="weak", rhs_degree=10,
                                    flux_degree=None, neumann=None):
@@ -217,10 +217,9 @@ def assemble_incompressible_system(mesh, vspace, pspace, params, f, g,
         raise ValueError("nearly_lambda must be positive")
     if bc_mode not in ("weak", "strong"):
         raise ValueError("bc_mode must be 'weak' or 'strong'")
-    sides = _dirichlet_sides(mesh, dirichlet_sides)
+    sides = _dirichlet_sides(vspace.mesh, dirichlet_sides)
     nU, nP = vspace.dof_count, pspace.dof_count
-    hK = _stab_h(mesh)
-    mean = set(sides) == set(mesh.side_tags) and nearly_lambda is None
+    mean = set(sides) == set(vspace.mesh.side_tags) and nearly_lambda is None
 
     core = _mixed_operator(vspace, pspace, params,
                            sides if bc_mode == "weak" else (), nearly_lambda,
@@ -228,7 +227,7 @@ def assemble_incompressible_system(mesh, vspace, pspace, params, f, g,
 
     rhs = np.concatenate([
         assemble_load(vspace, f, rhs_degree),
-        _stabilized_load(pspace, params, f, hK, rhs_degree),
+        _stabilized_load(pspace, params, f, _stab_h(vspace.mesh), rhs_degree),
     ])
     if bc_mode == "weak":
         rhs[:nU] += assemble_flux_load(vspace, MaterialParams(params.mu), g,
@@ -243,6 +242,6 @@ def assemble_incompressible_system(mesh, vspace, pspace, params, f, g,
         dofs, vals = dirichlet_dofs_and_values(vspace, g, sides)
         core, rhs = eliminate_dofs(core, rhs, dofs, vals)
 
-    system = AssembledSystem(matrix=core, rhs=rhs, dof_count=core.shape[0])
+    system = AssembledSystem(matrix=core, rhs=rhs)
     return MixedSystem(system=system, n_velocity=nU, n_pressure=nP,
                        constraint_index=nU + nP if mean else None)

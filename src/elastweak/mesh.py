@@ -64,19 +64,17 @@ class Mesh:
         d2 = p[:, 2] - p[:, 0]
         return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
 
+    def _triangle_edge_lengths(self):
+        """Lengths of the edges p0p1, p1p2 and p2p0 per triangle, (nt, 3)."""
+        p = self.triangle_corners()
+        return np.linalg.norm(np.roll(p, -1, axis=1) - p, axis=2)
+
     def triangle_diameters(self):
         """Longest edge per triangle (the element size h_K)."""
-        p = self.triangle_corners()
-        e0 = np.linalg.norm(p[:, 1] - p[:, 0], axis=1)
-        e1 = np.linalg.norm(p[:, 2] - p[:, 1], axis=1)
-        e2 = np.linalg.norm(p[:, 0] - p[:, 2], axis=1)
-        return np.maximum(e0, np.maximum(e1, e2))
+        return self._triangle_edge_lengths().max(axis=1)
 
     def triangle_inradii(self):
-        p = self.triangle_corners()
-        e0 = np.linalg.norm(p[:, 1] - p[:, 0], axis=1)
-        e1 = np.linalg.norm(p[:, 2] - p[:, 1], axis=1)
-        e2 = np.linalg.norm(p[:, 0] - p[:, 2], axis=1)
+        e0, e1, e2 = self._triangle_edge_lengths().T
         return 2.0 * self.triangle_areas() / (e0 + e1 + e2)
 
     def edge_lengths(self):

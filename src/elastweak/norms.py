@@ -197,7 +197,7 @@ def side_mean_gram(space):
 # -- stability diagnostics ------------------------------------------------------
 
 
-def discrete_korn_constant(mesh, vspace):
+def discrete_korn_constant(vspace):
     """sqrt of the smallest eigenvalue of |eps(u)|^2 + |u|_bnd^2 vs |u|_H1^2."""
     eps_gram = assemble_elasticity_stiffness(vspace, MaterialParams(mu=0.5))
     A = eps_gram + side_mean_gram(vspace)
@@ -210,15 +210,15 @@ def discrete_infsup_constant(system_matrix, norm_gram):
     return smallest_generalized_singular_value(system_matrix, norm_gram)
 
 
-def compressible_infsup(mesh, space, params):
+def compressible_infsup(space, params):
     A = _weak_operator(space, params, None)
     N = triple_norm_gram_compressible(space, params)
     return discrete_infsup_constant(A, N)
 
 
-def incompressible_infsup(mesh, vspace, pspace, params):
+def incompressible_infsup(vspace, pspace, params):
     """Inf-sup constant over velocity x mean-zero pressure."""
-    A = _mixed_operator(vspace, pspace, params, mesh.side_tags)
+    A = _mixed_operator(vspace, pspace, params, vspace.mesh.side_tags)
     N = triple_norm_gram_incompressible(vspace, pspace, params)
     # The constant pressure spans the kernels of A, of A^T and of N, so every
     # complement of it gives the same constant; pin the last pressure DOF

@@ -110,21 +110,21 @@ def test_criterion_5_stability_diagnostics():
     betas = []
     for n in (2, 4, 8, 16):
         mesh = build_unit_square_mesh(n)
-        betas.append(compressible_infsup(mesh, FESpace(mesh, 1, 2),
+        betas.append(compressible_infsup(FESpace(mesh, 1, 2),
                                          MaterialParams(1.0, 1.0)))
     checks.append((f"(a) min beta {min(betas):.3f} >= 0.5*beta(n=2)"
                    f" = {0.5 * betas[0]:.3f}", min(betas) >= 0.5 * betas[0]))
     mesh8 = build_unit_square_mesh(8)
     V8 = FESpace(mesh8, 1, 2)
-    b1 = compressible_infsup(mesh8, V8, MaterialParams(1.0, 1.0))
-    b1000 = compressible_infsup(mesh8, V8, MaterialParams(1.0, 1000.0))
+    b1 = compressible_infsup(V8, MaterialParams(1.0, 1.0))
+    b1000 = compressible_infsup(V8, MaterialParams(1.0, 1000.0))
     checks.append((f"(b) beta(lam=1e3) {b1000:.4f} < beta(lam=1) {b1:.4f}",
                    b1000 < b1))
     ibetas = []
     for n in (2, 4, 8, 16):
         mesh = build_unit_square_mesh(n)
         ibetas.append(incompressible_infsup(
-            mesh, FESpace(mesh, 1, 2), FESpace(mesh, 1, 1),
+            FESpace(mesh, 1, 2), FESpace(mesh, 1, 1),
             MaterialParams(1.0, 0.0, gamma=0.1)))
     ratio = max(ibetas) / min(ibetas)
     checks.append((f"(c) incompressible beta max/min {ratio:.3f} <= 2",
@@ -132,7 +132,7 @@ def test_criterion_5_stability_diagnostics():
     korns = []
     for n in (4, 8, 16, 32):
         mesh = build_unit_square_mesh(n)
-        korns.append(discrete_korn_constant(mesh, FESpace(mesh, 1, 2)))
+        korns.append(discrete_korn_constant(FESpace(mesh, 1, 2)))
     checks.append((f"(d) min Korn {min(korns):.3f} >= 0.5*Korn(n=4)"
                    f" = {0.5 * korns[0]:.3f}", min(korns) >= 0.5 * korns[0]))
     G, ev_sq = rigid_motion_gram(build_unit_square_mesh(4))
@@ -269,7 +269,7 @@ def test_criterion_8_exactness_suite():
     worst = 0.0
     for assembler in (assemble_strong_system, assemble_weak_system):
         V = FESpace(mesh, 1, 2)
-        system = assembler(mesh, V, pars, zero, lin)
+        system = assembler(V, pars, zero, lin)
         sol, _ = lu_solve(system.matrix, system.rhs)
         exact = interpolate(V, lin).coefficients
         worst = max(worst, np.abs(sol - exact).max())

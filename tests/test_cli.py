@@ -347,6 +347,21 @@ def test_nan_residual_fails_the_solve(tmp_path, capsys):
         proc.stderr
 
 
+@pytest.mark.parametrize("argv", [["--lambda", "1e300"], ["--mu", "1e-300"]])
+def test_indefinite_norm_gram_fails_the_diagnostics(tmp_path, argv):
+    # parameters that leave the triple-norm Gram indefinite are an invalid
+    # configuration: one error line, exit 2 and no CSV
+    proc = subprocess.run(
+        [sys.executable, "-m", "elastweak", "diagnose", "--problem",
+         "compressible", *argv, "--mesh-sizes", "4", "--out",
+         str(tmp_path)], capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert proc.returncode == 2
+    assert proc.stderr == ("error: mesh n=4: norm Gram matrix is not "
+                           "positive definite\n"), proc.stderr
+    assert not list(tmp_path.iterdir())
+
+
 def _sweep_csv(tmp_path):
     main(["run", "--problem", "compressible", "--k", "1",
           "--mesh-sizes", "2,4", "--mu", "1", "--lambda", "1",

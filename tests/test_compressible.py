@@ -114,7 +114,7 @@ def test_weak_system_antisymmetric_boundary_part():
     mesh = build_unit_square_mesh(4)
     V = FESpace(mesh, 1, 2)
     pars = MaterialParams(1.0, 1.0)
-    system = assemble_weak_system(mesh, V, pars, ZERO, ZERO)
+    system = assemble_weak_system(V, pars, ZERO, ZERO)
     K = assemble_elasticity_stiffness(V, pars)
     S = (system.matrix - K).toarray()
     assert np.abs(S + S.T).max() < 1e-12
@@ -123,7 +123,7 @@ def test_weak_system_antisymmetric_boundary_part():
 def test_weak_system_zero_data_zero_solution():
     mesh = build_unit_square_mesh(3)
     V = FESpace(mesh, 2, 2)
-    system = assemble_weak_system(mesh, V, MaterialParams(1.0, 1.0), ZERO, ZERO)
+    system = assemble_weak_system(V, MaterialParams(1.0, 1.0), ZERO, ZERO)
     x, report = lu_solve(system.matrix, system.rhs)
     assert np.abs(x).max() == 0.0
     assert report.residual_norm == 0.0
@@ -133,7 +133,7 @@ def test_weak_system_zero_data_zero_solution():
 def test_weak_matrix_nonsingular(n):
     mesh = build_unit_square_mesh(n)
     V = FESpace(mesh, 1, 2)
-    system = assemble_weak_system(mesh, V, MaterialParams(1.0, 1.0), ZERO, ZERO)
+    system = assemble_weak_system(V, MaterialParams(1.0, 1.0), ZERO, ZERO)
     rng = np.random.default_rng(n)
     b = rng.standard_normal(system.dof_count)
     x, report = lu_solve(system.matrix, b)
@@ -161,9 +161,9 @@ def test_patch_test_linear_reproduction(order, mode, lam=3.7):
     pars = MaterialParams(mu=2.1, lam=lam)
     lin = linear_field()
     if mode == "strong":
-        system = assemble_strong_system(mesh, V, pars, ZERO, lin)
+        system = assemble_strong_system(V, pars, ZERO, lin)
     else:
-        system = assemble_weak_system(mesh, V, pars, ZERO, lin)
+        system = assemble_weak_system(V, pars, ZERO, lin)
     x, _ = lu_solve(system.matrix, system.rhs)
     exact = interpolate(V, lin).coefficients
     assert np.abs(x - exact).max() <= 1e-10
@@ -172,7 +172,7 @@ def test_patch_test_linear_reproduction(order, mode, lam=3.7):
 def test_strong_system_fixes_boundary_values():
     mesh = build_unit_square_mesh(2)
     V = FESpace(mesh, 1, 2)
-    system = assemble_strong_system(mesh, V, MaterialParams(1.0), ZERO, ZERO)
+    system = assemble_strong_system(V, MaterialParams(1.0), ZERO, ZERO)
     x, _ = lu_solve(system.matrix, system.rhs)
     # the unit-square boundary nodes, found by position
     pts = V.dof_points
@@ -191,8 +191,8 @@ def test_weak_and_strong_solutions_approach_each_other():
     for n in (4, 8, 16):
         mesh = build_unit_square_mesh(n)
         V = FESpace(mesh, 1, 2)
-        sw = assemble_weak_system(mesh, V, pars, f, g)
-        ss = assemble_strong_system(mesh, V, pars, f, g)
+        sw = assemble_weak_system(V, pars, f, g)
+        ss = assemble_strong_system(V, pars, f, g)
         xw, _ = lu_solve(sw.matrix, sw.rhs)
         xs, _ = lu_solve(ss.matrix, ss.rhs)
         diff = DiscreteField(V, xw - xs)
@@ -226,8 +226,8 @@ def test_neumann_loads_enter_every_row_but_the_dirichlet_ones(mode):
     traction = AnalyticField.constant_vector(1.5, -2.0)
     assemble = (assemble_weak_system if mode == "weak"
                 else assemble_strong_system)
-    plain = assemble(mesh, V, pars, ZERO, linear_field(), ("left",))
-    loaded = assemble(mesh, V, pars, ZERO, linear_field(), ("left",),
+    plain = assemble(V, pars, ZERO, linear_field(), ("left",))
+    loaded = assemble(V, pars, ZERO, linear_field(), ("left",),
                       neumann={"bottom": traction})
     load = assemble_neumann_load(V, "bottom", traction)
     free = np.ones(V.dof_count, dtype=bool)
@@ -334,7 +334,7 @@ def test_empty_dirichlet_sides_select_no_side():
     # a repeated side is counted once
     assert_same_csr(assemble_boundary_flux(V, pars, ("left", "left")),
                     assemble_boundary_flux(V, pars, ("left",)))
-    twice, once = (assemble_incompressible_system(mesh, V, Q, pars, g, g,
+    twice, once = (assemble_incompressible_system(V, Q, pars, g, g,
                                                   dirichlet_sides=sides)
                    for sides in (("left", "left"), ("left",)))
     assert_same_csr(twice.system.matrix, once.system.matrix)
@@ -343,16 +343,16 @@ def test_empty_dirichlet_sides_select_no_side():
     assert len(dofs) == 0 and len(vals) == 0
     assert len(dirichlet_dofs_and_values(V, g, None)[0]) == 2 * 12
 
-    weak = assemble_weak_system(mesh, V, pars, g, g, dirichlet_sides=())
+    weak = assemble_weak_system(V, pars, g, g, dirichlet_sides=())
     assert abs(weak.matrix - K).max() == 0.0
     assert np.array_equal(weak.rhs, assemble_load(V, g))
-    strong = assemble_strong_system(mesh, V, pars, g, g, dirichlet_sides=())
+    strong = assemble_strong_system(V, pars, g, g, dirichlet_sides=())
     assert abs(strong.matrix - K).max() == 0.0
 
     # volume plus stabilization: no flux, no border
     core = padded_mixed_operator(V, Q, pars, ())
     for mode in ("weak", "strong"):
-        mixed = assemble_incompressible_system(mesh, V, Q, pars, g, g,
+        mixed = assemble_incompressible_system(V, Q, pars, g, g,
                                                dirichlet_sides=(),
                                                bc_mode=mode)
         assert abs(mixed.system.matrix - core).max() == 0.0

@@ -141,7 +141,7 @@ def test_mixed_matrix_equals_padded_sum_on_square(n, bc_mode):
     mesh, V, Q = spaces(n)
     pars = MaterialParams(1.0, gamma=0.1)
     g = AnalyticField.constant_vector(0.3, -0.2)
-    mixed = assemble_incompressible_system(mesh, V, Q, pars, g, g,
+    mixed = assemble_incompressible_system(V, Q, pars, g, g,
                                            bc_mode=bc_mode)
     assert mixed.constraint_index == V.dof_count + Q.dof_count
     flux_sides = mesh.side_tags if bc_mode == "weak" else ()
@@ -161,7 +161,7 @@ def test_mixed_matrix_equals_padded_sum_on_nearly_incompressible_cook(
     pars = MaterialParams(full.mu, gamma=0.1)
     g = AnalyticField.constant_vector(0.0, 0.0)
     mixed = assemble_incompressible_system(
-        mesh, V, Q, pars, g, g, nearly_lambda=full.lam,
+        V, Q, pars, g, g, nearly_lambda=full.lam,
         dirichlet_sides=("CD",), bc_mode=bc_mode)
     assert mixed.constraint_index is None
     flux_sides = ("CD",) if bc_mode == "weak" else ()
@@ -214,7 +214,7 @@ def test_stabilization_requires_positive_gamma():
     with pytest.raises(ValueError):
         assemble_pressure_stabilization(V, Q, MaterialParams(1.0, gamma=0.0))
     with pytest.raises(ValueError):
-        assemble_incompressible_system(mesh, V, Q, MaterialParams(1.0),
+        assemble_incompressible_system(V, Q, MaterialParams(1.0),
                                        ZERO, ZERO)
 
 
@@ -238,7 +238,7 @@ def test_p2_stabilization_velocity_coupling_consistent():
 
 def test_zero_data_zero_solution():
     mesh, V, Q = spaces(3)
-    mixed = assemble_incompressible_system(mesh, V, Q,
+    mixed = assemble_incompressible_system(V, Q,
                                            MaterialParams(1.0, gamma=0.1),
                                            ZERO, ZERO)
     x, _ = lu_solve(mixed.system.matrix, mixed.system.rhs)
@@ -264,15 +264,15 @@ def test_nearly_infinite_lambda_recovers_incompressible_matrix():
     pars = MaterialParams(1.0, gamma=0.1)
     # the incompressible system is bordered by the pressure mean; its core
     # is the unbordered operator
-    bordered = assemble_incompressible_system(mesh, V, Q, pars, ZERO, ZERO)
+    bordered = assemble_incompressible_system(V, Q, pars, ZERO, ZERO)
     nc = bordered.constraint_index
     base = bordered.system.matrix[:nc, :nc]
-    near = assemble_incompressible_system(mesh, V, Q, pars, ZERO, ZERO,
+    near = assemble_incompressible_system(V, Q, pars, ZERO, ZERO,
                                           nearly_lambda=np.inf)
     assert near.constraint_index is None
     diff = (base - near.system.matrix)
     assert np.abs(diff.toarray()).max() == 0.0
-    near2 = assemble_incompressible_system(mesh, V, Q, pars, ZERO, ZERO,
+    near2 = assemble_incompressible_system(V, Q, pars, ZERO, ZERO,
                                            nearly_lambda=1e14)
     diff2 = (base - near2.system.matrix).toarray()
     assert np.abs(diff2).max() < 1e-10
@@ -281,7 +281,7 @@ def test_nearly_infinite_lambda_recovers_incompressible_matrix():
 def test_nearly_lambda_must_be_positive():
     mesh, V, Q = spaces(2)
     with pytest.raises(ValueError):
-        assemble_incompressible_system(mesh, V, Q,
+        assemble_incompressible_system(V, Q,
                                        MaterialParams(1.0, gamma=0.1),
                                        ZERO, ZERO, nearly_lambda=-2.0)
 
@@ -289,7 +289,7 @@ def test_nearly_lambda_must_be_positive():
 def test_mean_constraint_removes_singularity():
     mesh, V, Q = spaces(2)
     pars = MaterialParams(1.0, gamma=0.1)
-    constrained = assemble_incompressible_system(mesh, V, Q, pars, ZERO, ZERO)
+    constrained = assemble_incompressible_system(V, Q, pars, ZERO, ZERO)
     nc = constrained.constraint_index
     assert nc == V.dof_count + Q.dof_count
     # constant pressure spans the kernel of the unconstrained operator
@@ -381,7 +381,7 @@ def test_pinned_helper_matches_bordered_lu_on_random_rhs(order, n, bc_mode):
     from elastweak.experiments import _pinned_mean_solve
     mesh, V, Q = spaces(n, order)
     mixed = assemble_incompressible_system(
-        mesh, V, Q, MaterialParams(1.0, gamma=0.1), ZERO, ZERO,
+        V, Q, MaterialParams(1.0, gamma=0.1), ZERO, ZERO,
         bc_mode=bc_mode)
     b = np.random.default_rng(7).standard_normal(mixed.system.dof_count)
     b[mixed.constraint_index] = 0.5
@@ -400,7 +400,7 @@ def test_constant_pressure_spans_both_kernels_of_core(order, bc_mode):
     # (left kernel) as well as core @ (0, 1) = 0 (right kernel)
     mesh, V, Q = spaces(6, order)
     mixed = assemble_incompressible_system(
-        mesh, V, Q, MaterialParams(1.0, gamma=0.1), ZERO, ZERO,
+        V, Q, MaterialParams(1.0, gamma=0.1), ZERO, ZERO,
         bc_mode=bc_mode)
     nc = mixed.constraint_index
     core = mixed.system.matrix[:nc, :nc]

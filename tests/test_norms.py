@@ -249,7 +249,7 @@ def test_side_mean_gram_weights_unequal_sides():
 def test_discrete_korn_constant_positive_and_rotation_quotient():
     mesh = build_unit_square_mesh(4)
     V = FESpace(mesh, 1, 2)
-    ck = discrete_korn_constant(mesh, V)
+    ck = discrete_korn_constant(V)
     assert ck > 0.0
     # rigid rotation: eps vanishes, so its Rayleigh quotient is the boundary
     # seminorm against the full H1 norm: 3 / (2/3 + 2)
@@ -266,7 +266,7 @@ def test_discrete_korn_constant_beyond_former_dense_size():
     # 5202 vector DOFs
     mesh = build_unit_square_mesh(50)
     V = FESpace(mesh, 1, 2)
-    ck = discrete_korn_constant(mesh, V)
+    ck = discrete_korn_constant(V)
     assert ck > 0.0
     rot = interpolate(V, ROTATION).coefficients
     E = assemble_elasticity_stiffness(V, MaterialParams(mu=0.5))
@@ -280,7 +280,7 @@ def test_infsup_on_coercive_toy_system():
     mesh = build_unit_square_mesh(3)
     V = FESpace(mesh, 1, 2)
     zero = AnalyticField.constant_vector(0.0, 0.0)
-    system = assemble_strong_system(mesh, V, MaterialParams(1.0, 0.5),
+    system = assemble_strong_system(V, MaterialParams(1.0, 0.5),
                                     zero, zero)
     A = system.matrix.toarray()
     assert discrete_infsup_constant(A, A) == pytest.approx(1.0, abs=1e-8)
@@ -303,7 +303,7 @@ def test_pinned_incompressible_infsup_matches_mean_zero_basis(builder, order):
     m = np.concatenate([np.zeros(V.dof_count), pressure_integral_vector(Q)])
     Z = null_space(m[None, :])
     oracle = discrete_infsup_constant(Z.T @ A @ Z, Z.T @ N @ Z)
-    assert incompressible_infsup(mesh, V, Q, pars) == pytest.approx(
+    assert incompressible_infsup(V, Q, pars) == pytest.approx(
         oracle, rel=1e-10)
 
 
@@ -323,21 +323,21 @@ def test_sparse_diagnostics_match_dense_oracles(builder, order, n):
     cpars = MaterialParams(1.0, 1.0)
     oracle = _dense_infsup(_weak_operator(V, cpars, None),
                            triple_norm_gram_compressible(V, cpars))
-    assert compressible_infsup(mesh, V, cpars) == pytest.approx(
+    assert compressible_infsup(V, cpars) == pytest.approx(
         oracle, rel=1e-10)
 
     ipars = MaterialParams(1.0, 0.0, gamma=0.1)
     A = _mixed_operator(V, Q, ipars, mesh.side_tags)
     N = triple_norm_gram_incompressible(V, Q, ipars)
     oracle = _dense_infsup(A[:-1, :-1], N[:-1, :-1])
-    assert incompressible_infsup(mesh, V, Q, ipars) == pytest.approx(
+    assert incompressible_infsup(V, Q, ipars) == pytest.approx(
         oracle, rel=1e-10)
 
     E = assemble_elasticity_stiffness(V, MaterialParams(mu=0.5))
     H = _vector_gram(V, "mass") + _vector_gram(V, "grad")
     ev = sla.eigh((E + side_mean_gram(V)).toarray(), H.toarray(),
                   eigvals_only=True, subset_by_index=[0, 0])
-    assert discrete_korn_constant(mesh, V) == pytest.approx(
+    assert discrete_korn_constant(V) == pytest.approx(
         np.sqrt(ev[0]), rel=1e-10)
 
 
@@ -390,7 +390,7 @@ def test_mixed_orthogonality_residual():
     V, Q = FESpace(mesh, 1, 2), FESpace(mesh, 1, 1)
     # the data terms of the solve must be integrated at the checking degree,
     # otherwise the residual only measures the quadrature gap
-    mixed = assemble_incompressible_system(mesh, V, Q, pars, f, g,
+    mixed = assemble_incompressible_system(V, Q, pars, f, g,
                                            rhs_degree=16, flux_degree=16)
     x, _ = lu_solve(mixed.system.matrix, mixed.system.rhs)
     res = galerkin_orthogonality_residual_mixed(mesh, V, Q, pars, eu, ep, f, x)

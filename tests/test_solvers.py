@@ -202,7 +202,7 @@ def test_locking_p2_weak_system_matches_dense_solve():
     data = manufactured_compressible(params)
     f, g = data.f, data.g
     mesh = build_unit_square_mesh(8)
-    system = assemble_weak_system(mesh, FESpace(mesh, 2, 2), params, f, g)
+    system = assemble_weak_system(FESpace(mesh, 2, 2), params, f, g)
     x, report = lu_solve(system.matrix, system.rhs)
     ref = np.linalg.solve(system.matrix.toarray(), system.rhs)
     assert np.abs(x - ref).max() <= 1e-10 * np.abs(ref).max()
@@ -214,7 +214,7 @@ def _square_weak_p1(n):
     data = manufactured_compressible(params)
     f, g = data.f, data.g
     mesh = build_unit_square_mesh(n)
-    return assemble_weak_system(mesh, FESpace(mesh, 1, 2), params, f, g)
+    return assemble_weak_system(FESpace(mesh, 1, 2), params, f, g)
 
 
 def _cook_mixed(n, order):
@@ -224,7 +224,7 @@ def _cook_mixed(n, order):
     zero = AnalyticField.constant_vector(0.0, 0.0)
     mesh = build_cook_mesh(n)
     return assemble_incompressible_system(
-        mesh, FESpace(mesh, order, 2), FESpace(mesh, order, 1), params, zero,
+        FESpace(mesh, order, 2), FESpace(mesh, order, 1), params, zero,
         zero, nearly_lambda=params.lam, dirichlet_sides=("CD",)).system
 
 
@@ -240,7 +240,7 @@ def _cook_compressible_p2(n):
     params = MaterialParams.from_young_poisson(1e5, 0.3333)
     zero = AnalyticField.constant_vector(0.0, 0.0)
     mesh = build_cook_mesh(n)
-    return assemble_weak_system(mesh, FESpace(mesh, 2, 2), params, zero, zero,
+    return assemble_weak_system(FESpace(mesh, 2, 2), params, zero, zero,
                                 ("CD",))
 
 
@@ -249,7 +249,7 @@ def _square_mixed_p1(n):
     data = manufactured_incompressible(params)
     mesh = build_unit_square_mesh(n)
     return assemble_incompressible_system(
-        mesh, FESpace(mesh, 1, 2), FESpace(mesh, 1, 1), params, data.f,
+        FESpace(mesh, 1, 2), FESpace(mesh, 1, 1), params, data.f,
         data.g).system
 
 

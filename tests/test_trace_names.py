@@ -33,3 +33,59 @@ def test_metric_functions_resolve_to_public_functions():
         # defined in the named module, as the tracer requires
         home = owner if inspect.isclass(owner) else obj
         assert home.__module__ == module.__name__, name
+
+
+def test_counts_read_real_results():
+    # each COUNTS extractor applied to a real P1 n=4 result reads the value
+    # of the object it comes from
+    from elastweak.compressible import (MaterialParams, assemble_strong_system,
+                                        assemble_weak_system)
+    from elastweak.experiments import (PROBLEMS, RESIDUAL_LIMIT,
+                                       manufactured_compressible,
+                                       manufactured_incompressible)
+    from elastweak.incompressible import assemble_incompressible_system
+    from elastweak.mesh import build_cook_mesh, build_unit_square_mesh
+    from elastweak.solvers import lu_solve
+    from elastweak.spaces import FESpace
+
+    counts = _tracer().COUNTS
+    square = build_unit_square_mesh(4)
+    V, Q = FESpace(square, 1, 2), FESpace(square, 1, 1)
+    params = MaterialParams(1.0, 1.0, gamma=0.1)
+    data = manufactured_compressible(params)
+    systems = {
+        "compressible.assemble_weak_system":
+            assemble_weak_system(V, params, data.f, data.g),
+        "compressible.assemble_strong_system":
+            assemble_strong_system(V, params, data.f, data.g),
+    }
+    for name, system in systems.items():
+        assert counts[name](system) == {"nnz": system.matrix.nnz,
+                                        "dofs": system.matrix.shape[0]}
+
+    mixed = counts["incompressible.assemble_incompressible_system"]
+    data = manufactured_incompressible(params)
+    square_mixed = assemble_incompressible_system(V, Q, params, data.f,
+                                                  data.g)
+    cook = build_cook_mesh(4)
+    near = MaterialParams.from_young_poisson(250.0, 0.4999, gamma=0.1)
+    data = PROBLEMS["nearly_incompressible"].data(near)
+    cook_mixed = assemble_incompressible_system(
+        FESpace(cook, 1, 2), FESpace(cook, 1, 1), near, data.f, data.g,
+        nearly_lambda=near.lam, dirichlet_sides=("CD",),
+        neumann=data.neumann)
+    for result, bordered in ((square_mixed, 1), (cook_mixed, 0)):
+        A = result.system.matrix
+        assert mixed(result) == {"nnz": A.nnz, "dofs": A.shape[0],
+                                 "bordered": bordered}
+
+    weak = systems["compressible.assemble_weak_system"]
+    residual = counts["solvers.lu_solve"](lu_solve(weak.matrix,
+                                                   weak.rhs))["residual"]
+    assert 0.0 <= residual <= RESIDUAL_LIMIT
+    # the degree-16 error rule has 81 points per triangle
+    assert counts["spaces.FESpace.interior_tables"](
+        V.interior_tables(16)) == {"points": square.num_triangles * 81}
+    assert set(counts) == {*systems, "solvers.lu_solve",
+                           "incompressible.assemble_incompressible_system",
+                           "spaces.FESpace.interior_tables"}
