@@ -2,11 +2,12 @@
 diagnostics and convergence plots.
 
 Exit codes: 0 success, 2 solver failure, invalid configuration, --check
-with fewer meshes than the check needs, an indefinite diagnostics norm, a
-sweep column that a log-log plot cannot show (the CSV is written first), or
-unusable mesh or plot input (n < 1, an unreadable CSV, an absent or
-unplottable column, a reference slope without a finite triangle, an
-unwritable output), 3 threshold violation with --check.
+with fewer meshes than the check needs, an indefinite diagnostics norm or
+a failed diagnostics eigensolve (diagnose --problem incompressible --mu
+1e-300), a sweep column that a log-log plot cannot show (the CSV is
+written first), or unusable mesh or plot input (n < 1, an unreadable CSV,
+an absent or unplottable column, a reference slope without a finite
+triangle, an unwritable output), 3 threshold violation with --check.
 """
 
 import argparse

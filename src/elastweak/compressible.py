@@ -7,12 +7,14 @@ no eliminated DOFs) or strongly (nodal elimination), for comparison.
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
 
 from .spaces import cell_chunks, reference_tensors
+
+# Degree of the volume and stabilized loads: the symmetric 25-point rule.
+LOAD_DEGREE = 10
 
 
 @dataclass(frozen=True)
@@ -98,49 +100,56 @@ def _scatter_vector(dofs, local, size):
 
 _I2 = np.eye(2)
 
-# d_a phi_i d_b phi_j = sum_pr Jinv[p, a] Jinv[r, b] d_p N_i d_r N_j
-_STIFFNESS_SUBSCRIPTS = "c,ipjr,cpa,crb->ciajb"
-
-
-@lru_cache(maxsize=16)
-def _stiffness_path(order, n_cells):
-    """Contraction path of the stiffness einsum for a block of n_cells.
-
-    The path depends only on the operand shapes, so it is searched once per
-    order and block size instead of on every block (with 512-cell blocks
-    the search cost half as much as a P1 block's contraction).  A mesh has
-    at most two block sizes, the full block and the last one."""
-    grad_grad = reference_tensors(order).grad_grad
-    jinv = np.empty((n_cells, 2, 2))
-    return np.einsum_path(_STIFFNESS_SUBSCRIPTS, np.empty(n_cells), grad_grad,
-                          jinv, jinv, optimize="greedy")[0]
-
 
 def _stiffness_parts(space, cells):
     """Per-cell integrals of grad phi_i . grad phi_j, shape (m, i, j), and of
-    d_a phi_i d_b phi_j, shape (m, i, a, j, b), of the scalar basis."""
+    d_a phi_i d_b phi_j, shape (m, i, a, j, b), of the scalar basis: the
+    cell factors W[c, a, b, p, r] = |detJ| Jinv[p, a] Jinv[r, b] times the
+    reference tensor grad_grad[i, p, j, r], one matrix product."""
     _, Jinv, detJ = space.geometry()
-    weights = np.abs(detJ[cells])
-    path = _stiffness_path(space.order, len(weights))
-    D = np.einsum(_STIFFNESS_SUBSCRIPTS, weights,
-                  reference_tensors(space.order).grad_grad, Jinv[cells],
-                  Jinv[cells], optimize=path)
+    Jt = np.swapaxes(Jinv[cells], 1, 2)                      # (m, a, p)
+    W = ((np.abs(detJ[cells])[:, None, None] * Jt)[:, :, None, :, None]
+         * Jt[:, None, :, None, :])                          # (m, a, b, p, r)
+    G = reference_tensors(space.order).grad_grad            # (i, p, j, r)
+    D = W.reshape(-1, 4) @ G.transpose(1, 3, 0, 2).reshape(4, -1)
+    D = D.reshape(W.shape[:3] + G.shape[::2]).transpose(0, 3, 1, 4, 2)
     return np.einsum("ciaja->cij", D), D
 
 
-def assemble_elasticity_stiffness(space, params):
-    """Volume matrix of 2 mu (eps(u), eps(v)) + lambda (div u, div v)."""
+def _mass_local(space, cells):
+    """Per-cell integrals of phi_i phi_j (scalar basis)."""
+    _, _, detJ = space.geometry()
+    return (np.abs(detJ[cells])[:, None, None]
+            * reference_tensors(space.order).mass)
+
+
+def _vector_form(space, grad=0.0, sym=0.0, div=0.0, mass=0.0):
+    """Matrix of grad (grad u, grad v) + sym (grad u^T, grad v) + div (div u,
+    div v) + mass (u, v) on a vector space, summed in this order without the
+    terms of weight 0: the stiffness and every vector norm Gram."""
     _require_vector(space)
     nloc = 2 * space.scalar_basis_size
 
     def local(cells):
         gg, D = _stiffness_parts(space, cells)
-        loc = (params.mu * np.einsum("cij,ab->ciajb", gg, _I2)
-               + params.mu * D.transpose(0, 1, 4, 3, 2)
-               + params.lam * D)
-        return loc.reshape(-1, nloc, nloc)
+        terms = []
+        if grad:
+            terms.append(grad * np.einsum("cij,ab->ciajb", gg, _I2))
+        if sym:
+            terms.append(sym * D.transpose(0, 1, 4, 3, 2))
+        if div:
+            terms.append(div * D)
+        if mass:
+            terms.append(mass * np.einsum("cij,ab->ciajb",
+                                          _mass_local(space, cells), _I2))
+        return sum(terms[1:], terms[0]).reshape(-1, nloc, nloc)
 
     return _cell_matrix(space, space, local)
+
+
+def assemble_elasticity_stiffness(space, params):
+    """Volume matrix of 2 mu (eps(u), eps(v)) + lambda (div u, div v)."""
+    return _vector_form(space, grad=params.mu, sym=params.mu, div=params.lam)
 
 
 def _flux_tables(space, side_tags, degree=None):
@@ -180,7 +189,7 @@ def assemble_boundary_flux(space, params, side_tags=None):
                            loc.reshape(-1, nloc, nloc), (space.dof_count,) * 2)
 
 
-def assemble_load(space, f, degree=10):
+def assemble_load(space, f, degree=LOAD_DEGREE):
     """Right-hand side (f, v) over the domain."""
     _require_vector(space)
     tab = space.interior_tables(degree)
@@ -234,20 +243,19 @@ def _weak_operator(space, params, side_tags):
 
 
 def assemble_weak_system(space, params, f, g, dirichlet_sides=None,
-                         rhs_degree=10, flux_degree=None, neumann=None):
+                         neumann=None):
     """Full system with weakly imposed Dirichlet data.
 
     The matrix is the volume stiffness minus the flux pairing plus its
     transpose; no DOFs are eliminated and no penalty term appears.
-    dirichlet_sides=None selects every side, () none.  rhs_degree and
-    flux_degree set the quadrature of the load and flux-load data terms.
-    neumann maps side tags to tractions, whose loads are added last.
+    dirichlet_sides=None selects every side, () none.  neumann maps side
+    tags to tractions, whose loads are added last.
     """
     _require_vector(space)
     sides = _dirichlet_sides(space.mesh, dirichlet_sides)
     A = _weak_operator(space, params, sides)
-    rhs = assemble_load(space, f, rhs_degree)
-    rhs += assemble_flux_load(space, params, g, sides, flux_degree)
+    rhs = assemble_load(space, f)
+    rhs += assemble_flux_load(space, params, g, sides)
     _add_neumann_loads(rhs, space, neumann)
     return AssembledSystem(matrix=A, rhs=rhs)
 
@@ -283,7 +291,7 @@ def eliminate_dofs(matrix, rhs, dofs, values):
 
 
 def assemble_strong_system(space, params, f, g, dirichlet_sides=None,
-                           rhs_degree=10, neumann=None):
+                           neumann=None):
     """Volume system with Dirichlet DOFs eliminated by nodal interpolation.
 
     neumann maps side tags to tractions; their loads enter before the
@@ -292,7 +300,7 @@ def assemble_strong_system(space, params, f, g, dirichlet_sides=None,
     _require_vector(space)
     sides = _dirichlet_sides(space.mesh, dirichlet_sides)
     K = assemble_elasticity_stiffness(space, params)
-    rhs = assemble_load(space, f, rhs_degree)
+    rhs = assemble_load(space, f)
     _add_neumann_loads(rhs, space, neumann)
     dofs, vals = dirichlet_dofs_and_values(space, g, sides)
     A, rhs = eliminate_dofs(K, rhs, dofs, vals)

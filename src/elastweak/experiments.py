@@ -594,16 +594,16 @@ def run_stability_diagnostics(config):
 
     def row(mesh):
         vspace = FESpace(mesh, config.order, 2)
-        try:
+        try:   # ValueError: an indefinite norm Gram or a failed eigensolve
             if problem.formulation == "compressible":
                 beta = compressible_infsup(vspace, config.params)
             else:
                 beta = incompressible_infsup(
                     vspace, FESpace(mesh, config.order, 1), config.params)
-        except ValueError as exc:   # an indefinite norm Gram: lambda=1e300
+            return {"dofs": None, "beta_h": beta,
+                    "korn_h": discrete_korn_constant(vspace)}
+        except ValueError as exc:
             raise ExperimentError(str(exc)) from exc
-        return {"dofs": None, "beta_h": beta,
-                "korn_h": discrete_korn_constant(vspace)}
 
     return _sweep(config, row)
 

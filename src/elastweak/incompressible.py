@@ -11,9 +11,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .compressible import (_I2, AssembledSystem, MaterialParams,
-                           _add_neumann_loads, _cell_matrix,
-                           _dirichlet_sides, _flux_tables,
+from .compressible import (_I2, LOAD_DEGREE, AssembledSystem,
+                           MaterialParams, _add_neumann_loads, _cell_matrix,
+                           _dirichlet_sides, _flux_tables, _mass_local,
                            _per_cell, _require_vector, _scatter_matrix,
                            _scatter_vector, _stiffness_parts,
                            _weak_operator, assemble_flux_load,
@@ -86,13 +86,6 @@ def _pressure_h2_gram(pspace, hK):
         (hK[cells] ** 2)[:, None, None] * _stiffness_parts(pspace, cells)[0]))
 
 
-def _mass_local(space, cells):
-    """Per-cell integrals of phi_i phi_j (scalar basis)."""
-    _, _, detJ = space.geometry()
-    return (np.abs(detJ[cells])[:, None, None]
-            * reference_tensors(space.order).mass)
-
-
 def assemble_pressure_stabilization(vspace, pspace, params):
     """Element-residual stabilization coupling into the mass-balance rows.
 
@@ -143,9 +136,9 @@ def pressure_integral_vector(pspace):
     return _scatter_vector(pspace.cell_dofs, local, pspace.dof_count)
 
 
-def _stabilized_load(pspace, params, f, hK, rhs_degree):
+def _stabilized_load(pspace, params, f, hK, degree):
     """(f, (gamma/mu) h^2 grad q) entries for the mass-balance rows."""
-    pt = pspace.interior_tables(rhs_degree)
+    pt = pspace.interior_tables(degree)
 
     def local(cells):
         x = pt.physical_points(cells)
@@ -196,8 +189,7 @@ def _mixed_operator(vspace, pspace, params, flux_sides, nearly_lambda=None,
 
 def assemble_incompressible_system(vspace, pspace, params, f, g,
                                    nearly_lambda=None, dirichlet_sides=None,
-                                   bc_mode="weak", rhs_degree=10,
-                                   flux_degree=None, neumann=None):
+                                   bc_mode="weak", neumann=None):
     """Full mixed system, optionally nearly incompressible.
 
     With nearly_lambda set, the mass balance becomes div u = -p/lambda (the
@@ -205,10 +197,9 @@ def assemble_incompressible_system(vspace, pspace, params, f, g,
     + grad p = f), which recovers compressible elasticity as lambda -> inf.
     The pressure mean-zero constraint is appended automatically when the
     Dirichlet data covers the whole boundary and no nearly_lambda is given.
-    dirichlet_sides=None selects every side, () none.  rhs_degree and
-    flux_degree set the quadrature of the load and flux-load data terms.
-    neumann maps side tags to tractions; their loads enter the velocity
-    rows after the flux loads and before any strong elimination.
+    dirichlet_sides=None selects every side, () none.  neumann maps side
+    tags to tractions; their loads enter the velocity rows after the flux
+    loads and before any strong elimination.
     """
     _check_pair(vspace, pspace)
     if params.gamma is None or params.gamma <= 0.0:
@@ -226,13 +217,13 @@ def assemble_incompressible_system(vspace, pspace, params, f, g,
                            mean)
 
     rhs = np.concatenate([
-        assemble_load(vspace, f, rhs_degree),
-        _stabilized_load(pspace, params, f, _stab_h(vspace.mesh), rhs_degree),
+        assemble_load(vspace, f),
+        _stabilized_load(pspace, params, f, _stab_h(vspace.mesh), LOAD_DEGREE),
     ])
     if bc_mode == "weak":
         rhs[:nU] += assemble_flux_load(vspace, MaterialParams(params.mu), g,
-                                       sides, flux_degree)
-        rhs[nU:] += _pressure_flux_load(pspace, g, sides, flux_degree)
+                                       sides)
+        rhs[nU:] += _pressure_flux_load(pspace, g, sides)
     _add_neumann_loads(rhs, vspace, neumann)
 
     if mean:

@@ -12,10 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .compressible import (_I2, MaterialParams, _cell_matrix, _scatter_matrix,
-                           _stiffness_parts, _weak_operator,
-                           assemble_elasticity_stiffness)
-from .incompressible import _mass_local, _mixed_operator, _pressure_h2_gram
+from .compressible import _I2, _scatter_matrix, _vector_form, _weak_operator
+from .incompressible import _mixed_operator, _pressure_h2_gram
 from .solvers import _smallest_eigenvalue, smallest_generalized_singular_value
 from .spaces import cell_chunks
 
@@ -132,44 +130,26 @@ def error_norms(u_h, exact_u, params, p_h=None, exact_p=None):
 # -- Gram matrices for diagnostics ---------------------------------------------
 
 
-def _vector_gram(space, kind):
-    """Assemble (grad u, grad v), (u, v) or (div u, div v) for a vector space."""
-    if kind not in ("mass", "grad", "div"):
-        raise ValueError(kind)
-    nloc = 2 * space.scalar_basis_size
-
-    def local(cells):
-        if kind == "mass":
-            loc = np.einsum("cij,ab->ciajb", _mass_local(space, cells), _I2)
-        else:
-            gg, D = _stiffness_parts(space, cells)
-            loc = np.einsum("cij,ab->ciajb", gg, _I2) if kind == "grad" else D
-        return loc.reshape(-1, nloc, nloc)
-
-    return _cell_matrix(space, space, local)
-
-
-def _boundary_gram(space, normal_weighted):
-    """h_K^-1-weighted boundary mass, full trace or normal component only."""
+def _boundary_gram(space, trace, normal):
+    """h_K^-1-weighted boundary Gram of trace <u, v> + normal <u.n, v.n>."""
     bt = space.boundary_tables(space.form_degree)
     nloc = 2 * space.scalar_basis_size
     winv = bt.w / bt.h_owner[:, None]
     nn = np.einsum("eq,eqi,eqj->eij", winv, bt.N, bt.N)
-    if normal_weighted:
-        loc = np.einsum("eij,ec,ed->eicjd", nn, bt.normal, bt.normal)
-    else:
-        loc = np.einsum("eij,cd->eicjd", nn, _I2)
+    cd = trace * _I2 + normal * np.einsum("ec,ed->ecd", bt.normal, bt.normal)
+    loc = np.einsum("eij,ecd->eicjd", nn, cd)
     return _scatter_matrix(bt.cell_dofs, bt.cell_dofs,
                            loc.reshape(-1, nloc, nloc), (space.dof_count,) * 2)
 
 
 def triple_norm_gram_compressible(space, params):
-    return (params.mu * (_vector_gram(space, "grad") + _boundary_gram(space, False))
-            + params.lam * (_vector_gram(space, "div") + _boundary_gram(space, True)))
+    return (_vector_form(space, grad=params.mu, div=params.lam)
+            + _boundary_gram(space, params.mu, params.lam))
 
 
 def triple_norm_gram_incompressible(vspace, pspace, params):
-    Nv = params.mu * (_vector_gram(vspace, "grad") + _boundary_gram(vspace, False))
+    Nv = (_vector_form(vspace, grad=params.mu)
+          + _boundary_gram(vspace, params.mu, 0.0))
     Np = (1.0 / params.mu) * _pressure_h2_gram(
         pspace, pspace.mesh.triangle_diameters())
     return sp.bmat([[Nv, None], [None, Np]], format="csr")
@@ -199,9 +179,8 @@ def side_mean_gram(space):
 
 def discrete_korn_constant(vspace):
     """sqrt of the smallest eigenvalue of |eps(u)|^2 + |u|_bnd^2 vs |u|_H1^2."""
-    eps_gram = assemble_elasticity_stiffness(vspace, MaterialParams(mu=0.5))
-    A = eps_gram + side_mean_gram(vspace)
-    H = _vector_gram(vspace, "mass") + _vector_gram(vspace, "grad")
+    A = _vector_form(vspace, grad=0.5, sym=0.5) + side_mean_gram(vspace)
+    H = _vector_form(vspace, grad=1.0, mass=1.0)
     return float(np.sqrt(max(_smallest_eigenvalue(A, H), 0.0)))
 
 

@@ -181,13 +181,16 @@ def _smallest_eigenvalue(A, M, OPinv=None):
     """Smallest eigenvalue of the symmetric pencil (A, M), M positive
     definite, by ARPACK shift-invert about 0.  OPinv applies A^-1; without
     it A is factored by ``_factor``.  The start vector is fixed so that
-    repeated runs give identical digits."""
+    repeated runs give identical digits; ARPACK failures raise ValueError."""
     if OPinv is None:
         factor = _factor(A)
         OPinv = spla.LinearOperator(A.shape, matvec=factor.solve, dtype=float)
     v0 = np.random.default_rng(0).standard_normal(A.shape[0])
-    return float(spla.eigsh(A, k=1, M=M, sigma=0.0, OPinv=OPinv,
-                            tol=EIG_TOL, v0=v0, return_eigenvectors=False)[0])
+    try:
+        return float(spla.eigsh(A, k=1, M=M, sigma=0.0, OPinv=OPinv, v0=v0,
+                                tol=EIG_TOL, return_eigenvectors=False)[0])
+    except spla.ArpackError as exc:
+        raise ValueError(f"eigensolver failed: {exc}") from exc
 
 
 def _positive_definite_factor(N):

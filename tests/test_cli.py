@@ -362,6 +362,21 @@ def test_indefinite_norm_gram_fails_the_diagnostics(tmp_path, argv):
     assert not list(tmp_path.iterdir())
 
 
+def test_failed_eigensolve_fails_the_diagnostics(tmp_path):
+    # at mu=1e-300 the norm Gram passes the definiteness check but ARPACK
+    # cannot build an Arnoldi factorization: one error line, exit 2, no CSV
+    proc = subprocess.run(
+        [sys.executable, "-m", "elastweak", "diagnose", "--problem",
+         "incompressible", "--mu", "1e-300", "--mesh-sizes", "4", "--out",
+         str(tmp_path)], capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: mesh n=4: eigensolver failed: "
+                                  "ARPACK error"), proc.stderr
+    assert proc.stderr.count("\n") == 1, proc.stderr
+    assert not list(tmp_path.iterdir())
+
+
 def _sweep_csv(tmp_path):
     main(["run", "--problem", "compressible", "--k", "1",
           "--mesh-sizes", "2,4", "--mu", "1", "--lambda", "1",

@@ -7,8 +7,8 @@ from fem_helpers import field_with_gradient
 from oracles import (_exact_flux_rows, _exact_volume_rows,
                      galerkin_orthogonality_residual, triple_norm_compressible)
 
-from elastweak.compressible import (_STIFFNESS_SUBSCRIPTS, MaterialParams,
-                                    _stiffness_parts, assemble_boundary_flux,
+from elastweak.compressible import (MaterialParams, _stiffness_parts,
+                                    assemble_boundary_flux,
                                     assemble_elasticity_stiffness,
                                     assemble_load, assemble_neumann_load,
                                     assemble_strong_system,
@@ -372,11 +372,13 @@ def test_empty_dirichlet_sides_select_no_side():
 @pytest.mark.parametrize("order", [1, 2])
 def test_stiffness_blocks_match_searched_contraction(order):
     # n=23 has 1058 cells: two full 512-cell blocks and a 34-cell last one;
-    # the cached contraction path must give the bits of a fresh search
+    # the one matrix product per block must give the bits of the einsum
+    # d_a phi_i d_b phi_j = sum_pr Jinv[p, a] Jinv[r, b] d_p N_i d_r N_j
+    # contracted along a freshly searched path
     space = FESpace(build_cook_mesh(23), order, 2)
     _, Jinv, detJ = space.geometry()
     for cells in cell_chunks(space.mesh):
-        ref = np.einsum(_STIFFNESS_SUBSCRIPTS, np.abs(detJ[cells]),
+        ref = np.einsum("c,ipjr,cpa,crb->ciajb", np.abs(detJ[cells]),
                         reference_tensors(order).grad_grad, Jinv[cells],
                         Jinv[cells], optimize=True)
         _, D = _stiffness_parts(space, cells)

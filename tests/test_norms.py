@@ -9,7 +9,8 @@ from oracles import (galerkin_orthogonality_residual,
                      korn_boundary_seminorm, rigid_motion_gram,
                      triple_norm_compressible, triple_norm_incompressible)
 
-from elastweak.compressible import (MaterialParams, _weak_operator,
+from elastweak.compressible import (MaterialParams, _vector_form,
+                                    _weak_operator,
                                     assemble_elasticity_stiffness,
                                     assemble_strong_system)
 from elastweak.mesh import build_cook_mesh, build_unit_square_mesh
@@ -18,7 +19,7 @@ from elastweak.norms import (_discrete_tables, compressible_infsup,
                              discrete_korn_constant, error_norms,
                              incompressible_infsup, side_mean_gram,
                              triple_norm_gram_compressible,
-                             triple_norm_gram_incompressible, _vector_gram)
+                             triple_norm_gram_incompressible)
 from elastweak.spaces import AnalyticField, DiscreteField, FESpace, interpolate
 
 
@@ -256,7 +257,7 @@ def test_discrete_korn_constant_positive_and_rotation_quotient():
     rot = interpolate(V, ROTATION).coefficients
     E = assemble_elasticity_stiffness(V, MaterialParams(mu=0.5)).toarray()
     S = side_mean_gram(V)
-    H = (_vector_gram(V, "mass") + _vector_gram(V, "grad")).toarray()
+    H = _vector_form(V, grad=1.0, mass=1.0).toarray()
     quot = (rot @ (E + S) @ rot) / (rot @ H @ rot)
     assert quot == pytest.approx(3.0 / (8.0 / 3.0), rel=1e-12)
     assert ck ** 2 <= quot + 1e-12
@@ -270,7 +271,7 @@ def test_discrete_korn_constant_beyond_former_dense_size():
     assert ck > 0.0
     rot = interpolate(V, ROTATION).coefficients
     E = assemble_elasticity_stiffness(V, MaterialParams(mu=0.5))
-    H = _vector_gram(V, "mass") + _vector_gram(V, "grad")
+    H = _vector_form(V, grad=1.0, mass=1.0)
     quot = (rot @ ((E + side_mean_gram(V)) @ rot)) / (rot @ (H @ rot))
     assert ck ** 2 <= quot + 1e-12
 
@@ -334,7 +335,7 @@ def test_sparse_diagnostics_match_dense_oracles(builder, order, n):
         oracle, rel=1e-10)
 
     E = assemble_elasticity_stiffness(V, MaterialParams(mu=0.5))
-    H = _vector_gram(V, "mass") + _vector_gram(V, "grad")
+    H = _vector_form(V, grad=1.0, mass=1.0)
     ev = sla.eigh((E + side_mean_gram(V)).toarray(), H.toarray(),
                   eigvals_only=True, subset_by_index=[0, 0])
     assert discrete_korn_constant(V) == pytest.approx(
@@ -380,19 +381,33 @@ def test_triple_norm_accepts_analytic_fields():
 
 
 def test_mixed_orthogonality_residual():
+    from elastweak.compressible import (LOAD_DEGREE, assemble_flux_load,
+                                        assemble_load)
     from elastweak.experiments import manufactured_incompressible
-    from elastweak.incompressible import assemble_incompressible_system
+    from elastweak.incompressible import (_pressure_flux_load, _stab_h,
+                                          _stabilized_load,
+                                          assemble_incompressible_system)
     from elastweak.solvers import lu_solve
     pars = MaterialParams(1.0, gamma=0.1)
     data = manufactured_incompressible(pars)
     eu, ep, f, g = data.exact_u, data.exact_p, data.f, data.g
     mesh = build_unit_square_mesh(4)
     V, Q = FESpace(mesh, 1, 2), FESpace(mesh, 1, 1)
+    mixed = assemble_incompressible_system(V, Q, pars, f, g)
+
+    def rhs(load_degree, flux_degree):
+        # velocity rows, pressure rows, the pressure-mean row
+        return np.concatenate([
+            assemble_load(V, f, load_degree)
+            + assemble_flux_load(V, MaterialParams(pars.mu), g, None,
+                                 flux_degree),
+            _stabilized_load(Q, pars, f, _stab_h(mesh), load_degree)
+            + _pressure_flux_load(Q, g, None, flux_degree), [0.0]])
+
+    assert np.array_equal(rhs(LOAD_DEGREE, None), mixed.system.rhs)
     # the data terms of the solve must be integrated at the checking degree,
     # otherwise the residual only measures the quadrature gap
-    mixed = assemble_incompressible_system(V, Q, pars, f, g,
-                                           rhs_degree=16, flux_degree=16)
-    x, _ = lu_solve(mixed.system.matrix, mixed.system.rhs)
+    x, _ = lu_solve(mixed.system.matrix, rhs(16, 16))
     res = galerkin_orthogonality_residual_mixed(mesh, V, Q, pars, eu, ep, f, x)
     assert res <= 1e-8
     # a perturbed vector is flagged
@@ -422,6 +437,13 @@ def test_gram_matrices_reproduce_norms(builder, order):
     quad = x @ (triple_norm_gram_incompressible(V, Q, pars) @ x)
     assert quad == pytest.approx(triple_norm_incompressible(u, p, pars) ** 2,
                                  rel=1e-12)
+    # the H1 Gram of the Korn constant against |u|^2 + |grad u|^2 summed
+    # over the error rule's points
+    quad = c @ (_vector_form(V, grad=1.0, mass=1.0) @ c)
+    zero = AnalyticField.constant_vector(0.0, 0.0)
+    norms = error_norms(u, zero, pars)
+    assert quad == pytest.approx(
+        norms.l2_error ** 2 + norms.h1_semi_error ** 2, rel=1e-12)
     # P2 vertex functions integrate to zero, so compare on the vector scale
     mean = pressure_integral_vector(Q)
     lumped = assemble_pressure_mass(Q) @ np.ones(Q.dof_count)

@@ -6,14 +6,20 @@ import inspect
 import types
 from pathlib import Path
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACER = PERFBENCH / "tracer.py"
+WORKLOADS = PERFBENCH / "workloads.py"
+
+
+def _load(path, name):
+    # executed from source so that nothing is written under perfbench/
+    module = types.ModuleType(name)
+    exec(compile(path.read_text(), str(path), "exec"), vars(module))
+    return module
 
 
 def _tracer():
-    # executed from source so that nothing is written under perfbench/
-    module = types.ModuleType("perfbench_tracer")
-    exec(compile(TRACER.read_text(), str(TRACER), "exec"), vars(module))
-    return module
+    return _load(TRACER, "perfbench_tracer")
 
 
 def test_metric_functions_resolve_to_public_functions():
@@ -89,3 +95,24 @@ def test_counts_read_real_results():
     assert set(counts) == {*systems, "solvers.lu_solve",
                            "incompressible.assemble_incompressible_system",
                            "spaces.FESpace.interior_tables"}
+
+
+def test_workload_command_lines_parse_to_valid_configs(tmp_path):
+    # every benchmark command line, with the --out the worker adds, parses
+    # and gives a valid configuration; nothing is run
+    from elastweak.cli import _run_config, build_parser, cmd_diagnose, cmd_run
+    from elastweak.experiments import PROBLEMS, ExperimentConfig
+
+    workloads = _load(WORKLOADS, "perfbench_workloads").WORKLOADS
+    assert workloads
+    for name, invocations in workloads.items():
+        assert invocations, name
+        for argv in invocations:
+            args = build_parser().parse_args(argv + ["--out", str(tmp_path)])
+            assert args.func in (cmd_run, cmd_diagnose), argv
+            config = _run_config(args)
+            assert isinstance(config, ExperimentConfig), argv
+            assert config.out_dir == str(tmp_path)
+            assert config.problem == argv[argv.index("--problem") + 1]
+            if args.func is cmd_diagnose:
+                assert PROBLEMS[config.problem].diagnose, argv
