@@ -11,7 +11,7 @@ from .incompressible import (MixedSystem, assemble_incompressible_system,
                              assemble_mixed_boundary_flux,
                              assemble_pressure_stabilization)
 from .mesh import (Mesh, MeshQuality, build_cook_mesh, build_unit_square_mesh,
-                   dump_mesh, load_mesh, mesh_quality)
+                   mesh_quality)
 from .norms import (ErrorReport, discrete_infsup_constant,
                     discrete_korn_constant, error_norms)
 from .quadrature import QuadratureRule, edge_rule, triangle_rule

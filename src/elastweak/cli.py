@@ -1,35 +1,39 @@
-"""Command-line entry points: mesh generation, experiment sweeps, stability
-diagnostics and convergence plots.
+"""Command-line entry points: experiment sweeps, stability diagnostics and
+convergence plots.  The run and diagnose flags are the ExperimentConfig
+fields.
 
-Exit codes: 0 success, 2 solver failure, invalid configuration, --check
-with fewer meshes than the check needs, an indefinite diagnostics norm or
-a failed diagnostics eigensolve (diagnose --problem incompressible --mu
-1e-300), a sweep column that a log-log plot cannot show (the CSV is
-written first), or unusable mesh or plot input (n < 1, an unreadable CSV,
-an absent or unplottable column, a reference slope without a finite
-triangle, an unwritable output), 3 threshold violation with --check.
+Exit codes:
+  0  success
+  2  solver failure or invalid configuration
+  2  --check with fewer meshes than the check needs
+  2  diagnose on a problem or bc_mode without diagnostics, an indefinite
+     norm Gram or a failed eigensolve (--problem incompressible --mu 1e-300)
+  2  a sweep column a log-log plot cannot show (the CSV is written first)
+  2  a run or diagnose --out, CSV or SVG that cannot be written
+  2  unusable plot input: an unreadable CSV, an absent or unplottable
+     column, a reference slope without a finite triangle, an unwritable --out
+  3  threshold violation with --check
 """
 
 import argparse
+import contextlib
 import csv
 import os
 import sys
 
-from .experiments import (PROBLEMS, RUN_KEYS, ExperimentConfig,
-                          ExperimentError, check_convergence,
-                          require_check_meshes, run_convergence, run_cook,
+from .experiments import (PROBLEMS, ExperimentConfig, ExperimentError,
+                          check_convergence, require_check_meshes,
+                          run_convergence, run_cook,
                           run_stability_diagnostics, write_csv)
-from .mesh import build_cook_mesh, build_unit_square_mesh, dump_mesh
 from .plotting import PlotSpec, Series, emit_plot, table_series
 from .solvers import SingularSystemError
 
 
 def _add_run_overrides(parser):
-    parser.add_argument("--config", help="key=value config file with a [run] section")
     parser.add_argument("--problem", choices=list(PROBLEMS),
                         help="an entry of experiments.PROBLEMS: its mesh, "
                              "Dirichlet sides, formulation, data and check")
-    parser.add_argument("--k", type=int, dest="k")
+    parser.add_argument("--k", type=int, dest="order")
     parser.add_argument("--mesh-sizes", dest="mesh_sizes",
                         help="space or comma separated subdivision counts")
     parser.add_argument("--mu", type=float)
@@ -42,28 +46,26 @@ def _add_run_overrides(parser):
 
 
 def _run_config(args):
-    """Config from --config (if given) with the [run] flags set on the
-    command line taking precedence."""
+    """The ExperimentConfig of the run and diagnose flags given."""
     flags = {key: val for key, val in vars(args).items()
-             if key in RUN_KEYS and val is not None}
+             if key not in ("command", "func", "check") and val is not None}
+    sizes = flags.get("mesh_sizes")
     try:
-        if args.config:
-            return ExperimentConfig.from_file(args.config, flags)
-        return ExperimentConfig.from_mapping(flags)
+        if sizes is not None:
+            flags["mesh_sizes"] = tuple(
+                int(tok) for tok in sizes.replace(",", " ").split())
+        return ExperimentConfig(**flags)
     except ValueError as exc:
         raise ExperimentError(f"invalid configuration: {exc}") from exc
 
 
-def cmd_mesh(args):
-    builder = build_unit_square_mesh if args.shape == "square" else build_cook_mesh
+@contextlib.contextmanager
+def _writing(path):
+    """Turn an OSError of the block into an ExperimentError naming path."""
     try:
-        dump_mesh(builder(args.n), args.out)
-    except ValueError as exc:
-        raise ExperimentError(f"invalid mesh: {exc}") from exc
+        yield
     except OSError as exc:
-        raise ExperimentError(f"cannot write {args.out}: {exc.strerror}") from exc
-    print(f"wrote {args.shape} mesh (n={args.n}) to {args.out}")
-    return 0
+        raise ExperimentError(f"cannot write {path}: {exc.strerror}") from exc
 
 
 def cmd_run(args):
@@ -71,18 +73,21 @@ def cmd_run(args):
     problem = PROBLEMS[config.problem]
     if args.check:
         require_check_meshes(config, len(config.mesh_sizes))
-    os.makedirs(config.out_dir, exist_ok=True)
+    with _writing(config.out_dir):
+        os.makedirs(config.out_dir, exist_ok=True)
     table = (run_cook(config) if problem.rows == "tip"
              else run_convergence(config))
     stem = problem.stem.format(k=config.order, bc_mode=config.bc_mode)
     csv_path = os.path.join(config.out_dir, stem + ".csv")
-    write_csv(table.to_csv(), csv_path)
+    with _writing(csv_path):
+        write_csv(table.to_csv(), csv_path)
     svg_path = os.path.join(config.out_dir, stem + ".svg")
     series = [table_series(table, c) for c in problem.columns]
     try:
-        emit_plot(series, PlotSpec(
-            title=stem, ref_slopes=problem.ref_slopes.get(config.order, ())),
-            svg_path)
+        with _writing(svg_path):
+            emit_plot(series, PlotSpec(
+                title=stem, ref_slopes=problem.ref_slopes.get(config.order, ())),
+                svg_path)
     except ValueError as exc:
         # a diverged sweep (say a negative Cook tip) has no log-log plot
         bad = ([s.label for s in series if any(v <= 0 for v in s.y)]
@@ -111,11 +116,13 @@ def cmd_run(args):
 
 def cmd_diagnose(args):
     config = _run_config(args)
-    os.makedirs(config.out_dir, exist_ok=True)
+    with _writing(config.out_dir):
+        os.makedirs(config.out_dir, exist_ok=True)
     table = run_stability_diagnostics(config)
     path = os.path.join(config.out_dir,
                         f"stability_{config.problem}_k{config.order}.csv")
-    write_csv(table.to_csv(), path)
+    with _writing(path):
+        write_csv(table.to_csv(), path)
     print(f"wrote {path}")
     for row in table.rows:
         print(f"  h_max={row.h_max:.6g} beta_h={row.beta_h:.6g} "
@@ -138,15 +145,14 @@ def cmd_plot(args):
         series = [Series(label=c, x=tuple(float(r[args.x]) for r in rows if r[c]),
                          y=tuple(float(r[c]) for r in rows if r[c]))
                   for c in args.y]
-        emit_plot(series, PlotSpec(title=os.path.basename(args.csv),
-                                   xlabel=args.x,
-                                   ref_slopes=tuple(args.ref_slopes or ())),
-                  args.out)
+        with _writing(args.out):
+            emit_plot(series, PlotSpec(title=os.path.basename(args.csv),
+                                       xlabel=args.x,
+                                       ref_slopes=tuple(args.ref_slopes or ())),
+                      args.out)
     except ValueError as exc:
         raise ExperimentError(
             f"cannot plot {', '.join(args.y)} of {args.csv}: {exc}") from exc
-    except OSError as exc:
-        raise ExperimentError(f"cannot write {args.out}: {exc.strerror}") from exc
     print(f"wrote {args.out}")
     return 0
 
@@ -155,14 +161,8 @@ def build_parser():
     parser = argparse.ArgumentParser(
         prog="elastweak",
         description="2D elasticity solver with weakly imposed boundary "
-                    "conditions: meshes, convergence studies, diagnostics")
+                    "conditions: convergence studies, diagnostics")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_mesh = sub.add_parser("mesh", help="generate a mesh and dump it as text")
-    p_mesh.add_argument("--shape", choices=["square", "cook"], required=True)
-    p_mesh.add_argument("--n", type=int, required=True)
-    p_mesh.add_argument("--out", required=True)
-    p_mesh.set_defaults(func=cmd_mesh)
 
     p_run = sub.add_parser("run", help="run a convergence or benchmark sweep")
     _add_run_overrides(p_run)

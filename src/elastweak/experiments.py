@@ -3,10 +3,10 @@ paper's four settings, convergence sweeps, the Cook membrane bending
 benchmark and stability diagnostics, with CSV output.
 """
 
-import configparser
 import csv
 import io
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -288,6 +288,9 @@ class ExperimentConfig:
             self.mu, self.lam = pars.mu, pars.lam
         if self.mesh_sizes is None:
             self.mesh_sizes = (8, 16, 32, 64) if self.order == 1 else (4, 8, 16, 32)
+        for n in self.mesh_sizes:
+            if not isinstance(n, numbers.Integral):
+                raise ValueError(f"mesh size {n!r} is not an integer")
         self.mesh_sizes = tuple(int(n) for n in self.mesh_sizes)
         if not self.mesh_sizes:
             raise ValueError("mesh_sizes must name at least one mesh")
@@ -304,54 +307,6 @@ class ExperimentConfig:
     @property
     def params(self):
         return MaterialParams(mu=self.mu, lam=self.lam, gamma=self.gamma)
-
-    @classmethod
-    def from_mapping(cls, section):
-        """Config from [run] keys; values are strings or already cast.
-
-        Raises ValueError naming any key that is not a [run] key.
-        """
-        unknown = sorted(set(section) - set(RUN_KEYS))
-        if unknown:
-            raise ValueError(f"unknown [run] keys: {', '.join(unknown)}; "
-                             f"known keys: {', '.join(RUN_KEYS)}")
-        kwargs = {}
-        # table order sets precedence: k over order, lam over lambda
-        for key, (name, cast) in RUN_KEYS.items():
-            if key in section:
-                kwargs[name] = cast(section[key])
-        return cls(**kwargs)
-
-    @classmethod
-    def from_file(cls, path, overrides=None):
-        """Config from the [run] section of a file, updated by overrides."""
-        parser = configparser.ConfigParser()
-        try:
-            read = parser.read(path)
-        except configparser.Error as exc:
-            raise ValueError(f"cannot parse config file {path}: {exc}") from exc
-        if not read:
-            raise ValueError(f"cannot read config file {path}")
-        if "run" not in parser:
-            raise ValueError("config file needs a [run] section")
-        sec = dict(parser["run"])
-        if overrides:
-            sec.update({k: v for k, v in overrides.items() if v is not None})
-        return cls.from_mapping(sec)
-
-
-def _mesh_sizes(text):
-    return tuple(int(tok) for tok in text.replace(",", " ").split())
-
-
-# [run] key -> (ExperimentConfig field, cast)
-RUN_KEYS = {
-    "problem": ("problem", str), "order": ("order", int), "k": ("order", int),
-    "mesh_sizes": ("mesh_sizes", _mesh_sizes), "mu": ("mu", float),
-    "lambda": ("lam", float), "lam": ("lam", float), "gamma": ("gamma", float),
-    "young": ("young", float), "poisson": ("poisson", float),
-    "bc_mode": ("bc_mode", str), "out_dir": ("out_dir", str),
-}
 
 
 # -- tables ----------------------------------------------------------------------

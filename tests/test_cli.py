@@ -10,22 +10,9 @@ from pathlib import Path
 import pytest
 
 from elastweak.cli import build_parser, main
-from elastweak.experiments import PROBLEMS, RUN_KEYS, ExperimentConfig
-from elastweak.mesh import load_mesh
+from elastweak.experiments import PROBLEMS, ExperimentConfig
 
 SRC = Path(__file__).resolve().parents[1] / "src"
-
-
-def test_mesh_subcommand(tmp_path):
-    out = tmp_path / "square.txt"
-    assert main(["mesh", "--shape", "square", "--n", "3", "--out",
-                 str(out)]) == 0
-    mesh = load_mesh(out)
-    assert mesh.num_triangles == 18
-    cook = tmp_path / "cook.txt"
-    assert main(["mesh", "--shape", "cook", "--n", "2", "--out",
-                 str(cook)]) == 0
-    assert load_mesh(cook).side_tags == ("CB", "AB", "DA", "CD")
 
 
 def test_run_subcommand_writes_csv_and_svg(tmp_path):
@@ -41,17 +28,6 @@ def test_run_subcommand_writes_csv_and_svg(tmp_path):
     assert len(rows) == 2
     assert float(rows[0]["h_max"]) > float(rows[1]["h_max"])
     assert rows[1]["slope_h1"] != ""
-
-
-def test_run_subcommand_config_file(tmp_path):
-    cfg = tmp_path / "run.ini"
-    cfg.write_text("[run]\nproblem = compressible\nk = 1\n"
-                   "mesh_sizes = 2 4\nmu = 1.0\nlambda = 1.0\n")
-    code = main(["run", "--config", str(cfg), "--out", str(tmp_path)])
-    assert code == 0
-    first = (tmp_path / "compressible_k1_weak.csv").read_bytes()
-    assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 0
-    assert (tmp_path / "compressible_k1_weak.csv").read_bytes() == first
 
 
 def test_run_check_flags_preasymptotic_slopes(tmp_path):
@@ -158,42 +134,34 @@ def test_nearly_incompressible_problem_is_the_cook_membrane(tmp_path):
 
 
 def test_run_keys_and_flags_name_config_fields():
-    # no [run] key is accepted and then ignored, and no run/diagnose flag is
-    # dropped by _run_config for want of a [run] key
+    # _run_config passes every run/diagnose flag to ExperimentConfig by its
+    # dest, so each dest but the parser's own must name a config field
     fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
-    assert {name for name, _ in RUN_KEYS.values()} <= fields
     for command in ("run", "diagnose"):
         dests = set(vars(build_parser().parse_args([command])))
         # command and func belong to the top-level parser
-        assert dests - {"command", "func", "config", "check"} <= set(RUN_KEYS)
+        assert dests - {"command", "func", "check"} <= fields
 
 
-@pytest.mark.parametrize("argv", [
-    ["--formulation", "nearly_incompressible"],
-    ["--deterministic"],
-], ids=["formulation", "deterministic"])
-def test_removed_flags_are_usage_errors(tmp_path, capsys, argv):
+@pytest.mark.parametrize("argv,message", [
+    (["run", "--formulation", "nearly_incompressible"], "unrecognized arguments"),
+    (["run", "--deterministic"], "unrecognized arguments"),
+    (["run", "--config", "x.ini"], "unrecognized arguments"),
+    (["run", "--stab-h", "global"], "unrecognized arguments"),
+    (["run", "--rhs-degree", "8"], "unrecognized arguments"),
+    (["mesh", "--shape", "square", "--n", "2"], "invalid choice: 'mesh'"),
+], ids=["formulation", "deterministic", "config", "stab-h", "rhs-degree",
+        "mesh"])
+def test_removed_flags_are_usage_errors(tmp_path, capsys, argv, message):
+    out = tmp_path / "out"
     with pytest.raises(SystemExit) as exc:
-        main(["run", "--problem", "cook", *argv, "--out", str(tmp_path)])
+        main([*argv, "--problem", "cook", "--out", str(out)])
     assert exc.value.code == 2
-    assert "unrecognized arguments" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
-@pytest.mark.parametrize("line", ["formulation = nearly_incompressible",
-                                  "deterministic = true", "stab_h = global",
-                                  "rhs_degree = 8"],
-                         ids=["formulation", "deterministic", "stab_h",
-                              "rhs_degree"])
-def test_removed_run_keys_are_config_errors(tmp_path, capsys, line):
-    cfg = tmp_path / "run.ini"
-    cfg.write_text(f"[run]\nproblem = cook\n{line}\n")
-    assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: invalid configuration: unknown [run] keys: ")
-    assert not list(tmp_path.glob("*.csv"))
-
-
-def test_solver_failure_exit_code(monkeypatch):
+def test_solver_failure_exit_code(tmp_path, monkeypatch):
     import elastweak.cli as cli
     from elastweak.experiments import ExperimentError
 
@@ -202,7 +170,7 @@ def test_solver_failure_exit_code(monkeypatch):
 
     monkeypatch.setattr(cli, "run_convergence", boom)
     code = main(["run", "--problem", "compressible", "--k", "1",
-                 "--mesh-sizes", "2", "--out", "/tmp/ew-exit2"])
+                 "--mesh-sizes", "2", "--out", str(tmp_path)])
     assert code == 2
 
 
@@ -217,7 +185,6 @@ def test_run_cook_check_accepts_corner_limited_rate(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv,message", [
-    (["--config", "{cfg}"], "unknown [run] keys: lamda"),
     (["--young", "1e5", "--poisson", "0.7"], "nu in (-1, 0.5)"),
     (["--poisson", "0.7"], "both"),
     (["--mesh-sizes", ""], "at least one mesh"),
@@ -228,14 +195,13 @@ def test_run_cook_check_accepts_corner_limited_rate(tmp_path, capsys):
     (["--mesh-sizes", "16,8"], "positive and strictly increasing"),
     (["--mesh-sizes", "8,8"], "positive and strictly increasing"),
     (["--problem", "incompressible", "--gamma", "0"], "gamma must be positive"),
-], ids=["unknown-key", "poisson-range", "poisson-alone", "empty-mesh-sizes",
+    (["--mesh-sizes", "4,x"], "'x'"),
+], ids=["poisson-range", "poisson-alone", "empty-mesh-sizes",
         "order-3", "negative-mu", "nan-lambda", "zero-mesh-size",
-        "decreasing-mesh-sizes", "repeated-mesh-size", "zero-gamma"])
+        "decreasing-mesh-sizes", "repeated-mesh-size", "zero-gamma",
+        "non-integer-mesh-size"])
 @pytest.mark.parametrize("command", ["run", "diagnose"])
 def test_config_error_exit_code(tmp_path, capsys, command, argv, message):
-    cfg = tmp_path / "bad.ini"
-    cfg.write_text("[run]\nproblem = compressible\nlamda = 5\n")
-    argv = [a.replace("{cfg}", str(cfg)) for a in argv]
     code = main([command, "--problem", "compressible", *argv,
                  "--out", str(tmp_path)])
     assert code == 2
@@ -260,17 +226,28 @@ def test_check_with_too_few_meshes_exit_code(tmp_path, capsys, argv, need):
     assert not list(tmp_path.glob("*"))
 
 
-@pytest.mark.parametrize("text,message", [
-    ("problem = compressible\n", "no section headers"),
-    ("[run]\nk = 1\nk = 2\n", "option 'k' in section 'run' already exists"),
-], ids=["no-section-header", "duplicate-key"])
-def test_malformed_config_file_exit_code(tmp_path, capsys, text, message):
-    cfg = tmp_path / "bad.ini"
-    cfg.write_text(text)
-    assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: invalid configuration: cannot parse")
-    assert message in err
+@pytest.mark.parametrize("command,name", [
+    ("run", None), ("run", "compressible_k1_weak.csv"),
+    ("run", "compressible_k1_weak.svg"),
+    ("diagnose", None), ("diagnose", "stability_compressible_k1.csv"),
+], ids=["run-out", "run-csv", "run-svg", "diagnose-out", "diagnose-csv"])
+def test_unwritable_output_exit_code(tmp_path, capsys, command, name):
+    # an --out that names a file cannot become the output directory, and an
+    # output path that names a directory cannot be written: one error line
+    # and exit 2, not a traceback
+    if name is None:
+        out = path = tmp_path / "taken"
+        path.write_text("keep")
+        reason = "File exists"
+    else:
+        out, path = tmp_path, tmp_path / name
+        path.mkdir()
+        reason = "Is a directory"
+    code = main([command, "--problem", "compressible", "--mesh-sizes", "2",
+                 "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: cannot write {path}: {reason}\n"
+    assert name is not None or path.read_text() == "keep"
 
 
 def test_value_error_outside_config_escapes(tmp_path, monkeypatch):
@@ -425,19 +402,3 @@ def test_plot_skips_empty_columns_beside_data(tmp_path):
                  "--y", "err_p_l2", "--out", str(out)]) == 0
     assert out.read_text().count("<polyline") == 1
 
-
-@pytest.mark.parametrize("argv,message", [
-    (["--n", "0"], "invalid mesh: subdivision count must be >= 1"),
-    (["--n", "-3"], "invalid mesh: subdivision count must be >= 1"),
-    (["--n", "2", "--out", "{nodir}"],
-     "cannot write {nodir}: No such file or directory"),
-], ids=["zero-n", "negative-n", "unwritable-out"])
-@pytest.mark.parametrize("shape", ["square", "cook"])
-def test_mesh_bad_input_exit_code(tmp_path, capsys, shape, argv, message):
-    nodir = str(tmp_path / "no" / "mesh.txt")
-    argv = ["mesh", "--shape", shape, "--out", str(tmp_path / "m.txt"), *argv]
-    code = main([a.format(nodir=nodir) for a in argv])
-    assert code == 2
-    assert capsys.readouterr().err == (
-        "error: " + message.format(nodir=nodir) + "\n")
-    assert not list(tmp_path.glob("**/*.txt"))

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -189,36 +190,6 @@ def test_young_poisson_conversions():
     assert abs(pars2.lam - 416610.0) < 1.2
 
 
-def test_config_from_file(tmp_path):
-    path = tmp_path / "run.ini"
-    path.write_text("[run]\nproblem = incompressible\nk = 1\n"
-                    "mesh_sizes = 4 8\nmu = 2.0\ngamma = 0.5\n"
-                    "bc_mode = weak\n")
-    cfg = ExperimentConfig.from_file(path)
-    assert cfg.problem == "incompressible"
-    assert cfg.mesh_sizes == (4, 8)
-    assert cfg.mu == 2.0 and cfg.gamma == 0.5
-    over = ExperimentConfig.from_file(path, {"gamma": "0.9", "k": "2"})
-    assert over.gamma == 0.9 and over.order == 2
-
-
-def test_config_rejects_unknown_run_keys(tmp_path):
-    path = tmp_path / "run.ini"
-    path.write_text("[run]\nproblem = compressible\nlamda = 5\n")
-    with pytest.raises(ValueError, match="lamda"):
-        ExperimentConfig.from_file(path)
-    with pytest.raises(ValueError, match="lamda"):
-        ExperimentConfig.from_mapping({"lamda": "5"})
-    with pytest.raises(ValueError, match="mesh_sizes"):
-        ExperimentConfig.from_mapping({"mesh_sizes": ","})
-    # removed keys are unknown keys
-    for key, value in (("stab_h", "global"), ("rhs_degree", "8")):
-        with pytest.raises(ValueError, match=key):
-            ExperimentConfig.from_mapping({key: value})
-    cfg = ExperimentConfig.from_mapping({"lambda": "3", "lam": "4"})
-    assert cfg.lam == 4.0
-
-
 @pytest.mark.parametrize("kwargs", [
     dict(young=1e5), dict(poisson=0.3), dict(young=1e5, poisson=0.5),
 ])
@@ -263,6 +234,23 @@ def test_config_young_poisson_and_defaults():
     assert cfg2.mesh_sizes == (4, 8, 16, 32)
     with pytest.raises(ValueError):
         ExperimentConfig(problem="bogus")
+
+
+@pytest.mark.parametrize("sizes,message", [
+    ((2.5, 4.9), "mesh size 2.5 is not an integer"),
+    ((2, 4.0), "mesh size 4.0 is not an integer"),
+    (("4", "8"), "mesh size '4' is not an integer"),
+], ids=["fractions", "float", "strings"])
+def test_config_rejects_non_integer_mesh_sizes(sizes, message):
+    # a size is not rounded or parsed: (2.5, 4.9) would run meshes (2, 4)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ExperimentConfig(mesh_sizes=sizes)
+
+
+def test_config_keeps_numpy_integer_mesh_sizes():
+    cfg = ExperimentConfig(mesh_sizes=np.array([2, 4]))
+    assert cfg.mesh_sizes == (2, 4)
+    assert all(type(n) is int for n in cfg.mesh_sizes)
 
 
 def test_convergence_table_schema_and_slopes():

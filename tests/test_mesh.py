@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from elastweak.mesh import (COOK_SIDES, SQUARE_SIDES, _finish_mesh,
                             build_cook_mesh, build_unit_square_mesh, cook_map,
-                            dump_mesh, load_mesh, mesh_quality)
+                            mesh_quality)
 from fem_helpers import unique_edges
 
 
@@ -139,94 +140,49 @@ def test_equilateral_triangle_regularity():
         2 * math.sqrt(3))
 
 
-def test_dump_load_round_trip(tmp_path):
-    for builder in (build_unit_square_mesh, build_cook_mesh):
-        mesh = builder(3)
-        path = tmp_path / "mesh.txt"
-        dump_mesh(mesh, path)
-        back = load_mesh(path)
-        assert np.array_equal(back.vertices, mesh.vertices)
-        assert np.array_equal(back.triangles, mesh.triangles)
-        assert np.array_equal(back.edge_vertices, mesh.edge_vertices)
-        assert np.array_equal(back.edge_owner, mesh.edge_owner)
-        assert np.array_equal(back.edge_normal, mesh.edge_normal)
-        assert back.side_tags == mesh.side_tags
-        # byte-stable second dump
-        path2 = tmp_path / "mesh2.txt"
-        dump_mesh(back, path2)
-        assert path.read_bytes() == path2.read_bytes()
-
-
 def test_unknown_side_tag_rejected():
     mesh = build_unit_square_mesh(2)
     with pytest.raises(KeyError):
         mesh.edges_of_side("north")
 
 
-def _dumped_lines(tmp_path):
-    path = tmp_path / "mesh.txt"
-    dump_mesh(build_unit_square_mesh(2), path)
-    return path, path.read_text().splitlines()
+def _with(name, index, value):
+    """The n=2 square with one entry of its array `name` replaced; building
+    the copy runs the Mesh checks."""
+    mesh = build_unit_square_mesh(2)
+    array = getattr(mesh, name).copy()
+    array[index] = value
+    return dataclasses.replace(mesh, **{name: array})
 
 
-def _write(path, lines):
-    path.write_text("\n".join(lines) + "\n")
-    return path
+@pytest.mark.parametrize("value", [99, -1])
+@pytest.mark.parametrize("name,index,what", [
+    ("triangles", (0, 2), "triangle vertex"),
+    ("edge_vertices", (0, 1), "boundary edge vertex"),
+    ("edge_owner", 0, "boundary edge owner"),
+], ids=["triangles", "edge_vertices", "edge_owner"])
+def test_mesh_rejects_out_of_range_index(name, index, what, value):
+    with pytest.raises(ValueError, match=f"{what} index out of range"):
+        _with(name, index, value)
 
 
-def test_load_rejects_truncated_section(tmp_path):
-    path, lines = _dumped_lines(tmp_path)
-    # drop the last boundary edge: the section announces one row too many
-    with pytest.raises(ValueError, match="BOUNDARY_EDGES is truncated"):
-        load_mesh(_write(path, lines[:-1]))
-    # a short vertex row
-    nv = int(lines[0].split()[1])
-    bad = lines.copy()
-    bad[nv] = bad[nv].split()[0]
-    with pytest.raises(ValueError, match="VERTICES is truncated"):
-        load_mesh(_write(path, bad))
-
-
-@pytest.mark.parametrize("section,column,what", [
-    ("TRIANGLES", 2, "triangle vertex"),
-    ("BOUNDARY_EDGES", 1, "boundary edge vertex"),
-    ("BOUNDARY_EDGES", 3, "boundary edge owner"),
-])
-def test_load_rejects_out_of_range_index(tmp_path, section, column, what):
-    path, lines = _dumped_lines(tmp_path)
-    row = next(i for i, line in enumerate(lines)
-               if line.startswith(section)) + 1
-    fields = lines[row].split()
-    fields[column] = "99"
-    lines[row] = " ".join(fields)
-    with pytest.raises(ValueError, match=what):
-        load_mesh(_write(path, lines))
-
-
-def test_load_rejects_clockwise_triangle(tmp_path):
-    path, lines = _dumped_lines(tmp_path)
-    row = lines.index(next(line for line in lines
-                           if line.startswith("TRIANGLES"))) + 2
-    a, b, c = lines[row].split()
-    lines[row] = f"{a} {c} {b}"
+def test_mesh_rejects_clockwise_triangle():
+    a, b, c = build_unit_square_mesh(2).triangles[1]
     with pytest.raises(ValueError, match="triangle 1 is not counterclockwise"):
-        load_mesh(_write(path, lines))
+        _with("triangles", 1, (a, c, b))
+
+
+@pytest.mark.parametrize("name,index,value,what", [
+    ("vertices", (0, 0), np.nan, "vertex coordinate"),
+    ("vertices", (0, 1), np.inf, "vertex coordinate"),
+    ("edge_normal", (0, 0), np.nan, "boundary edge normal"),
+    ("edge_tangent", (0, 1), -np.inf, "boundary edge tangent"),
+], ids=["vertex-nan", "vertex-inf", "normal-nan", "tangent-inf"])
+def test_mesh_rejects_non_finite_coordinates(name, index, value, what):
     # a non-finite coordinate gives a NaN area, which is not <= 0, so the
     # numbers themselves are checked
-    _, lines = _dumped_lines(tmp_path)
-    edge = lines.index(next(line for line in lines
-                            if line.startswith("BOUNDARY_EDGES"))) + 1
-    for row, column, value, what in (
-            (1, 0, "nan", "vertex coordinate"),
-            (1, 1, "inf", "vertex coordinate"),
-            (edge, 4, "nan", "boundary edge normal"),
-            (edge, 7, "-inf", "boundary edge tangent")):
-        bad = lines.copy()
-        fields = bad[row].split()
-        fields[column] = value
-        bad[row] = " ".join(fields)
-        with pytest.raises(ValueError, match=f"non-finite {what}"):
-            load_mesh(_write(path, bad))
+    with pytest.raises(ValueError, match=f"non-finite {what}"):
+        _with(name, index, value)
 
 
 def _loop_square_connectivity(n):
