@@ -7,6 +7,7 @@ no eliminated DOFs) or strongly (nodal elimination), for comparison.
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 import scipy.sparse as sp
@@ -75,20 +76,44 @@ def _per_cell(mesh, kernel):
 
 
 def _scatter_matrix(row_dofs, col_dofs, local, shape):
-    """Accumulate dense blocks local[c, i, j] at (row_dofs[c, i],
-    col_dofs[c, j]) into a CSR matrix."""
-    rows = np.broadcast_to(row_dofs[:, :, None], local.shape).ravel()
-    cols = np.broadcast_to(col_dofs[:, None, :], local.shape).ravel()
-    out = sp.coo_matrix((local.ravel(), (rows, cols)), shape=shape).tocsr()
-    out.sort_indices()
+    """Canonical CSR matrix accumulating the dense blocks local[c, i, j] at
+    (row_dofs[c, i], col_dofs[c, j]), exact zeros not stored.  The triplet
+    indices are int32, the index type of CSR with fewer than 2^31 rows."""
+    rows = np.broadcast_to(row_dofs[:, :, None], local.shape)
+    cols = np.broadcast_to(col_dofs[:, None, :], local.shape)
+    out = sp.coo_matrix((local.ravel(), (rows.astype(np.int32).ravel(),
+                                         cols.astype(np.int32).ravel())),
+                        shape=shape).tocsr()
+    out.eliminate_zeros()
     return out
 
 
+# Cell chunks scattered to CSR at a time: 4096 cells.  A scattered part has
+# an index-pointer entry per row whatever its size, so a group spans several
+# chunks; a larger group holds more triplets at once (4096 P1 vector cells
+# give 147,456, 2.4 MB with their indices).
+GROUP_CHUNKS = 8
+
+
 def _cell_matrix(row_space, col_space, kernel):
-    """Matrix accumulated from the per-cell blocks kernel(cells)."""
-    return _scatter_matrix(row_space.cell_dofs, col_space.cell_dofs,
-                           _per_cell(row_space.mesh, kernel),
-                           (row_space.dof_count, col_space.dof_count))
+    """Matrix accumulated from the per-cell blocks kernel(cells).  The
+    blocks of GROUP_CHUNKS cell chunks are scattered to CSR before the next
+    group is computed, and the parts are summed pairwise as they come, so
+    no array holds an entry per cell and block entry."""
+    shape = (row_space.dof_count, col_space.dof_count)
+    chunks = cell_chunks(row_space.mesh)
+    sums = []   # (sum of 2^k consecutive parts, 2^k), k decreasing
+    while group := list(islice(chunks, GROUP_CHUNKS)):
+        cells = slice(group[0].start, group[-1].stop)
+        part = _scatter_matrix(row_space.cell_dofs[cells],
+                               col_space.cell_dofs[cells],
+                               np.concatenate([kernel(c) for c in group]),
+                               shape)
+        count = 1
+        while sums and sums[-1][1] == count:
+            part, count = sums.pop()[0] + part, 2 * count
+        sums.append((part, count))
+    return sum((part for part, _ in sums[1:]), sums[0][0])
 
 
 def _scatter_vector(dofs, local, size):

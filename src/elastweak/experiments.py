@@ -278,6 +278,10 @@ class ExperimentConfig:
     out_dir: str = "."
 
     def __post_init__(self):
+        if (isinstance(self.order, bool)
+                or not isinstance(self.order, numbers.Integral)):
+            raise ValueError(f"order {self.order!r} is not an integer")
+        self.order = int(self.order)
         for name, known in _CHOICES.items():
             if getattr(self, name) not in known:
                 raise ValueError(f"unknown {name} {getattr(self, name)!r}; "

@@ -247,6 +247,27 @@ def test_config_rejects_non_integer_mesh_sizes(sizes, message):
         ExperimentConfig(mesh_sizes=sizes)
 
 
+@pytest.mark.parametrize("order,message", [
+    (1.0, "order 1.0 is not an integer"),
+    (2.0, "order 2.0 is not an integer"),
+    (True, "order True is not an integer"),
+    (np.bool_(True), "is not an integer"),
+    ("1", "order '1' is not an integer"),
+], ids=["float-1", "float-2", "bool", "numpy-bool", "string"])
+def test_config_rejects_non_integer_order(order, message):
+    # 1.0 and True pass `in (1, 2)`: 1.0 named its outputs k1.0 and failed
+    # in the quadrature, True ran as order 1
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ExperimentConfig(order=order)
+
+
+@pytest.mark.parametrize("order", [np.int64(2), np.int32(1)])
+def test_config_keeps_numpy_integer_order(order):
+    cfg = ExperimentConfig(order=order)
+    assert cfg.order == order and type(cfg.order) is int
+    assert cfg.mesh_sizes == ((8, 16, 32, 64) if order == 1 else (4, 8, 16, 32))
+
+
 def test_config_keeps_numpy_integer_mesh_sizes():
     cfg = ExperimentConfig(mesh_sizes=np.array([2, 4]))
     assert cfg.mesh_sizes == (2, 4)
