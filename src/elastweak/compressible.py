@@ -77,14 +77,18 @@ def _per_cell(mesh, kernel):
 
 def _scatter_matrix(row_dofs, col_dofs, local, shape):
     """Canonical CSR matrix accumulating the dense blocks local[c, i, j] at
-    (row_dofs[c, i], col_dofs[c, j]), exact zeros not stored.  The triplet
-    indices are int32, the index type of CSR with fewer than 2^31 rows."""
+    (row_dofs[c, i], col_dofs[c, j]), exact zeros not stored, whose arrays
+    own exactly its entries.  The triplet indices are int32, the index type
+    of CSR with fewer than 2^31 rows."""
     rows = np.broadcast_to(row_dofs[:, :, None], local.shape)
     cols = np.broadcast_to(col_dofs[:, None, :], local.shape)
     out = sp.coo_matrix((local.ravel(), (rows.astype(np.int32).ravel(),
                                          cols.astype(np.int32).ravel())),
                         shape=shape).tocsr()
     out.eliminate_zeros()
+    # tocsr() sums the duplicates in place and trims the arrays by slicing,
+    # so they would still hold a slot per triplet: copy the nnz entries
+    out.data, out.indices = out.data.copy(), out.indices.copy()
     return out
 
 

@@ -13,10 +13,16 @@ where assembled terms cancel (the weak operator K + (B^T - B), the mixed
 blocks).  After scaling the largest residue on the benchmark's 22 solved
 systems is 8.1e-16 and the smallest genuine entry 3.5e-10; ordering and
 filling the residues as structural nonzeros cost the P1 n=128 Cook membrane
-mixed factor 10.43M entries instead of 9.09M.  Refinement forms its
-residuals with the assembled A, in long double, so the solution is that of
-the assembled system and the factor of the perturbed copy only serves as an
-approximate inverse (Skeel, Math. Comp. 35, 1980).
+mixed factor 10.43M entries instead of 9.09M.  It factors that copy in
+float32 first, which stores the factor's values in half the bytes at the
+same fill, and refines the solution in float64 with residuals of the
+assembled A formed in long double, so the solution is that of the assembled
+system and the factor of the perturbed, rounded copy only serves as an
+approximate inverse (Skeel, Math. Comp. 35, 1980; three-precision
+refinement: Carson & Higham, SIAM J. Sci. Comput. 40, 2018).  The solution
+is accepted when its normwise backward error is at most
+``BACKWARD_ERROR_LIMIT``, the test of LAPACK's DSGESV; otherwise the copy
+is factored again in float64 and refined the same way.
 The generalized singular value diagnostic is an ARPACK shift-invert
 eigensolve that reuses one sparse LU of the operator, so it never densifies.
 """
@@ -49,19 +55,35 @@ PIVOT_THRESHOLD = 0.01
 # the assembled A.  On the 22 systems the benchmark solves, the dropped
 # entries (338,127 of them) are at most 8.1e-16 and the kept ones at least
 # 3.5e-10: 1e-12 lies three decades above the one and 2.5 below the
-# other.  The copy differs from D A D by at most this much per entry, so it
-# can be singular only when D A D lies that close to a singular matrix.
+# other.  The float64 copy differs from D A D by at most this much per entry,
+# so it can be singular only when D A D lies that close to a singular
+# matrix; the float32 copy differs by its rounding too, and lu_solve falls
+# back to the float64 copy when the float32 one is singular.
 CANCELLATION_TOL = 1e-12
 
 # lu_solve refines the solution until the relative residual reaches
 # REFINEMENT_TARGET, for at most REFINEMENT_STEPS steps, and stops after a
 # step that cuts the residual by less than REFINEMENT_MIN_GAIN: the target
 # can lie below the roundoff floor of x itself, where further steps gain a
-# few percent each.  On the P2 Cook membrane systems at n=32 the first step
-# gains a factor 3 to 70 and the next three 4-7% together.
+# few percent each.  On the P2 Cook membrane systems at n=32 and the P1
+# n=128 one, each of the first three steps from a float32 factor gains a
+# factor 180 to 3,600 and reaches the floor (1.5e-12 to 3.8e-12), where the
+# fourth gains at most 1.7; from a float64 factor the first step gains 3.7
+# to 8 and reaches the floor.
 REFINEMENT_TARGET = 1e-13
 REFINEMENT_STEPS = 4
 REFINEMENT_MIN_GAIN = 2.0
+
+# Largest normwise backward error ||A x - b||_inf / (||A||_inf ||x||_inf +
+# ||b||_inf) at which lu_solve accepts a solution refined from a float32
+# factor, as LAPACK's DSGESV does; above it the system is factored in
+# float64.  The limit is the float64 machine epsilon, 2.2e-16.  The 22
+# systems the benchmark solves reach at most 8.7e-17 from float32 factors
+# (2 to 4 refinement steps).  Those that fall back reach at least 2.8e-16:
+# the Cook membrane compressible P1 systems at nu=0.4999 (2.8e-16 at n=8,
+# 2.4e-14 at n=16, whose relative residual is then 1.8e-7), the lambda=1e5
+# P2 n=8 weak square system (8.1e-15) and Hilbert(6) (2.8e-12).
+BACKWARD_ERROR_LIMIT = float(np.finfo(float).eps)
 
 
 class SingularSystemError(RuntimeError):
@@ -73,8 +95,11 @@ class SolveReport:
     residual_norm: float      # ||A x - b||_2 / ||b||_2
     elapsed: float
     fill: int                 # entries SuperLU stores for L and U
-    factor_s: float           # seconds spent in the sparse LU factorization
+    factor_s: float           # seconds in sparse LU factorizations, both
+                              # of them on a fallback to float64
     refinements: int          # refinement steps applied to the solution
+    precision: str            # "single" or "double": the accepted factor's
+    backward_error: float     # ||A x - b||_inf / (||A|| ||x|| + ||b||)_inf
 
 
 def _as_csr(matrix):
@@ -128,25 +153,64 @@ def _equilibrate(A):
     return As, d
 
 
-def lu_solve(matrix, rhs):
-    """Direct solve of a square sparse system; returns (x, SolveReport)."""
-    A = _as_csr(matrix)
-    n, m = A.shape
-    if n != m:
-        raise ValueError("matrix must be square")
-    b = np.asarray(rhs, dtype=float)
-    t0 = time.perf_counter()
+def _correction(factor, d, v, dtype):
+    """D (LU)^-1 D v as float64, D = diag(d), for the LU of the equilibrated
+    copy in dtype.  For a float64 factor v is rounded to float64 first.  For
+    a float32 factor D v is formed in long double and scaled by the power of
+    two that brings its largest magnitude into [0.5, 1) before its cast to
+    float32, and the solution is scaled back in long double, so that no cast
+    overflows and no tiny residual underflows in float64."""
+    if dtype == np.float64:
+        return d * factor.solve(d * v.astype(float))
+    w = d * v.astype(np.longdouble)
+    _, exponent = np.frexp(np.abs(w).max(initial=0.0))
+    y = factor.solve(np.ldexp(w, -exponent).astype(dtype))
+    return (d * np.ldexp(y.astype(np.longdouble), exponent)).astype(float)
+
+
+def _inf_norm(A):
+    """max_i sum_j |A_ij| as a long double, without overflow: the rows are
+    summed in float64 after the entries are scaled by the power of two that
+    brings the largest into [0.5, 1)."""
+    absA = abs(A)
+    _, exponent = np.frexp(absA.max())
+    np.ldexp(absA.data, -exponent, out=absA.data)
+    return np.ldexp(np.longdouble(absA.sum(axis=1).max()), exponent)
+
+
+def _backward_error(anorm, x, b, r):
+    """||r||_inf / (||A||_inf ||x||_inf + ||b||_inf) in long double, for the
+    residual r = b - A x and anorm = ||A||_inf; 0 for r = 0."""
+    rnorm = np.abs(r).max(initial=0.0)
+    if rnorm == 0.0:
+        return 0.0
+    xnorm = np.abs(x.astype(np.longdouble)).max(initial=0.0)
+    bnorm = np.abs(b.astype(np.longdouble)).max(initial=0.0)
+    return float(rnorm / (anorm * xnorm + bnorm))
+
+
+def _refined_solve(A, b, dtype, factor_times):
+    """Solve A x = b with an LU of the equilibrated copy of A cast to dtype,
+    refined against A with long-double residuals; returns (x, relative
+    residual, backward error, fill, refinements).  Each factorization's
+    seconds are appended to factor_times.  A singular factor or a
+    non-finite solution raises SingularSystemError."""
     # symmetric equilibration tames the λ-scaled entries; refinement sweeps on
-    # the assembled system then push the residual near roundoff
+    # the assembled system then push the residual near roundoff.  Only A,
+    # the copy in dtype and the factor are alive while it is factored.
+    anorm = _inf_norm(A)
     As, d = _equilibrate(A)
+    As = As.astype(dtype, copy=False)
+    t_factor = time.perf_counter()
     try:
-        t_factor = time.perf_counter()
         factor = _factor(As)
-        factor_s = time.perf_counter() - t_factor
-        del As
-        x = d * factor.solve(d * b)
     except RuntimeError as exc:
         raise SingularSystemError(f"LU factorization failed: {exc}") from exc
+    finally:
+        factor_times.append(time.perf_counter() - t_factor)
+    del As
+
+    x = _correction(factor, d, b, dtype)
     if not np.all(np.isfinite(x)):
         raise SingularSystemError("LU solve produced non-finite entries")
     A_ext = A.astype(np.longdouble)
@@ -155,14 +219,22 @@ def lu_solve(matrix, rhs):
         r = _residual_extended(A_ext, v, b)
         return r, _norm_ratio(r, b)
 
+    def converged(x, r, res):
+        # a float32 solution is refined until it passes the acceptance test
+        # too: a relative residual at the target can leave a backward error
+        # above the limit when A is well conditioned
+        return res <= REFINEMENT_TARGET and (
+            dtype == np.float64
+            or _backward_error(anorm, x, b, r) <= BACKWARD_ERROR_LIMIT)
+
     r, res = true_res(x)
     refinements = 0
-    while refinements < REFINEMENT_STEPS and res > REFINEMENT_TARGET:
+    while refinements < REFINEMENT_STEPS and not converged(x, r, res):
         # a residual beyond the double range gives no correction: rejected
         # like a step that does not reduce the residual
         if not np.all(np.abs(r) <= np.finfo(float).max):
             break
-        x_new = x + d * factor.solve(d * r.astype(float))
+        x_new = x + _correction(factor, d, r, dtype)
         r_new, res_new = true_res(x_new)
         if not res_new < res:
             break
@@ -171,10 +243,43 @@ def lu_solve(matrix, rhs):
         refinements += 1
         if stalled:
             break
+    return (x, res, _backward_error(anorm, x, b, r), int(factor.nnz),
+            refinements)
+
+
+def lu_solve(matrix, rhs):
+    """Direct solve of a square sparse system; returns (x, SolveReport).
+
+    The solution refined from a float32 factor is accepted when its backward
+    error is at most BACKWARD_ERROR_LIMIT.  Otherwise (a singular float32
+    factor, a non-finite solution or a larger backward error) that factor is
+    freed and the system is solved again from a float64 factor, which gives
+    the solution bit for bit that a float64-only solve gives."""
+    A = _as_csr(matrix)
+    n, m = A.shape
+    if n != m:
+        raise ValueError("matrix must be square")
+    b = np.asarray(rhs, dtype=float)
+    t0 = time.perf_counter()
+    factor_times = []
+    try:
+        # the float32 attempt's overflows and underflows are either harmless
+        # or lead to its rejection, not worth a warning or an error
+        with np.errstate(all="ignore"):
+            solved = _refined_solve(A, b, np.float32, factor_times)
+    except SingularSystemError:
+        solved = None
+    precision = "single"
+    if solved is None or not solved[2] <= BACKWARD_ERROR_LIMIT:
+        # the float32 factor was freed when its attempt returned or raised
+        solved = _refined_solve(A, b, np.float64, factor_times)
+        precision = "double"
+    x, res, backward_error, fill, refinements = solved
     return x, SolveReport(residual_norm=float(res),
                           elapsed=time.perf_counter() - t0,
-                          fill=int(factor.nnz), factor_s=factor_s,
-                          refinements=refinements)
+                          fill=fill, factor_s=sum(factor_times),
+                          refinements=refinements, precision=precision,
+                          backward_error=backward_error)
 
 
 def _smallest_eigenvalue(A, M, OPinv=None):
@@ -227,6 +332,16 @@ def smallest_generalized_singular_value(A, N):
     if abs(N - N.T).max() > 1e-10 * scale:
         raise ValueError("norm Gram matrix is not symmetric")
     nfactor = _positive_definite_factor(N)
+    # on a Gram whose largest/smallest diagonal ratio overflows, ARPACK
+    # fails inside LAPACK's DLASCL, which prints to stdout first: at
+    # mu = 1e-300 the incompressible Gram's diagonal spans 1.5e-300 to
+    # 5e299, where at mu = 1 the ratio is 32
+    diagonal = N.diagonal()
+    with np.errstate(over="ignore", divide="ignore"):
+        spread = diagonal.max() / diagonal.min()
+    if not np.isfinite(spread):
+        raise ValueError("norm Gram matrix diagonal spans beyond the double "
+                         "range")
     try:
         afactor = _factor(A)
     except RuntimeError:

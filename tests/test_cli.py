@@ -340,17 +340,19 @@ def test_indefinite_norm_gram_fails_the_diagnostics(tmp_path, argv):
 
 
 def test_failed_eigensolve_fails_the_diagnostics(tmp_path):
-    # at mu=1e-300 the norm Gram passes the definiteness check but ARPACK
-    # cannot build an Arnoldi factorization: one error line, exit 2, no CSV
+    # at mu=1e-300 the norm Gram passes the definiteness check, but its
+    # diagonal spans 1.5e-300 to 5e299, where ARPACK cannot build an Arnoldi
+    # factorization and LAPACK prints to stdout: it is rejected before the
+    # eigensolve, with one error line, exit 2, no CSV and nothing on stdout
     proc = subprocess.run(
         [sys.executable, "-m", "elastweak", "diagnose", "--problem",
          "incompressible", "--mu", "1e-300", "--mesh-sizes", "4", "--out",
          str(tmp_path)], capture_output=True, text=True, timeout=120,
         env={**os.environ, "PYTHONPATH": str(SRC)})
     assert proc.returncode == 2
-    assert proc.stderr.startswith("error: mesh n=4: eigensolver failed: "
-                                  "ARPACK error"), proc.stderr
-    assert proc.stderr.count("\n") == 1, proc.stderr
+    assert proc.stderr == ("error: mesh n=4: norm Gram matrix diagonal spans "
+                           "beyond the double range\n"), proc.stderr
+    assert proc.stdout == "", proc.stdout
     assert not list(tmp_path.iterdir())
 
 

@@ -1,3 +1,6 @@
+import warnings
+import weakref
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -10,8 +13,9 @@ from elastweak.experiments import (manufactured_compressible,
 from elastweak.incompressible import assemble_incompressible_system
 from elastweak.mesh import build_cook_mesh, build_unit_square_mesh
 from elastweak import solvers
-from elastweak.solvers import (CANCELLATION_TOL, REFINEMENT_MIN_GAIN,
-                               REFINEMENT_STEPS, SingularSystemError,
+from elastweak.solvers import (BACKWARD_ERROR_LIMIT, CANCELLATION_TOL,
+                               REFINEMENT_MIN_GAIN, REFINEMENT_STEPS,
+                               SingularSystemError,
                                _equilibrate, lu_solve,
                                smallest_generalized_singular_value)
 from elastweak.spaces import AnalyticField, FESpace
@@ -104,6 +108,29 @@ def test_sgsv_rejects_nonsymmetric_norm():
     N = np.array([[2.0, 0.5, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 2.0]])
     with pytest.raises(ValueError, match="not symmetric"):
         smallest_generalized_singular_value(A, N)
+
+
+def test_sgsv_rejects_norm_whose_diagonal_spread_overflows():
+    A = np.eye(3)
+    N = np.diag([1e-300, 1.0, 1e300])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="spans beyond the double range"):
+            smallest_generalized_singular_value(A, N)
+    # a wide spread whose ratio is a double is still solved: with A = I the
+    # value is the smallest singular value of N^-1
+    N = np.diag([1e-50, 1.0, 1e50])
+    assert smallest_generalized_singular_value(A, N) == pytest.approx(
+        1e-50, rel=1e-9)
+
+
+def test_arpack_failure_becomes_value_error(monkeypatch):
+    def fail(*args, **kwargs):
+        raise spla.ArpackError(-9999)
+
+    monkeypatch.setattr(spla, "eigsh", fail)
+    with pytest.raises(ValueError, match="^eigensolver failed: ARPACK error"):
+        smallest_generalized_singular_value(np.eye(3), np.eye(3))
 
 
 def test_sgsv_beyond_former_dense_size():
@@ -353,3 +380,102 @@ def test_fill_below_default_ordering(build, n):
     As, _ = _equilibrate(system.matrix.tocsr())
     assert report.fill < spla.splu(As).nnz
     assert report.residual_norm <= 1e-8
+
+
+def _double_only(monkeypatch, A, b):
+    """lu_solve with every float32 solution rejected: the float64 path."""
+    with monkeypatch.context() as m:
+        m.setattr(solvers, "BACKWARD_ERROR_LIMIT", -1.0)
+        return lu_solve(A, b)
+
+
+def test_weak_square_system_is_solved_in_single_precision(monkeypatch):
+    system = _square_weak_p1(16)
+    x, report = lu_solve(system.matrix, system.rhs)
+    assert report.precision == "single"
+    assert 0.0 < report.backward_error <= BACKWARD_ERROR_LIMIT
+    x64, report64 = _double_only(monkeypatch, system.matrix, system.rhs)
+    assert report64.precision == "double"
+    assert report.fill == report64.fill
+    assert np.abs(x - x64).max() <= 1e-13 * np.abs(x64).max()
+
+
+def _locking_p2_weak_system():
+    params = MaterialParams(1.0, 1e5)
+    data = manufactured_compressible(params)
+    system = assemble_weak_system(FESpace(build_unit_square_mesh(8), 2, 2),
+                                  params, data.f, data.g)
+    return system.matrix, system.rhs
+
+
+def _hilbert6():
+    return sp.csr_matrix(sla.hilbert(6)), np.ones(6)
+
+
+def _float32_singular():
+    # 1 + 2^-30 rounds to 1 in float32, so the cast is singular
+    return (sp.csr_matrix(np.array([[1.0, 1.0], [1.0, 1.0 + 2.0 ** -30]])),
+            np.array([1.0, 2.0]))
+
+
+@pytest.mark.parametrize("build", [_hilbert6, _locking_p2_weak_system,
+                                   _float32_singular])
+def test_fallback_gives_the_double_precision_solution(monkeypatch, build):
+    A, b = build()
+    x, report = lu_solve(A, b)
+    x64, report64 = _double_only(monkeypatch, A, b)
+    assert report.precision == "double"
+    assert x.tobytes() == x64.tobytes()
+    assert (report.residual_norm, report.backward_error, report.fill,
+            report.refinements) == (report64.residual_norm,
+                                    report64.backward_error, report64.fill,
+                                    report64.refinements)
+
+
+@pytest.mark.parametrize("scale", [1e300, 1e-300])
+def test_single_precision_solve_scales_extreme_right_hand_sides(scale):
+    # unscaled, 1e300 overflows the float32 cast and 1e-300 underflows it,
+    # and the solve falls back to float64
+    diagonal = np.array([2.0, 3.0, 5.0, 7.0])
+    b = scale * np.array([1.0, -2.0, 3.0, 0.5])
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        x, report = lu_solve(sp.diags(diagonal).tocsr(), b)
+    assert report.precision == "single"
+    assert report.backward_error <= BACKWARD_ERROR_LIMIT
+    want = b / diagonal
+    assert np.abs(x - want).max() <= 1e-14 * np.abs(want).max()
+    assert np.abs(x - b / diagonal).max() <= 1e-15 * np.abs(b / diagonal).max()
+
+
+class _Factor:
+    """A sparse LU that a weak reference can follow."""
+
+    def __init__(self, factor):
+        self.factor, self.nnz = factor, factor.nnz
+
+    def solve(self, v):
+        return self.factor.solve(v)
+
+
+@pytest.mark.parametrize("build", [_hilbert6, _locking_p2_weak_system])
+def test_fallback_frees_the_float32_factor_first(monkeypatch, build):
+    exact_factor = solvers._factor
+    made = []   # (dtype, nnz, weak reference) per factorization
+
+    def factor(As, **kw):
+        # freed, not merely unreachable: no garbage collection is forced
+        for _, _, ref in made:
+            assert ref() is None, "an earlier factor is still alive"
+        out = _Factor(exact_factor(As, **kw))
+        made.append((As.dtype, out.nnz, weakref.ref(out)))
+        return out
+
+    monkeypatch.setattr(solvers, "_factor", factor)
+    A, b = build()
+    _, report = lu_solve(A, b)
+    assert [dtype for dtype, _, _ in made] == [np.float32, np.float64]
+    assert report.precision == "double"
+    # the report describes the accepted factor; factor_s covers both
+    assert report.fill == made[1][1]
+    assert 0.0 < report.factor_s <= report.elapsed

@@ -106,13 +106,9 @@ def test_grouped_cell_matrices_match_one_group(monkeypatch, order, group):
         assert abs(A - B).max() <= 1e-14 * abs(B).max()
 
 
-def test_stiffness_assembly_transient_is_bounded_by_its_result():
-    # P1 n=128: 32,768 cells, 64 chunks in eight groups.  Scattering all of
-    # them as one triplet list peaked at 10.2 times the result's arrays.
-    mesh = build_unit_square_mesh(128)
-    groups = -(-len(list(cell_chunks(mesh))) // compressible.GROUP_CHUNKS)
-    assert groups == 8
-    V = FESpace(mesh, 1, 2)
+def _stiffness_transient(V):
+    """(tracemalloc peak of one stiffness assembly on V, bytes of the
+    result's data, indices and indptr), with the caches warmed."""
     assemble_elasticity_stiffness(V, PARAMS)   # fill the geometry caches
     tracemalloc.start()
     try:
@@ -120,5 +116,39 @@ def test_stiffness_assembly_transient_is_bounded_by_its_result():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    result = K.data.nbytes + K.indices.nbytes + K.indptr.nbytes
+    return peak, K.data.nbytes + K.indices.nbytes + K.indptr.nbytes
+
+
+def test_stiffness_assembly_transient_is_bounded_by_its_result():
+    # P1 n=128: 32,768 cells, 64 chunks in eight groups.  Scattering all of
+    # them as one triplet list peaked at 10.2 times the result's arrays.
+    mesh = build_unit_square_mesh(128)
+    groups = -(-len(list(cell_chunks(mesh))) // compressible.GROUP_CHUNKS)
+    assert groups == 8
+    peak, result = _stiffness_transient(FESpace(mesh, 1, 2))
     assert peak <= 3 * result, (peak, result)
+
+
+def test_p2_stiffness_assembly_transient_is_bounded_by_its_result():
+    # P2 n=64: 8,192 cells in two groups.  A part whose arrays kept a slot
+    # per triplet (589,824 for 367,616 entries) peaked at 2.67 times the
+    # result's arrays; parts that own their entries peak at 2.37.
+    mesh = build_unit_square_mesh(64)
+    groups = -(-len(list(cell_chunks(mesh))) // compressible.GROUP_CHUNKS)
+    assert groups == 2
+    peak, result = _stiffness_transient(FESpace(mesh, 2, 2))
+    assert peak <= 2.5 * result, (peak, result)
+
+
+def test_scattered_part_owns_exactly_its_entries():
+    # a P2 vector cell block has 144 entries; neighbouring cells share
+    # most of them, so summing the triplets leaves far fewer entries
+    V = FESpace(build_unit_square_mesh(8), 2, 2)
+    nloc = V.cell_dofs.shape[1]
+    local = np.random.default_rng(2).standard_normal(
+        (len(V.cell_dofs), nloc, nloc))
+    A = compressible._scatter_matrix(V.cell_dofs, V.cell_dofs, local,
+                                     (V.dof_count,) * 2)
+    assert A.nnz < local.size
+    for array in (A.data, A.indices):
+        assert array.base is None and array.size == A.nnz
