@@ -218,6 +218,15 @@ def assemble_boundary_flux(space, params, side_tags=None):
                            loc.reshape(-1, nloc, nloc), (space.dof_count,) * 2)
 
 
+def _load_moments(tab, cells, fv):
+    """Per-cell integrals (f, phi_i e_d), shape (m, nsb, 2), of the force
+    values fv (m, nq, 2) at the cells' points: the weighted force, component
+    by component, times N in one matrix product."""
+    wf = np.swapaxes(fv * tab.wdet[cells][..., None], 1, 2)   # (m, 2, nq)
+    out = wf.reshape(-1, wf.shape[2]) @ tab.N                 # (m 2, nsb)
+    return np.swapaxes(out.reshape(len(wf), 2, -1), 1, 2)
+
+
 def assemble_load(space, f, degree=LOAD_DEGREE):
     """Right-hand side (f, v) over the domain."""
     _require_vector(space)
@@ -225,8 +234,7 @@ def assemble_load(space, f, degree=LOAD_DEGREE):
 
     def local(cells):
         x = tab.physical_points(cells)
-        fv = f.value(x[..., 0], x[..., 1])
-        return np.einsum("cq,cqd,qi->cid", tab.wdet[cells], fv, tab.N)
+        return _load_moments(tab, cells, f.value(x[..., 0], x[..., 1]))
 
     return _scatter_vector(space.cell_dofs, _per_cell(space.mesh, local),
                            space.dof_count)

@@ -13,11 +13,11 @@ import scipy.sparse as sp
 
 from .compressible import (_I2, LOAD_DEGREE, AssembledSystem,
                            MaterialParams, _add_neumann_loads, _cell_matrix,
-                           _dirichlet_sides, _flux_tables, _mass_local,
-                           _per_cell, _require_vector, _scatter_matrix,
-                           _scatter_vector, _stiffness_parts,
-                           _weak_operator, assemble_flux_load,
-                           assemble_load, dirichlet_dofs_and_values,
+                           _dirichlet_sides, _flux_tables, _load_moments,
+                           _mass_local, _per_cell, _require_vector,
+                           _scatter_matrix, _scatter_vector,
+                           _stiffness_parts, _weak_operator,
+                           assemble_flux_load, dirichlet_dofs_and_values,
                            eliminate_dofs)
 from .spaces import basis_hessians, reference_tensors
 
@@ -52,16 +52,18 @@ def _stab_h(mesh):
 
 
 def assemble_divergence(vspace, pspace):
-    """Matrix D with D[q-test i, v-trial (j,d)] = (d_d phi_j, psi_i)."""
+    """Matrix D with D[q-test i, v-trial (j,d)] = (d_d phi_j, psi_i): the
+    cell factors |detJ| Jinv[p, e] times the reference tensor
+    value_grad[i, j, p] delta_ed, one matrix product."""
     _check_pair(vspace, pspace)
     _, Jinv, detJ = vspace.geometry()
-    T = reference_tensors(vspace.order).value_grad
+    T = reference_tensors(vspace.order).value_grad          # (i, j, p)
+    K = np.einsum("ijp,ed->peijd", T, _I2).reshape(4, -1)
     nloc_p, nloc_v = pspace.cell_dofs.shape[1], vspace.cell_dofs.shape[1]
 
     def local(cells):
-        loc = np.einsum("c,ijp,cpd->cijd", np.abs(detJ[cells]), T,
-                        Jinv[cells])
-        return loc.reshape(-1, nloc_p, nloc_v)
+        W = np.abs(detJ[cells])[:, None, None] * Jinv[cells]     # (m, p, e)
+        return (W.reshape(-1, 4) @ K).reshape(-1, nloc_p, nloc_v)
 
     return _cell_matrix(pspace, vspace, local)
 
@@ -136,18 +138,24 @@ def pressure_integral_vector(pspace):
     return _scatter_vector(pspace.cell_dofs, local, pspace.dof_count)
 
 
-def _stabilized_load(pspace, params, f, hK, degree):
-    """(f, (gamma/mu) h^2 grad q) entries for the mass-balance rows."""
-    pt = pspace.interior_tables(degree)
+def _mixed_load(vspace, pspace, params, f, degree=LOAD_DEGREE):
+    """Body-force rows of the mixed system: (f, v) for the velocity and
+    (f, (gamma/mu) h^2 grad q) for the mass balance, from one evaluation of
+    f per cell block on the velocity's tables, which serve the equal-order
+    pressure as well."""
+    tab = vspace.interior_tables(degree)
+    scale = (params.gamma / params.mu) * _stab_h(vspace.mesh) ** 2
 
     def local(cells):
-        x = pt.physical_points(cells)
+        x = tab.physical_points(cells)
         fv = f.value(x[..., 0], x[..., 1])
-        return ((params.gamma / params.mu) * (hK[cells] ** 2)[:, None]
-                * pt.gradient_moments(cells, fv))
+        return np.hstack([
+            _load_moments(tab, cells, fv).reshape(len(fv), -1),
+            scale[cells][:, None] * tab.gradient_moments(cells, fv)])
 
-    return _scatter_vector(pspace.cell_dofs, _per_cell(pspace.mesh, local),
-                           pspace.dof_count)
+    dofs = np.hstack([vspace.cell_dofs, vspace.dof_count + pspace.cell_dofs])
+    return _scatter_vector(dofs, _per_cell(vspace.mesh, local),
+                           vspace.dof_count + pspace.dof_count)
 
 
 def _pressure_flux_load(pspace, g, side_tags, degree=None):
@@ -216,10 +224,7 @@ def assemble_incompressible_system(vspace, pspace, params, f, g,
                            sides if bc_mode == "weak" else (), nearly_lambda,
                            mean)
 
-    rhs = np.concatenate([
-        assemble_load(vspace, f),
-        _stabilized_load(pspace, params, f, _stab_h(vspace.mesh), LOAD_DEGREE),
-    ])
+    rhs = _mixed_load(vspace, pspace, params, f)
     if bc_mode == "weak":
         rhs[:nU] += assemble_flux_load(vspace, MaterialParams(params.mu), g,
                                        sides)

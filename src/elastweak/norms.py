@@ -15,7 +15,7 @@ import scipy.sparse as sp
 from .compressible import _I2, _scatter_matrix, _vector_form, _weak_operator
 from .incompressible import _mixed_operator, _pressure_h2_gram
 from .solvers import _smallest_eigenvalue, smallest_generalized_singular_value
-from .spaces import cell_chunks
+from .spaces import basis_values, cell_chunks
 
 ERROR_DEGREE = 16
 SIDE_MEAN_DEGREE = 8
@@ -32,20 +32,40 @@ class ErrorReport:
 # -- pointwise field evaluation helpers ---------------------------------------
 
 
-def _discrete_tables(field, tab, cells):
-    """Values (m, nq[, 2]) and gradients (m, nq[, 2], 2) at the cells'
-    points, each one matrix product with the reference tables: the values
-    from the cell coefficients, the gradients from the coefficients folded
-    with Jinv, G[m, c, a, i, p] = coef[m, i, c] Jinv[m, p, a]."""
+def _jet_tables(order, points):
+    """The right factors of _jets' products: N^T, (nsb, nq), and the
+    reference derivatives d_p N_i at row 2 i + p, (2 nsb, nq)."""
+    N, dN = basis_values(order, points)
+    return N.T.copy(), dN.reshape(len(points), -1).T.copy()
+
+
+def _jets(field, tables, Jinv, cells):
+    """Values and x- and y-derivatives of a field at the cells' points, each
+    (m, c, nq) with c the field's components.  The values are one product
+    of the cell coefficients with N^T, the derivatives one product of the
+    coefficients folded with Jinv, G[m, c, a, i, p] = coef[m, i, c]
+    Jinv[m, p, a], with the reference derivatives."""
+    NT, dNT = tables
     coef = field.cell_coefficients(cells)
-    vals = np.moveaxis(np.tensordot(coef, tab.N, axes=(1, 1)), -1, 1)
-    c = np.swapaxes(coef.reshape(coef.shape[:2] + (-1,)), 1, 2)    # (m, c, i)
-    Jt = np.swapaxes(tab.Jinv[cells], 1, 2)                         # (m, a, p)
-    G = c[:, :, None, :, None] * Jt[:, None, :, None, :]      # (m, c, a, i, p)
-    nq, nsb, _ = tab.dN_ref.shape
-    grads = G.reshape(-1, 2 * nsb) @ tab.dN_ref.reshape(nq, -1).T
-    return vals, np.moveaxis(grads.reshape(coef.shape[:1] + coef.shape[2:]
-                                           + (2, nq)), -1, 1)
+    m, nsb = coef.shape[:2]
+    coef = np.swapaxes(coef.reshape(m, nsb, -1), 1, 2)      # (m, c, i)
+    nc = coef.shape[1]
+    Jt = np.swapaxes(Jinv[cells], 1, 2)                     # (m, a, p)
+    G = coef[:, :, None, :, None] * Jt[:, None, :, None, :]
+    grads = (G.reshape(-1, 2 * nsb) @ dNT).reshape(m, nc, 2, -1)
+    return ((coef.reshape(-1, nsb) @ NT).reshape(m, nc, -1), grads[:, :, 0],
+            grads[:, :, 1])
+
+
+def _block_errors(field, exact, tables, Jinv, cells, x):
+    """Values and x- and y-derivatives of field - exact at the cells'
+    points x, each (m, c, nq)."""
+    v, dx, dy = _jets(field, tables, Jinv, cells)
+    ev, eg = exact.jet(x[..., 0], x[..., 1])
+    ev = ev.reshape(v.shape[0], v.shape[2], -1)             # (m, nq, c)
+    eg = eg.reshape(ev.shape + (2,))                        # (m, nq, c, 2)
+    return (v - np.swapaxes(ev, 1, 2), dx - np.swapaxes(eg[..., 0], 1, 2),
+            dy - np.swapaxes(eg[..., 1], 1, 2))
 
 
 def _boundary_values(u_h, bt):
@@ -54,77 +74,73 @@ def _boundary_values(u_h, bt):
     return np.einsum("eqi,eic->eqc", bt.N, coef.reshape(coef.shape[0], -1, 2))
 
 
-def _interior_error(field, exact, tab, cells):
-    """Values and gradients of field - exact at the cells' quadrature
-    points."""
-    vals, grads = _discrete_tables(field, tab, cells)
-    x = tab.physical_points(cells)
-    ev, eg = exact.jet(x[..., 0], x[..., 1])
-    return vals - ev, grads - eg
-
-
 # -- norms ---------------------------------------------------------------------
 
 
-def _vector_parts(u_h, exact):
-    """Squared (L2, gradient, divergence, h^-1/2 trace, h^-1/2 normal trace)
-    norms of u_h - exact."""
-    space = u_h.space
-    tab = space.interior_tables(ERROR_DEGREE)
-    l2 = grad_sq = div_sq = 0.0
-    for cells in cell_chunks(space.mesh):
-        v, g = _interior_error(u_h, exact, tab, cells)
-        w = tab.wdet[cells]
-        l2 += float(np.einsum("cq,cqe->", w, v ** 2))
-        grad_sq += float(np.einsum("cq,cqea->", w, g ** 2))
-        div = g[..., 0, 0] + g[..., 1, 1]
-        div_sq += float(np.sum(w * div ** 2))
-    bt = space.boundary_tables(ERROR_DEGREE)
+def _interior_parts(tab, pairs):
+    """Squared (L2, gradient, divergence, h-weighted gradient) norms of
+    field - exact for each (field, exact) of pairs, rows in their order.
+
+    The fields share one pass over the cell blocks, the tables' points and
+    the points' physical coordinates; each squared part is a dot product
+    with the weights |det J| w.  The divergence of a scalar field is 0."""
+    h2 = tab.mesh.triangle_diameters() ** 2
+    tables = [_jet_tables(field.space.order, tab.rule.points)
+              for field, _ in pairs]
+    parts = np.zeros((len(pairs), 4))
+    for cells in cell_chunks(tab.mesh):
+        x = tab.physical_points(cells)
+        w = tab.wdet[cells].ravel()
+        wh = (tab.wdet[cells] * h2[cells][:, None]).ravel()
+        for row, (field, exact), jt in zip(parts, pairs, tables):
+            e, ex, ey = _block_errors(field, exact, jt, tab.Jinv, cells, x)
+            grad_sq = (ex * ex + ey * ey).sum(axis=1).ravel()
+            row[0] += w @ (e * e).sum(axis=1).ravel()
+            row[1] += w @ grad_sq
+            row[3] += wh @ grad_sq
+            if e.shape[1] == 2:
+                div = ex[:, 0] + ey[:, 1]
+                row[2] += w @ (div * div).ravel()
+    return parts
+
+
+def _boundary_parts(u_h, exact):
+    """Squared h^-1/2 trace and h^-1/2 normal-trace norms of u_h - exact."""
+    bt = u_h.space.boundary_tables(ERROR_DEGREE)
     vals = _boundary_values(u_h, bt) - exact.value(bt.x[..., 0], bt.x[..., 1])
     winv = bt.w / bt.h_owner[:, None]
     trace_sq = float(np.einsum("eq,eqa->", winv, vals ** 2))
     vn = np.einsum("eqa,ea->eq", vals, bt.normal)
-    normal_sq = float(np.sum(winv * vn ** 2))
-    return l2, grad_sq, div_sq, trace_sq, normal_sq
-
-
-def _pressure_parts(p_h, exact):
-    """Squared (L2, h-weighted gradient) norms of p_h - exact."""
-    space = p_h.space
-    tab = space.interior_tables(ERROR_DEGREE)
-    hK = space.mesh.triangle_diameters()
-    l2 = h2_grad_sq = 0.0
-    for cells in cell_chunks(space.mesh):
-        v, g = _interior_error(p_h, exact, tab, cells)
-        w = tab.wdet[cells]
-        l2 += float(np.sum(w * v ** 2))
-        h2_grad_sq += float(np.einsum("cq,cqa->", w * (hK[cells] ** 2)[:, None],
-                                      g ** 2))
-    return l2, h2_grad_sq
-
-
-def _triple(params, vparts, pparts=None):
-    """Compressible triple norm from the vector parts, or the incompressible
-    one when the pressure parts are given:
-    mu(|grad w|^2 + |h^-1/2 w|^2_bnd) + lam(|div w|^2 + |h^-1/2 w.n|^2_bnd)
-    or mu(|grad w|^2 + |h^-1/2 w|^2_bnd) + (1/mu)|h grad rho|^2."""
-    _, g2, d2, t2, n2 = vparts
-    if pparts is None:
-        return float(np.sqrt(params.mu * (g2 + t2) + params.lam * (d2 + n2)))
-    return float(np.sqrt(params.mu * (g2 + t2) + pparts[1] / params.mu))
+    return trace_sq, float(np.sum(winv * vn ** 2))
 
 
 def error_norms(u_h, exact_u, params, p_h=None, exact_p=None):
     """L2/H1-seminorm/triple-norm errors of the DiscreteField u_h against
     the analytic exact_u (and the pressure L2 error of p_h against exact_p
-    when mixed), all at quadrature degree ERROR_DEGREE."""
-    vparts = _vector_parts(u_h, exact_u)
-    pparts = None if p_h is None else _pressure_parts(p_h, exact_p)
-    return ErrorReport(l2_error=float(np.sqrt(vparts[0])),
-                       h1_semi_error=float(np.sqrt(vparts[1])),
-                       triple_norm_error=_triple(params, vparts, pparts),
-                       pressure_l2_error=(None if pparts is None
-                                          else float(np.sqrt(pparts[0]))))
+    when mixed), all at quadrature degree ERROR_DEGREE.
+
+    The triple norm is mu(|grad w|^2 + |h^-1/2 w|^2_bnd) + lam(|div w|^2 +
+    |h^-1/2 w.n|^2_bnd), or mu(|grad w|^2 + |h^-1/2 w|^2_bnd)
+    + (1/mu)|h grad rho|^2 with a pressure error rho.  A pressure on the
+    velocity's mesh shares its error pass."""
+    space = u_h.space
+    pairs = [(u_h, exact_u)]
+    if p_h is not None:
+        if p_h.space.mesh is not space.mesh:
+            raise ValueError("velocity and pressure use different meshes")
+        pairs.append((p_h, exact_p))
+    parts = _interior_parts(space.interior_tables(ERROR_DEGREE), pairs)
+    l2, g2, d2, _ = parts[0]
+    t2, n2 = _boundary_parts(u_h, exact_u)
+    if p_h is None:
+        triple = params.mu * (g2 + t2) + params.lam * (d2 + n2)
+    else:
+        triple = params.mu * (g2 + t2) + parts[1, 3] / params.mu
+    return ErrorReport(l2_error=float(np.sqrt(l2)),
+                       h1_semi_error=float(np.sqrt(g2)),
+                       triple_norm_error=float(np.sqrt(triple)),
+                       pressure_l2_error=(None if p_h is None
+                                          else float(np.sqrt(parts[1, 0]))))
 
 
 # -- Gram matrices for diagnostics ---------------------------------------------

@@ -1,13 +1,15 @@
 """Quadrature rules on the reference triangle and the reference edge.
 
-Degree 10, the degree of every load integral, has a fully symmetric
-25-point rule (Dunavant, IJNME 1985): the centroid, two orbits of
-barycentric points (a, a, 1 - 2a) and three orbits (a, b, 1 - a - b), all
-weights positive and all points inside.  Its parameters come from
-``tools/derive_triangle_rule.py``.  Every other degree d collapses a
-Gauss-Legendre product rule from the unit square onto the triangle (Duffy
-map), which gives positive weights and interior points for any degree:
-ceil((d+1)/2) * ceil((d+2)/2) points, e.g. 81 at degree 16.
+Degrees 10 and 16 have fully symmetric rules, all weights positive and all
+points inside.  Degree 10, the degree of every load integral, has 25
+points (Dunavant, IJNME 1985): the centroid, two orbits of barycentric
+points (a, a, 1 - 2a) and three orbits (a, b, 1 - a - b).  Degree 16, the
+degree of the error norms, has 55 points: the centroid, six orbits
+(a, a, 1 - 2a) and six orbits (a, b, 1 - a - b).  The parameters of both
+come from ``tools/derive_triangle_rule.py``.  Every other degree d
+collapses a Gauss-Legendre product rule from the unit square onto the
+triangle (Duffy map), which gives positive weights and interior points for
+any degree: ceil((d+1)/2) * ceil((d+2)/2) points, e.g. 81 at degree 16.
 """
 
 from dataclasses import dataclass
@@ -54,6 +56,25 @@ _DEGREE10_ORBITS = (
 )
 
 
+# The symmetric degree-16 rule, 55 points: the centroid, six orbits
+# (a, a, 1 - 2a) and six orbits (a, b, 1 - a - b), listed as above.
+_DEGREE16_ORBITS = (
+    (0.022755917638800060, ()),
+    (0.0016736657371901851, (0.015923918668164380,)),
+    (0.0056074067726742739, (0.066879906426543584,)),
+    (0.016011133811942970, (0.17971230030534115,)),
+    (0.0067721217452401388, (0.25510100403869253,)),
+    (0.014180374242694204, (0.46220518125464804,)),
+    (0.0056035625837208758, (0.49293614366304629,)),
+    (0.0030935673982791951, (0.012785098056458909, 0.084687192729379112)),
+    (0.0048065989922660928, (0.014370668343448255, 0.19847340193809877)),
+    (0.0061238874277149957, (0.016120904347100016, 0.33942004053939743)),
+    (0.0096606913099010501, (0.072986739323437854, 0.16278168719448019)),
+    (0.013341987077750787, (0.080983631054254564, 0.29734414153583622)),
+    (0.017589815740889879, (0.18129689357595225, 0.33518888531121758)),
+)
+
+
 def _symmetric_rule(orbits, degree):
     """Rule from (weight, generator) orbits; a point (l0, l1, l2) in
     barycentric coordinates sits at (x, y) = (l1, l2)."""
@@ -73,11 +94,14 @@ def _symmetric_rule(orbits, degree):
 @lru_cache(maxsize=None)
 def triangle_rule(degree):
     """Rule on the reference triangle exact for polynomials up to `degree`:
-    the symmetric 25-point rule at degree 10, else the collapsed rule."""
+    the symmetric 25-point rule at degree 10 and the symmetric 55-point rule
+    at degree 16, else the collapsed rule."""
     if degree < 0:
         raise ValueError("quadrature degree must be nonnegative")
     if degree == 10:
         return _symmetric_rule(_DEGREE10_ORBITS, degree)
+    if degree == 16:
+        return _symmetric_rule(_DEGREE16_ORBITS, degree)
     return _collapsed_rule(degree)
 
 

@@ -50,6 +50,13 @@ EIG_TOL = 1e-10
 # lu_solve's refinement repairs the accuracy that a small pivot costs.
 PIVOT_THRESHOLD = 0.01
 
+# Largest ratio of the largest to the smallest diagonal entry of a norm Gram
+# that smallest_generalized_singular_value accepts.  With A = I and
+# N = diag(10^-e, 1, 10^e) the eigensolve gives the right 10^-e up to e = 102
+# (a ratio of 1e204) and NaN from e = 103; at e = 140 ARPACK fails.  A
+# ratio beyond this limit raises ValueError instead.
+DIAGONAL_SPREAD_LIMIT = 1e200
+
 # Entries of the equilibrated matrix D A D at most this large in magnitude
 # are dropped from the copy that is factored; the refinement residuals keep
 # the assembled A.  On the 22 systems the benchmark solves, the dropped
@@ -335,13 +342,17 @@ def smallest_generalized_singular_value(A, N):
     # on a Gram whose largest/smallest diagonal ratio overflows, ARPACK
     # fails inside LAPACK's DLASCL, which prints to stdout first: at
     # mu = 1e-300 the incompressible Gram's diagonal spans 1.5e-300 to
-    # 5e299, where at mu = 1 the ratio is 32
+    # 5e299, where at mu = 1 the ratio is 32; a smaller spread beyond
+    # DIAGONAL_SPREAD_LIMIT gives NaN
     diagonal = N.diagonal()
     with np.errstate(over="ignore", divide="ignore"):
         spread = diagonal.max() / diagonal.min()
     if not np.isfinite(spread):
         raise ValueError("norm Gram matrix diagonal spans beyond the double "
                          "range")
+    if spread > DIAGONAL_SPREAD_LIMIT:
+        raise ValueError(f"norm Gram matrix diagonal spans a ratio beyond "
+                         f"{DIAGONAL_SPREAD_LIMIT:g}")
     try:
         afactor = _factor(A)
     except RuntimeError:
@@ -353,5 +364,8 @@ def smallest_generalized_singular_value(A, N):
     inverse = spla.LinearOperator(
         (n, n), matvec=lambda v: afactor.solve(N @ afactor.solve(v, trans="T")),
         dtype=float)
-    return float(np.sqrt(max(_smallest_eigenvalue(gram, N, inverse), 0.0)))
+    value = _smallest_eigenvalue(gram, N, inverse)
+    if not np.isfinite(value):
+        raise ValueError("eigensolver returned a non-finite eigenvalue")
+    return float(np.sqrt(max(value, 0.0)))
 

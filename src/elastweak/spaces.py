@@ -93,8 +93,9 @@ def cell_chunks(mesh, chunk=512):
     """Consecutive slices of at most `chunk` cells that cover the mesh.
 
     The per-point temporaries of a block stay in a core's L2 cache: on the
-    81-point degree-16 error rule a vector field's gradient over 512 cells
-    is 1.3 MB.  At 4096 cells each such array was 10.6 MB, a fresh mmap
+    81-point collapsed degree-16 rule the error norms then used, a vector
+    field's gradient over 512 cells was 1.3 MB (0.9 MB on the 55-point
+    rule).  At 4096 cells each such array was 10.6 MB, a fresh mmap
     faulted in on first touch.  Of 256, 512 and 1024 cells, 512 gave the
     fastest cold n=128 P1 `error_norms` call (2-core Xeon, 2 MiB L2 per
     core: 0.55 s against 0.74 s at 4096).
@@ -197,8 +198,11 @@ class FESpace:
 
     def interior_tables(self, degree):
         """Volume tables at a quadrature degree, built on each call; not
-        cached, since a solve and its error norms ask a space for each
-        degree once."""
+        cached.  A solve asks the velocity space once, at the load degree
+        (`compressible.assemble_load`, or `incompressible._mixed_load` for
+        both load rows of a mixed system), and its error norms ask it once
+        more, at the error degree (`norms.error_norms`, shared by a
+        pressure)."""
         rule = triangle_rule(degree)
         N, dN = basis_values(self.order, rule.points)
         return InteriorTables(self, rule, N, dN)

@@ -13,9 +13,9 @@ import scipy.linalg as sla
 from elastweak.compressible import (MaterialParams, _dirichlet_sides,
                                     _per_cell, _scatter_vector, _stress,
                                     _weak_operator, assemble_flux_load)
-from elastweak.incompressible import (_mixed_operator, _pressure_flux_load,
-                                      _stab_h, _stabilized_load)
-from elastweak.norms import ERROR_DEGREE, SIDE_MEAN_DEGREE, _discrete_tables
+from elastweak.incompressible import (_mixed_load, _mixed_operator,
+                                      _pressure_flux_load)
+from elastweak.norms import ERROR_DEGREE, SIDE_MEAN_DEGREE
 from elastweak.spaces import AnalyticField, DiscreteField, FESpace, cell_chunks
 
 # -- pointwise field evaluation -----------------------------------------------
@@ -28,6 +28,22 @@ def _tabulation_space(field, mesh):
     if mesh is None:
         raise ValueError("analytic fields need an explicit mesh")
     return FESpace(mesh, 1, 1)
+
+
+def _discrete_tables(field, tab, cells):
+    """Values (m, nq[, 2]) and gradients (m, nq[, 2], 2) at the cells'
+    points, each one matrix product with the reference tables: the values
+    from the cell coefficients, the gradients from the coefficients folded
+    with Jinv, G[m, c, a, i, p] = coef[m, i, c] Jinv[m, p, a]."""
+    coef = field.cell_coefficients(cells)
+    vals = np.moveaxis(np.tensordot(coef, tab.N, axes=(1, 1)), -1, 1)
+    c = np.swapaxes(coef.reshape(coef.shape[:2] + (-1,)), 1, 2)    # (m, c, i)
+    Jt = np.swapaxes(tab.Jinv[cells], 1, 2)                         # (m, a, p)
+    G = c[:, :, None, :, None] * Jt[:, None, :, None, :]      # (m, c, a, i, p)
+    nq, nsb, _ = tab.dN_ref.shape
+    grads = G.reshape(-1, 2 * nsb) @ tab.dN_ref.reshape(nq, -1).T
+    return vals, np.moveaxis(grads.reshape(coef.shape[:1] + coef.shape[2:]
+                                           + (2, nq)), -1, 1)
 
 
 def _gradients(field, tab, cells):
@@ -243,8 +259,8 @@ def galerkin_orthogonality_residual_mixed(mesh, vspace, pspace, params,
                            _per_cell(pspace.mesh, velocity_div),
                            pspace.dof_count)
            + _pressure_flux_load(pspace, exact_u, sides, degree)
-           + _stabilized_load(pspace, params, f, _stab_h(mesh),
-                              degree))
+           + _mixed_load(vspace, pspace, params, f,
+                         degree)[vspace.dof_count:])
 
     n = vspace.dof_count + pspace.dof_count
     r = np.concatenate([vel, prs]) - (A @ x)[:n]

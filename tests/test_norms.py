@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 from fem_helpers import field_with_gradient
-from oracles import (galerkin_orthogonality_residual,
+from oracles import (_discrete_tables, galerkin_orthogonality_residual,
                      galerkin_orthogonality_residual_mixed,
                      korn_boundary_seminorm, rigid_motion_gram,
                      triple_norm_compressible, triple_norm_incompressible)
@@ -14,7 +14,7 @@ from elastweak.compressible import (MaterialParams, _vector_form,
                                     assemble_elasticity_stiffness,
                                     assemble_strong_system)
 from elastweak.mesh import build_cook_mesh, build_unit_square_mesh
-from elastweak.norms import (_discrete_tables, compressible_infsup,
+from elastweak.norms import (_jet_tables, _jets, compressible_infsup,
                              discrete_infsup_constant,
                              discrete_korn_constant, error_norms,
                              incompressible_infsup, side_mean_gram,
@@ -384,8 +384,7 @@ def test_mixed_orthogonality_residual():
     from elastweak.compressible import (LOAD_DEGREE, assemble_flux_load,
                                         assemble_load)
     from elastweak.experiments import manufactured_incompressible
-    from elastweak.incompressible import (_pressure_flux_load, _stab_h,
-                                          _stabilized_load,
+    from elastweak.incompressible import (_mixed_load, _pressure_flux_load,
                                           assemble_incompressible_system)
     from elastweak.solvers import lu_solve
     pars = MaterialParams(1.0, gamma=0.1)
@@ -401,7 +400,7 @@ def test_mixed_orthogonality_residual():
             assemble_load(V, f, load_degree)
             + assemble_flux_load(V, MaterialParams(pars.mu), g, None,
                                  flux_degree),
-            _stabilized_load(Q, pars, f, _stab_h(mesh), load_degree)
+            _mixed_load(V, Q, pars, f, load_degree)[V.dof_count:]
             + _pressure_flux_load(Q, g, None, flux_degree), [0.0]])
 
     assert np.array_equal(rhs(LOAD_DEGREE, None), mixed.system.rhs)
@@ -468,7 +467,7 @@ def test_quadrature_point_layers_do_not_depend_on_the_block(monkeypatch,
     from elastweak.compressible import assemble_load
     from elastweak.experiments import (manufactured_compressible,
                                        manufactured_incompressible)
-    from elastweak.incompressible import _stab_h, _stabilized_load
+    from elastweak.incompressible import _mixed_load
     from elastweak.spaces import cell_chunks
 
     mesh = build_unit_square_mesh(23)      # 1058 cells: no multiple of a block
@@ -491,7 +490,7 @@ def test_quadrature_point_layers_do_not_depend_on_the_block(monkeypatch,
                  mixed.h1_semi_error, mixed.triple_norm_error,
                  mixed.pressure_l2_error],
                 assemble_load(V, f), assemble_load(V, f_mixed),
-                _stabilized_load(Q, params, f_mixed, _stab_h(mesh), 10))
+                _mixed_load(V, Q, params, f_mixed, 10)[V.dof_count:])
 
     blocked = measured()
     _one_block(monkeypatch)
@@ -520,3 +519,114 @@ def test_discrete_tables_match_per_point_reference(order, components):
             want_g[k, q] = np.tensordot(coef[k], grad_phi, axes=(0, 0))
     for got, want in ((vals, want_v), (grads, want_g)):
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+    # the error pass's component-major jets: (m, c, q) per derivative
+    jets = _jets(field, _jet_tables(order, tab.rule.points), tab.Jinv,
+                 slice(1, None))
+    m, nq = want_v.shape[:2]
+    want_g = want_g.reshape(m, nq, -1, 2)
+    wants = (want_v.reshape(m, nq, -1), want_g[..., 0], want_g[..., 1])
+    for got, want in zip(jets, wants):
+        want = np.swapaxes(want, 1, 2)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def _polynomial(rng, components, scale, degree=8):
+    """A random polynomial AnalyticField of the given degree in the scaled
+    coordinates (x / scale[0], y / scale[1]), with its jet."""
+    powers = [(i, j) for i in range(degree + 1) for j in range(degree + 1 - i)]
+    coef = rng.standard_normal((len(powers), components))
+
+    def jet(x, y):
+        s, t = x / scale[0], y / scale[1]
+        v = np.zeros(np.shape(x) + (components,))
+        g = np.zeros(np.shape(x) + (components, 2))
+        for (i, j), c in zip(powers, coef):
+            v += (s ** i * t ** j)[..., None] * c
+            if i:
+                ds = i * s ** (i - 1) * t ** j / scale[0]
+                g[..., 0] += ds[..., None] * c
+            if j:
+                dt = j * s ** i * t ** (j - 1) / scale[1]
+                g[..., 1] += dt[..., None] * c
+        if components == 1:
+            return v[..., 0], g[..., 0, :]
+        return v, g
+
+    return AnalyticField(lambda x, y: jet(x, y)[0], jet, components)
+
+
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("builder, scale", [(build_unit_square_mesh, (1, 1)),
+                                            (build_cook_mesh, (48, 60))])
+def test_error_norms_match_collapsed_rule(monkeypatch, builder, scale, order):
+    # errors of degree <= 8 square to degree <= 16, which the symmetric
+    # 55-point rule and the 81-point collapsed rule both integrate exactly
+    import elastweak.spaces as spaces
+    from elastweak.quadrature import _collapsed_rule
+
+    mesh = builder(3)
+    V, Q = FESpace(mesh, order, 2), FESpace(mesh, order, 1)
+    rng = np.random.default_rng(order)
+    u_h = DiscreteField(V, rng.standard_normal(V.dof_count))
+    p_h = DiscreteField(Q, rng.standard_normal(Q.dof_count))
+    exact_u, exact_p = _polynomial(rng, 2, scale), _polynomial(rng, 1, scale)
+    pars = MaterialParams(mu=1.3, lam=2.7, gamma=0.1)
+
+    def reports():
+        return [error_norms(u_h, exact_u, pars),
+                error_norms(u_h, exact_u, pars, p_h, exact_p)]
+
+    symmetric = reports()
+    assert V.interior_tables(16).rule.num_points == 55
+    monkeypatch.setattr(spaces, "triangle_rule", _collapsed_rule)
+    assert V.interior_tables(16).rule.num_points == 81
+    for got, want in zip(symmetric, reports()):
+        for name in ("l2_error", "h1_semi_error", "triple_norm_error",
+                     "pressure_l2_error"):
+            if getattr(want, name) is not None:
+                assert getattr(got, name) == pytest.approx(
+                    getattr(want, name), rel=1e-13, abs=0.0), name
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_one_pass_mixed_error_matches_separate_parts(order):
+    # the velocity and the pressure share the mixed error pass; each part
+    # equals the one computed alone
+    from elastweak.experiments import manufactured_incompressible
+    from elastweak.norms import ERROR_DEGREE, _interior_parts
+    mesh = build_cook_mesh(3)
+    V, Q = FESpace(mesh, order, 2), FESpace(mesh, order, 1)
+    rng = np.random.default_rng(order)
+    u_h = DiscreteField(V, rng.standard_normal(V.dof_count))
+    p_h = DiscreteField(Q, rng.standard_normal(Q.dof_count))
+    pars = MaterialParams(mu=1.3, gamma=0.1)
+    data = manufactured_incompressible(pars)
+    tab = V.interior_tables(ERROR_DEGREE)
+    both = _interior_parts(tab, [(u_h, data.exact_u), (p_h, data.exact_p)])
+    velocity = _interior_parts(tab, [(u_h, data.exact_u)])[0]
+    pressure = _interior_parts(Q.interior_tables(ERROR_DEGREE),
+                               [(p_h, data.exact_p)])[0]
+    np.testing.assert_allclose(both, [velocity, pressure], rtol=1e-14,
+                               atol=0.0)
+    mixed = error_norms(u_h, data.exact_u, pars, p_h, data.exact_p)
+    alone = error_norms(u_h, data.exact_u, pars)
+    assert mixed.l2_error == pytest.approx(alone.l2_error, rel=1e-14)
+    assert mixed.h1_semi_error == pytest.approx(alone.h1_semi_error,
+                                                rel=1e-14)
+    assert mixed.pressure_l2_error == pytest.approx(np.sqrt(pressure[0]),
+                                                    rel=1e-14)
+    # lam = 0: the compressible triple norm is the velocity part of the
+    # incompressible one
+    assert mixed.triple_norm_error ** 2 == pytest.approx(
+        alone.triple_norm_error ** 2 + pressure[3] / pars.mu, rel=1e-14)
+
+
+def test_error_norms_reject_pressure_on_another_mesh():
+    V = FESpace(build_unit_square_mesh(2), 1, 2)
+    Q = FESpace(build_unit_square_mesh(2), 1, 1)
+    zero = AnalyticField.constant_vector(0.0, 0.0)
+    p_h = DiscreteField(Q, np.zeros(Q.dof_count))
+    with pytest.raises(ValueError, match="different meshes"):
+        error_norms(DiscreteField(V, np.zeros(V.dof_count)), zero,
+                    MaterialParams(1.0), p_h, AnalyticField.scalar(
+                        lambda x, y: 0 * x))

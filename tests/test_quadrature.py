@@ -47,12 +47,12 @@ def test_triangle_points_inside_weights_positive():
         assert np.all(x > 0) and np.all(y > 0) and np.all(x + y < 1)
 
 
-def test_degree_10_rule_is_symmetric_interior_and_exact():
-    rule = triangle_rule(10)
-    assert rule.num_points == 25 and rule.exact_degree == 10
+def _check_symmetric_rule(degree, num_points):
+    rule = triangle_rule(degree)
+    assert rule.num_points == num_points and rule.exact_degree == degree
     x, y = rule.points[:, 0], rule.points[:, 1]
-    for a in range(11):
-        for b in range(11 - a):
+    for a in range(degree + 1):
+        for b in range(degree + 1 - a):
             exact = tri_monomial_integral(a, b)
             q = float(np.sum(rule.weights * x ** a * y ** b))
             assert abs(q - exact) <= 1e-15 * exact, (a, b)
@@ -71,9 +71,17 @@ def test_degree_10_rule_is_symmetric_interior_and_exact():
         assert gap.min(axis=1).max() <= 1e-15, perm
 
 
-def test_rules_other_than_degree_10_stay_collapsed():
-    # ceil((d+1)/2) * ceil((d+2)/2) points, 81 at the error degree 16
-    for degree, points in ((2, 4), (9, 30), (11, 42), (16, 81)):
+def test_degree_10_rule_is_symmetric_interior_and_exact():
+    _check_symmetric_rule(10, 25)
+
+
+def test_degree_16_rule_is_symmetric_interior_and_exact():
+    _check_symmetric_rule(16, 55)
+
+
+def test_rules_other_than_degrees_10_and_16_stay_collapsed():
+    # ceil((d+1)/2) * ceil((d+2)/2) points
+    for degree, points in ((2, 4), (9, 30), (11, 42), (15, 72), (17, 90)):
         assert triangle_rule(degree).num_points == points
 
 
@@ -98,3 +106,36 @@ def test_symmetrized_rule_is_permutation_invariant():
     g = y ** 3 * x - 2 * y * x ** 2
     swapped = float(np.sum(rule.weights * g))
     assert val == pytest.approx(swapped, abs=1e-15)
+
+
+def _derivation_tool():
+    import importlib.util
+    import pathlib
+    path = (pathlib.Path(__file__).resolve().parents[1] / "tools"
+            / "derive_triangle_rule.py")
+    spec = importlib.util.spec_from_file_location("derive_triangle_rule",
+                                                  path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_derivation_residual_vanishes_on_the_symmetric_tables():
+    # the tool's polynomials are orthonormal on the triangle, and the
+    # committed tables solve its moment equations
+    from elastweak.quadrature import (_DEGREE10_ORBITS, _DEGREE16_ORBITS,
+                                      _collapsed_rule)
+    tool = _derivation_tool()
+    rule = _collapsed_rule(34)
+    phi = np.array(tool.orthonormal(rule.points[:, 0], rule.points[:, 1],
+                                    16))
+    assert np.abs((phi * rule.weights) @ phi.T - np.eye(len(phi))).max() \
+        <= 1e-12
+    for degree, s21, s111, orbits in ((10, 2, 3, _DEGREE10_ORBITS),
+                                      (16, 6, 6, _DEGREE16_ORBITS)):
+        structure = tool.Structure(degree, s21, s111)
+        p = [orbits[0][0]]
+        for w, gen in orbits[1:]:
+            p += [*gen, w]
+        assert len(p) == structure.size
+        assert np.abs(structure.residual(np.array(p))).max() <= 1e-15

@@ -117,11 +117,18 @@ def test_sgsv_rejects_norm_whose_diagonal_spread_overflows():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="spans beyond the double range"):
             smallest_generalized_singular_value(A, N)
-    # a wide spread whose ratio is a double is still solved: with A = I the
-    # value is the smallest singular value of N^-1
-    N = np.diag([1e-50, 1.0, 1e50])
-    assert smallest_generalized_singular_value(A, N) == pytest.approx(
-        1e-50, rel=1e-9)
+    # ratios that are doubles but gave NaN (e = 120) or made ARPACK fail
+    # (e = 140, 150, 154)
+    for e in (120, 140, 150, 154):
+        N = np.diag([10.0 ** -e, 1.0, 10.0 ** e])
+        with pytest.raises(ValueError, match=r"spans a ratio beyond 1e\+200"):
+            smallest_generalized_singular_value(A, N)
+    # a wide spread within the limit is still solved: with A = I the value
+    # is the smallest singular value of N^-1
+    for e in (50, 100):
+        N = np.diag([10.0 ** -e, 1.0, 10.0 ** e])
+        assert smallest_generalized_singular_value(A, N) == pytest.approx(
+            10.0 ** -e, rel=1e-9)
 
 
 def test_arpack_failure_becomes_value_error(monkeypatch):

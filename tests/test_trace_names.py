@@ -89,9 +89,9 @@ def test_counts_read_real_results():
     residual = counts["solvers.lu_solve"](lu_solve(weak.matrix,
                                                    weak.rhs))["residual"]
     assert 0.0 <= residual <= RESIDUAL_LIMIT
-    # the degree-16 error rule has 81 points per triangle
+    # the degree-16 error rule has 55 points per triangle
     assert counts["spaces.FESpace.interior_tables"](
-        V.interior_tables(16)) == {"points": square.num_triangles * 81}
+        V.interior_tables(16)) == {"points": square.num_triangles * 55}
     assert set(counts) == {*systems, "solvers.lu_solve",
                            "incompressible.assemble_incompressible_system",
                            "spaces.FESpace.interior_tables"}
