@@ -112,13 +112,14 @@ def manufactured_incompressible(params):
 
     u = (sin(4 pi x) cos(4 pi y), -cos(4 pi x) sin(4 pi y)),
     p = pi cos(4 pi x) cos(4 pi y); f = -2 mu div eps(u) + grad p, and the
-    Dirichlet data g is u itself.
+    Dirichlet data g is u itself.  exact_u and exact_p are the parts of one
+    field (u, p), whose jet evaluates the sines and cosines once for both.
     """
     mu = params.mu
     w = 4.0 * math.pi
 
-    # the velocity fields and the pressure share these four values, computed
-    # once per call
+    # the velocity, the pressure and their gradients share these four values,
+    # computed once per call
     def trig(x, y):
         return np.sin(w * x), np.cos(w * x), np.sin(w * y), np.cos(w * y)
 
@@ -134,28 +135,33 @@ def manufactured_incompressible(params):
         g[..., 1] = -math.pi * w * cx * sy
         return g
 
-    def u_jet(x, y):
-        t = sx, cx, sy, cy = trig(x, y)
-        g = np.empty(np.shape(x) + (2, 2))
-        g[..., 0, 0] = w * cx * cy
-        g[..., 0, 1] = -w * sx * sy
-        g[..., 1, 0] = w * sx * sy
-        g[..., 1, 1] = -w * cx * cy
-        return velocity(*t), g
-
-    def p_jet(x, y):
-        t = _, cx, _, cy = trig(x, y)
-        return math.pi * cx * cy, pressure_gradient(*t)
+    def jet(x, y):
+        # (u, p) and its gradient rows (grad u_0, grad u_1, grad p), written
+        # component by component into contiguous planes and returned as
+        # component-last views, so that each component stays contiguous
+        sx, cx, sy, cy = trig(x, y)
+        v = np.empty((3,) + np.shape(x))
+        v[0] = sx * cy
+        v[1] = -cx * sy
+        v[2] = math.pi * cx * cy
+        g = np.empty((3, 2) + np.shape(x))
+        g[0, 0] = w * cx * cy
+        g[0, 1] = -w * sx * sy
+        g[1, 0] = w * sx * sy
+        g[1, 1] = -w * cx * cy
+        g[2, 0] = -math.pi * w * sx * cy
+        g[2, 1] = -math.pi * w * cx * sy
+        return np.moveaxis(v, 0, -1), np.moveaxis(g, (0, 1), (-2, -1))
 
     def force(x, y):
         # -mu lap u + grad p (u is divergence free)
         t = trig(x, y)
         return 2.0 * mu * w ** 2 * velocity(*t) + pressure_gradient(*t)
 
-    exact_u = AnalyticField.vector(lambda x, y: velocity(*trig(x, y)), u_jet)
-    return ProblemData(
-        f=AnalyticField.vector(force), g=exact_u, exact_u=exact_u,
-        exact_p=AnalyticField.scalar(lambda x, y: p_jet(x, y)[0], p_jet))
+    solution = AnalyticField(lambda x, y: jet(x, y)[0], jet, components=3)
+    exact_u = solution.part(0, 2, lambda x, y: velocity(*trig(x, y)))
+    return ProblemData(f=AnalyticField.vector(force), g=exact_u,
+                       exact_u=exact_u, exact_p=solution.part(2, 1))
 
 
 # -- problems --------------------------------------------------------------------
@@ -391,9 +397,9 @@ def write_csv(text, path):
 # -- solvers ---------------------------------------------------------------------
 
 
-def _lu_solve(matrix, rhs, context):
+def _lu_solve(matrix, rhs, order, context):
     try:
-        return lu_solve(matrix, rhs)
+        return lu_solve(matrix, rhs, order)
     except SingularSystemError as exc:
         raise ExperimentError(f"solver failed for {context}: {exc}") from exc
 
@@ -406,8 +412,9 @@ def _check_residual(residual, context):
             f"{RESIDUAL_LIMIT:.1e} for {context}")
 
 
-def _checked_solve(matrix, rhs, context):
-    x, report = _lu_solve(matrix, rhs, context)
+def _checked_solve(system, context):
+    """Solution of an AssembledSystem, factored in its elimination order."""
+    x, report = _lu_solve(system.matrix, system.rhs, system.order, context)
     _check_residual(report.residual_norm, context)
     return x
 
@@ -420,16 +427,20 @@ def _pinned_mean_solve(mixed, rhs, context):
     the core C: summing the pressure rows gives lam exactly, C x = b - lam m
     is then consistent and is solved with the last pressure DOF pinned to 0,
     and the border row m . x = b[nc] fixes the pressure constant.  The
-    residual limit applies to the full bordered system.
+    core is factored in the system's elimination order without the pinned
+    DOF and the multiplier.  The residual limit applies to the full
+    bordered system.
     """
-    A = mixed.system.matrix
+    A, order = mixed.system.matrix, mixed.system.order
     nc = mixed.constraint_index
+    if order is not None:
+        order = order[order < nc - 1]
     pressure = slice(mixed.n_velocity, nc)
     m = A[nc, :nc].toarray().ravel()
     x = np.zeros(nc + 1)
     x[nc] = rhs[pressure].sum() / m[pressure].sum()
     x[:nc - 1], _ = _lu_solve(A[:nc - 1, :nc - 1],
-                              (rhs[:nc] - x[nc] * m)[:nc - 1], context)
+                              (rhs[:nc] - x[nc] * m)[:nc - 1], order, context)
     x[pressure] += (rhs[nc] - m @ x[:nc]) / m[pressure].sum()
     _check_residual(_norm_ratio(_residual_extended(A, x, rhs), rhs), context)
     return x
@@ -441,8 +452,7 @@ def solve_compressible(mesh, order, params, f, g, bc_mode="weak",
     assemble = (assemble_weak_system if bc_mode == "weak"
                 else assemble_strong_system)
     system = assemble(space, params, f, g, dirichlet_sides, neumann=neumann)
-    x = _checked_solve(system.matrix, system.rhs,
-                       f"{bc_mode} compressible solve")
+    x = _checked_solve(system, f"{bc_mode} compressible solve")
     return DiscreteField(space, x), system
 
 
@@ -455,7 +465,7 @@ def solve_incompressible(mesh, order, params, f, g, nearly_lambda=None,
         dirichlet_sides=dirichlet_sides, bc_mode=bc_mode, neumann=neumann)
     context = f"{bc_mode} incompressible solve"
     if mixed.constraint_index is None:
-        x = _checked_solve(mixed.system.matrix, mixed.system.rhs, context)
+        x = _checked_solve(mixed.system, context)
     else:
         x = _pinned_mean_solve(mixed, mixed.system.rhs, context)
     uc, pc, mult = mixed.split(x)

@@ -7,6 +7,7 @@ unit tangent, and the index of the owning triangle.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -89,9 +90,19 @@ class Mesh:
         p = self.triangle_corners()
         return np.linalg.norm(np.roll(p, -1, axis=1) - p, axis=2)
 
+    @cached_property
+    def _diameters(self):
+        # cached_property writes the instance dict, which a frozen dataclass
+        # leaves open
+        h = self._triangle_edge_lengths().max(axis=1)
+        h.flags.writeable = False
+        return h
+
     def triangle_diameters(self):
-        """Longest edge per triangle (the element size h_K)."""
-        return self._triangle_edge_lengths().max(axis=1)
+        """Longest edge per triangle (the element size h_K), computed once
+        per mesh and returned read-only: a caller that writes into it
+        fails."""
+        return self._diameters
 
     def triangle_inradii(self):
         e0, e1, e2 = self._triangle_edge_lengths().T

@@ -57,15 +57,14 @@ def _jets(field, tables, Jinv, cells):
             grads[:, :, 1])
 
 
-def _block_errors(field, exact, tables, Jinv, cells, x):
-    """Values and x- and y-derivatives of field - exact at the cells'
-    points x, each (m, c, nq)."""
-    v, dx, dy = _jets(field, tables, Jinv, cells)
+def _exact_jets(exact, x):
+    """Values and x- and y-derivatives of an AnalyticField at the points x,
+    (m, nq, 2), each (m, c, nq)."""
     ev, eg = exact.jet(x[..., 0], x[..., 1])
-    ev = ev.reshape(v.shape[0], v.shape[2], -1)             # (m, nq, c)
-    eg = eg.reshape(ev.shape + (2,))                        # (m, nq, c, 2)
-    return (v - np.swapaxes(ev, 1, 2), dx - np.swapaxes(eg[..., 0], 1, 2),
-            dy - np.swapaxes(eg[..., 1], 1, 2))
+    m, nq = x.shape[:2]
+    eg = eg.reshape(m, nq, -1, 2)                           # (m, nq, c, 2)
+    return (np.swapaxes(ev.reshape(m, nq, -1), 1, 2),
+            np.swapaxes(eg[..., 0], 1, 2), np.swapaxes(eg[..., 1], 1, 2))
 
 
 def _boundary_values(u_h, bt):
@@ -82,18 +81,30 @@ def _interior_parts(tab, pairs):
     field - exact for each (field, exact) of pairs, rows in their order.
 
     The fields share one pass over the cell blocks, the tables' points and
-    the points' physical coordinates; each squared part is a dot product
-    with the weights |det J| w.  The divergence of a scalar field is 0."""
+    the points' physical coordinates, and exact fields that are parts of one
+    whole (AnalyticField.part) one evaluation of its jet per block; each
+    squared part is a dot product with the weights |det J| w.  The
+    divergence of a scalar field is 0."""
     h2 = tab.mesh.triangle_diameters() ** 2
     tables = [_jet_tables(field.space.order, tab.rule.points)
               for field, _ in pairs]
+    # the distinct fields to evaluate, and per pair (source index,
+    # components); AnalyticField compares by identity
+    wholes = [exact.whole or (exact, 0) for _, exact in pairs]
+    sources = list(dict.fromkeys(whole for whole, _ in wholes))
+    slots = [(sources.index(whole), slice(first, first + exact.components))
+             for (whole, first), (_, exact) in zip(wholes, pairs)]
     parts = np.zeros((len(pairs), 4))
     for cells in cell_chunks(tab.mesh):
         x = tab.physical_points(cells)
         w = tab.wdet[cells].ravel()
         wh = (tab.wdet[cells] * h2[cells][:, None]).ravel()
-        for row, (field, exact), jt in zip(parts, pairs, tables):
-            e, ex, ey = _block_errors(field, exact, jt, tab.Jinv, cells, x)
+        exact_jets = [_exact_jets(source, x) for source in sources]
+        for row, (field, _), jt, (k, comps) in zip(parts, pairs, tables,
+                                                   slots):
+            v, dx, dy = _jets(field, jt, tab.Jinv, cells)
+            ev, edx, edy = (a[:, comps] for a in exact_jets[k])
+            e, ex, ey = v - ev, dx - edx, dy - edy
             grad_sq = (ex * ex + ey * ey).sum(axis=1).ravel()
             row[0] += w @ (e * e).sum(axis=1).ravel()
             row[1] += w @ grad_sq

@@ -2,10 +2,21 @@
 
 Matrices are scipy CSR (sorted, duplicate-free column indices per row).
 Every sparse LU is made by ``_factor``: SuperLU in symmetric mode, which
-orders rows and columns alike by minimum degree on the pattern of A^T + A
-and pivots by threshold, keeping a diagonal pivot unless it falls below
-``PIVOT_THRESHOLD`` times the largest entry of its column.  The systems are
-nonsymmetric but their sparsity is symmetric, which this ordering exploits.
+orders rows and columns alike and pivots by threshold, keeping a diagonal
+pivot unless it falls below ``PIVOT_THRESHOLD`` times the largest entry of
+its column.  The systems are nonsymmetric but their sparsity is symmetric,
+which a symmetric ordering exploits.  A finite-element system is factored
+in its point order (``lu_solve``'s ``order``, ``FESpace.point_order``):
+minimum degree on the graph of the mesh points, each point's two or three
+unknowns numbered together.  On the square it stores 15-17% fewer entries
+than SuperLU's minimum degree on the pattern of A^T + A (P1 n=128 weak
+4.24M against 5.10M, the P1 n=96 pinned mixed core 4.78M against 5.75M),
+the P2 n=32 Cook mixed factor 2.54M against 3.01M, but the P1 n=128 Cook
+mixed factor 9.55M against 9.09M (+5%).  Part of the square's saving comes
+from the builders' row-major vertex numbering: under three random
+relabelings of the vertices the point order stores 2-5% fewer entries
+there, and on the P1 n=128 Cook mixed system from 1.7% fewer to 4.6% more.
+Without an order, SuperLU orders the pattern of A^T + A by minimum degree.
 
 ``lu_solve`` factors the equilibrated D A D without its cancellation
 residues: entries that are zero in exact arithmetic but stored at ~1e-17
@@ -13,9 +24,9 @@ where assembled terms cancel (the weak operator K + (B^T - B), the mixed
 blocks).  After scaling the largest residue on the benchmark's 22 solved
 systems is 8.1e-16 and the smallest genuine entry 3.5e-10; ordering and
 filling the residues as structural nonzeros cost the P1 n=128 Cook membrane
-mixed factor 10.43M entries instead of 9.09M.  It factors that copy in
-float32 first, which stores the factor's values in half the bytes at the
-same fill, and refines the solution in float64 with residuals of the
+mixed factor 10.43M entries instead of 9.09M in SuperLU's order.  It
+factors that copy in float32 first, which stores the factor's values in
+half the bytes at the same fill, and refines the solution in float64 with residuals of the
 assembled A formed in long double, so the solution is that of the assembled
 system and the factor of the perturbed, rounded copy only serves as an
 approximate inverse (Skeel, Math. Comp. 35, 1980; three-precision
@@ -43,11 +54,13 @@ EIG_TOL = 1e-10
 
 # Diagonal pivot threshold of every sparse LU (SuperLU's diag_pivot_thresh):
 # a diagonal pivot is kept while its magnitude is at least this fraction of
-# the largest in its column, so the minimum-degree order survives pivoting.
-# On the P2 Cook membrane mixed system at n=32 (nu=0.4999) the factor holds
-# 10.54M entries at 0.1 but 3.09M at 0.01, 2.39M at 0.001 and 2.32M at 0;
-# 0.01 keeps most of that fill saving with a margin against small pivots;
-# lu_solve's refinement repairs the accuracy that a small pivot costs.
+# the largest in its column, so the fill-reducing order survives pivoting.
+# On the P2 Cook membrane mixed system at n=32 (nu=0.4999) the float32
+# factor of the equilibrated copy holds 6.10M entries at 0.1 but 2.54M at
+# 0.01, 2.27M at 0.001 and 2.04M at 0 in its point order (6.92M, 3.01M,
+# 2.42M and 2.27M in SuperLU's minimum-degree order); 0.01 keeps most of
+# that fill saving with a margin against small pivots; lu_solve's
+# refinement repairs the accuracy that a small pivot costs.
 PIVOT_THRESHOLD = 0.01
 
 # Largest ratio of the largest to the smallest diagonal entry of a norm Gram
@@ -73,10 +86,12 @@ CANCELLATION_TOL = 1e-12
 # step that cuts the residual by less than REFINEMENT_MIN_GAIN: the target
 # can lie below the roundoff floor of x itself, where further steps gain a
 # few percent each.  On the P2 Cook membrane systems at n=32 and the P1
-# n=128 one, each of the first three steps from a float32 factor gains a
-# factor 180 to 3,600 and reaches the floor (1.5e-12 to 3.8e-12), where the
-# fourth gains at most 1.7; from a float64 factor the first step gains 3.7
-# to 8 and reaches the floor.
+# n=128 one, factored in their point order, each of the first three steps
+# from a float32 factor gains a factor 37 to 15,000; the floor (1.5e-12 to
+# 3.6e-12) is reached after three steps, or after a fourth that gains 4.3
+# on the P2 mixed system, and a step from the floor gains at most 1.01;
+# from a float64 factor the first step gains 3.3 to 11 and reaches the
+# floor.
 REFINEMENT_TARGET = 1e-13
 REFINEMENT_STEPS = 4
 REFINEMENT_MIN_GAIN = 2.0
@@ -84,12 +99,14 @@ REFINEMENT_MIN_GAIN = 2.0
 # Largest normwise backward error ||A x - b||_inf / (||A||_inf ||x||_inf +
 # ||b||_inf) at which lu_solve accepts a solution refined from a float32
 # factor, as LAPACK's DSGESV does; above it the system is factored in
-# float64.  The limit is the float64 machine epsilon, 2.2e-16.  The 22
-# systems the benchmark solves reach at most 8.7e-17 from float32 factors
-# (2 to 4 refinement steps).  Those that fall back reach at least 2.8e-16:
-# the Cook membrane compressible P1 systems at nu=0.4999 (2.8e-16 at n=8,
-# 2.4e-14 at n=16, whose relative residual is then 1.8e-7), the lambda=1e5
-# P2 n=8 weak square system (8.1e-15) and Hilbert(6) (2.8e-12).
+# float64.  The limit is the float64 machine epsilon, 2.2e-16.  In their
+# point order the 22 systems the benchmark solves reach at most 1.6e-16
+# from float32 factors (2 to 4 refinement steps; 8.7e-17 in SuperLU's
+# order).  Those that fall back reach at least 1.5e-15: the Cook membrane
+# compressible P1 system at nu=0.4999 and n=16 (2.6e-14, whose relative
+# residual is then 2.0e-7), the lambda=1e5 P2 n=8 weak square system
+# (1.5e-15) and Hilbert(6) (2.8e-12).  The n=8 Cook system, which fell
+# back at 2.8e-16 in SuperLU's order, reaches 1.7e-17 in its point order.
 BACKWARD_ERROR_LIMIT = float(np.finfo(float).eps)
 
 
@@ -137,42 +154,58 @@ def _norm_ratio(r, b):
     return float(scaled_norm(r) / (bnorm if bnorm > 0.0 else 1.0))
 
 
-def _factor(A, pivot_threshold=PIVOT_THRESHOLD):
+def _factor(A, pivot_threshold=PIVOT_THRESHOLD, permc_spec="MMD_AT_PLUS_A"):
     """SuperLU factorization of the square sparse A in symmetric mode, with
-    minimum-degree ordering of A^T + A (Liu, ACM TOMS 1985) and threshold
-    pivoting; RuntimeError on an exactly singular A.  The ordering depends
-    on the pattern alone, so repeated factorizations are identical."""
-    return spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A",
+    threshold pivoting, in the order permc_spec: by default minimum degree
+    on the pattern of A^T + A (Liu, ACM TOMS 1985), "NATURAL" for a matrix
+    already permuted into its elimination order.  RuntimeError on an
+    exactly singular A.  The ordering depends on the pattern alone, so
+    repeated factorizations are identical."""
+    return spla.splu(A.tocsc(), permc_spec=permc_spec,
                      diag_pivot_thresh=pivot_threshold,
                      options={"SymmetricMode": True})
 
 
-def _equilibrate(A):
-    """(D A D as CSC, d) with D = diag(d), d_i = 1/sqrt(max_j |A_ij|), and
-    the entries of D A D at most CANCELLATION_TOL in magnitude dropped."""
+def _equilibrate(A, order=slice(None)):
+    """(S^T A S as CSC, d) with S = D P: D = diag(d), d_i = 1/sqrt(max_j
+    |A_ij|), and P the permutation whose column k is unit vector order[k]
+    (the identity for the default slice), with the entries at most
+    CANCELLATION_TOL in magnitude dropped.  S^T A S is formed by the two
+    sparse products of D A D, each entry the same rounded products, so it is
+    D A D permuted bit for bit, and no permuted copy of A is made."""
     rowmax = np.asarray(abs(A).max(axis=1).todense()).ravel()
     rowmax[rowmax == 0.0] = 1.0
     d = 1.0 / np.sqrt(rowmax)
-    D = sp.diags(d)
-    As = (D @ A @ D).tocsc()
+    if isinstance(order, slice):
+        S = sp.diags(d)
+    else:
+        n = len(d)
+        S = sp.csr_matrix((d[order], (order, np.arange(n))), shape=(n, n))
+    As = (S.T @ A @ S).tocsc()
     As.data[np.abs(As.data) <= CANCELLATION_TOL] = 0.0
     As.eliminate_zeros()
     return As, d
 
 
-def _correction(factor, d, v, dtype):
-    """D (LU)^-1 D v as float64, D = diag(d), for the LU of the equilibrated
-    copy in dtype.  For a float64 factor v is rounded to float64 first.  For
-    a float32 factor D v is formed in long double and scaled by the power of
-    two that brings its largest magnitude into [0.5, 1) before its cast to
-    float32, and the solution is scaled back in long double, so that no cast
-    overflows and no tiny residual underflows in float64."""
+def _correction(factor, d, order, v, dtype):
+    """S (LU)^-1 S^T v as float64, S = D P as in _equilibrate, for the LU
+    of the equilibrated copy in dtype.  For a float64 factor v is rounded to
+    float64 first.  For a float32 factor S^T v is formed in long double and
+    scaled by the power of two that brings its largest magnitude into
+    [0.5, 1) before its cast to float32, and the solution is scaled back in
+    long double, so that no cast overflows and no tiny residual underflows
+    in float64."""
+    s = d[order]
     if dtype == np.float64:
-        return d * factor.solve(d * v.astype(float))
-    w = d * v.astype(np.longdouble)
-    _, exponent = np.frexp(np.abs(w).max(initial=0.0))
-    y = factor.solve(np.ldexp(w, -exponent).astype(dtype))
-    return (d * np.ldexp(y.astype(np.longdouble), exponent)).astype(float)
+        y = s * factor.solve(s * v[order].astype(float))
+    else:
+        w = s * v[order].astype(np.longdouble)
+        _, exponent = np.frexp(np.abs(w).max(initial=0.0))
+        y = factor.solve(np.ldexp(w, -exponent).astype(dtype))
+        y = (s * np.ldexp(y.astype(np.longdouble), exponent)).astype(float)
+    x = np.empty_like(y)
+    x[order] = y
+    return x
 
 
 def _inf_norm(A):
@@ -196,8 +229,9 @@ def _backward_error(anorm, x, b, r):
     return float(rnorm / (anorm * xnorm + bnorm))
 
 
-def _refined_solve(A, b, dtype, factor_times):
-    """Solve A x = b with an LU of the equilibrated copy of A cast to dtype,
+def _refined_solve(A, b, order, dtype, factor_times):
+    """Solve A x = b with an LU of the equilibrated copy of A in the
+    elimination order `order` (a slice: SuperLU's own) cast to dtype,
     refined against A with long-double residuals; returns (x, relative
     residual, backward error, fill, refinements).  Each factorization's
     seconds are appended to factor_times.  A singular factor or a
@@ -206,18 +240,19 @@ def _refined_solve(A, b, dtype, factor_times):
     # the assembled system then push the residual near roundoff.  Only A,
     # the copy in dtype and the factor are alive while it is factored.
     anorm = _inf_norm(A)
-    As, d = _equilibrate(A)
+    As, d = _equilibrate(A, order)
     As = As.astype(dtype, copy=False)
     t_factor = time.perf_counter()
     try:
-        factor = _factor(As)
+        factor = _factor(As, permc_spec="MMD_AT_PLUS_A"
+                         if isinstance(order, slice) else "NATURAL")
     except RuntimeError as exc:
         raise SingularSystemError(f"LU factorization failed: {exc}") from exc
     finally:
         factor_times.append(time.perf_counter() - t_factor)
     del As
 
-    x = _correction(factor, d, b, dtype)
+    x = _correction(factor, d, order, b, dtype)
     if not np.all(np.isfinite(x)):
         raise SingularSystemError("LU solve produced non-finite entries")
     A_ext = A.astype(np.longdouble)
@@ -241,7 +276,7 @@ def _refined_solve(A, b, dtype, factor_times):
         # like a step that does not reduce the residual
         if not np.all(np.abs(r) <= np.finfo(float).max):
             break
-        x_new = x + _correction(factor, d, r, dtype)
+        x_new = x + _correction(factor, d, order, r, dtype)
         r_new, res_new = true_res(x_new)
         if not res_new < res:
             break
@@ -254,9 +289,23 @@ def _refined_solve(A, b, dtype, factor_times):
             refinements)
 
 
-def lu_solve(matrix, rhs):
+def _check_order(order, n):
+    """order as an index array, or ValueError unless it is a permutation
+    of range(n)."""
+    order = np.asarray(order)
+    if (order.shape != (n,) or not np.issubdtype(order.dtype, np.integer)
+            or not np.array_equal(np.sort(order), np.arange(n))):
+        raise ValueError(f"order is not a permutation of range({n})")
+    return order
+
+
+def lu_solve(matrix, rhs, order=None):
     """Direct solve of a square sparse system; returns (x, SolveReport).
 
+    order, a permutation of range(n), is the elimination order of the
+    unknowns: the equilibrated copy is factored in that order, and x, the
+    residuals and the report stay in the system's own numbering.  Without
+    it SuperLU orders the copy by minimum degree.
     The solution refined from a float32 factor is accepted when its backward
     error is at most BACKWARD_ERROR_LIMIT.  Otherwise (a singular float32
     factor, a non-finite solution or a larger backward error) that factor is
@@ -267,19 +316,22 @@ def lu_solve(matrix, rhs):
     if n != m:
         raise ValueError("matrix must be square")
     b = np.asarray(rhs, dtype=float)
+    if b.shape != (n,):
+        raise ValueError(f"rhs of shape {b.shape} for a matrix of size {n}")
+    order = slice(None) if order is None else _check_order(order, n)
     t0 = time.perf_counter()
     factor_times = []
     try:
         # the float32 attempt's overflows and underflows are either harmless
         # or lead to its rejection, not worth a warning or an error
         with np.errstate(all="ignore"):
-            solved = _refined_solve(A, b, np.float32, factor_times)
+            solved = _refined_solve(A, b, order, np.float32, factor_times)
     except SingularSystemError:
         solved = None
     precision = "single"
     if solved is None or not solved[2] <= BACKWARD_ERROR_LIMIT:
         # the float32 factor was freed when its attempt returned or raised
-        solved = _refined_solve(A, b, np.float64, factor_times)
+        solved = _refined_solve(A, b, order, np.float64, factor_times)
         precision = "double"
     x, res, backward_error, fill, refinements = solved
     return x, SolveReport(residual_norm=float(res),

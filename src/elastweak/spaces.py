@@ -3,13 +3,17 @@
 Degrees of freedom are nodal: vertex values for P1, vertex plus edge-midpoint
 values for P2.  Scalar DOFs are numbered vertices first (mesh order), then
 edges in lexicographic order of their sorted endpoint indices.  Vector spaces
-interleave components per node: scalar DOF d becomes (2d, 2d+1).
+interleave components per node: scalar DOF d becomes (2d, 2d+1).  A point
+is a scalar DOF's location; ``FESpace.point_order`` is the order in which a
+sparse LU eliminates the points.
 """
 
 from functools import lru_cache
 from types import SimpleNamespace
 
 import numpy as np
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from .quadrature import edge_rule, triangle_rule
 
@@ -156,6 +160,7 @@ class FESpace:
 
         self._geometry = None
         self._boundary_cache = {}
+        self._point_order = None
 
     # -- geometry -----------------------------------------------------------
 
@@ -172,6 +177,40 @@ class FESpace:
             Jinv[:, 1, 1] = J[:, 0, 0] / detJ
             self._geometry = (J, Jinv, detJ)
         return self._geometry
+
+    def point_order(self):
+        """Elimination order of the scalar DOFs (the points), cached: the
+        minimum-degree order (Liu, ACM TOMS 1985) of the graph that joins
+        two points when a cell holds both, as SuperLU's MMD on A^T + A
+        orders it.  Unknowns at one point share their couplings, so a
+        system's elimination order numbers them together, point by point
+        (a compressed graph: Ashcraft, SIAM J. Sci. Comput. 1995).
+
+        The graph is the incidence product I^T I of cells and points, made
+        strictly diagonally dominant so that an incomplete LU that drops
+        every entry keeps each diagonal pivot; that LU's column order is
+        splu's and costs a fraction of a full factorization.  perm_c[s] is
+        the step at which point s is eliminated, so the order is its
+        inverse permutation."""
+        if self._point_order is None:
+            cells = self.cell_dofs
+            if self.components == 2:
+                cells = cells[:, 0::2] // 2
+            nt, nloc = cells.shape
+            incidence = sp.csr_matrix(
+                (np.ones(cells.size), cells.ravel(),
+                 np.arange(0, cells.size + 1, nloc)),
+                shape=(nt, self.scalar_dof_count))
+            graph = (incidence.T @ incidence).tocsc()
+            graph += sp.diags(np.asarray(graph.sum(axis=1)).ravel())
+            perm_c = spla.spilu(graph, drop_tol=np.inf, fill_factor=1,
+                                permc_spec="MMD_AT_PLUS_A",
+                                diag_pivot_thresh=0.0,
+                                options={"SymmetricMode": True}).perm_c
+            order = np.argsort(perm_c)
+            order.flags.writeable = False
+            self._point_order = order
+        return self._point_order
 
     def scalar_side_dofs(self, side_tag):
         """Scalar DOFs supported on the boundary side `side_tag`."""
@@ -310,18 +349,38 @@ class AnalyticField:
     """A closed-form scalar or vector field with an optional derivative.
 
     value(x, y) is vectorized: scalar fields return an array shaped like x,
-    vector fields return shape x.shape + (2,).  jet(x, y), the only
-    derivative, returns (value(x, y), gradient) in one call, the gradient
-    of shape x.shape + (2,) for scalars and x.shape + (2, 2) for vectors
-    with entry [i, j] = d u_i / d x_j; the two may share work, such as
-    common powers or sines.  A field built without a jet raises
-    ValueError where a derivative is needed.
+    fields of c > 1 components return shape x.shape + (c,).  jet(x, y), the
+    only derivative, returns (value(x, y), gradient) in one call, the
+    gradient of shape x.shape + (2,) for scalars and x.shape + (c, 2)
+    otherwise, with entry [i, j] = d u_i / d x_j; the two may share work,
+    such as common powers or sines.  A field built without a jet raises
+    ValueError where a derivative is needed.  A field made by part() keeps
+    in `whole` the field and first component it was taken from, so that a
+    caller that needs several parts at one set of points can evaluate the
+    whole once.
     """
 
     def __init__(self, value, jet=None, components=1):
         self.value = value
         self.components = components
         self.jet = _no_jet if jet is None else jet
+        self.whole = None
+
+    def part(self, first, components, value=None):
+        """Components first to first + components - 1 as a field of their
+        own, whose jet slices this field's jet; value defaults to a slice of
+        this field's value."""
+        index = first if components == 1 else slice(first, first + components)
+
+        def jet(x, y):
+            v, g = self.jet(x, y)
+            return v[..., index], g[..., index, :]
+
+        if value is None:
+            value = lambda x, y: self.value(x, y)[..., index]
+        out = AnalyticField(value, jet, components)
+        out.whole = (self, first)
+        return out
 
     @classmethod
     def scalar(cls, value, jet=None):

@@ -127,6 +127,19 @@ def test_shape_regularity_bounds():
     assert q.h_min <= q.h_max
 
 
+def test_triangle_diameters_are_computed_once_and_read_only():
+    mesh = build_cook_mesh(3)
+    h = mesh.triangle_diameters()
+    assert mesh.triangle_diameters() is h
+    assert not h.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        h[0] = 1.0
+    p = mesh.vertices[mesh.triangles]
+    longest = np.max([np.hypot(*(p[:, (i + 1) % 3] - p[:, i]).T)
+                      for i in range(3)], axis=0)
+    np.testing.assert_allclose(h, longest, rtol=1e-15, atol=0.0)
+
+
 def test_equilateral_triangle_regularity():
     from elastweak.mesh import Mesh
     verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, math.sqrt(3) / 2]])

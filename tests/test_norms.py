@@ -621,6 +621,33 @@ def test_one_pass_mixed_error_matches_separate_parts(order):
         alone.triple_norm_error ** 2 + pressure[3] / pars.mu, rel=1e-14)
 
 
+def test_mixed_error_pass_evaluates_each_sine_once_per_block(monkeypatch):
+    # the manufactured velocity and pressure are parts of one field, whose
+    # jet the error pass evaluates once per cell block
+    from elastweak.experiments import manufactured_incompressible
+    from elastweak.spaces import cell_chunks
+    pars = MaterialParams(mu=1.0, gamma=0.1)
+    data = manufactured_incompressible(pars)
+    mesh = build_unit_square_mesh(24)
+    blocks = len(list(cell_chunks(mesh)))
+    assert blocks == 3
+    V, Q = FESpace(mesh, 1, 2), FESpace(mesh, 1, 1)
+    u_h = DiscreteField(V, np.zeros(V.dof_count))
+    p_h = DiscreteField(Q, np.zeros(Q.dof_count))
+    calls = []
+    sin = np.sin
+
+    def counted(*args, **kwargs):
+        calls.append(np.shape(args[0]))
+        return sin(*args, **kwargs)
+
+    monkeypatch.setattr(np, "sin", counted)
+    error_norms(u_h, data.exact_u, pars, p_h, data.exact_p)
+    # sin(4 pi x) and sin(4 pi y): once per cell block and once for the
+    # boundary trace of the velocity
+    assert len(calls) == 2 * (blocks + 1)
+
+
 def test_error_norms_reject_pressure_on_another_mesh():
     V = FESpace(build_unit_square_mesh(2), 1, 2)
     Q = FESpace(build_unit_square_mesh(2), 1, 1)

@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 import weakref
 
@@ -7,8 +8,10 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from elastweak.compressible import MaterialParams, assemble_weak_system
-from elastweak.experiments import (manufactured_compressible,
+from elastweak.compressible import (MaterialParams, assemble_strong_system,
+                                    assemble_weak_system)
+from elastweak.experiments import (_pinned_mean_solve,
+                                   manufactured_compressible,
                                    manufactured_incompressible)
 from elastweak.incompressible import assemble_incompressible_system
 from elastweak.mesh import build_cook_mesh, build_unit_square_mesh
@@ -378,15 +381,141 @@ def test_norm_ratio_scales_before_squaring(r, b, want):
         want, rel=1e-15, nan_ok=True)
 
 
+def _square_weak_p1_point_order(n):
+    """The P1 weak square system, factored in its point order."""
+    return _square_weak_p1(n)
+
+
 @pytest.mark.parametrize("build, n", [(_square_weak_p1, 32),
-                                      (_cook_mixed_p1, 16)])
+                                      (_cook_mixed_p1, 16),
+                                      (_square_weak_p1_point_order, 32)])
 def test_fill_below_default_ordering(build, n):
+    # fill is deterministic: SuperLU's minimum degree on A^T + A stores
+    # fewer entries than splu's default column order, and the point order
+    # fewer than SuperLU's minimum degree on the square
     system = build(n)
     b = np.ones(system.matrix.shape[0])
-    _, report = lu_solve(system.matrix, b)
-    As, _ = _equilibrate(system.matrix.tocsr())
-    assert report.fill < spla.splu(As).nnz
+    if build is _square_weak_p1_point_order:
+        _, report = lu_solve(system.matrix, b, system.order)
+        reference = lu_solve(system.matrix, b)[1].fill
+    else:
+        _, report = lu_solve(system.matrix, b)
+        reference = spla.splu(_equilibrate(system.matrix.tocsr())[0]).nnz
+    assert report.fill < reference
     assert report.residual_norm <= 1e-8
+
+
+def _square_compressible(assemble, order, n):
+    params = MaterialParams(1.0, 1.0)
+    data = manufactured_compressible(params)
+    return assemble(FESpace(build_unit_square_mesh(n), order, 2), params,
+                    data.f, data.g)
+
+
+def _relative_difference(x, ref):
+    return np.abs(x - ref).max() / np.abs(ref).max()
+
+
+@pytest.mark.parametrize("order, n", [(1, 16), (2, 8)])
+@pytest.mark.parametrize("assemble", [assemble_weak_system,
+                                      assemble_strong_system])
+def test_point_order_solve_matches_default_order(monkeypatch, assemble,
+                                                 order, n):
+    system = _square_compressible(assemble, order, n)
+    exact_factor = solvers._factor
+    orders = []
+
+    def factor(As, **kw):
+        orders.append(kw["permc_spec"])
+        return exact_factor(As, **kw)
+
+    monkeypatch.setattr(solvers, "_factor", factor)
+    x, report = lu_solve(system.matrix, system.rhs, system.order)
+    x0, report0 = lu_solve(system.matrix, system.rhs)
+    assert orders == ["NATURAL", "MMD_AT_PLUS_A"]
+    assert report.precision == report0.precision == "single"
+    assert report.residual_norm <= 1e-13
+    assert _relative_difference(x, x0) <= 1e-12
+
+
+def test_point_order_solve_matches_default_order_on_cook_mixed():
+    system = _cook_mixed_p1(8)
+    b = np.random.default_rng(7).standard_normal(system.dof_count)
+    x, report = lu_solve(system.matrix, b, system.order)
+    x0, _ = lu_solve(system.matrix, b)
+    assert report.residual_norm <= 1e-13
+    assert _relative_difference(x, x0) <= 1e-12
+
+
+@pytest.mark.parametrize("order, n", [(1, 8), (2, 4)])
+def test_pinned_mean_solve_in_point_order_matches_default_order(order, n):
+    params = MaterialParams(1.0, 1.0, gamma=0.1)
+    data = manufactured_incompressible(params)
+    mesh = build_unit_square_mesh(n)
+    mixed = assemble_incompressible_system(
+        FESpace(mesh, order, 2), FESpace(mesh, order, 1), params, data.f,
+        data.g)
+    assert mixed.constraint_index is not None
+    unordered = dataclasses.replace(
+        mixed, system=dataclasses.replace(mixed.system, order=None))
+    rhs = mixed.system.rhs
+    x = _pinned_mean_solve(mixed, rhs, "point order")
+    x0 = _pinned_mean_solve(unordered, rhs, "default order")
+    assert _relative_difference(x, x0) <= 1e-12
+
+
+@pytest.mark.parametrize("build", [_square_weak_p1, _square_mixed_p1,
+                                   _cook_mixed_p1, _cook_compressible_p2])
+def test_system_orders_number_each_point_together(build):
+    system = build(4)
+    n, order = system.dof_count, system.order
+    assert np.array_equal(np.sort(order), np.arange(n))
+    if build in (_square_weak_p1, _cook_compressible_p2):
+        assert np.array_equal(order[1::2], order[0::2] + 1)
+        return
+    # velocity pair and pressure per point; the bordered square system's
+    # multiplier comes last
+    nv = 2 * ((n - 1) // 3 if build is _square_mixed_p1 else n // 3)
+    blocks = order[:3 * (nv // 2)].reshape(-1, 3)
+    assert np.array_equal(blocks[:, 1], blocks[:, 0] + 1)
+    assert np.array_equal(blocks[:, 2], nv + blocks[:, 0] // 2)
+    if build is _square_mixed_p1:
+        assert order[-1] == n - 1
+
+
+def test_ordered_equilibrated_copy_is_the_permuted_one():
+    system = _cook_mixed_p1(8)
+    A, order = system.matrix.tocsr(), system.order
+    As, d = _equilibrate(A)
+    Ap, d_ordered = _equilibrate(A, order)
+    assert d_ordered.tobytes() == d.tobytes()
+    want = As.tocsr()[order][:, order]
+    got = Ap.tocsr()
+    want.sort_indices()
+    got.sort_indices()
+    assert np.array_equal(got.indptr, want.indptr)
+    assert np.array_equal(got.indices, want.indices)
+    assert got.data.tobytes() == want.data.tobytes()
+    # and the default copy is D A D's, bit for bit
+    D = sp.diags(d)
+    scaled = (D @ A @ D).tocsc()
+    scaled.data[np.abs(scaled.data) <= CANCELLATION_TOL] = 0.0
+    scaled.eliminate_zeros()
+    assert As.data.tobytes() == scaled.data.tobytes()
+    assert np.array_equal(As.indices, scaled.indices)
+
+
+@pytest.mark.parametrize("order", [[0, 0, 1], [0, 1], [0, 1, 3], [-1, 0, 1],
+                                   [2.0, 0.0, 1.0], [[0, 1, 2]]])
+def test_order_must_be_a_permutation(order):
+    with pytest.raises(ValueError, match="not a permutation of range"):
+        lu_solve(sp.identity(3, format="csr"), np.ones(3), order)
+
+
+@pytest.mark.parametrize("order", [None, [2, 0, 1]])
+def test_rhs_of_the_wrong_length_is_rejected(order):
+    with pytest.raises(ValueError, match="rhs of shape"):
+        lu_solve(sp.identity(3, format="csr"), np.ones(4), order)
 
 
 def _double_only(monkeypatch, A, b):

@@ -16,6 +16,22 @@ def test_dof_counts_minimal_mesh():
     assert FESpace(mesh, 1, 2).dof_count == 8
 
 
+@pytest.mark.parametrize("build", [build_unit_square_mesh, build_cook_mesh])
+@pytest.mark.parametrize("order", [1, 2])
+def test_point_order_is_a_repeatable_permutation(build, order):
+    V = FESpace(build(6), order, 2)
+    points = V.point_order()
+    assert np.array_equal(np.sort(points), np.arange(V.scalar_dof_count))
+    # cached and read-only
+    assert V.point_order() is points
+    assert not points.flags.writeable
+    # the scalar space on the mesh has the same points, and a new mesh and
+    # space give the same order
+    assert np.array_equal(FESpace(V.mesh, order, 1).point_order(), points)
+    again = FESpace(build(6), order, 2).point_order()
+    assert again.tobytes() == points.tobytes()
+
+
 def test_dof_count_formula():
     mesh = build_unit_square_mesh(4)
     V, E = mesh.num_vertices, len(unique_edges(mesh))
