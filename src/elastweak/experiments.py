@@ -49,6 +49,16 @@ class ProblemData:
     exact_p: AnalyticField = None
 
 
+def _affine_times(out, t, a, b, *factors):
+    """out = (a t - b) times each of factors in turn, computed in place in
+    the array out."""
+    np.multiply(t, a, out=out)
+    out -= b
+    for factor in factors:
+        out *= factor
+    return out
+
+
 def manufactured_compressible(params):
     """Polynomial displacement field vanishing on the unit-square boundary.
 
@@ -58,48 +68,55 @@ def manufactured_compressible(params):
     """
     mu, lam = params.mu, params.lam
 
-    # factor names mirror the product structure of the solution; each is a
-    # monomial times a linear factor, multiplied out without np.power
-    A = lambda x: x * x * x * x * (x - 1)
-    dA = lambda x: x * x * x * (5 * x - 4)
-    d2A = lambda x: x * x * (20 * x - 12)
-    B = lambda y: y * y * (y - 1)
-    dB = lambda y: y * (3 * y - 2)
-    d2B = lambda y: 6 * y - 2
-    C = lambda x: x * x * x * (x - 1)
-    dC = lambda x: x * x * (4 * x - 3)
-    d2C = lambda x: x * (12 * x - 6)
-    D = lambda y: y * y * y * y * y * (y - 1)
-    dD = lambda y: y * y * y * y * (6 * y - 5)
-    d2D = lambda y: y * y * y * (30 * y - 20)
-
-    def jet(x, y):
-        # the factors above and their first derivatives from one set of
-        # powers
+    # u_0 = A(x) B(y) and u_1 = C(x) D(y) with A = x^4 (x - 1),
+    # B = y^2 (y - 1), C = x^3 (x - 1) and D = y^5 (y - 1).  Each derivative
+    # of a factor is a power times a linear factor.  The jet and the force
+    # multiply them out from one set of powers per call, without np.power,
+    # and write each component in place into its own contiguous plane
+    # (indexed with [..., ], a view also of a 0-d plane), returned as
+    # component-last views.
+    def powers(x, y):
         x2 = x * x
         x3 = x2 * x
+        y2 = y * y
+        y3 = y2 * y
         xm1, ym1 = x - 1, y - 1
-        y4 = y * y * y * y
-        Ax, Cx = x3 * x * xm1, x3 * xm1
-        By, Dy = y * y * ym1, y4 * y * ym1
-        v = np.empty(np.shape(x) + (2,))
-        v[..., 0] = Ax * By
-        v[..., 1] = Cx * Dy
-        g = np.empty(np.shape(x) + (2, 2))
-        g[..., 0, 0] = x3 * (5 * x - 4) * By
-        g[..., 0, 1] = Ax * (y * (3 * y - 2))
-        g[..., 1, 0] = x2 * (4 * x - 3) * Dy
-        g[..., 1, 1] = Cx * (y4 * (6 * y - 5))
-        return v, g
+        return x2, x3, y2, y3, y3 * y, xm1, ym1
+
+    def jet(x, y):
+        x2, x3, y2, _, y4, xm1, ym1 = powers(x, y)
+        A, C = x3 * x * xm1, x3 * xm1
+        B, D = y2 * ym1, y4 * y * ym1
+        v = np.empty((2,) + np.shape(x))
+        np.multiply(A, B, out=v[0, ...])
+        np.multiply(C, D, out=v[1, ...])
+        g = np.empty((2, 2) + np.shape(x))
+        _affine_times(g[0, 0, ...], x, 5, 4, x3, B)     # A' B
+        _affine_times(g[0, 1, ...], y, 3, 2, y, A)      # A B'
+        _affine_times(g[1, 0, ...], x, 4, 3, x2, D)     # C' D
+        _affine_times(g[1, 1, ...], y, 6, 5, y4, C)     # C D'
+        return np.moveaxis(v, 0, -1), np.moveaxis(g, (0, 1), (-2, -1))
+
+    # f = -div(2 mu eps(u) + lam div(u) I), regrouped by factor:
+    # f_0 = -(2 mu + lam) A'' B - mu A B'' - (mu + lam) C' D',
+    # f_1 = -mu C'' D - (2 mu + lam) C D'' - (mu + lam) A' B',
+    # each coefficient folded into the linear factor of one derivative
+    a, b, c = -(2 * mu + lam), -mu, -(mu + lam)
 
     def force(x, y):
-        lap1 = d2A(x) * B(y) + A(x) * d2B(y)
-        lap2 = d2C(x) * D(y) + C(x) * d2D(y)
-        ddiv_dx = d2A(x) * B(y) + dC(x) * dD(y)
-        ddiv_dy = dA(x) * dB(y) + C(x) * d2D(y)
-        f1 = -mu * lap1 - (mu + lam) * ddiv_dx
-        f2 = -mu * lap2 - (mu + lam) * ddiv_dy
-        return np.stack([f1, f2], axis=-1)
+        x2, x3, y2, y3, y4, xm1, ym1 = powers(x, y)
+        # the two component planes, then two for intermediate factors
+        f = np.empty((4,) + np.shape(x))
+        f0, f1, t, s = (f[i, ...] for i in range(4))
+        _affine_times(f0, x, 20 * a, 12 * a, x2, y2 * ym1)
+        f0 += _affine_times(t, y, 6 * b, 2 * b, x3 * x * xm1)
+        f0 += _affine_times(t, x, 4 * c, 3 * c, x2,
+                            _affine_times(s, y, 6, 5, y4))
+        _affine_times(f1, x, 12 * b, 6 * b, x, y4 * y * ym1)
+        f1 += _affine_times(t, y, 30 * a, 20 * a, y3, x3 * xm1)
+        f1 += _affine_times(t, x, 5, 4, x3,
+                            _affine_times(s, y, 3 * c, 2 * c, y))
+        return np.moveaxis(f[:2], 0, -1)
 
     return ProblemData(
         f=AnalyticField.vector(force),
@@ -272,11 +289,15 @@ _CHOICES = {
 
 @dataclass
 class ExperimentConfig:
+    """One sweep's settings.  The material is given either by the Lame
+    parameters mu and lam (each 1.0 when not given) or by young and
+    poisson, from which mu and lam are then set; giving both is an error."""
+
     problem: str = "compressible"
     order: int = 1
     mesh_sizes: tuple = None
-    mu: float = 1.0
-    lam: float = 1.0
+    mu: float = None
+    lam: float = None
     gamma: float = 0.1
     young: float = None
     poisson: float = None
@@ -293,9 +314,16 @@ class ExperimentConfig:
                 raise ValueError(f"unknown {name} {getattr(self, name)!r}; "
                                  f"expected one of {known}")
         if self.young is not None or self.poisson is not None:
+            if self.mu is not None or self.lam is not None:
+                raise ValueError("mu or lam given with young and poisson; "
+                                 "give the Lame parameters or young and "
+                                 "poisson, not both")
             pars = MaterialParams.from_young_poisson(self.young, self.poisson,
                                                      gamma=self.gamma)
             self.mu, self.lam = pars.mu, pars.lam
+        else:
+            self.mu = 1.0 if self.mu is None else self.mu
+            self.lam = 1.0 if self.lam is None else self.lam
         if self.mesh_sizes is None:
             self.mesh_sizes = (8, 16, 32, 64) if self.order == 1 else (4, 8, 16, 32)
         for n in self.mesh_sizes:

@@ -39,32 +39,35 @@ def _jet_tables(order, points):
     return N.T.copy(), dN.reshape(len(points), -1).T.copy()
 
 
-def _jets(field, tables, Jinv, cells):
-    """Values and x- and y-derivatives of a field at the cells' points, each
-    (m, c, nq) with c the field's components.  The values are one product
-    of the cell coefficients with N^T, the derivatives one product of the
-    coefficients folded with Jinv, G[m, c, a, i, p] = coef[m, i, c]
-    Jinv[m, p, a], with the reference derivatives."""
+def _jets(field, tables, Jinv, cells, out):
+    """Values and x- and y-derivatives of a field with c components at the
+    cells' points, written as component-major planes into the first 3 c
+    rows of out, (rows, m, nq): row i the values of component i, row
+    c + 2 i + a the derivative of component i in x_a.  The values are one
+    product of the cell coefficients with N^T, the derivatives one product
+    of the coefficients folded with Jinv, G[i, a, m, j, p] = coef[i, m, j]
+    Jinv[m, p, a], with the reference derivatives.  Returns out."""
     NT, dNT = tables
     coef = field.cell_coefficients(cells)
     m, nsb = coef.shape[:2]
-    coef = np.swapaxes(coef.reshape(m, nsb, -1), 1, 2)      # (m, c, i)
-    nc = coef.shape[1]
-    Jt = np.swapaxes(Jinv[cells], 1, 2)                     # (m, a, p)
-    G = coef[:, :, None, :, None] * Jt[:, None, :, None, :]
-    grads = (G.reshape(-1, 2 * nsb) @ dNT).reshape(m, nc, 2, -1)
-    return ((coef.reshape(-1, nsb) @ NT).reshape(m, nc, -1), grads[:, :, 0],
-            grads[:, :, 1])
+    coef = np.moveaxis(coef.reshape(m, nsb, -1), 2, 0)      # (c, m, j)
+    nc, nq = len(coef), NT.shape[1]
+    Jt = np.transpose(Jinv[cells], (2, 0, 1))               # (a, m, p)
+    G = coef[:, None, :, :, None] * Jt[None, :, :, None, :]
+    np.matmul(coef.reshape(-1, nsb), NT, out=out[:nc].reshape(-1, nq))
+    np.matmul(G.reshape(-1, 2 * nsb), dNT,
+              out=out[nc:3 * nc].reshape(-1, nq))
+    return out
 
 
 def _exact_jets(exact, x):
-    """Values and x- and y-derivatives of an AnalyticField at the points x,
-    (m, nq, 2), each (m, c, nq)."""
+    """Values (c, m, nq) and gradients (c, 2, m, nq) of an AnalyticField at
+    the points x, (m, nq, 2): views of the jet's component planes, with no
+    copy of a jet that returns component-last views of them."""
     ev, eg = exact.jet(x[..., 0], x[..., 1])
     m, nq = x.shape[:2]
-    eg = eg.reshape(m, nq, -1, 2)                           # (m, nq, c, 2)
-    return (np.swapaxes(ev.reshape(m, nq, -1), 1, 2),
-            np.swapaxes(eg[..., 0], 1, 2), np.swapaxes(eg[..., 1], 1, 2))
+    return (np.moveaxis(ev.reshape(m, nq, -1), 2, 0),
+            np.moveaxis(eg.reshape(m, nq, -1, 2), (2, 3), (0, 1)))
 
 
 def _boundary_values(u_h, bt):
@@ -80,12 +83,16 @@ def _interior_parts(tab, pairs):
     """Squared (L2, gradient, divergence, h-weighted gradient) norms of
     field - exact for each (field, exact) of pairs, rows in their order.
 
-    The fields share one pass over the cell blocks, the tables' points and
-    the points' physical coordinates, and exact fields that are parts of one
-    whole (AnalyticField.part) one evaluation of its jet per block; each
-    squared part is a dot product with the weights |det J| w.  The
-    divergence of a scalar field is 0."""
+    The fields share one pass over the cell blocks, the tables' points, the
+    points' physical coordinates and the weight columns [|det J| w,
+    |det J| w h_K^2]; exact fields that are parts of one whole
+    (AnalyticField.part) share one evaluation of its jet per block.  Per
+    block and field the error values and derivatives are component planes
+    (_jets' rows, plus the divergence of a vector field), squared in place
+    and contracted with both weight columns in one product; each part is a
+    sum of its rows.  The divergence of a scalar field is 0."""
     h2 = tab.mesh.triangle_diameters() ** 2
+    nq = tab.rule.num_points
     tables = [_jet_tables(field.space.order, tab.rule.points)
               for field, _ in pairs]
     # the distinct fields to evaluate, and per pair (source index,
@@ -97,21 +104,30 @@ def _interior_parts(tab, pairs):
     parts = np.zeros((len(pairs), 4))
     for cells in cell_chunks(tab.mesh):
         x = tab.physical_points(cells)
-        w = tab.wdet[cells].ravel()
-        wh = (tab.wdet[cells] * h2[cells][:, None]).ravel()
+        m = len(x)
+        weights = np.empty((2, m, nq))
+        weights[0] = tab.wdet[cells]
+        np.multiply(weights[0], h2[cells][:, None], out=weights[1])
         exact_jets = [_exact_jets(source, x) for source in sources]
         for row, (field, _), jt, (k, comps) in zip(parts, pairs, tables,
                                                    slots):
-            v, dx, dy = _jets(field, jt, tab.Jinv, cells)
-            ev, edx, edy = (a[:, comps] for a in exact_jets[k])
-            e, ex, ey = v - ev, dx - edx, dy - edy
-            grad_sq = (ex * ex + ey * ey).sum(axis=1).ravel()
-            row[0] += w @ (e * e).sum(axis=1).ravel()
-            row[1] += w @ grad_sq
-            row[3] += wh @ grad_sq
-            if e.shape[1] == 2:
-                div = ex[:, 0] + ey[:, 1]
-                row[2] += w @ (div * div).ravel()
+            nc = field.space.components
+            vector = nc == 2
+            e = _jets(field, jt, tab.Jinv, cells,
+                      np.empty((3 * nc + vector, m, nq)))
+            ev, eg = exact_jets[k]
+            np.subtract(e[:nc], ev[comps], out=e[:nc])
+            grads = e[nc:3 * nc].reshape(nc, 2, m, nq)
+            np.subtract(grads, eg[comps], out=grads)
+            if vector:
+                np.add(grads[0, 0], grads[1, 1], out=e[-1])
+            np.square(e, out=e)
+            sums = e.reshape(len(e), -1) @ weights.reshape(2, -1).T
+            row[0] += sums[:nc, 0].sum()
+            row[1] += sums[nc:3 * nc, 0].sum()
+            row[3] += sums[nc:3 * nc, 1].sum()
+            if vector:
+                row[2] += sums[-1, 0]
     return parts
 
 

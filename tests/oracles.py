@@ -1,6 +1,8 @@
 """Reference checks of the discretisation that only the tests run: Galerkin
-orthogonality residuals, pointwise triple norms, the side-mean boundary
-seminorm and the rigid-motion Gram behind the Korn assumption.
+orthogonality residuals, pointwise triple norms, per-point error sums, the
+side-mean boundary seminorm, the rigid-motion Gram behind the Korn
+assumption and the compressible manufactured field as a product of
+univariate factors.
 
 The norms evaluate analytic fields (with an explicit mesh) as well as
 discrete ones, at any quadrature degree, with their own pointwise
@@ -17,6 +19,47 @@ from elastweak.incompressible import (_mixed_load, _mixed_operator,
                                       _pressure_flux_load)
 from elastweak.norms import ERROR_DEGREE, SIDE_MEAN_DEGREE
 from elastweak.spaces import AnalyticField, DiscreteField, FESpace, cell_chunks
+
+# -- the compressible manufactured field --------------------------------------
+
+
+def compressible_field_reference(params):
+    """(force, jet) of experiments.manufactured_compressible, each entry a
+    product of univariate factors evaluated on its own: the force as
+    -mu lap u - (mu + lam) grad div u, and the jet's value and gradient
+    stacked component-last."""
+    mu, lam = params.mu, params.lam
+    A = lambda x: x * x * x * x * (x - 1)
+    dA = lambda x: x * x * x * (5 * x - 4)
+    d2A = lambda x: x * x * (20 * x - 12)
+    B = lambda y: y * y * (y - 1)
+    dB = lambda y: y * (3 * y - 2)
+    d2B = lambda y: 6 * y - 2
+    C = lambda x: x * x * x * (x - 1)
+    dC = lambda x: x * x * (4 * x - 3)
+    d2C = lambda x: x * (12 * x - 6)
+    D = lambda y: y * y * y * y * y * (y - 1)
+    dD = lambda y: y * y * y * y * (6 * y - 5)
+    d2D = lambda y: y * y * y * (30 * y - 20)
+
+    def force(x, y):
+        lap1 = d2A(x) * B(y) + A(x) * d2B(y)
+        lap2 = d2C(x) * D(y) + C(x) * d2D(y)
+        ddiv_dx = d2A(x) * B(y) + dC(x) * dD(y)
+        ddiv_dy = dA(x) * dB(y) + C(x) * d2D(y)
+        f1 = -mu * lap1 - (mu + lam) * ddiv_dx
+        f2 = -mu * lap2 - (mu + lam) * ddiv_dy
+        return np.stack([f1, f2], axis=-1)
+
+    def jet(x, y):
+        value = np.stack([A(x) * B(y), C(x) * D(y)], axis=-1)
+        gradient = np.stack([np.stack([dA(x) * B(y), A(x) * dB(y)], axis=-1),
+                             np.stack([dC(x) * D(y), C(x) * dD(y)], axis=-1)],
+                            axis=-2)
+        return value, gradient
+
+    return force, jet
+
 
 # -- pointwise field evaluation -----------------------------------------------
 
@@ -110,6 +153,37 @@ def triple_norm_incompressible(vfield, pfield, params, degree=ERROR_DEGREE,
     g2, _, t2, _ = _vector_parts(vfield, degree, mesh)
     rho2 = _pressure_h2_grad_sq(pfield, degree, mesh)
     return float(np.sqrt(params.mu * (g2 + t2) + rho2 / params.mu))
+
+
+# -- per-point error sums -----------------------------------------------------
+
+
+def interior_error_parts(field, exact, degree=ERROR_DEGREE):
+    """Squared (L2, gradient, divergence, h-weighted gradient) norms of
+    field - exact over the field's mesh, one quadrature point at a time:
+    the discrete values and gradients from the reference tables and Jinv of
+    the cell, the exact ones from the analytic field's jet at the single
+    point.  The divergence of a scalar field is 0."""
+    space = field.space
+    tab = space.interior_tables(degree)
+    h2 = space.mesh.triangle_diameters() ** 2
+    coef = field.cell_coefficients()
+    x = tab.physical_points()
+    parts = np.zeros(4)
+    for c in range(space.mesh.num_triangles):
+        for q in range(tab.rule.num_points):
+            value = tab.N[q] @ coef[c]
+            gradient = np.tensordot(coef[c], tab.dN_ref[q] @ tab.Jinv[c],
+                                    axes=(0, 0))
+            ev, eg = exact.jet(x[c, q, 0], x[c, q, 1])
+            e, ge = value - ev, gradient - eg
+            w = tab.wdet[c, q]
+            parts[0] += w * np.sum(e * e)
+            parts[1] += w * np.sum(ge * ge)
+            if space.components == 2:
+                parts[2] += w * (ge[0, 0] + ge[1, 1]) ** 2
+            parts[3] += w * h2[c] * np.sum(ge * ge)
+    return parts
 
 
 # -- boundary seminorm and rigid motions --------------------------------------

@@ -215,6 +215,22 @@ def test_config_error_exit_code(tmp_path, capsys, command, argv, message):
     assert message in err
 
 
+@pytest.mark.parametrize("lame", [["--mu", "7"], ["--lambda", "3"]],
+                         ids=["mu", "lambda"])
+def test_lame_parameter_with_young_poisson_is_rejected(tmp_path, capsys,
+                                                       lame):
+    # --young/--poisson set mu and lam; a Lame flag given beside them would
+    # be dropped without a word
+    code = main(["run", "--problem", "cook", "--k", "1", "--mesh-sizes",
+                 "2,4", "--young", "1e5", "--poisson", "0.3333", *lame,
+                 "--out", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid configuration: ")
+    assert "not both" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("argv,need", [
     (["--problem", "compressible", "--mesh-sizes", "4"], 2),
     (["--problem", "incompressible", "--mesh-sizes", "4"], 2),

@@ -4,6 +4,8 @@ import re
 import numpy as np
 import pytest
 
+from oracles import compressible_field_reference
+
 from elastweak.compressible import MaterialParams
 from elastweak.experiments import (COOK_CORNER_D_ANGLE, CSV_HEADER, PROBLEMS,
                                    ConvergenceRow, ConvergenceTable,
@@ -47,6 +49,33 @@ def _points_with_boundary(seed, count=200):
              for xy in ((t, zero), (t, one), (zero, t), (one, t))]
     return np.vstack([rng.uniform(0.0, 1.0, size=(count, 2)), *sides,
                       [[0.0, 0.0], [1.0, 1.0]]])
+
+
+@pytest.mark.parametrize("shape", [(), (236,), (4, 59)],
+                         ids=["0-d", "1-d", "2-d"])
+@pytest.mark.parametrize("mu,lam", [(1.0, 1.0), (2.0, 10.0)])
+def test_compressible_field_matches_product_of_factors(shape, mu, lam):
+    # the force and the jet from one set of powers are the oracle's
+    # products of univariate factors, component planes returned
+    # component-last
+    pars = MaterialParams(mu, lam)
+    data = manufactured_compressible(pars)
+    force, jet = compressible_field_reference(pars)
+    # 236 points: the four corners with the other two added
+    pts = np.vstack([_points_with_boundary(29), [[1.0, 0.0], [0.0, 1.0]]])
+    if shape:
+        inputs = [(pts[:, 0].reshape(shape), pts[:, 1].reshape(shape))]
+    else:
+        inputs = [(np.array(a), np.array(b)) for a, b in pts]
+    for x, y in inputs:
+        got = (*data.exact_u.jet(x, y), data.f.value(x, y))
+        want = (*jet(x, y), force(x, y))
+        assert np.array_equal(got[0], data.exact_u.value(x, y))
+        for a, b, axes in zip(got, want, (1, 2, 1)):
+            assert a.shape == b.shape == shape + (2,) * axes
+            assert np.abs(a - b).max() <= 1e-13 * np.abs(b).max()
+            planes = np.moveaxis(a, tuple(range(-axes, 0)), tuple(range(axes)))
+            assert planes.flags.c_contiguous
 
 
 def test_compressible_value_is_the_expanded_polynomial():
@@ -196,6 +225,15 @@ def test_young_poisson_conversions():
 def test_config_rejects_incomplete_young_poisson(kwargs):
     with pytest.raises(ValueError):
         ExperimentConfig(problem="cook", **kwargs)
+
+
+@pytest.mark.parametrize("lame", [dict(mu=7.0), dict(lam=3.0),
+                                  dict(mu=7.0, lam=3.0), dict(mu=1.0)],
+                         ids=["mu", "lam", "both", "default-value"])
+def test_config_rejects_lame_parameters_with_young_poisson(lame):
+    # an explicit value, the default's included, is not silently replaced
+    with pytest.raises(ValueError, match="not both"):
+        ExperimentConfig(problem="cook", young=1e5, poisson=0.3333, **lame)
 
 
 @pytest.mark.parametrize("order", [1, 2])

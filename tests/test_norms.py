@@ -6,7 +6,8 @@ import scipy.linalg as sla
 from fem_helpers import field_with_gradient
 from oracles import (_discrete_tables, galerkin_orthogonality_residual,
                      galerkin_orthogonality_residual_mixed,
-                     korn_boundary_seminorm, rigid_motion_gram,
+                     interior_error_parts, korn_boundary_seminorm,
+                     rigid_motion_gram,
                      triple_norm_compressible, triple_norm_incompressible)
 
 from elastweak.compressible import (MaterialParams, _vector_form,
@@ -519,15 +520,19 @@ def test_discrete_tables_match_per_point_reference(order, components):
             want_g[k, q] = np.tensordot(coef[k], grad_phi, axes=(0, 0))
     for got, want in ((vals, want_v), (grads, want_g)):
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
-    # the error pass's component-major jets: (m, c, q) per derivative
-    jets = _jets(field, _jet_tables(order, tab.rule.points), tab.Jinv,
-                 slice(1, None))
+    # the error pass's component-major jets, written into the leading rows
+    # of the given array: the planes (c, m, q) of the values, then
+    # (c, 2, m, q) of the derivatives
     m, nq = want_v.shape[:2]
-    want_g = want_g.reshape(m, nq, -1, 2)
-    wants = (want_v.reshape(m, nq, -1), want_g[..., 0], want_g[..., 1])
-    for got, want in zip(jets, wants):
-        want = np.swapaxes(want, 1, 2)
-        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+    out = np.full((3 * components + 1, m, nq), np.nan)
+    assert _jets(field, _jet_tables(order, tab.rule.points), tab.Jinv,
+                 slice(1, None), out) is out
+    want = np.concatenate([
+        np.moveaxis(want_v.reshape(m, nq, -1), 2, 0),
+        np.moveaxis(want_g.reshape(m, nq, -1, 2), (2, 3),
+                    (0, 1)).reshape(-1, m, nq)])
+    assert np.abs(out[:-1] - want).max() <= 1e-13 * np.abs(want).max()
+    assert np.isnan(out[-1]).all()
 
 
 def _polynomial(rng, components, scale, degree=8):
@@ -586,6 +591,52 @@ def test_error_norms_match_collapsed_rule(monkeypatch, builder, scale, order):
             if getattr(want, name) is not None:
                 assert getattr(got, name) == pytest.approx(
                     getattr(want, name), rel=1e-13, abs=0.0), name
+
+
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("builder, scale", [(build_unit_square_mesh, (1, 1)),
+                                            (build_cook_mesh, (48, 60))],
+                         ids=["square", "cook"])
+def test_error_sums_match_per_point_reference(builder, scale, order):
+    # the block sums (squared component planes contracted with the weight
+    # columns) against sums over single points; exact fields whose jets
+    # return component planes, contiguous component-last arrays, and parts
+    # of one whole
+    from elastweak.experiments import (manufactured_compressible,
+                                       manufactured_incompressible)
+    from elastweak.norms import ERROR_DEGREE, _boundary_parts, _interior_parts
+    mesh = builder(3)
+    V, Q = FESpace(mesh, order, 2), FESpace(mesh, order, 1)
+    rng = np.random.default_rng(order)
+    u_h = DiscreteField(V, rng.standard_normal(V.dof_count))
+    p_h = DiscreteField(Q, rng.standard_normal(Q.dof_count))
+    poly_u, poly_p = _polynomial(rng, 2, scale), _polynomial(rng, 1, scale)
+    pars = MaterialParams(mu=1.3, lam=2.7, gamma=0.1)
+    compressible = manufactured_compressible(pars).exact_u
+    mixed = manufactured_incompressible(pars)
+    tab = V.interior_tables(ERROR_DEGREE)
+    for pairs in ([(u_h, poly_u)], [(u_h, compressible)], [(p_h, poly_p)],
+                  [(u_h, mixed.exact_u), (p_h, mixed.exact_p)],
+                  [(u_h, poly_u), (p_h, poly_p)]):
+        got = _interior_parts(tab, pairs)
+        want = np.array([interior_error_parts(f, e) for f, e in pairs])
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+        if pairs[0][0] is p_h:      # error_norms takes a velocity first
+            continue
+        report = error_norms(*pairs[0], pars, *(pairs[1] if pairs[1:]
+                                                  else (None, None)))
+        l2, g2, d2, _ = want[0]
+        assert report.l2_error == pytest.approx(np.sqrt(l2), rel=1e-13)
+        assert report.h1_semi_error == pytest.approx(np.sqrt(g2), rel=1e-13)
+        t2, n2 = _boundary_parts(*pairs[0])
+        if len(pairs) == 1:
+            triple = pars.mu * (g2 + t2) + pars.lam * (d2 + n2)
+        else:
+            triple = pars.mu * (g2 + t2) + want[1, 3] / pars.mu
+            assert report.pressure_l2_error == pytest.approx(
+                np.sqrt(want[1, 0]), rel=1e-13)
+        assert report.triple_norm_error == pytest.approx(np.sqrt(triple),
+                                                         rel=1e-13)
 
 
 @pytest.mark.parametrize("order", [1, 2])
