@@ -53,23 +53,11 @@ class MaterialParams:
 class AssembledSystem:
     matrix: sp.csr_matrix
     rhs: np.ndarray
-    order: np.ndarray = None    # elimination order of the unknowns, by point
+    points: np.ndarray = None   # mesh point of each unknown, -1 for none
 
     @property
     def dof_count(self):
         return self.matrix.shape[0]
-
-
-def _point_blocked_order(vspace, pressure=False):
-    """Elimination order of a vector space's unknowns, followed when
-    pressure is set by those of an equal-order scalar space on its points:
-    the points in vspace.point_order(), the unknowns of point s numbered
-    together as (2s, 2s + 1), or (2s, 2s + 1, n_u + s)."""
-    s = vspace.point_order()
-    columns = [2 * s, 2 * s + 1]
-    if pressure:
-        columns.append(vspace.dof_count + s)
-    return np.column_stack(columns).ravel()
 
 
 def _require_vector(space):
@@ -308,7 +296,7 @@ def assemble_weak_system(space, params, f, g, dirichlet_sides=None,
     rhs += assemble_flux_load(space, params, g, sides)
     _add_neumann_loads(rhs, space, neumann)
     return AssembledSystem(matrix=A, rhs=rhs,
-                           order=_point_blocked_order(space))
+                           points=np.arange(space.dof_count) // 2)
 
 
 def dirichlet_dofs_and_values(space, g, dirichlet_sides=None):
@@ -356,4 +344,4 @@ def assemble_strong_system(space, params, f, g, dirichlet_sides=None,
     dofs, vals = dirichlet_dofs_and_values(space, g, sides)
     A, rhs = eliminate_dofs(K, rhs, dofs, vals)
     return AssembledSystem(matrix=A, rhs=rhs,
-                           order=_point_blocked_order(space))
+                           points=np.arange(space.dof_count) // 2)

@@ -15,7 +15,7 @@ from .compressible import (MaterialParams, assemble_strong_system,
                            assemble_weak_system)
 from .incompressible import assemble_incompressible_system
 from .mesh import (_COOK_A, _COOK_C, _COOK_D, build_cook_mesh,
-                   build_unit_square_mesh, mesh_quality)
+                   build_unit_square_mesh)
 from .norms import (ErrorReport, compressible_infsup, discrete_korn_constant,
                     error_norms, incompressible_infsup)
 from .solvers import (SingularSystemError, _norm_ratio, _residual_extended,
@@ -336,9 +336,10 @@ class ExperimentConfig:
                 a >= b for a, b in zip(self.mesh_sizes, self.mesh_sizes[1:])):
             raise ValueError(f"mesh_sizes must be positive and strictly "
                              f"increasing, got {self.mesh_sizes}")
-        gamma = self.params.gamma   # MaterialParams rejects bad mu, lam, gamma
-        if (PROBLEMS[self.problem].formulation != "compressible"
-                and not (gamma is not None and gamma > 0.0)):
+        # MaterialParams rejects bad mu, lam, gamma; a gamma that only the
+        # mixed problems use is checked for every problem all the same
+        gamma = self.params.gamma
+        if not (gamma is not None and gamma > 0.0):
             raise ValueError(f"stabilization parameter gamma must be "
                              f"positive, got {gamma!r}")
 
@@ -425,9 +426,9 @@ def write_csv(text, path):
 # -- solvers ---------------------------------------------------------------------
 
 
-def _lu_solve(matrix, rhs, order, context):
+def _lu_solve(matrix, rhs, points, context):
     try:
-        return lu_solve(matrix, rhs, order)
+        return lu_solve(matrix, rhs, points)
     except SingularSystemError as exc:
         raise ExperimentError(f"solver failed for {context}: {exc}") from exc
 
@@ -441,8 +442,8 @@ def _check_residual(residual, context):
 
 
 def _checked_solve(system, context):
-    """Solution of an AssembledSystem, factored in its elimination order."""
-    x, report = _lu_solve(system.matrix, system.rhs, system.order, context)
+    """Solution of an AssembledSystem, factored in its point order."""
+    x, report = _lu_solve(system.matrix, system.rhs, system.points, context)
     _check_residual(report.residual_norm, context)
     return x
 
@@ -455,20 +456,20 @@ def _pinned_mean_solve(mixed, rhs, context):
     the core C: summing the pressure rows gives lam exactly, C x = b - lam m
     is then consistent and is solved with the last pressure DOF pinned to 0,
     and the border row m . x = b[nc] fixes the pressure constant.  The
-    core is factored in the system's elimination order without the pinned
+    core is factored in the point order of its unknowns, all but the pinned
     DOF and the multiplier.  The residual limit applies to the full
     bordered system.
     """
-    A, order = mixed.system.matrix, mixed.system.order
+    A, points = mixed.system.matrix, mixed.system.points
     nc = mixed.constraint_index
-    if order is not None:
-        order = order[order < nc - 1]
+    if points is not None:
+        points = points[:nc - 1]
     pressure = slice(mixed.n_velocity, nc)
     m = A[nc, :nc].toarray().ravel()
     x = np.zeros(nc + 1)
     x[nc] = rhs[pressure].sum() / m[pressure].sum()
     x[:nc - 1], _ = _lu_solve(A[:nc - 1, :nc - 1],
-                              (rhs[:nc] - x[nc] * m)[:nc - 1], order, context)
+                              (rhs[:nc] - x[nc] * m)[:nc - 1], points, context)
     x[pressure] += (rhs[nc] - m @ x[:nc]) / m[pressure].sum()
     _check_residual(_norm_ratio(_residual_extended(A, x, rhs), rhs), context)
     return x
@@ -511,12 +512,12 @@ def _sweep(config, row):
                              bc_mode=config.bc_mode)
     for n in config.mesh_sizes:
         mesh = problem.mesh(n)
-        quality = mesh_quality(mesh)
         try:
             fields = row(mesh)
         except ExperimentError as exc:
             raise ExperimentError(f"mesh n={n}: {exc}") from exc
-        table.add(ConvergenceRow(h_max=quality.h_max, **fields))
+        table.add(ConvergenceRow(
+            h_max=float(mesh.triangle_diameters().max()), **fields))
     return table
 
 

@@ -14,8 +14,8 @@ import scipy.sparse as sp
 from .compressible import (_I2, LOAD_DEGREE, AssembledSystem,
                            MaterialParams, _add_neumann_loads, _cell_matrix,
                            _dirichlet_sides, _flux_tables, _load_moments,
-                           _mass_local, _per_cell, _point_blocked_order,
-                           _require_vector, _scatter_matrix, _scatter_vector,
+                           _mass_local, _per_cell, _require_vector,
+                           _scatter_matrix, _scatter_vector,
                            _stiffness_parts, _weak_operator,
                            assemble_flux_load, dirichlet_dofs_and_values,
                            eliminate_dofs)
@@ -238,10 +238,10 @@ def assemble_incompressible_system(vspace, pspace, params, f, g,
         dofs, vals = dirichlet_dofs_and_values(vspace, g, sides)
         core, rhs = eliminate_dofs(core, rhs, dofs, vals)
 
-    # the multiplier, when bordered, comes last
-    order = _point_blocked_order(vspace, pressure=True)
-    if mean:
-        order = np.append(order, nU + nP)
-    system = AssembledSystem(matrix=core, rhs=rhs, order=order)
+    # velocity pairs and pressures share the scalar DOFs' points; the
+    # multiplier, when bordered, has none
+    points = np.concatenate([np.arange(nU) // 2, np.arange(nP),
+                             np.full(int(mean), -1)])
+    system = AssembledSystem(matrix=core, rhs=rhs, points=points)
     return MixedSystem(system=system, n_velocity=nU, n_pressure=nP,
                        constraint_index=nU + nP if mean else None)

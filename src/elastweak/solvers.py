@@ -5,18 +5,25 @@ Every sparse LU is made by ``_factor``: SuperLU in symmetric mode, which
 orders rows and columns alike and pivots by threshold, keeping a diagonal
 pivot unless it falls below ``PIVOT_THRESHOLD`` times the largest entry of
 its column.  The systems are nonsymmetric but their sparsity is symmetric,
-which a symmetric ordering exploits.  A finite-element system is factored
-in its point order (``lu_solve``'s ``order``, ``FESpace.point_order``):
-minimum degree on the graph of the mesh points, each point's two or three
-unknowns numbered together.  On the square it stores 15-17% fewer entries
-than SuperLU's minimum degree on the pattern of A^T + A (P1 n=128 weak
-4.24M against 5.10M, the P1 n=96 pinned mixed core 4.78M against 5.75M),
-the P2 n=32 Cook mixed factor 2.54M against 3.01M, but the P1 n=128 Cook
-mixed factor 9.55M against 9.09M (+5%).  Part of the square's saving comes
-from the builders' row-major vertex numbering: under three random
-relabelings of the vertices the point order stores 2-5% fewer entries
-there, and on the P1 n=128 Cook mixed system from 1.7% fewer to 4.6% more.
-Without an order, SuperLU orders the pattern of A^T + A by minimum degree.
+which a symmetric ordering exploits.  Every SuperLU call of the package is
+in this module, the elimination order's included.  A finite-element system
+names the mesh point of each unknown (``lu_solve``'s ``points``), and is
+factored in its point order (``_point_blocked_order``): minimum degree on
+the matrix pattern compressed by point, each point's two or three
+unknowns numbered together.  On a weak or mixed system the compressed
+pattern is the graph of the mesh points that share a cell.  On the square
+that order stores 15-17% fewer entries than SuperLU's minimum degree on
+the pattern of A^T + A (P1 n=128 weak 4.24M against 5.10M, the P1 n=96
+pinned mixed core 4.78M against 5.75M), the P2 n=32 Cook mixed factor
+2.54M against 3.01M, but the P1 n=128 Cook mixed factor 9.55M against
+9.09M (+5%).  Part of the square's saving comes from the builders'
+row-major vertex numbering: under three random relabelings of the
+vertices the point order stores 2-5% fewer entries there, and on the P1
+n=128 Cook mixed system from 1.7% fewer to 4.6% more.  On a strong system
+the eliminated Dirichlet unknowns are decoupled, and the factors store
+4.15M entries on the P1 n=128 square and 0.83M on the P2 n=32 Cook
+membrane.  Without points, as in the diagnostics, SuperLU orders the
+pattern of A^T + A by minimum degree.
 
 ``lu_solve`` factors the equilibrated D A D without its cancellation
 residues: entries that are zero in exact arithmetic but stored at ~1e-17
@@ -88,8 +95,9 @@ CANCELLATION_TOL = 1e-12
 # few percent each.  On the P2 Cook membrane systems at n=32 and the P1
 # n=128 one, factored in their point order, each of the first three steps
 # from a float32 factor gains a factor 37 to 15,000; the floor (1.5e-12 to
-# 3.6e-12) is reached after three steps, or after a fourth that gains 4.3
-# on the P2 mixed system, and a step from the floor gains at most 1.01;
+# 4.0e-12) is reached after three steps, or after a fourth that gains 4.3
+# on the P2 mixed system, and a step from the floor gains at most 1.04 (the
+# P2 strong system, which takes it as a fourth step and stops);
 # from a float64 factor the first step gains 3.3 to 11 and reaches the
 # floor.
 REFINEMENT_TARGET = 1e-13
@@ -289,23 +297,52 @@ def _refined_solve(A, b, order, dtype, factor_times):
             refinements)
 
 
-def _check_order(order, n):
-    """order as an index array, or ValueError unless it is a permutation
-    of range(n)."""
-    order = np.asarray(order)
-    if (order.shape != (n,) or not np.issubdtype(order.dtype, np.integer)
-            or not np.array_equal(np.sort(order), np.arange(n))):
-        raise ValueError(f"order is not a permutation of range({n})")
-    return order
+def _point_blocked_order(A, points):
+    """Elimination order of the unknowns of A, or ValueError unless points
+    holds one integer in [-1, n) per unknown.
+
+    The points are ordered by minimum degree (Liu, ACM TOMS 1985) on the
+    pattern of A compressed by point, P^T pattern(A) P with P_ip = 1 when
+    unknown i lies at point p, and each point's unknowns are numbered
+    together in index order (a compressed graph: Ashcraft, SIAM J. Sci.
+    Comput. 1995); unknowns at point -1 come last.  Each diagonal entry of
+    the compressed graph is raised by its row sum plus one, so that an
+    incomplete LU that drops every entry keeps each diagonal pivot, even at
+    a point without unknowns; that LU's column order is splu's and costs a
+    fraction of a full factorization.  perm_c[p] is the step at which point
+    p is eliminated.  The graph is formed in float32, whose small counts are
+    exact, to keep it lean beside A."""
+    n = A.shape[0]
+    points = np.asarray(points)
+    if (points.shape != (n,) or not np.issubdtype(points.dtype, np.integer)
+            or not np.all((points >= -1) & (points < n))):
+        raise ValueError(f"points must hold one integer in [-1, {n}) per "
+                         f"unknown")
+    placed = points >= 0
+    npoints = int(points.max(initial=-1)) + 1
+    P = sp.csr_matrix((np.ones(np.count_nonzero(placed), np.float32),
+                       points[placed],
+                       np.concatenate([[0], np.cumsum(placed)])),
+                      shape=(n, npoints))
+    pattern = sp.csr_matrix((np.ones(A.nnz, np.float32), A.indices,
+                             A.indptr), shape=A.shape)
+    graph = (P.T @ pattern @ P).tocsc()
+    graph += sp.diags(np.asarray(graph.sum(axis=1)).ravel() + 1.0)
+    perm_c = spla.spilu(graph, drop_tol=np.inf, fill_factor=1,
+                        permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                        options={"SymmetricMode": True}).perm_c
+    # point -1 reads the step after the last
+    return np.argsort(np.append(perm_c, npoints)[points], kind="stable")
 
 
-def lu_solve(matrix, rhs, order=None):
+def lu_solve(matrix, rhs, points=None):
     """Direct solve of a square sparse system; returns (x, SolveReport).
 
-    order, a permutation of range(n), is the elimination order of the
-    unknowns: the equilibrated copy is factored in that order, and x, the
-    residuals and the report stay in the system's own numbering.  Without
-    it SuperLU orders the copy by minimum degree.
+    points, the mesh point of each unknown (-1 for none), makes the
+    elimination order point-blocked (``_point_blocked_order``): the
+    equilibrated copy is factored in that order, and x, the residuals and
+    the report stay in the system's own numbering.  Without it SuperLU
+    orders the copy by minimum degree on the pattern of A^T + A.
     The solution refined from a float32 factor is accepted when its backward
     error is at most BACKWARD_ERROR_LIMIT.  Otherwise (a singular float32
     factor, a non-finite solution or a larger backward error) that factor is
@@ -318,8 +355,9 @@ def lu_solve(matrix, rhs, order=None):
     b = np.asarray(rhs, dtype=float)
     if b.shape != (n,):
         raise ValueError(f"rhs of shape {b.shape} for a matrix of size {n}")
-    order = slice(None) if order is None else _check_order(order, n)
     t0 = time.perf_counter()
+    order = (slice(None) if points is None
+             else _point_blocked_order(A, points))
     factor_times = []
     try:
         # the float32 attempt's overflows and underflows are either harmless

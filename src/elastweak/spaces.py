@@ -4,16 +4,13 @@ Degrees of freedom are nodal: vertex values for P1, vertex plus edge-midpoint
 values for P2.  Scalar DOFs are numbered vertices first (mesh order), then
 edges in lexicographic order of their sorted endpoint indices.  Vector spaces
 interleave components per node: scalar DOF d becomes (2d, 2d+1).  A point
-is a scalar DOF's location; ``FESpace.point_order`` is the order in which a
-sparse LU eliminates the points.
+is a scalar DOF's location, the point d of the unknowns 2d and 2d+1.
 """
 
 from functools import lru_cache
 from types import SimpleNamespace
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .quadrature import edge_rule, triangle_rule
 
@@ -160,7 +157,6 @@ class FESpace:
 
         self._geometry = None
         self._boundary_cache = {}
-        self._point_order = None
 
     # -- geometry -----------------------------------------------------------
 
@@ -177,40 +173,6 @@ class FESpace:
             Jinv[:, 1, 1] = J[:, 0, 0] / detJ
             self._geometry = (J, Jinv, detJ)
         return self._geometry
-
-    def point_order(self):
-        """Elimination order of the scalar DOFs (the points), cached: the
-        minimum-degree order (Liu, ACM TOMS 1985) of the graph that joins
-        two points when a cell holds both, as SuperLU's MMD on A^T + A
-        orders it.  Unknowns at one point share their couplings, so a
-        system's elimination order numbers them together, point by point
-        (a compressed graph: Ashcraft, SIAM J. Sci. Comput. 1995).
-
-        The graph is the incidence product I^T I of cells and points, made
-        strictly diagonally dominant so that an incomplete LU that drops
-        every entry keeps each diagonal pivot; that LU's column order is
-        splu's and costs a fraction of a full factorization.  perm_c[s] is
-        the step at which point s is eliminated, so the order is its
-        inverse permutation."""
-        if self._point_order is None:
-            cells = self.cell_dofs
-            if self.components == 2:
-                cells = cells[:, 0::2] // 2
-            nt, nloc = cells.shape
-            incidence = sp.csr_matrix(
-                (np.ones(cells.size), cells.ravel(),
-                 np.arange(0, cells.size + 1, nloc)),
-                shape=(nt, self.scalar_dof_count))
-            graph = (incidence.T @ incidence).tocsc()
-            graph += sp.diags(np.asarray(graph.sum(axis=1)).ravel())
-            perm_c = spla.spilu(graph, drop_tol=np.inf, fill_factor=1,
-                                permc_spec="MMD_AT_PLUS_A",
-                                diag_pivot_thresh=0.0,
-                                options={"SymmetricMode": True}).perm_c
-            order = np.argsort(perm_c)
-            order.flags.writeable = False
-            self._point_order = order
-        return self._point_order
 
     def scalar_side_dofs(self, side_tag):
         """Scalar DOFs supported on the boundary side `side_tag`."""

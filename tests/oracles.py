@@ -1,8 +1,9 @@
 """Reference checks of the discretisation that only the tests run: Galerkin
 orthogonality residuals, pointwise triple norms, per-point error sums, the
 side-mean boundary seminorm, the rigid-motion Gram behind the Korn
-assumption and the compressible manufactured field as a product of
-univariate factors.
+assumption, the compressible manufactured field as a product of
+univariate factors and the point-blocked elimination order from the mesh
+alone.
 
 The norms evaluate analytic fields (with an explicit mesh) as well as
 discrete ones, at any quadrature degree, with their own pointwise
@@ -11,6 +12,8 @@ integration, so that they check `elastweak.norms` rather than repeat it.
 
 import numpy as np
 import scipy.linalg as sla
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from elastweak.compressible import (MaterialParams, _dirichlet_sides,
                                     _per_cell, _scatter_vector, _stress,
@@ -233,6 +236,43 @@ def rigid_motion_gram(mesh, degree=SIDE_MEAN_DEGREE):
     M = np.stack([means for means, _ in parts])
     G = np.einsum("t,atc,btc->ab", lengths, M, M)
     return G, float(sla.eigvalsh(G)[0])
+
+
+# -- elimination order ---------------------------------------------------------
+
+
+def mesh_point_order(space):
+    """The points (scalar DOFs) of a space in minimum-degree order on the
+    graph that joins two points when a cell holds both: the incidence
+    product I^T I of cells and points, made strictly diagonally dominant,
+    ordered by the column order of an incomplete LU that drops every
+    entry, as SuperLU's MMD on A^T + A orders it."""
+    cells = space.cell_dofs
+    if space.components == 2:
+        cells = cells[:, 0::2] // 2
+    nt, nloc = cells.shape
+    incidence = sp.csr_matrix(
+        (np.ones(cells.size), cells.ravel(), np.arange(0, cells.size + 1, nloc)),
+        shape=(nt, space.scalar_dof_count))
+    graph = (incidence.T @ incidence).tocsc()
+    graph += sp.diags(np.asarray(graph.sum(axis=1)).ravel())
+    perm_c = spla.spilu(graph, drop_tol=np.inf, fill_factor=1,
+                        permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                        options={"SymmetricMode": True}).perm_c
+    return np.argsort(perm_c)
+
+
+def point_blocked_order(vspace, pressure=False, multiplier=False):
+    """Elimination order of a vector space's unknowns in mesh_point_order,
+    point s numbered (2s, 2s + 1), or with pressure (2s, 2s + 1, n_u + s)
+    for the equal-order pressure on the same points; with multiplier the
+    index after the pressures comes last."""
+    s = mesh_point_order(vspace)
+    columns = [2 * s, 2 * s + 1] + [vspace.dof_count + s] * pressure
+    order = np.column_stack(columns).ravel()
+    if multiplier:
+        order = np.append(order, vspace.dof_count + len(s))
+    return order
 
 
 # -- Galerkin orthogonality ---------------------------------------------------

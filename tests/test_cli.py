@@ -231,6 +231,21 @@ def test_lame_parameter_with_young_poisson_is_rejected(tmp_path, capsys,
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("gamma", ["-1", "0"])
+@pytest.mark.parametrize("problem", ["compressible", "cook"])
+def test_gamma_is_checked_where_no_problem_uses_it(tmp_path, capsys,
+                                                   problem, gamma):
+    # the compressible problems ignore gamma; a non-positive one is still
+    # an error, not a value dropped without a word
+    code = main(["run", "--problem", problem, "--gamma", gamma,
+                 "--mesh-sizes", "2", "--out", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid configuration: ")
+    assert "gamma must be positive" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("argv,need", [
     (["--problem", "compressible", "--mesh-sizes", "4"], 2),
     (["--problem", "incompressible", "--mesh-sizes", "4"], 2),

@@ -1,4 +1,6 @@
+import ast
 import dataclasses
+import pathlib
 import warnings
 import weakref
 
@@ -8,6 +10,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+import elastweak
 from elastweak.compressible import (MaterialParams, assemble_strong_system,
                                     assemble_weak_system)
 from elastweak.experiments import (_pinned_mean_solve,
@@ -22,6 +25,7 @@ from elastweak.solvers import (BACKWARD_ERROR_LIMIT, CANCELLATION_TOL,
                                _equilibrate, lu_solve,
                                smallest_generalized_singular_value)
 from elastweak.spaces import AnalyticField, FESpace
+from oracles import point_blocked_order
 
 
 def test_identity_solve():
@@ -396,7 +400,7 @@ def test_fill_below_default_ordering(build, n):
     system = build(n)
     b = np.ones(system.matrix.shape[0])
     if build is _square_weak_p1_point_order:
-        _, report = lu_solve(system.matrix, b, system.order)
+        _, report = lu_solve(system.matrix, b, system.points)
         reference = lu_solve(system.matrix, b)[1].fill
     else:
         _, report = lu_solve(system.matrix, b)
@@ -430,7 +434,7 @@ def test_point_order_solve_matches_default_order(monkeypatch, assemble,
         return exact_factor(As, **kw)
 
     monkeypatch.setattr(solvers, "_factor", factor)
-    x, report = lu_solve(system.matrix, system.rhs, system.order)
+    x, report = lu_solve(system.matrix, system.rhs, system.points)
     x0, report0 = lu_solve(system.matrix, system.rhs)
     assert orders == ["NATURAL", "MMD_AT_PLUS_A"]
     assert report.precision == report0.precision == "single"
@@ -441,7 +445,7 @@ def test_point_order_solve_matches_default_order(monkeypatch, assemble,
 def test_point_order_solve_matches_default_order_on_cook_mixed():
     system = _cook_mixed_p1(8)
     b = np.random.default_rng(7).standard_normal(system.dof_count)
-    x, report = lu_solve(system.matrix, b, system.order)
+    x, report = lu_solve(system.matrix, b, system.points)
     x0, _ = lu_solve(system.matrix, b)
     assert report.residual_norm <= 1e-13
     assert _relative_difference(x, x0) <= 1e-12
@@ -457,35 +461,89 @@ def test_pinned_mean_solve_in_point_order_matches_default_order(order, n):
         data.g)
     assert mixed.constraint_index is not None
     unordered = dataclasses.replace(
-        mixed, system=dataclasses.replace(mixed.system, order=None))
+        mixed, system=dataclasses.replace(mixed.system, points=None))
     rhs = mixed.system.rhs
     x = _pinned_mean_solve(mixed, rhs, "point order")
     x0 = _pinned_mean_solve(unordered, rhs, "default order")
     assert _relative_difference(x, x0) <= 1e-12
 
 
+def _square_strong_p1(n):
+    return _square_compressible(assemble_strong_system, 1, n)
+
+
+def _cook_strong_p2(n):
+    params = MaterialParams.from_young_poisson(1e5, 0.3333)
+    zero = AnalyticField.constant_vector(0.0, 0.0)
+    return assemble_strong_system(FESpace(build_cook_mesh(n), 2, 2), params,
+                                  zero, zero, ("CD",))
+
+
+def _order(system):
+    return solvers._point_blocked_order(system.matrix.tocsr(), system.points)
+
+
 @pytest.mark.parametrize("build", [_square_weak_p1, _square_mixed_p1,
-                                   _cook_mixed_p1, _cook_compressible_p2])
+                                   _cook_mixed_p1, _cook_compressible_p2,
+                                   _square_strong_p1, _cook_strong_p2])
 def test_system_orders_number_each_point_together(build):
+    # the strong systems' eliminated unknowns are decoupled in the matrix,
+    # so their order differs from the mesh graph's, but it still numbers
+    # each point's pair together
     system = build(4)
-    n, order = system.dof_count, system.order
+    n, order = system.dof_count, _order(system)
     assert np.array_equal(np.sort(order), np.arange(n))
-    if build in (_square_weak_p1, _cook_compressible_p2):
+    if build not in (_square_mixed_p1, _cook_mixed_p1):
+        assert np.all(order[0::2] % 2 == 0)
         assert np.array_equal(order[1::2], order[0::2] + 1)
         return
     # velocity pair and pressure per point; the bordered square system's
     # multiplier comes last
     nv = 2 * ((n - 1) // 3 if build is _square_mixed_p1 else n // 3)
     blocks = order[:3 * (nv // 2)].reshape(-1, 3)
+    assert np.all(blocks[:, 0] % 2 == 0)
     assert np.array_equal(blocks[:, 1], blocks[:, 0] + 1)
     assert np.array_equal(blocks[:, 2], nv + blocks[:, 0] // 2)
     if build is _square_mixed_p1:
         assert order[-1] == n - 1
 
 
+def _mesh_system(mesh, k, kind):
+    """(matrix, points, reference order) of a weak compressible, a nearly
+    incompressible, a pressure-mean bordered or a pinned-core mixed system;
+    the loads do not enter the order, so they are zero."""
+    V = FESpace(mesh, k, 2)
+    zero = AnalyticField.constant_vector(0.0, 0.0)
+    if kind == "weak":
+        system = assemble_weak_system(V, MaterialParams(1.0, 1.0), zero, zero)
+        return system.matrix, system.points, point_blocked_order(V)
+    mixed = assemble_incompressible_system(
+        V, FESpace(mesh, k, 1), MaterialParams(1.0, 1.0, gamma=0.1), zero,
+        zero, nearly_lambda=1e3 if kind == "nearly" else None)
+    A, points = mixed.system.matrix, mixed.system.points
+    if kind == "nearly":
+        return A, points, point_blocked_order(V, pressure=True)
+    reference = point_blocked_order(V, pressure=True, multiplier=True)
+    if kind == "bordered":
+        return A, points, reference
+    nc = mixed.constraint_index
+    return (A[:nc - 1, :nc - 1], points[:nc - 1],
+            reference[reference < nc - 1])
+
+
+@pytest.mark.parametrize("kind", ["weak", "nearly", "bordered", "pinned"])
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("build", [build_unit_square_mesh, build_cook_mesh])
+def test_point_order_matches_the_mesh_graph_reference(build, k, kind):
+    # on every system without eliminated unknowns the compressed pattern of
+    # the matrix is the graph of points that share a cell
+    A, points, reference = _mesh_system(build(6), k, kind)
+    assert np.array_equal(solvers._point_blocked_order(A, points), reference)
+
+
 def test_ordered_equilibrated_copy_is_the_permuted_one():
     system = _cook_mixed_p1(8)
-    A, order = system.matrix.tocsr(), system.order
+    A, order = system.matrix.tocsr(), _order(system)
     As, d = _equilibrate(A)
     Ap, d_ordered = _equilibrate(A, order)
     assert d_ordered.tobytes() == d.tobytes()
@@ -505,17 +563,57 @@ def test_ordered_equilibrated_copy_is_the_permuted_one():
     assert np.array_equal(As.indices, scaled.indices)
 
 
-@pytest.mark.parametrize("order", [[0, 0, 1], [0, 1], [0, 1, 3], [-1, 0, 1],
-                                   [2.0, 0.0, 1.0], [[0, 1, 2]]])
-def test_order_must_be_a_permutation(order):
-    with pytest.raises(ValueError, match="not a permutation of range"):
-        lu_solve(sp.identity(3, format="csr"), np.ones(3), order)
+@pytest.mark.parametrize("points", [[0, 1], [0, 1, 2, 2], [[0, 1, 2]],
+                                    [2.0, 0.0, 1.0], [True, False, True],
+                                    [-2, 0, 1], [0, 1, 3]])
+def test_points_must_name_one_point_per_unknown(points):
+    with pytest.raises(ValueError, match=r"one integer in \[-1, 3\) per"):
+        lu_solve(sp.identity(3, format="csr"), np.ones(3), points)
 
 
-@pytest.mark.parametrize("order", [None, [2, 0, 1]])
-def test_rhs_of_the_wrong_length_is_rejected(order):
+@pytest.mark.parametrize("points", [[0, 0, 1], [1, 0, 1], [2, 2, -1],
+                                    [1, -1, 1], [-1, -1, -1]])
+def test_points_may_repeat_skip_or_be_absent(points):
+    A = sp.identity(3, format="csr")
+    order = solvers._point_blocked_order(A, np.array(points))
+    assert sorted(order) == [0, 1, 2]
+    # each point's unknowns numbered together in index order, those
+    # without a point last
+    placed = np.array(points)[order]
+    for p in set(points):
+        at = np.flatnonzero(placed == p)
+        assert np.array_equal(at, np.arange(at[0], at[-1] + 1))
+        assert np.all(np.diff(order[at]) > 0)
+        if p == -1:
+            assert at[-1] == 2
+    x, _ = lu_solve(A, np.array([1.0, 2.0, 3.0]), points)
+    assert x.tolist() == [1.0, 2.0, 3.0]
+
+
+@pytest.mark.parametrize("points", [None, [2, 0, 1]])
+def test_rhs_of_the_wrong_length_is_rejected(points):
     with pytest.raises(ValueError, match="rhs of shape"):
-        lu_solve(sp.identity(3, format="csr"), np.ones(4), order)
+        lu_solve(sp.identity(3, format="csr"), np.ones(4), points)
+
+
+def test_only_the_solvers_import_scipy_sparse_linalg():
+    # every sparse factorization, the elimination order's included, is
+    # made in one module
+    importers = []
+    for path in sorted(pathlib.Path(elastweak.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [f"{node.module}.{alias.name}" for alias in node.names]
+                names.append(node.module or "")
+            else:
+                continue
+            if any(name == "scipy.sparse.linalg"
+                   or name.startswith("scipy.sparse.linalg.")
+                   for name in names):
+                importers.append(path.name)
+    assert sorted(set(importers)) == ["solvers.py"]
 
 
 def _double_only(monkeypatch, A, b):
