@@ -53,7 +53,7 @@ class MaterialParams:
 class AssembledSystem:
     matrix: sp.csr_matrix
     rhs: np.ndarray
-    points: np.ndarray = None   # mesh point of each unknown, -1 for none
+    points: np.ndarray = None   # mesh point of each unknown
 
     @property
     def dof_count(self):

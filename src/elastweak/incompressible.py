@@ -3,7 +3,7 @@
 Equal-order P_k/P_k velocity-pressure pairs with a Galerkin least-squares
 pressure stabilization; Dirichlet data imposed weakly through boundary-flux
 terms (no penalty) or strongly by nodal elimination.  The unknown vector is
-[velocity DOFs, pressure DOFs, optional pressure-mean multiplier].
+[velocity DOFs, pressure DOFs].
 """
 
 from dataclasses import dataclass
@@ -26,14 +26,14 @@ from .spaces import basis_hessians, reference_tensors
 class MixedSystem:
     system: AssembledSystem
     n_velocity: int
-    n_pressure: int
+    # the unknown count when the constant pressure spans both kernels of the
+    # matrix and the solve fixes the pressure mean, else None: the index a
+    # mean multiplier would take; perfbench/tracer.py counts systems by it
     constraint_index: int = None
 
     def split(self, solution):
-        """(velocity coeffs, pressure coeffs, multiplier) from a solution."""
-        nu, npr = self.n_velocity, self.n_pressure
-        mult = solution[nu + npr] if self.constraint_index is not None else 0.0
-        return solution[:nu], solution[nu:nu + npr], float(mult)
+        """(velocity coeffs, pressure coeffs) from a solution."""
+        return solution[:self.n_velocity], solution[self.n_velocity:]
 
 
 def _check_pair(vspace, pspace):
@@ -167,29 +167,23 @@ def _pressure_flux_load(pspace, g, side_tags, degree=None):
     return _scatter_vector(pb.cell_dofs, loc, pspace.dof_count)
 
 
-def _mixed_operator(vspace, pspace, params, flux_sides, nearly_lambda=None,
-                    mean=False):
+def _mixed_operator(vspace, pspace, params, flux_sides, nearly_lambda=None):
     """The mixed operator as one block matrix, with the antisymmetric flux
     on flux_sides (() adds none):
 
-        [[A_mu,              -D^T + Bvp,       0],
-         [D + Squ - Bvp^T,   Spp + M/lambda,   m],
-         [0,                 m^T,              0]]
+        [[A_mu,              -D^T + Bvp],
+         [D + Squ - Bvp^T,   Spp + M/lambda]]
 
     A_mu is the compressible weak operator with lambda = 0.  The pressure
-    mass M/lambda of div u = -p/lambda comes with nearly_lambda, the
-    pressure-mean border m with mean.  Exact zeros are not stored."""
+    mass M/lambda of div u = -p/lambda comes with nearly_lambda.  Exact
+    zeros are not stored."""
     D = assemble_divergence(vspace, pspace)
     Squ, Spp = assemble_pressure_stabilization(vspace, pspace, params)
     Avv = _weak_operator(vspace, MaterialParams(params.mu), flux_sides)
     Bvp = assemble_mixed_boundary_flux(vspace, pspace, flux_sides)
     if nearly_lambda is not None:
         Spp = Spp + (1.0 / nearly_lambda) * assemble_pressure_mass(pspace)
-    blocks = [[Avv, -D.T + Bvp], [D + Squ - Bvp.T, Spp]]
-    if mean:
-        m = sp.csr_matrix(pressure_integral_vector(pspace)[:, None])
-        blocks = [blocks[0] + [None], blocks[1] + [m], [None, m.T, None]]
-    A = sp.bmat(blocks, format="csr")
+    A = sp.bmat([[Avv, -D.T + Bvp], [D + Squ - Bvp.T, Spp]], format="csr")
     A.eliminate_zeros()
     A.sort_indices()
     return A
@@ -203,16 +197,17 @@ def assemble_incompressible_system(vspace, pspace, params, f, g,
     With nearly_lambda set, the mass balance becomes div u = -p/lambda (the
     pressure convention matching the momentum residual -2 mu div eps(u)
     + grad p = f), which recovers compressible elasticity as lambda -> inf.
-    The pressure mean-zero constraint is appended automatically when the
-    Dirichlet data covers the whole boundary and no nearly_lambda is given.
-    dirichlet_sides=None selects every side, () none.  neumann maps side
-    tags to tractions; their loads enter the velocity rows after the flux
-    loads and before any strong elimination.
+    When the Dirichlet data covers the whole boundary and no nearly_lambda
+    is given, the constant pressure spans the left and right kernels of the
+    square [u, p] matrix, and constraint_index marks the system for the
+    mean-zero solve.  dirichlet_sides=None selects every side, () none.
+    neumann maps side tags to tractions; their loads enter the velocity
+    rows after the flux loads and before any strong elimination.
     """
     _check_pair(vspace, pspace)
     if params.gamma is None or params.gamma <= 0.0:
         raise ValueError("stabilization parameter gamma must be positive")
-    if nearly_lambda is not None and nearly_lambda <= 0.0:
+    if nearly_lambda is not None and not nearly_lambda > 0.0:
         raise ValueError("nearly_lambda must be positive")
     if bc_mode not in ("weak", "strong"):
         raise ValueError("bc_mode must be 'weak' or 'strong'")
@@ -220,9 +215,8 @@ def assemble_incompressible_system(vspace, pspace, params, f, g,
     nU, nP = vspace.dof_count, pspace.dof_count
     mean = set(sides) == set(vspace.mesh.side_tags) and nearly_lambda is None
 
-    core = _mixed_operator(vspace, pspace, params,
-                           sides if bc_mode == "weak" else (), nearly_lambda,
-                           mean)
+    matrix = _mixed_operator(vspace, pspace, params,
+                             sides if bc_mode == "weak" else (), nearly_lambda)
 
     rhs = _mixed_load(vspace, pspace, params, f)
     if bc_mode == "weak":
@@ -231,17 +225,12 @@ def assemble_incompressible_system(vspace, pspace, params, f, g,
         rhs[nU:] += _pressure_flux_load(pspace, g, sides)
     _add_neumann_loads(rhs, vspace, neumann)
 
-    if mean:
-        rhs = np.concatenate([rhs, [0.0]])
-
     if bc_mode == "strong":
         dofs, vals = dirichlet_dofs_and_values(vspace, g, sides)
-        core, rhs = eliminate_dofs(core, rhs, dofs, vals)
+        matrix, rhs = eliminate_dofs(matrix, rhs, dofs, vals)
 
-    # velocity pairs and pressures share the scalar DOFs' points; the
-    # multiplier, when bordered, has none
-    points = np.concatenate([np.arange(nU) // 2, np.arange(nP),
-                             np.full(int(mean), -1)])
-    system = AssembledSystem(matrix=core, rhs=rhs, points=points)
-    return MixedSystem(system=system, n_velocity=nU, n_pressure=nP,
+    # velocity pairs and pressures share the scalar DOFs' points
+    points = np.concatenate([np.arange(nU) // 2, np.arange(nP)])
+    system = AssembledSystem(matrix=matrix, rhs=rhs, points=points)
+    return MixedSystem(system=system, n_velocity=nU,
                        constraint_index=nU + nP if mean else None)

@@ -243,6 +243,7 @@ def incompressible_infsup(vspace, pspace, params):
     A = _mixed_operator(vspace, pspace, params, vspace.mesh.side_tags)
     N = triple_norm_gram_incompressible(vspace, pspace, params)
     # The constant pressure spans the kernels of A, of A^T and of N, so every
-    # complement of it gives the same constant; pin the last pressure DOF
-    # (as the pressure-mean solve does) instead of the mean-zero basis.
+    # complement of it gives the same constant; pin the last pressure DOF of
+    # the square [u, p] matrices (as experiments._pinned_mean_solve does)
+    # instead of the mean-zero basis.
     return discrete_infsup_constant(A[:-1, :-1], N[:-1, :-1])

@@ -299,31 +299,27 @@ def _refined_solve(A, b, order, dtype, factor_times):
 
 def _point_blocked_order(A, points):
     """Elimination order of the unknowns of A, or ValueError unless points
-    holds one integer in [-1, n) per unknown.
+    holds one integer in [0, n) per unknown.
 
     The points are ordered by minimum degree (Liu, ACM TOMS 1985) on the
     pattern of A compressed by point, P^T pattern(A) P with P_ip = 1 when
     unknown i lies at point p, and each point's unknowns are numbered
     together in index order (a compressed graph: Ashcraft, SIAM J. Sci.
-    Comput. 1995); unknowns at point -1 come last.  Each diagonal entry of
-    the compressed graph is raised by its row sum plus one, so that an
-    incomplete LU that drops every entry keeps each diagonal pivot, even at
-    a point without unknowns; that LU's column order is splu's and costs a
-    fraction of a full factorization.  perm_c[p] is the step at which point
-    p is eliminated.  The graph is formed in float32, whose small counts are
-    exact, to keep it lean beside A."""
+    Comput. 1995).  Each diagonal entry of the compressed graph is raised
+    by its row sum plus one, so that an incomplete LU that drops every
+    entry keeps each diagonal pivot, even at a point without unknowns; that
+    LU's column order is splu's and costs a fraction of a full
+    factorization.  perm_c[p] is the step at which point p is eliminated.
+    The graph is formed in float32, whose small counts are exact, to keep
+    it lean beside A."""
     n = A.shape[0]
     points = np.asarray(points)
     if (points.shape != (n,) or not np.issubdtype(points.dtype, np.integer)
-            or not np.all((points >= -1) & (points < n))):
-        raise ValueError(f"points must hold one integer in [-1, {n}) per "
+            or not np.all((points >= 0) & (points < n))):
+        raise ValueError(f"points must hold one integer in [0, {n}) per "
                          f"unknown")
-    placed = points >= 0
-    npoints = int(points.max(initial=-1)) + 1
-    P = sp.csr_matrix((np.ones(np.count_nonzero(placed), np.float32),
-                       points[placed],
-                       np.concatenate([[0], np.cumsum(placed)])),
-                      shape=(n, npoints))
+    P = sp.csr_matrix((np.ones(n, np.float32), points, np.arange(n + 1)),
+                      shape=(n, int(points.max(initial=-1)) + 1))
     pattern = sp.csr_matrix((np.ones(A.nnz, np.float32), A.indices,
                              A.indptr), shape=A.shape)
     graph = (P.T @ pattern @ P).tocsc()
@@ -331,17 +327,16 @@ def _point_blocked_order(A, points):
     perm_c = spla.spilu(graph, drop_tol=np.inf, fill_factor=1,
                         permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                         options={"SymmetricMode": True}).perm_c
-    # point -1 reads the step after the last
-    return np.argsort(np.append(perm_c, npoints)[points], kind="stable")
+    return np.argsort(perm_c[points], kind="stable")
 
 
 def lu_solve(matrix, rhs, points=None):
     """Direct solve of a square sparse system; returns (x, SolveReport).
 
-    points, the mesh point of each unknown (-1 for none), makes the
-    elimination order point-blocked (``_point_blocked_order``): the
-    equilibrated copy is factored in that order, and x, the residuals and
-    the report stay in the system's own numbering.  Without it SuperLU
+    points, the mesh point of each unknown, makes the elimination order
+    point-blocked (``_point_blocked_order``): the equilibrated copy is
+    factored in that order, and x, the residuals and the report stay in the
+    system's own numbering.  Without it SuperLU
     orders the copy by minimum degree on the pattern of A^T + A.
     The solution refined from a float32 factor is accepted when its backward
     error is at most BACKWARD_ERROR_LIMIT.  Otherwise (a singular float32

@@ -11,8 +11,7 @@ from elastweak.compressible import (MaterialParams, assemble_boundary_flux,
 from elastweak.incompressible import (assemble_divergence,
                                       assemble_mixed_boundary_flux,
                                       assemble_pressure_mass,
-                                      assemble_pressure_stabilization,
-                                      pressure_integral_vector)
+                                      assemble_pressure_stabilization)
 from elastweak.spaces import AnalyticField, FESpace, basis_values, cell_chunks
 
 
@@ -58,11 +57,11 @@ def integrate_field(mesh, fn, quadrature_degree=10):
 
 
 def padded_mixed_operator(vspace, pspace, params, flux_sides,
-                          nearly_lambda=None, mean=False):
+                          nearly_lambda=None):
     """The mixed operator as a sum of full-size zero-padded parts, in the
-    order volume, stabilization, boundary flux, pressure mass, then the
-    pressure-mean border: the reference that the one block matrix of
-    incompressible._mixed_operator must equal bit for bit."""
+    order volume, stabilization, boundary flux, then pressure mass: the
+    reference that the one block matrix of incompressible._mixed_operator
+    must equal bit for bit."""
     nU, nP = vspace.dof_count, pspace.dof_count
     mu_only = MaterialParams(params.mu)
     zero_vv = sp.csr_matrix((nU, nU))
@@ -78,9 +77,6 @@ def padded_mixed_operator(vspace, pspace, params, flux_sides,
     if nearly_lambda is not None:
         M = (1.0 / nearly_lambda) * assemble_pressure_mass(pspace)
         A = A + sp.bmat([[zero_vv, None], [None, M]], format="csr")
-    if mean:
-        m = np.concatenate([np.zeros(nU), pressure_integral_vector(pspace)])
-        A = sp.bmat([[A, m[:, None]], [m[None, :], None]], format="csr")
     A.sort_indices()
     return A
 

@@ -2,8 +2,8 @@
 orthogonality residuals, pointwise triple norms, per-point error sums, the
 side-mean boundary seminorm, the rigid-motion Gram behind the Korn
 assumption, the compressible manufactured field as a product of
-univariate factors and the point-blocked elimination order from the mesh
-alone.
+univariate factors, the point-blocked elimination order from the mesh
+alone and the pressure-mean bordered solve of a mixed system.
 
 The norms evaluate analytic fields (with an explicit mesh) as well as
 discrete ones, at any quadrature degree, with their own pointwise
@@ -21,6 +21,7 @@ from elastweak.compressible import (MaterialParams, _dirichlet_sides,
 from elastweak.incompressible import (_mixed_load, _mixed_operator,
                                       _pressure_flux_load)
 from elastweak.norms import ERROR_DEGREE, SIDE_MEAN_DEGREE
+from elastweak.solvers import lu_solve
 from elastweak.spaces import AnalyticField, DiscreteField, FESpace, cell_chunks
 
 # -- the compressible manufactured field --------------------------------------
@@ -262,17 +263,27 @@ def mesh_point_order(space):
     return np.argsort(perm_c)
 
 
-def point_blocked_order(vspace, pressure=False, multiplier=False):
+def point_blocked_order(vspace, pressure=False):
     """Elimination order of a vector space's unknowns in mesh_point_order,
     point s numbered (2s, 2s + 1), or with pressure (2s, 2s + 1, n_u + s)
-    for the equal-order pressure on the same points; with multiplier the
-    index after the pressures comes last."""
+    for the equal-order pressure on the same points."""
     s = mesh_point_order(vspace)
     columns = [2 * s, 2 * s + 1] + [vspace.dof_count + s] * pressure
-    order = np.column_stack(columns).ravel()
-    if multiplier:
-        order = np.append(order, vspace.dof_count + len(s))
-    return order
+    return np.column_stack(columns).ravel()
+
+
+# -- the pressure-mean bordered system -----------------------------------------
+
+
+def bordered_mean_solve(mixed, mean, rhs):
+    """(x, lam) solving [[C, m], [m^T, 0]] [x; lam] = [rhs; 0] by lu_solve,
+    C the matrix of a MixedSystem and m = (0, mean) the pressure-mean
+    functional: the mean-zero solution and the multiplier, which is the
+    compatibility defect sum rhs_p / sum mean of the load."""
+    m = sp.csr_matrix(np.concatenate([np.zeros(mixed.n_velocity), mean]))
+    A = sp.bmat([[mixed.system.matrix, m.T], [m, None]], format="csr")
+    y, _ = lu_solve(A, np.append(rhs, 0.0))
+    return y[:-1], y[-1]
 
 
 # -- Galerkin orthogonality ---------------------------------------------------
@@ -310,7 +321,7 @@ def _exact_flux_rows(space, params, exact_u, side_tags, degree, exact_p=None):
 
 def _scaled_max(residual, matrix, x):
     row_norms = np.sqrt(np.asarray(matrix.multiply(matrix).sum(axis=1)).ravel())
-    scale = row_norms[:len(residual)] * max(np.linalg.norm(x), 1.0) + 1e-300
+    scale = row_norms * max(np.linalg.norm(x), 1.0) + 1e-300
     return float(np.max(np.abs(residual) / scale))
 
 
@@ -340,14 +351,10 @@ def galerkin_orthogonality_residual_mixed(mesh, vspace, pspace, params,
 
     The exact rows insert (u, p) into the volume, boundary and stabilization
     terms; the element residual inside the stabilization reduces to f for
-    the exact solution.  `solution` is the full solved vector, multiplier
-    included.
+    the exact solution.  `solution` is the solved [u, p] vector.
     """
     sides = _dirichlet_sides(mesh, dirichlet_sides)
-    # the weak system's matrix: bordered by the pressure mean when the
-    # Dirichlet data covers the whole boundary
-    A = _mixed_operator(vspace, pspace, params, sides,
-                        mean=set(sides) == set(mesh.side_tags))
+    A = _mixed_operator(vspace, pspace, params, sides)
     x = np.asarray(solution, dtype=float)
     if x.shape != (A.shape[0],):
         raise ValueError("solution length does not match the system")
@@ -376,6 +383,5 @@ def galerkin_orthogonality_residual_mixed(mesh, vspace, pspace, params,
            + _mixed_load(vspace, pspace, params, f,
                          degree)[vspace.dof_count:])
 
-    n = vspace.dof_count + pspace.dof_count
-    r = np.concatenate([vel, prs]) - (A @ x)[:n]
+    r = np.concatenate([vel, prs]) - A @ x
     return _scaled_max(r, A, x)

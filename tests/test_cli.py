@@ -201,10 +201,15 @@ def test_run_cook_check_accepts_corner_limited_rate(tmp_path, capsys):
     (["--mesh-sizes", "8,8"], "positive and strictly increasing"),
     (["--problem", "incompressible", "--gamma", "0"], "gamma must be positive"),
     (["--mesh-sizes", "4,x"], "'x'"),
+    # div u = -p/lambda has no lambda = 0 form
+    (["--problem", "nearly_incompressible", "--lambda", "0"],
+     "needs a positive lambda, got 0.0"),
+    (["--problem", "nearly_incompressible", "--young", "250", "--poisson",
+      "0"], "needs a positive lambda, got 0.0"),
 ], ids=["poisson-range", "poisson-alone", "empty-mesh-sizes",
         "order-3", "negative-mu", "nan-lambda", "zero-mesh-size",
         "decreasing-mesh-sizes", "repeated-mesh-size", "zero-gamma",
-        "non-integer-mesh-size"])
+        "non-integer-mesh-size", "nearly-zero-lambda", "nearly-zero-poisson"])
 @pytest.mark.parametrize("command", ["run", "diagnose"])
 def test_config_error_exit_code(tmp_path, capsys, command, argv, message):
     code = main([command, "--problem", "compressible", *argv,
@@ -213,6 +218,7 @@ def test_config_error_exit_code(tmp_path, capsys, command, argv, message):
     err = capsys.readouterr().err
     assert err.startswith("error: invalid configuration: ")
     assert message in err
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("lame", [["--mu", "7"], ["--lambda", "3"]],

@@ -349,7 +349,7 @@ def test_empty_dirichlet_sides_select_no_side():
     strong = assemble_strong_system(V, pars, g, g, dirichlet_sides=())
     assert abs(strong.matrix - K).max() == 0.0
 
-    # volume plus stabilization: no flux, no border
+    # volume plus stabilization: no flux, and the pressure mean is not fixed
     core = padded_mixed_operator(V, Q, pars, ())
     for mode in ("weak", "strong"):
         mixed = assemble_incompressible_system(V, Q, pars, g, g,

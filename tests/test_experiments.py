@@ -361,6 +361,22 @@ def test_run_convergence_deterministic_rerun():
     assert a.startswith(",".join(CSV_HEADER))
 
 
+@pytest.mark.parametrize("problem,bc_mode,dofs", [
+    ("incompressible", "weak", 2 * 9 + 9 + 1),
+    ("incompressible", "strong", 2 * 9 + 9 + 1),
+    ("nearly_incompressible", "weak", 2 * 9 + 9),
+    ("compressible", "weak", 2 * 9)])
+def test_dofs_column_counts_the_pressure_mean_multiplier(problem, bc_mode,
+                                                          dofs):
+    # P1 at n=2 has 9 points; where the pressure mean is fixed, the column
+    # also counts the multiplier of the pressure-mean border, which the
+    # recorded benchmark tables count
+    run = run_cook if PROBLEMS[problem].rows == "tip" else run_convergence
+    config = ExperimentConfig(problem=problem, mesh_sizes=(2,),
+                              bc_mode=bc_mode)
+    assert [row.dofs for row in run(config).rows] == [dofs]
+
+
 def test_run_cook_smoke():
     cfg = ExperimentConfig(problem="cook", order=1, mesh_sizes=(2, 4),
                            young=1e5, poisson=0.3333)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from fem_helpers import assert_same_csr, padded_mixed_operator
+from oracles import bordered_mean_solve
 
 from elastweak.compressible import (MaterialParams, _weak_operator,
                                     dirichlet_dofs_and_values, eliminate_dofs)
@@ -10,7 +11,6 @@ from elastweak.incompressible import (_mixed_operator, assemble_divergence,
                                       assemble_pressure_stabilization,
                                       pressure_integral_vector)
 from elastweak.mesh import build_cook_mesh, build_unit_square_mesh
-from elastweak.solvers import lu_solve
 from elastweak.spaces import AnalyticField, FESpace, interpolate
 
 ZERO = AnalyticField.constant_vector(0.0, 0.0)
@@ -136,8 +136,8 @@ def test_velocity_block_is_the_weak_operator(builder, sides, order):
 @pytest.mark.parametrize("n", [4, 32])
 @pytest.mark.parametrize("bc_mode", ["weak", "strong"])
 def test_mixed_matrix_equals_padded_sum_on_square(n, bc_mode):
-    # bordered by the pressure mean; strong mode eliminates on the bordered
-    # operator without flux
+    # the square [u, p] matrix of a fixed pressure mean; strong mode
+    # eliminates on the operator without flux
     mesh, V, Q = spaces(n)
     pars = MaterialParams(1.0, gamma=0.1)
     g = AnalyticField.constant_vector(0.3, -0.2)
@@ -145,7 +145,7 @@ def test_mixed_matrix_equals_padded_sum_on_square(n, bc_mode):
                                            bc_mode=bc_mode)
     assert mixed.constraint_index == V.dof_count + Q.dof_count
     flux_sides = mesh.side_tags if bc_mode == "weak" else ()
-    ref = padded_mixed_operator(V, Q, pars, flux_sides, mean=True)
+    ref = padded_mixed_operator(V, Q, pars, flux_sides)
     if bc_mode == "strong":
         dofs, vals = dirichlet_dofs_and_values(V, g)
         ref, _ = eliminate_dofs(ref, mixed.system.rhs, dofs, vals)
@@ -237,11 +237,14 @@ def test_p2_stabilization_velocity_coupling_consistent():
 
 
 def test_zero_data_zero_solution():
+    # the matrix is singular; the mean-zero solve is the one the sweeps use
+    from elastweak.experiments import _pinned_mean_solve
     mesh, V, Q = spaces(3)
     mixed = assemble_incompressible_system(V, Q,
                                            MaterialParams(1.0, gamma=0.1),
                                            ZERO, ZERO)
-    x, _ = lu_solve(mixed.system.matrix, mixed.system.rhs)
+    x = _pinned_mean_solve(mixed, pressure_integral_vector(Q),
+                           mixed.system.rhs, "zero data")
     assert np.abs(x).max() == 0.0
 
 
@@ -262,11 +265,7 @@ def test_manufactured_data_compatibility():
 def test_nearly_infinite_lambda_recovers_incompressible_matrix():
     mesh, V, Q = spaces(2)
     pars = MaterialParams(1.0, gamma=0.1)
-    # the incompressible system is bordered by the pressure mean; its core
-    # is the unbordered operator
-    bordered = assemble_incompressible_system(V, Q, pars, ZERO, ZERO)
-    nc = bordered.constraint_index
-    base = bordered.system.matrix[:nc, :nc]
+    base = assemble_incompressible_system(V, Q, pars, ZERO, ZERO).system.matrix
     near = assemble_incompressible_system(V, Q, pars, ZERO, ZERO,
                                           nearly_lambda=np.inf)
     assert near.constraint_index is None
@@ -280,25 +279,30 @@ def test_nearly_infinite_lambda_recovers_incompressible_matrix():
 
 def test_nearly_lambda_must_be_positive():
     mesh, V, Q = spaces(2)
-    with pytest.raises(ValueError):
-        assemble_incompressible_system(V, Q,
-                                       MaterialParams(1.0, gamma=0.1),
-                                       ZERO, ZERO, nearly_lambda=-2.0)
+    for lam in (-2.0, 0.0, float("nan")):
+        with pytest.raises(ValueError, match="nearly_lambda must be positive"):
+            assemble_incompressible_system(V, Q,
+                                           MaterialParams(1.0, gamma=0.1),
+                                           ZERO, ZERO, nearly_lambda=lam)
 
 
 def test_mean_constraint_removes_singularity():
     mesh, V, Q = spaces(2)
     pars = MaterialParams(1.0, gamma=0.1)
-    constrained = assemble_incompressible_system(V, Q, pars, ZERO, ZERO)
-    nc = constrained.constraint_index
-    assert nc == V.dof_count + Q.dof_count
+    mixed = assemble_incompressible_system(V, Q, pars, ZERO, ZERO)
+    C = mixed.system.matrix
+    assert mixed.constraint_index == V.dof_count + Q.dof_count == C.shape[0]
     # constant pressure spans the kernel of the unconstrained operator
     X = mixed_vector(V, Q, pfield=AnalyticField.scalar(lambda x, y: 1 + 0 * x))
-    assert np.abs(constrained.system.matrix[:nc, :nc] @ X).max() < 1e-12
-    rng = np.random.default_rng(0)
-    b = rng.standard_normal(constrained.system.dof_count)
-    x, report = lu_solve(constrained.system.matrix, b)
-    assert report.residual_norm < 1e-9
+    assert np.abs(C @ X).max() < 1e-12
+    # the pressure-mean border makes any load solvable
+    b = np.random.default_rng(0).standard_normal(C.shape[0])
+    mean = pressure_integral_vector(Q)
+    x, lam = bordered_mean_solve(mixed, mean, b)
+    r = b - C @ x
+    r[V.dof_count:] -= lam * mean
+    assert np.linalg.norm(r) < 1e-9 * np.linalg.norm(b)
+    assert abs(mean @ x[V.dof_count:]) < 1e-12
 
 
 def test_solved_pressure_has_zero_mean_and_multiplier_vanishes():
@@ -308,24 +312,25 @@ def test_solved_pressure_has_zero_mean_and_multiplier_vanishes():
     data = manufactured_incompressible(pars)
     eu, ep, f, g = data.exact_u, data.exact_p, data.f, data.g
     mesh = build_unit_square_mesh(8)
-    u_h, p_h, mult, mixed = solve_incompressible(mesh, 1, pars, f, g)
-    Q = p_h.space
-    mean = pressure_integral_vector(Q) @ p_h.coefficients
-    assert abs(mean) < 1e-12
-    assert abs(mult) < 1e-12
+    u_h, p_h, mixed = solve_incompressible(mesh, 1, pars, f, g)
+    mean = pressure_integral_vector(p_h.space)
+    assert abs(mean @ p_h.coefficients) < 1e-12
+    # the multiplier of the bordered system: the load's compatibility defect
+    b_p = mixed.system.rhs[mixed.n_velocity:]
+    assert abs(b_p.sum()) / mean.sum() < 1e-12
 
 
 def test_discrete_mass_balance_identity():
     # with q = 1 the boundary pairing cancels the volume divergence exactly:
     # (div u_h, 1) equals the boundary flux of u_h for any discrete field,
-    # and the solved multiplier vanishes for compatible data
+    # and the load's compatibility defect vanishes for compatible data
     from elastweak.experiments import manufactured_incompressible, \
         solve_incompressible
     pars = MaterialParams(1.0, gamma=0.1)
     data = manufactured_incompressible(pars)
     eu, ep, f, g = data.exact_u, data.exact_p, data.f, data.g
     mesh = build_unit_square_mesh(8)
-    u_h, p_h, mult, mixed = solve_incompressible(mesh, 1, pars, f, g)
+    u_h, p_h, mixed = solve_incompressible(mesh, 1, pars, f, g)
     V, Q = u_h.space, p_h.space
     D = assemble_divergence(V, Q)
     div_total = np.ones(Q.dof_count) @ (D @ u_h.coefficients)
@@ -334,7 +339,8 @@ def test_discrete_mass_balance_identity():
     vals = np.einsum("eqi,eic->eqc", bt.N, coef)
     flux = float(np.einsum("eq,eqa,ea->", bt.w, vals, bt.normal))
     assert div_total == pytest.approx(flux, abs=1e-10)
-    assert abs(mult) < 1e-12
+    b_p = mixed.system.rhs[V.dof_count:]
+    assert abs(b_p.sum()) / pressure_integral_vector(Q).sum() < 1e-12
 
 
 def test_repeat_solve_is_identical():
@@ -344,8 +350,8 @@ def test_repeat_solve_is_identical():
     data = manufactured_incompressible(pars)
     eu, ep, f, g = data.exact_u, data.exact_p, data.f, data.g
     mesh = build_unit_square_mesh(4)
-    u1, p1, _, _ = solve_incompressible(mesh, 1, pars, f, g)
-    u2, p2, _, _ = solve_incompressible(mesh, 1, pars, f, g)
+    u1, p1, _ = solve_incompressible(mesh, 1, pars, f, g)
+    u2, p2, _ = solve_incompressible(mesh, 1, pars, f, g)
     assert np.array_equal(u1.coefficients, u2.coefficients)
     assert np.array_equal(p1.coefficients, p2.coefficients)
 
@@ -365,32 +371,47 @@ def test_pinned_solve_matches_bordered_lu(order, n, bc_mode):
     pars = MaterialParams(1.0, gamma=0.1)
     data = manufactured_incompressible(pars)
     eu, ep, f, g = data.exact_u, data.exact_p, data.f, data.g
-    u_h, p_h, mult, mixed = solve_incompressible(
+    # a compatible load: the multiplier is the load's compatibility defect
+    u_h, p_h, mixed = solve_incompressible(
         build_unit_square_mesh(n), order, pars, f, g, bc_mode=bc_mode)
-    u, p, lam = mixed.split(lu_solve(mixed.system.matrix,
-                                     mixed.system.rhs)[0])
+    mean = pressure_integral_vector(p_h.space)
+    x, lam = bordered_mean_solve(mixed, mean, mixed.system.rhs)
+    u, p = mixed.split(x)
     assert _relative_gap(u_h.coefficients, u) < 1e-10
     assert _relative_gap(p_h.coefficients, p) < 1e-10
-    assert abs(mult - lam) < 1e-12
+    b_p = mixed.system.rhs[mixed.n_velocity:]
+    assert abs(b_p.sum() / mean.sum() - lam) < 1e-12
 
 
 @pytest.mark.parametrize("order,n,bc_mode", PINNED_CASES)
 def test_pinned_helper_matches_bordered_lu_on_random_rhs(order, n, bc_mode):
-    # an incompatible right-hand side: the multiplier is O(1) and the border
-    # entry asks for a nonzero pressure mean
+    # an incompatible load: the multiplier of the bordered system is O(1)
     from elastweak.experiments import _pinned_mean_solve
     mesh, V, Q = spaces(n, order)
     mixed = assemble_incompressible_system(
         V, Q, MaterialParams(1.0, gamma=0.1), ZERO, ZERO,
         bc_mode=bc_mode)
+    mean = pressure_integral_vector(Q)
     b = np.random.default_rng(7).standard_normal(mixed.system.dof_count)
-    b[mixed.constraint_index] = 0.5
-    x = _pinned_mean_solve(mixed, b, "random rhs")
-    ref, _ = lu_solve(mixed.system.matrix, b)
-    assert abs(ref[-1]) > 1e-3
+    x = _pinned_mean_solve(mixed, mean, b, "random rhs")
+    ref, lam = bordered_mean_solve(mixed, mean, b)
+    assert abs(lam) > 1e-3
     assert _relative_gap(x, ref) < 1e-10
-    assert pressure_integral_vector(Q) @ x[V.dof_count:-1] == pytest.approx(
-        0.5, rel=1e-12)
+    p = x[V.dof_count:]
+    assert abs(mean @ p) <= 1e-14 * mean.sum() * np.abs(p).max()
+
+
+def test_pinned_mean_solve_checks_the_pinned_row():
+    # with a pressure mass the constant pressure spans no kernel, so the
+    # solve with one pressure DOF pinned leaves a residual in that DOF's
+    # row, which the residual check on every unknown rejects
+    from elastweak.experiments import ExperimentError, _pinned_mean_solve
+    mesh, V, Q = spaces(4)
+    mixed = assemble_incompressible_system(
+        V, Q, MaterialParams(1.0, gamma=0.1), ZERO, ZERO, nearly_lambda=1.0)
+    b = np.random.default_rng(5).standard_normal(mixed.system.dof_count)
+    with pytest.raises(ExperimentError, match="relative residual"):
+        _pinned_mean_solve(mixed, pressure_integral_vector(Q), b, "pinned")
 
 
 @pytest.mark.parametrize("order,bc_mode", [(1, "weak"), (1, "strong"),
@@ -402,8 +423,7 @@ def test_constant_pressure_spans_both_kernels_of_core(order, bc_mode):
     mixed = assemble_incompressible_system(
         V, Q, MaterialParams(1.0, gamma=0.1), ZERO, ZERO,
         bc_mode=bc_mode)
-    nc = mixed.constraint_index
-    core = mixed.system.matrix[:nc, :nc]
+    core = mixed.system.matrix
     scale = abs(core).max()
     const = np.concatenate([np.zeros(V.dof_count), np.ones(Q.dof_count)])
     assert np.abs(const @ core).max() < 1e-15 * scale

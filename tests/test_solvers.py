@@ -16,7 +16,8 @@ from elastweak.compressible import (MaterialParams, assemble_strong_system,
 from elastweak.experiments import (_pinned_mean_solve,
                                    manufactured_compressible,
                                    manufactured_incompressible)
-from elastweak.incompressible import assemble_incompressible_system
+from elastweak.incompressible import (assemble_incompressible_system,
+                                      pressure_integral_vector)
 from elastweak.mesh import build_cook_mesh, build_unit_square_mesh
 from elastweak import solvers
 from elastweak.solvers import (BACKWARD_ERROR_LIMIT, CANCELLATION_TOL,
@@ -453,19 +454,25 @@ def test_point_order_solve_matches_default_order_on_cook_mixed():
 
 @pytest.mark.parametrize("order, n", [(1, 8), (2, 4)])
 def test_pinned_mean_solve_in_point_order_matches_default_order(order, n):
+    # weak and strong, on the compatible manufactured load and on an
+    # incompatible random one
     params = MaterialParams(1.0, 1.0, gamma=0.1)
     data = manufactured_incompressible(params)
     mesh = build_unit_square_mesh(n)
-    mixed = assemble_incompressible_system(
-        FESpace(mesh, order, 2), FESpace(mesh, order, 1), params, data.f,
-        data.g)
-    assert mixed.constraint_index is not None
-    unordered = dataclasses.replace(
-        mixed, system=dataclasses.replace(mixed.system, points=None))
-    rhs = mixed.system.rhs
-    x = _pinned_mean_solve(mixed, rhs, "point order")
-    x0 = _pinned_mean_solve(unordered, rhs, "default order")
-    assert _relative_difference(x, x0) <= 1e-12
+    V, Q = FESpace(mesh, order, 2), FESpace(mesh, order, 1)
+    mean = pressure_integral_vector(Q)
+    for bc_mode in ("weak", "strong"):
+        mixed = assemble_incompressible_system(V, Q, params, data.f, data.g,
+                                               bc_mode=bc_mode)
+        assert mixed.constraint_index is not None
+        unordered = dataclasses.replace(
+            mixed, system=dataclasses.replace(mixed.system, points=None))
+        random = np.random.default_rng(3).standard_normal(
+            mixed.system.dof_count)
+        for rhs in (mixed.system.rhs, random):
+            x = _pinned_mean_solve(mixed, mean, rhs, "point order")
+            x0 = _pinned_mean_solve(unordered, mean, rhs, "default order")
+            assert _relative_difference(x, x0) <= 1e-12
 
 
 def _square_strong_p1(n):
@@ -497,21 +504,18 @@ def test_system_orders_number_each_point_together(build):
         assert np.all(order[0::2] % 2 == 0)
         assert np.array_equal(order[1::2], order[0::2] + 1)
         return
-    # velocity pair and pressure per point; the bordered square system's
-    # multiplier comes last
-    nv = 2 * ((n - 1) // 3 if build is _square_mixed_p1 else n // 3)
-    blocks = order[:3 * (nv // 2)].reshape(-1, 3)
+    # velocity pair and pressure per point
+    nv = 2 * (n // 3)
+    blocks = order.reshape(-1, 3)
     assert np.all(blocks[:, 0] % 2 == 0)
     assert np.array_equal(blocks[:, 1], blocks[:, 0] + 1)
     assert np.array_equal(blocks[:, 2], nv + blocks[:, 0] // 2)
-    if build is _square_mixed_p1:
-        assert order[-1] == n - 1
 
 
 def _mesh_system(mesh, k, kind):
     """(matrix, points, reference order) of a weak compressible, a nearly
-    incompressible, a pressure-mean bordered or a pinned-core mixed system;
-    the loads do not enter the order, so they are zero."""
+    incompressible or a pinned-core mixed system; the loads do not enter
+    the order, so they are zero."""
     V = FESpace(mesh, k, 2)
     zero = AnalyticField.constant_vector(0.0, 0.0)
     if kind == "weak":
@@ -521,17 +525,14 @@ def _mesh_system(mesh, k, kind):
         V, FESpace(mesh, k, 1), MaterialParams(1.0, 1.0, gamma=0.1), zero,
         zero, nearly_lambda=1e3 if kind == "nearly" else None)
     A, points = mixed.system.matrix, mixed.system.points
+    reference = point_blocked_order(V, pressure=True)
     if kind == "nearly":
-        return A, points, point_blocked_order(V, pressure=True)
-    reference = point_blocked_order(V, pressure=True, multiplier=True)
-    if kind == "bordered":
         return A, points, reference
-    nc = mixed.constraint_index
-    return (A[:nc - 1, :nc - 1], points[:nc - 1],
-            reference[reference < nc - 1])
+    n = A.shape[0]
+    return A[:n - 1, :n - 1], points[:n - 1], reference[reference < n - 1]
 
 
-@pytest.mark.parametrize("kind", ["weak", "nearly", "bordered", "pinned"])
+@pytest.mark.parametrize("kind", ["weak", "nearly", "pinned"])
 @pytest.mark.parametrize("k", [1, 2])
 @pytest.mark.parametrize("build", [build_unit_square_mesh, build_cook_mesh])
 def test_point_order_matches_the_mesh_graph_reference(build, k, kind):
@@ -565,27 +566,27 @@ def test_ordered_equilibrated_copy_is_the_permuted_one():
 
 @pytest.mark.parametrize("points", [[0, 1], [0, 1, 2, 2], [[0, 1, 2]],
                                     [2.0, 0.0, 1.0], [True, False, True],
-                                    [-2, 0, 1], [0, 1, 3]])
+                                    [-2, 0, 1], [0, 1, 3], [0, 1, -1]])
 def test_points_must_name_one_point_per_unknown(points):
-    with pytest.raises(ValueError, match=r"one integer in \[-1, 3\) per"):
+    # every unknown lies at a point: -1 names none
+    with pytest.raises(ValueError, match=r"one integer in \[0, 3\) per"):
         lu_solve(sp.identity(3, format="csr"), np.ones(3), points)
 
 
-@pytest.mark.parametrize("points", [[0, 0, 1], [1, 0, 1], [2, 2, -1],
-                                    [1, -1, 1], [-1, -1, -1]])
+@pytest.mark.parametrize("points", [[0, 0, 1], [1, 0, 1], [2, 2, 0],
+                                    [2, 1, 2], [2, 2, 2]])
 def test_points_may_repeat_skip_or_be_absent(points):
+    # a point may carry several unknowns, and a point number below the
+    # largest may be absent, carrying none
     A = sp.identity(3, format="csr")
     order = solvers._point_blocked_order(A, np.array(points))
     assert sorted(order) == [0, 1, 2]
-    # each point's unknowns numbered together in index order, those
-    # without a point last
+    # each point's unknowns numbered together in index order
     placed = np.array(points)[order]
     for p in set(points):
         at = np.flatnonzero(placed == p)
         assert np.array_equal(at, np.arange(at[0], at[-1] + 1))
         assert np.all(np.diff(order[at]) > 0)
-        if p == -1:
-            assert at[-1] == 2
     x, _ = lu_solve(A, np.array([1.0, 2.0, 3.0]), points)
     assert x.tolist() == [1.0, 2.0, 3.0]
 

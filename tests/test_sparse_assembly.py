@@ -41,9 +41,6 @@ def _assemblers(V, Q):
            ("weak operator", _weak_operator(V, PARAMS, sides), (nv, nv)),
            ("mixed operator", _mixed_operator(V, Q, PARAMS, sides),
             (nv + nq,) * 2),
-           ("mixed operator, mean",
-            _mixed_operator(V, Q, PARAMS, sides, mean=True),
-            (nv + nq + 1,) * 2),
            ("compressible norm Gram", triple_norm_gram_compressible(V, PARAMS),
             (nv, nv)),
            ("incompressible norm Gram",
