@@ -34,8 +34,9 @@ class Mesh:
 
     def __post_init__(self):
         """Raise ValueError on a non-finite vertex coordinate, normal or
-        tangent, on a vertex or owner index out of range and on a triangle
-        that is not counterclockwise."""
+        tangent, on a vertex, owner or tag index out of range, on a triangle
+        that is not counterclockwise and on a boundary edge that is not an
+        edge of its owner with the normal pointing out of it."""
         for what, values in (("vertex coordinate", self.vertices),
                              ("boundary edge normal", self.edge_normal),
                              ("boundary edge tangent", self.edge_tangent)):
@@ -44,13 +45,24 @@ class Mesh:
         nv, nt = self.num_vertices, self.num_triangles
         for what, index, size in (("triangle vertex", self.triangles, nv),
                                   ("boundary edge vertex", self.edge_vertices, nv),
-                                  ("boundary edge owner", self.edge_owner, nt)):
+                                  ("boundary edge owner", self.edge_owner, nt),
+                                  ("boundary edge tag", self.edge_tag,
+                                   len(self.side_tags))):
             if index.size and (index.min() < 0 or index.max() >= size):
                 raise ValueError(f"{what} index out of range [0, {size})")
         bad = np.flatnonzero(self.triangle_areas() <= 0.0)
         if bad.size:
             raise ValueError(f"triangle {bad[0]} is not counterclockwise "
                              f"({bad.size} such triangles)")
+        owner, ends = self.triangles[self.edge_owner], self.edge_vertices
+        at_end = owner[:, :, None] == ends[:, None, :]      # (ne, 3, 2)
+        third = owner[np.arange(len(owner)), np.argmin(at_end.any(axis=2), 1)]
+        inward = np.einsum("ij,ij->i", self.edge_normal,
+                           self.vertices[third] - self.vertices[ends[:, 0]])
+        bad = np.flatnonzero(~at_end.any(axis=1).all(axis=1) | (inward > 0))
+        if bad.size:
+            raise ValueError(f"boundary edge {bad[0]} is not an outward edge "
+                             f"of its owner triangle {self.edge_owner[bad[0]]}")
 
     @property
     def num_vertices(self):

@@ -33,14 +33,17 @@ systems is 8.1e-16 and the smallest genuine entry 3.5e-10; ordering and
 filling the residues as structural nonzeros cost the P1 n=128 Cook membrane
 mixed factor 10.43M entries instead of 9.09M in SuperLU's order.  It
 factors that copy in float32 first, which stores the factor's values in
-half the bytes at the same fill, and refines the solution in float64 with residuals of the
-assembled A formed in long double, so the solution is that of the assembled
-system and the factor of the perturbed, rounded copy only serves as an
-approximate inverse (Skeel, Math. Comp. 35, 1980; three-precision
-refinement: Carson & Higham, SIAM J. Sci. Comput. 40, 2018).  The solution
-is accepted when its normwise backward error is at most
-``BACKWARD_ERROR_LIMIT``, the test of LAPACK's DSGESV; otherwise the copy
-is factored again in float64 and refined the same way.
+half the bytes at the same fill, and refines the solution in float64 with
+residuals of the assembled A formed in long double, so the solution is that
+of the assembled system and the factor of the perturbed, rounded copy only
+serves as an approximate inverse (Skeel, Math. Comp. 35, 1980;
+three-precision refinement: Carson & Higham, SIAM J. Sci. Comput. 40,
+2018).  Refinement stops on the size of the correction, for either factor:
+once it is at most the float64 epsilon times ||x||_inf, or no smaller than
+the last one applied (Demmel, Hida, Kahan, Li, Mukherjee & Riedy, ACM TOMS
+32, 2006).  The solution is accepted when its normwise backward error is at
+most ``BACKWARD_ERROR_LIMIT``, the test of LAPACK's DSGESV; otherwise the
+copy is factored again in float64 and refined the same way.
 The generalized singular value diagnostic is an ARPACK shift-invert
 eigensolve that reuses one sparse LU of the operator, so it never densifies.
 """
@@ -88,33 +91,22 @@ DIAGONAL_SPREAD_LIMIT = 1e200
 # back to the float64 copy when the float32 one is singular.
 CANCELLATION_TOL = 1e-12
 
-# lu_solve refines the solution until the relative residual reaches
-# REFINEMENT_TARGET, for at most REFINEMENT_STEPS steps, and stops after a
-# step that cuts the residual by less than REFINEMENT_MIN_GAIN: the target
-# can lie below the roundoff floor of x itself, where further steps gain a
-# few percent each.  On the P2 Cook membrane systems at n=32 and the P1
-# n=128 one, factored in their point order, each of the first three steps
-# from a float32 factor gains a factor 37 to 15,000; the floor (1.5e-12 to
-# 4.0e-12) is reached after three steps, or after a fourth that gains 4.3
-# on the P2 mixed system, and a step from the floor gains at most 1.04 (the
-# P2 strong system, which takes it as a fourth step and stops);
-# from a float64 factor the first step gains 3.3 to 11 and reaches the
-# floor.
-REFINEMENT_TARGET = 1e-13
+# Largest number of refinement corrections lu_solve applies to a solution;
+# refinement stops earlier once a correction falls to the float64 epsilon
+# of x or stops shrinking.
 REFINEMENT_STEPS = 4
-REFINEMENT_MIN_GAIN = 2.0
 
 # Largest normwise backward error ||A x - b||_inf / (||A||_inf ||x||_inf +
 # ||b||_inf) at which lu_solve accepts a solution refined from a float32
 # factor, as LAPACK's DSGESV does; above it the system is factored in
-# float64.  The limit is the float64 machine epsilon, 2.2e-16.  In their
-# point order the 22 systems the benchmark solves reach at most 1.6e-16
-# from float32 factors (2 to 4 refinement steps; 8.7e-17 in SuperLU's
-# order).  Those that fall back reach at least 1.5e-15: the Cook membrane
-# compressible P1 system at nu=0.4999 and n=16 (2.6e-14, whose relative
-# residual is then 2.0e-7), the lambda=1e5 P2 n=8 weak square system
-# (1.5e-15) and Hilbert(6) (2.8e-12).  The n=8 Cook system, which fell
-# back at 2.8e-16 in SuperLU's order, reaches 1.7e-17 in its point order.
+# float64.  The limit is the float64 machine epsilon, 2.2e-16.  In either
+# order the 22 systems the benchmark solves reach at most 4.6e-17 from
+# float32 factors (2 to 4 refinement steps).  Those that fall back reach
+# at least 1.7e-15: the Cook membrane compressible P1 system at nu=0.4999
+# and n=16 (2.6e-14, whose relative residual is then 2.0e-7), the
+# lambda=1e5 P2 n=8 weak square system (1.7e-15) and Hilbert(6)
+# (2.8e-12).  The n=8 Cook system, which fell back at 2.8e-16 in SuperLU's
+# order, reaches 1.7e-17 in its point order.
 BACKWARD_ERROR_LIMIT = float(np.finfo(float).eps)
 
 
@@ -241,12 +233,15 @@ def _refined_solve(A, b, order, dtype, factor_times):
     """Solve A x = b with an LU of the equilibrated copy of A in the
     elimination order `order` (a slice: SuperLU's own) cast to dtype,
     refined against A with long-double residuals; returns (x, relative
-    residual, backward error, fill, refinements).  Each factorization's
-    seconds are appended to factor_times.  A singular factor or a
-    non-finite solution raises SingularSystemError."""
-    # symmetric equilibration tames the λ-scaled entries; refinement sweeps on
-    # the assembled system then push the residual near roundoff.  Only A,
-    # the copy in dtype and the factor are alive while it is factored.
+    residual, backward error, fill, refinements).  Each step's correction
+    dx is not applied when ||dx||_inf <= eps ||x||_inf (x is correct to
+    working precision), when it is not below the last one applied
+    (refinement has stalled) or when it does not reduce the residual; at
+    most REFINEMENT_STEPS are applied.  Each factorization's seconds are
+    appended to factor_times.  A singular factor or a non-finite solution
+    raises SingularSystemError."""
+    # symmetric equilibration tames the λ-scaled entries.  Only A, the copy
+    # in dtype and the factor are alive while it is factored.
     anorm = _inf_norm(A)
     As, d = _equilibrate(A, order)
     As = As.astype(dtype, copy=False)
@@ -269,30 +264,24 @@ def _refined_solve(A, b, order, dtype, factor_times):
         r = _residual_extended(A_ext, v, b)
         return r, _norm_ratio(r, b)
 
-    def converged(x, r, res):
-        # a float32 solution is refined until it passes the acceptance test
-        # too: a relative residual at the target can leave a backward error
-        # above the limit when A is well conditioned
-        return res <= REFINEMENT_TARGET and (
-            dtype == np.float64
-            or _backward_error(anorm, x, b, r) <= BACKWARD_ERROR_LIMIT)
-
     r, res = true_res(x)
-    refinements = 0
-    while refinements < REFINEMENT_STEPS and not converged(x, r, res):
+    refinements, last = 0, np.inf
+    while refinements < REFINEMENT_STEPS:
         # a residual beyond the double range gives no correction: rejected
         # like a step that does not reduce the residual
         if not np.all(np.abs(r) <= np.finfo(float).max):
             break
-        x_new = x + _correction(factor, d, order, r, dtype)
+        dx = _correction(factor, d, order, r, dtype)
+        size = np.abs(dx).max(initial=0.0)
+        if (size <= np.finfo(float).eps * np.abs(x).max(initial=0.0)
+                or not size < last):
+            break
+        x_new = x + dx
         r_new, res_new = true_res(x_new)
         if not res_new < res:
             break
-        stalled = res_new * REFINEMENT_MIN_GAIN > res
-        x, r, res = x_new, r_new, res_new
+        x, r, res, last = x_new, r_new, res_new, size
         refinements += 1
-        if stalled:
-            break
     return (x, res, _backward_error(anorm, x, b, r), int(factor.nnz),
             refinements)
 
@@ -336,9 +325,10 @@ def lu_solve(matrix, rhs, points=None):
     points, the mesh point of each unknown, makes the elimination order
     point-blocked (``_point_blocked_order``): the equilibrated copy is
     factored in that order, and x, the residuals and the report stay in the
-    system's own numbering.  Without it SuperLU
-    orders the copy by minimum degree on the pattern of A^T + A.
-    The solution refined from a float32 factor is accepted when its backward
+    system's own numbering.  Without it SuperLU orders the copy by minimum
+    degree on the pattern of A^T + A.  Either factor's solution is refined
+    until its correction is negligible or stalls (``_refined_solve``).  The
+    solution refined from a float32 factor is accepted when its backward
     error is at most BACKWARD_ERROR_LIMIT.  Otherwise (a singular float32
     factor, a non-finite solution or a larger backward error) that factor is
     freed and the system is solved again from a float64 factor, which gives

@@ -173,10 +173,25 @@ def _with(name, index, value):
     ("triangles", (0, 2), "triangle vertex"),
     ("edge_vertices", (0, 1), "boundary edge vertex"),
     ("edge_owner", 0, "boundary edge owner"),
-], ids=["triangles", "edge_vertices", "edge_owner"])
+    ("edge_tag", 0, "boundary edge tag"),
+], ids=["triangles", "edge_vertices", "edge_owner", "edge_tag"])
 def test_mesh_rejects_out_of_range_index(name, index, what, value):
     with pytest.raises(ValueError, match=f"{what} index out of range"):
         _with(name, index, value)
+
+
+@pytest.mark.parametrize("name,value", [
+    ("edge_owner", 5),                  # triangle (3, 7, 6)
+    ("edge_vertices", (0, 8)),          # opposite corners: no triangle's
+    ("edge_normal", (0.0, 1.0)),        # toward vertex 4 of triangle 0
+], ids=["owner", "edge-outside-triangulation", "inward-normal"])
+def test_mesh_rejects_edge_its_owner_does_not_bound(name, value):
+    # boundary edge 0 of the n=2 square is (0, 1), owned by (0, 1, 4); an
+    # edge outside its owner would be tabulated in a cell that does not
+    # contain it, and it would have no P2 edge DOF
+    with pytest.raises(ValueError, match="boundary edge 0 is not an outward "
+                       "edge of its owner triangle"):
+        _with(name, 0, value)
 
 
 def test_mesh_rejects_clockwise_triangle():

@@ -235,17 +235,6 @@ def test_p2_edge_dofs_follow_lexicographic_rule(n):
         assert space.scalar_side_dofs(tag).tolist() == sorted(expected)
 
 
-def test_p2_side_dofs_reject_edge_outside_triangulation():
-    import dataclasses
-    mesh = build_unit_square_mesh(2)
-    edge_vertices = mesh.edge_vertices.copy()
-    edge_vertices[0] = (0, 8)    # opposite corners: not a triangle edge
-    bad = dataclasses.replace(mesh, edge_vertices=edge_vertices)
-    tag = mesh.side_tags[int(mesh.edge_tag[0])]
-    with pytest.raises(ValueError, match="no triangle"):
-        FESpace(bad, 2, 1).scalar_side_dofs(tag)
-
-
 def test_space_and_tables_freed_without_garbage_collection():
     # the boundary tables a space caches hold no reference back to it, so a
     # space's tabulation is freed when the space is unused, not at the next
