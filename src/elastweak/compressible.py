@@ -53,7 +53,7 @@ class MaterialParams:
 class AssembledSystem:
     matrix: sp.csr_matrix
     rhs: np.ndarray
-    points: np.ndarray = None   # mesh point of each unknown
+    points: np.ndarray   # mesh point of each unknown
 
     @property
     def dof_count(self):
@@ -136,7 +136,7 @@ def _stiffness_parts(space, cells):
     d_a phi_i d_b phi_j, shape (m, i, a, j, b), of the scalar basis: the
     cell factors W[c, a, b, p, r] = |detJ| Jinv[p, a] Jinv[r, b] times the
     reference tensor grad_grad[i, p, j, r], one matrix product."""
-    _, Jinv, detJ = space.geometry()
+    _, Jinv, detJ = space.mesh.affine_maps()
     Jt = np.swapaxes(Jinv[cells], 1, 2)                      # (m, a, p)
     W = ((np.abs(detJ[cells])[:, None, None] * Jt)[:, :, None, :, None]
          * Jt[:, None, :, None, :])                          # (m, a, b, p, r)
@@ -148,7 +148,7 @@ def _stiffness_parts(space, cells):
 
 def _mass_local(space, cells):
     """Per-cell integrals of phi_i phi_j (scalar basis)."""
-    _, _, detJ = space.geometry()
+    _, _, detJ = space.mesh.affine_maps()
     return (np.abs(detJ[cells])[:, None, None]
             * reference_tensors(space.order).mass)
 

@@ -474,8 +474,7 @@ def _pinned_mean_solve(mixed, mean, rhs, context):
     total = mean.sum()
     b = rhs - rhs[pressure].sum() / total * m
     x = np.zeros(A.shape[0])
-    x[:-1], _ = _lu_solve(A[:-1, :-1], b[:-1],
-                          None if points is None else points[:-1], context)
+    x[:-1], _ = _lu_solve(A[:-1, :-1], b[:-1], points[:-1], context)
     # m . x over the whole vector: a dot over the pressures alone rounds
     # differently (P1 n=32 err_p_l2 moves by one ulp)
     x[pressure] -= m @ x / total

@@ -56,7 +56,7 @@ def assemble_divergence(vspace, pspace):
     cell factors |detJ| Jinv[p, e] times the reference tensor
     value_grad[i, j, p] delta_ed, one matrix product."""
     _check_pair(vspace, pspace)
-    _, Jinv, detJ = vspace.geometry()
+    _, Jinv, detJ = vspace.mesh.affine_maps()
     T = reference_tensors(vspace.order).value_grad          # (i, j, p)
     K = np.einsum("ijp,ed->peijd", T, _I2).reshape(4, -1)
     nloc_p, nloc_v = pspace.cell_dofs.shape[1], vspace.cell_dofs.shape[1]
@@ -106,7 +106,7 @@ def assemble_pressure_stabilization(vspace, pspace, params):
     if vspace.order == 1:
         Squ = sp.csr_matrix((pspace.dof_count, vspace.dof_count))
     else:
-        _, Jinv, detJ = vspace.geometry()
+        _, Jinv, detJ = vspace.mesh.affine_maps()
         Hhat = basis_hessians(vspace.order)
         grad_ref = reference_tensors(pspace.order).grad
         nloc_p, nloc_v = pspace.cell_dofs.shape[1], vspace.cell_dofs.shape[1]
@@ -133,7 +133,7 @@ def assemble_pressure_mass(pspace):
 
 def pressure_integral_vector(pspace):
     """Vector of int_Omega psi_i dx (the pressure-mean functional)."""
-    _, _, detJ = pspace.geometry()
+    _, _, detJ = pspace.mesh.affine_maps()
     local = np.abs(detJ)[:, None] * reference_tensors(pspace.order).value
     return _scatter_vector(pspace.cell_dofs, local, pspace.dof_count)
 

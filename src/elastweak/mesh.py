@@ -1,12 +1,14 @@
-"""Structured triangulations of the unit square and the Cook membrane.
+"""Triangle meshes, and structured ones of the unit square and the Cook
+membrane.
 
-Meshes are checked and immutable after construction.  Boundary edges are
+A mesh is checked and immutable after construction.  Boundary edges are
 stored with the domain on their left (counterclockwise traversal), a tag
-naming the polygon side they belong to, the outward unit normal and the
-unit tangent, and the index of the owning triangle.
+naming their polygon side and the index of the owning triangle.  The
+outward normals, affine maps and diameters are derived from these data
+once per mesh and returned read-only.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -21,27 +23,27 @@ _COOK_A = (48.0, 60.0)
 _COOK_D = (0.0, 44.0)
 
 
+def _read_only(array):
+    array.flags.writeable = False
+    return array
+
+
 @dataclass(frozen=True)
 class Mesh:
     vertices: np.ndarray        # (nv, 2)
     triangles: np.ndarray       # (nt, 3), counterclockwise
     edge_vertices: np.ndarray   # (ne, 2) boundary edges, domain on the left
     edge_tag: np.ndarray        # (ne,) index into side_tags
-    edge_normal: np.ndarray     # (ne, 2) outward unit normal
-    edge_tangent: np.ndarray    # (ne, 2) unit tangent
     edge_owner: np.ndarray      # (ne,) owning triangle index
-    side_tags: tuple = field(default=SQUARE_SIDES)
+    side_tags: tuple
 
     def __post_init__(self):
-        """Raise ValueError on a non-finite vertex coordinate, normal or
-        tangent, on a vertex, owner or tag index out of range, on a triangle
-        that is not counterclockwise and on a boundary edge that is not an
-        edge of its owner with the normal pointing out of it."""
-        for what, values in (("vertex coordinate", self.vertices),
-                             ("boundary edge normal", self.edge_normal),
-                             ("boundary edge tangent", self.edge_tangent)):
-            if not np.isfinite(values).all():
-                raise ValueError(f"non-finite {what}")
+        """Raise ValueError on a non-finite vertex coordinate, on a vertex,
+        owner or tag index out of range, on a triangle that is not
+        counterclockwise, on a boundary edge that is not a counterclockwise
+        edge of its owner and on a boundary edge listed twice."""
+        if not np.isfinite(self.vertices).all():
+            raise ValueError("non-finite vertex coordinate")
         nv, nt = self.num_vertices, self.num_triangles
         for what, index, size in (("triangle vertex", self.triangles, nv),
                                   ("boundary edge vertex", self.edge_vertices, nv),
@@ -50,19 +52,22 @@ class Mesh:
                                    len(self.side_tags))):
             if index.size and (index.min() < 0 or index.max() >= size):
                 raise ValueError(f"{what} index out of range [0, {size})")
-        bad = np.flatnonzero(self.triangle_areas() <= 0.0)
-        if bad.size:
-            raise ValueError(f"triangle {bad[0]} is not counterclockwise "
-                             f"({bad.size} such triangles)")
-        owner, ends = self.triangles[self.edge_owner], self.edge_vertices
-        at_end = owner[:, :, None] == ends[:, None, :]      # (ne, 3, 2)
-        third = owner[np.arange(len(owner)), np.argmin(at_end.any(axis=2), 1)]
-        inward = np.einsum("ij,ij->i", self.edge_normal,
-                           self.vertices[third] - self.vertices[ends[:, 0]])
-        bad = np.flatnonzero(~at_end.any(axis=1).all(axis=1) | (inward > 0))
+        self.affine_maps()      # rejects a clockwise or flat triangle
+        # the domain lies on the left of (a, b) exactly when it is one of
+        # the owner's edges (t0, t1), (t1, t2), (t2, t0)
+        owner = self.triangles[self.edge_owner]
+        a, b = self.edge_vertices.T
+        ccw = (owner == a[:, None]) & (np.roll(owner, -1, axis=1) == b[:, None])
+        bad = np.flatnonzero(~ccw.any(axis=1))
         if bad.size:
             raise ValueError(f"boundary edge {bad[0]} is not an outward edge "
                              f"of its owner triangle {self.edge_owner[bad[0]]}")
+        _, first = np.unique(a * nv + b, return_index=True)
+        repeat = np.setdiff1d(np.arange(len(a)), first)
+        if repeat.size:
+            e = repeat[0]
+            raise ValueError(f"boundary edge {e} ({a[e]}, {b[e]}) is listed "
+                             "twice")
 
     @property
     def num_vertices(self):
@@ -91,11 +96,38 @@ class Mesh:
         """Vertex coordinates per triangle, shape (nt, 3, 2)."""
         return self.vertices[self.triangles]
 
+    @cached_property
+    def _affine(self):
+        # cached_property writes the instance dict, which a frozen dataclass
+        # leaves open
+        p = self.triangle_corners()
+        J = np.stack([p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]], axis=2)
+        detJ = J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
+        bad = np.flatnonzero(detJ <= 0.0)      # before the division below
+        if bad.size:
+            raise ValueError(f"triangle {bad[0]} is not counterclockwise "
+                             f"({bad.size} such triangles)")
+        Jinv = np.stack([J[:, 1, 1], -J[:, 0, 1], -J[:, 1, 0], J[:, 0, 0]],
+                        axis=1).reshape(-1, 2, 2) / detJ[:, None, None]
+        return _read_only(J), _read_only(Jinv), _read_only(detJ)
+
+    def affine_maps(self):
+        """Per-triangle affine map x = p0 + J xi of the reference triangle:
+        (J, Jinv, detJ) of shapes (nt, 2, 2), (nt, 2, 2) and (nt,),
+        computed once per mesh and returned read-only."""
+        return self._affine
+
     def triangle_areas(self):
-        # one gather per coordinate: a fifth of the time of triangle_corners
-        x, y = (self.vertices[:, i][self.triangles] for i in (0, 1))
-        return 0.5 * ((x[:, 1] - x[:, 0]) * (y[:, 2] - y[:, 0])
-                      - (y[:, 1] - y[:, 0]) * (x[:, 2] - x[:, 0]))
+        return 0.5 * self.affine_maps()[2]
+
+    @cached_property
+    def edge_normal(self):
+        """Outward unit normal per boundary edge, (ne, 2), read-only: the
+        edge direction turned clockwise, the domain being on its left."""
+        ends = self.vertices[self.edge_vertices]
+        tau = ends[:, 1] - ends[:, 0]
+        tau /= np.linalg.norm(tau, axis=1)[:, None]
+        return _read_only(np.column_stack([tau[:, 1], -tau[:, 0]]))
 
     def _triangle_edge_lengths(self):
         """Lengths of the edges p0p1, p1p2 and p2p0 per triangle, (nt, 3)."""
@@ -104,11 +136,7 @@ class Mesh:
 
     @cached_property
     def _diameters(self):
-        # cached_property writes the instance dict, which a frozen dataclass
-        # leaves open
-        h = self._triangle_edge_lengths().max(axis=1)
-        h.flags.writeable = False
-        return h
+        return _read_only(self._triangle_edge_lengths().max(axis=1))
 
     def triangle_diameters(self):
         """Longest edge per triangle (the element size h_K), computed once
@@ -121,9 +149,8 @@ class Mesh:
         return 2.0 * self.triangle_areas() / (e0 + e1 + e2)
 
     def edge_lengths(self):
-        p0 = self.vertices[self.edge_vertices[:, 0]]
-        p1 = self.vertices[self.edge_vertices[:, 1]]
-        return np.linalg.norm(p1 - p0, axis=1)
+        ends = self.vertices[self.edge_vertices]
+        return np.linalg.norm(ends[:, 1] - ends[:, 0], axis=1)
 
     def centroid(self):
         """Area centroid of the meshed domain."""
@@ -184,24 +211,11 @@ def _square_connectivity(n):
     return vertices, tris, edges, tags, owners
 
 
-def _finish_mesh(vertices, tris, edges, tags, owners, side_tags):
-    p0 = vertices[edges[:, 0]]
-    p1 = vertices[edges[:, 1]]
-    tau = p1 - p0
-    tau /= np.linalg.norm(tau, axis=1)[:, None]
-    # Domain on the left of the edge direction: outward normal is tau rotated
-    # clockwise by 90 degrees.
-    normal = np.column_stack([tau[:, 1], -tau[:, 0]])
-    return Mesh(vertices=vertices, triangles=tris, edge_vertices=edges,
-                edge_tag=tags, edge_normal=normal, edge_tangent=tau,
-                edge_owner=owners, side_tags=tuple(side_tags))
-
-
 def build_unit_square_mesh(n):
     """Structured triangulation of [0,1]^2 with n subdivisions per side."""
     if n < 1:
         raise ValueError("subdivision count must be >= 1")
-    return _finish_mesh(*_square_connectivity(n), SQUARE_SIDES)
+    return Mesh(*_square_connectivity(n), SQUARE_SIDES)
 
 
 def cook_map(xi, eta):
@@ -222,4 +236,4 @@ def build_cook_mesh(n):
         raise ValueError("subdivision count must be >= 1")
     vertices, tris, edges, tags, owners = _square_connectivity(n)
     mapped = cook_map(vertices[:, 0], vertices[:, 1])
-    return _finish_mesh(mapped, tris, edges, tags, owners, COOK_SIDES)
+    return Mesh(mapped, tris, edges, tags, owners, COOK_SIDES)

@@ -6,6 +6,7 @@ input produces byte-identical files (suitable for golden-file tests).
 
 import math
 from dataclasses import dataclass
+from html import escape
 
 WIDTH, HEIGHT = 640.0, 480.0
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 70.0, 20.0, 40.0, 50.0
@@ -71,7 +72,8 @@ def render_svg(series, spec=PlotSpec()):
                'fill="none" stroke="black" stroke-width="1"/>')
     if spec.title:
         out.append(f'<text x="{_fmt(WIDTH / 2)}" y="25" text-anchor="middle" '
-                   f'font-family="sans-serif" font-size="16">{spec.title}</text>')
+                   'font-family="sans-serif" font-size="16">'
+                   f'{escape(spec.title)}</text>')
 
     for tick in _decades(ax.lo, ax.hi):
         if not ax.lo <= tick <= ax.hi:
@@ -95,10 +97,11 @@ def render_svg(series, spec=PlotSpec()):
                    f'font-size="12">1e{int(round(math.log10(tick)))}</text>')
     out.append(f'<text x="{_fmt(WIDTH / 2)}" y="{_fmt(HEIGHT - 12)}" '
                'text-anchor="middle" font-family="sans-serif" '
-               f'font-size="14">{spec.xlabel}</text>')
+               f'font-size="14">{escape(spec.xlabel)}</text>')
     out.append(f'<text x="18" y="{_fmt(HEIGHT / 2)}" text-anchor="middle" '
                'font-family="sans-serif" font-size="14" '
-               f'transform="rotate(-90 18 {_fmt(HEIGHT / 2)})">{spec.ylabel}</text>')
+               f'transform="rotate(-90 18 {_fmt(HEIGHT / 2)})">'
+               f'{escape(spec.ylabel)}</text>')
 
     for idx, s in enumerate(series):
         color = PALETTE[idx % len(PALETTE)]
@@ -140,7 +143,8 @@ def render_svg(series, spec=PlotSpec()):
                    f'x2="{_fmt(lx + 24)}" y2="{_fmt(ly - 4)}" '
                    f'stroke="{color}" stroke-width="1.5"/>')
         out.append(f'<text x="{_fmt(lx + 30)}" y="{_fmt(ly)}" '
-                   f'font-family="sans-serif" font-size="12">{s.label}</text>')
+                   'font-family="sans-serif" font-size="12">'
+                   f'{escape(s.label)}</text>')
 
     out.append("</svg>")
     return "\n".join(out) + "\n"

@@ -155,24 +155,7 @@ class FESpace:
             self.cell_dofs = cd
         self.dof_count = components * self.scalar_dof_count
 
-        self._geometry = None
         self._boundary_cache = {}
-
-    # -- geometry -----------------------------------------------------------
-
-    def geometry(self):
-        """Per-triangle affine map data (J, Jinv, detJ), cached."""
-        if self._geometry is None:
-            p = self.mesh.triangle_corners()
-            J = np.stack([p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]], axis=2)
-            detJ = J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
-            Jinv = np.empty_like(J)
-            Jinv[:, 0, 0] = J[:, 1, 1] / detJ
-            Jinv[:, 0, 1] = -J[:, 0, 1] / detJ
-            Jinv[:, 1, 0] = -J[:, 1, 0] / detJ
-            Jinv[:, 1, 1] = J[:, 0, 0] / detJ
-            self._geometry = (J, Jinv, detJ)
-        return self._geometry
 
     def scalar_side_dofs(self, side_tag):
         """Scalar DOFs supported on the boundary side `side_tag`."""
@@ -229,7 +212,7 @@ class InteriorTables:
         self._dN_qp = np.swapaxes(dN, 1, 2).reshape(-1, dN.shape[1])
         self._affine_ref = np.vstack([np.ones(rule.num_points),
                                       rule.points.T])        # (3, nq)
-        self.J, self.Jinv, detJ = space.geometry()
+        self.J, self.Jinv, detJ = space.mesh.affine_maps()
         self.wdet = np.abs(detJ)[:, None] * rule.weights[None, :]  # (nt, nq)
 
     def physical_points(self, cells=slice(None)):
@@ -287,7 +270,7 @@ class BoundaryTables:
         self.x = p0[:, None, :] + s[None, :, None] * (p1 - p0)[:, None, :]
         self.w = self.length[:, None] * rule.weights[None, :]   # (ne, nq)
 
-        _, Jinv, _ = space.geometry()
+        _, Jinv, _ = mesh.affine_maps()
         a = mesh.vertices[mesh.triangles[self.owner, 0]]
         # Reference coordinates of the edge points inside the owner triangle.
         ref = np.einsum("eab,eqb->eqa", Jinv[self.owner],

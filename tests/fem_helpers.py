@@ -1,7 +1,8 @@
 """Reference computations that only the tests need: the mesh's edge list,
-point evaluation of a discrete field, integration of a pointwise function,
-the mixed operator as a sum of zero-padded parts and analytic test fields
-written as a value and a gradient."""
+a relabeled copy of a mesh, point evaluation of a discrete field,
+integration of a pointwise function, the mixed operator as a sum of
+zero-padded parts and analytic test fields written as a value and a
+gradient."""
 
 import numpy as np
 import scipy.sparse as sp
@@ -12,6 +13,7 @@ from elastweak.incompressible import (assemble_divergence,
                                       assemble_mixed_boundary_flux,
                                       assemble_pressure_mass,
                                       assemble_pressure_stabilization)
+from elastweak.mesh import Mesh
 from elastweak.spaces import AnalyticField, FESpace, basis_values, cell_chunks
 
 
@@ -21,6 +23,26 @@ def unique_edges(mesh):
     pairs = np.sort(np.vstack([t[:, [0, 1]], t[:, [1, 2]], t[:, [0, 2]]]),
                     axis=1)
     return np.unique(pairs, axis=0)
+
+
+def relabeled(mesh, seed):
+    """The mesh with its vertices, triangles and boundary-edge rows in a
+    random order, built with Mesh(...), and the three orders: row i of the
+    new vertices, triangles and boundary edges is row order[i] of the old
+    ones.  Each triangle keeps its corners in their counterclockwise
+    order."""
+    rng = np.random.default_rng(seed)
+    vertex_order, triangle_order, edge_order = (rng.permutation(n) for n in (
+        mesh.num_vertices, mesh.num_triangles, mesh.num_boundary_edges))
+    new_vertex = np.argsort(vertex_order)
+    new = Mesh(vertices=mesh.vertices[vertex_order],
+               triangles=new_vertex[mesh.triangles[triangle_order]],
+               edge_vertices=new_vertex[mesh.edge_vertices[edge_order]],
+               edge_tag=mesh.edge_tag[edge_order],
+               edge_owner=np.argsort(triangle_order)[
+                   mesh.edge_owner[edge_order]],
+               side_tags=mesh.side_tags)
+    return new, (vertex_order, triangle_order, edge_order)
 
 
 def field_with_gradient(value, gradient):
@@ -35,7 +57,7 @@ def eval_in_cells(field, cells, points):
     given cells."""
     cells = np.asarray(cells, dtype=np.int64)
     space, mesh = field.space, field.space.mesh
-    _, Jinv, _ = space.geometry()
+    _, Jinv, _ = mesh.affine_maps()
     a = mesh.vertices[mesh.triangles[cells, 0]]
     ref = np.einsum("pab,pb->pa", Jinv[cells],
                     np.asarray(points, dtype=float) - a)

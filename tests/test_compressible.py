@@ -24,12 +24,8 @@ def reference_triangle_mesh():
     verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     tris = np.array([[0, 1, 2]])
     edges = np.array([[0, 1], [1, 2], [2, 0]])
-    s = 1.0 / math.sqrt(2.0)
-    normals = np.array([[0.0, -1.0], [s, s], [-1.0, 0.0]])
-    tangents = np.array([[1.0, 0.0], [-s, s], [0.0, -1.0]])
     return Mesh(vertices=verts, triangles=tris, edge_vertices=edges,
-                edge_tag=np.array([0, 1, 2]), edge_normal=normals,
-                edge_tangent=tangents, edge_owner=np.array([0, 0, 0]),
+                edge_tag=np.array([0, 1, 2]), edge_owner=np.array([0, 0, 0]),
                 side_tags=("bottom", "diag", "left"))
 
 
@@ -45,6 +41,13 @@ def rotation_field():
 
 
 ZERO = AnalyticField.constant_vector(0.0, 0.0)
+
+
+def test_reference_triangle_normals_are_derived():
+    s = 1.0 / math.sqrt(2.0)
+    np.testing.assert_allclose(reference_triangle_mesh().edge_normal,
+                               [[0.0, -1.0], [s, s], [-1.0, 0.0]],
+                               rtol=0.0, atol=1e-15)
 
 
 def test_reference_triangle_energy():
@@ -376,7 +379,7 @@ def test_stiffness_blocks_match_searched_contraction(order):
     # d_a phi_i d_b phi_j = sum_pr Jinv[p, a] Jinv[r, b] d_p N_i d_r N_j
     # contracted along a freshly searched path
     space = FESpace(build_cook_mesh(23), order, 2)
-    _, Jinv, detJ = space.geometry()
+    _, Jinv, detJ = space.mesh.affine_maps()
     for cells in cell_chunks(space.mesh):
         ref = np.einsum("c,ipjr,cpa,crb->ciajb", np.abs(detJ[cells]),
                         reference_tensors(order).grad_grad, Jinv[cells],

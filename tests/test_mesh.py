@@ -4,9 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from elastweak.mesh import (COOK_SIDES, SQUARE_SIDES, _finish_mesh,
-                            build_cook_mesh, build_unit_square_mesh, cook_map,
-                            mesh_quality)
+from elastweak.mesh import (COOK_SIDES, SQUARE_SIDES, Mesh, build_cook_mesh,
+                            build_unit_square_mesh, cook_map, mesh_quality)
 from fem_helpers import unique_edges
 
 
@@ -67,12 +66,12 @@ def test_euler_relation_and_conformity():
             assert cnt == (1 if edge in boundary else 2)
 
 
-def test_boundary_normals_tangents_orthonormal():
+def test_boundary_normals_are_unit_and_orthogonal_to_edges():
     for mesh in (build_unit_square_mesh(3), build_cook_mesh(3)):
-        n, t = mesh.edge_normal, mesh.edge_tangent
-        assert np.abs(np.einsum("ea,ea->e", n, t)).max() < 1e-12
+        n = mesh.edge_normal
+        p0, p1 = (mesh.vertices[mesh.edge_vertices[:, i]] for i in (0, 1))
+        assert np.abs(np.einsum("ea,ea->e", n, p1 - p0)).max() < 1e-12
         assert np.abs(np.linalg.norm(n, axis=1) - 1).max() < 1e-12
-        assert np.abs(np.linalg.norm(t, axis=1) - 1).max() < 1e-12
 
 
 def test_square_normals_point_outward():
@@ -140,15 +139,32 @@ def test_triangle_diameters_are_computed_once_and_read_only():
     np.testing.assert_allclose(h, longest, rtol=1e-15, atol=0.0)
 
 
+def test_normals_and_affine_maps_are_computed_once_and_read_only():
+    mesh = build_cook_mesh(3)
+    normal, maps = mesh.edge_normal, mesh.affine_maps()
+    assert mesh.edge_normal is normal
+    assert all(a is b for a, b in zip(mesh.affine_maps(), maps))
+    for array in (normal, *maps):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1.0
+    J, Jinv, detJ = maps
+    p = mesh.triangle_corners()
+    np.testing.assert_array_equal(J[:, :, 0], p[:, 1] - p[:, 0])
+    np.testing.assert_array_equal(J[:, :, 1], p[:, 2] - p[:, 0])
+    np.testing.assert_allclose(Jinv @ J, np.broadcast_to(np.eye(2), J.shape),
+                               rtol=0.0, atol=1e-14)
+    np.testing.assert_allclose(detJ, np.linalg.det(J), rtol=1e-14)
+    assert mesh.triangle_areas().sum() == pytest.approx(1440.0, rel=1e-14)
+
+
 def test_equilateral_triangle_regularity():
-    from elastweak.mesh import Mesh
     verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, math.sqrt(3) / 2]])
     tris = np.array([[0, 1, 2]])
     edges = np.array([[0, 1], [1, 2], [2, 0]])
     mesh = Mesh(vertices=verts, triangles=tris, edge_vertices=edges,
-                edge_tag=np.array([0, 1, 2]),
-                edge_normal=np.zeros((3, 2)), edge_tangent=np.zeros((3, 2)),
-                edge_owner=np.array([0, 0, 0]), side_tags=("a", "b", "c"))
+                edge_tag=np.array([0, 1, 2]), edge_owner=np.array([0, 0, 0]),
+                side_tags=("a", "b", "c"))
     assert mesh_quality(mesh).shape_regularity == pytest.approx(
         2 * math.sqrt(3))
 
@@ -183,12 +199,13 @@ def test_mesh_rejects_out_of_range_index(name, index, what, value):
 @pytest.mark.parametrize("name,value", [
     ("edge_owner", 5),                  # triangle (3, 7, 6)
     ("edge_vertices", (0, 8)),          # opposite corners: no triangle's
-    ("edge_normal", (0.0, 1.0)),        # toward vertex 4 of triangle 0
-], ids=["owner", "edge-outside-triangulation", "inward-normal"])
+    ("edge_vertices", (1, 0)),          # clockwise: the domain on its right
+], ids=["owner", "edge-outside-triangulation", "clockwise-edge"])
 def test_mesh_rejects_edge_its_owner_does_not_bound(name, value):
     # boundary edge 0 of the n=2 square is (0, 1), owned by (0, 1, 4); an
     # edge outside its owner would be tabulated in a cell that does not
-    # contain it, and it would have no P2 edge DOF
+    # contain it, and it would have no P2 edge DOF; a clockwise edge would
+    # get an inward normal
     with pytest.raises(ValueError, match="boundary edge 0 is not an outward "
                        "edge of its owner triangle"):
         _with(name, 0, value)
@@ -203,14 +220,24 @@ def test_mesh_rejects_clockwise_triangle():
 @pytest.mark.parametrize("name,index,value,what", [
     ("vertices", (0, 0), np.nan, "vertex coordinate"),
     ("vertices", (0, 1), np.inf, "vertex coordinate"),
-    ("edge_normal", (0, 0), np.nan, "boundary edge normal"),
-    ("edge_tangent", (0, 1), -np.inf, "boundary edge tangent"),
-], ids=["vertex-nan", "vertex-inf", "normal-nan", "tangent-inf"])
+], ids=["vertex-nan", "vertex-inf"])
 def test_mesh_rejects_non_finite_coordinates(name, index, value, what):
     # a non-finite coordinate gives a NaN area, which is not <= 0, so the
     # numbers themselves are checked
     with pytest.raises(ValueError, match=f"non-finite {what}"):
         _with(name, index, value)
+
+
+def test_mesh_rejects_boundary_edge_listed_twice():
+    # edge 0 appended with its tag and owner passes the outward-edge check
+    # but would be integrated twice
+    mesh = build_unit_square_mesh(2)
+    twice = {name: np.concatenate([getattr(mesh, name),
+                                   getattr(mesh, name)[:1]])
+             for name in ("edge_vertices", "edge_tag", "edge_owner")}
+    with pytest.raises(ValueError,
+                       match=r"boundary edge 8 \(0, 1\) is listed twice"):
+        dataclasses.replace(mesh, **twice)
 
 
 def _loop_square_connectivity(n):
@@ -253,18 +280,18 @@ def _loop_square_connectivity(n):
 def _loop_cook_mesh(n):
     vertices, tris, edges, tags, owners = _loop_square_connectivity(n)
     mapped = cook_map(vertices[:, 0], vertices[:, 1])
-    return _finish_mesh(mapped, tris, edges, tags, owners, COOK_SIDES)
+    return Mesh(mapped, tris, edges, tags, owners, COOK_SIDES)
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 17])
 @pytest.mark.parametrize("builder,reference", [
     (build_unit_square_mesh,
-     lambda n: _finish_mesh(*_loop_square_connectivity(n), SQUARE_SIDES)),
+     lambda n: Mesh(*_loop_square_connectivity(n), SQUARE_SIDES)),
     (build_cook_mesh, _loop_cook_mesh)])
 def test_builders_match_cell_by_cell_reference(builder, reference, n):
     mesh, want = builder(n), reference(n)
     for name in ("vertices", "triangles", "edge_vertices", "edge_tag",
-                 "edge_normal", "edge_tangent", "edge_owner"):
+                 "edge_normal", "edge_owner"):
         got, ref = getattr(mesh, name), getattr(want, name)
         assert got.dtype == ref.dtype and got.shape == ref.shape, name
         assert got.tobytes() == ref.tobytes(), name

@@ -55,3 +55,14 @@ def test_nonpositive_data_rejected():
     with pytest.raises(ValueError):
         render_svg([Series(label="bad", x=(1.0, 0.5), y=(1.0, 0.0))],
                    PlotSpec())
+
+
+def test_markup_characters_are_escaped():
+    # a title or label such as a CSV file name may hold &, < and >; the
+    # SVG must still parse, and its text must read back unchanged
+    import xml.etree.ElementTree as ET
+    spec = PlotSpec(title="a&b<c.csv", xlabel="h <max>", ylabel="err & more")
+    series = [Series(label="u<h>&p", x=FIXTURE[0].x, y=FIXTURE[0].y)]
+    root = ET.fromstring(render_svg(series, spec))
+    texts = {t.text for t in root.iter("{http://www.w3.org/2000/svg}text")}
+    assert {"a&b<c.csv", "h <max>", "err & more", "u<h>&p"} <= texts
