@@ -328,7 +328,8 @@ class ExperimentConfig:
         if self.mesh_sizes is None:
             self.mesh_sizes = (8, 16, 32, 64) if self.order == 1 else (4, 8, 16, 32)
         for n in self.mesh_sizes:
-            if not isinstance(n, numbers.Integral):
+            # True is an Integral that would run as n=1
+            if isinstance(n, bool) or not isinstance(n, numbers.Integral):
                 raise ValueError(f"mesh size {n!r} is not an integer")
         self.mesh_sizes = tuple(int(n) for n in self.mesh_sizes)
         if not self.mesh_sizes:

@@ -1,11 +1,14 @@
 """Triangle meshes, and structured ones of the unit square and the Cook
 membrane.
 
-A mesh is checked and immutable after construction.  Boundary edges are
-stored with the domain on their left (counterclockwise traversal), a tag
-naming their polygon side and the index of the owning triangle.  The
-outward normals, affine maps and diameters are derived from these data
-once per mesh and returned read-only.
+A mesh is given five things: its vertices, its counterclockwise
+triangles, its boundary edges with the domain on their left
+(counterclockwise traversal), each edge's tag and the side names the tags
+index.  It derives one edge table from the triangles, which numbers every
+edge and gives each boundary edge its owning triangle, and rejects a
+boundary edge list that is not the triangulation's boundary.  The outward
+normals, affine maps and diameters are derived once per mesh; all derived
+arrays are read-only.
 """
 
 from dataclasses import dataclass
@@ -34,40 +37,61 @@ class Mesh:
     triangles: np.ndarray       # (nt, 3), counterclockwise
     edge_vertices: np.ndarray   # (ne, 2) boundary edges, domain on the left
     edge_tag: np.ndarray        # (ne,) index into side_tags
-    edge_owner: np.ndarray      # (ne,) owning triangle index
     side_tags: tuple
+    # derived, read-only: edges (nE, 2) every edge's sorted ends in
+    # lexicographic order; triangle_edges (nt, 3) the rows of each
+    # triangle's edges t0t1, t1t2, t2t0; edge_index (ne,) and edge_owner
+    # (ne,) each boundary edge's row and owning triangle
 
     def __post_init__(self):
-        """Raise ValueError on a non-finite vertex coordinate, on a vertex,
-        owner or tag index out of range, on a triangle that is not
-        counterclockwise, on a boundary edge that is not a counterclockwise
-        edge of its owner and on a boundary edge listed twice."""
+        """Derive the edge table; raise ValueError on a non-finite vertex
+        coordinate, a repeated side name, a vertex or tag index out of
+        range, a triangle that is not counterclockwise and a boundary edge
+        list that is not the triangulation's boundary."""
         if not np.isfinite(self.vertices).all():
             raise ValueError("non-finite vertex coordinate")
-        nv, nt = self.num_vertices, self.num_triangles
+        if len(set(self.side_tags)) < len(self.side_tags):
+            raise ValueError(f"a side name is repeated in {self.side_tags}")
+        nv = self.num_vertices
         for what, index, size in (("triangle vertex", self.triangles, nv),
                                   ("boundary edge vertex", self.edge_vertices, nv),
-                                  ("boundary edge owner", self.edge_owner, nt),
                                   ("boundary edge tag", self.edge_tag,
                                    len(self.side_tags))):
             if index.size and (index.min() < 0 or index.max() >= size):
                 raise ValueError(f"{what} index out of range [0, {size})")
         self.affine_maps()      # rejects a clockwise or flat triangle
-        # the domain lies on the left of (a, b) exactly when it is one of
-        # the owner's edges (t0, t1), (t1, t2), (t2, t0)
-        owner = self.triangles[self.edge_owner]
+        # one np.unique over the sorted ends of the triangles' edges and
+        # then of the listed boundary edges.  An edge has two sides, each a
+        # triangle or the outside: two triangles, or one triangle of which
+        # it is a listed counterclockwise edge.
+        nt, t = self.num_triangles, self.triangles
         a, b = self.edge_vertices.T
-        ccw = (owner == a[:, None]) & (np.roll(owner, -1, axis=1) == b[:, None])
-        bad = np.flatnonzero(~ccw.any(axis=1))
+        tail = np.concatenate([t.ravel(), a])
+        head = np.concatenate([np.roll(t, -1, axis=1).ravel(), b])
+        # int64 keys: int32 indices would wrap once nv exceeds 46,340
+        keys, first, inverse = np.unique(
+            np.minimum(tail, head).astype(np.int64, copy=False) * nv
+            + np.maximum(tail, head), return_index=True, return_inverse=True)
+        listed = inverse[3 * nt:]
+        uses = np.bincount(inverse[:3 * nt], minlength=len(keys))
+        times = np.bincount(listed, minlength=len(keys))
+        wrong = np.flatnonzero(uses + times != 2)
+        if wrong.size:
+            i = wrong[np.argmax(times[wrong])]      # a listed one first
+            raise ValueError(f"edge {divmod(int(keys[i]), nv)} is an edge of "
+                             f"{uses[i]} triangles and listed {times[i]} times "
+                             "as a boundary edge; it needs two of these")
+        # a listed edge's first occurrence is its triangle's edge
+        bad = np.flatnonzero(tail[first[listed]] != a)
         if bad.size:
-            raise ValueError(f"boundary edge {bad[0]} is not an outward edge "
-                             f"of its owner triangle {self.edge_owner[bad[0]]}")
-        _, first = np.unique(a * nv + b, return_index=True)
-        repeat = np.setdiff1d(np.arange(len(a)), first)
-        if repeat.size:
-            e = repeat[0]
-            raise ValueError(f"boundary edge {e} ({a[e]}, {b[e]}) is listed "
-                             "twice")
+            e = bad[0]
+            raise ValueError(f"boundary edge {e} ({a[e]}, {b[e]}) is not a "
+                             "counterclockwise edge of its triangle")
+        for name, value in (("edges", np.column_stack(divmod(keys, nv))),
+                            ("triangle_edges", inverse[:3 * nt].reshape(nt, 3)),
+                            ("edge_index", listed),
+                            ("edge_owner", first[listed] // 3)):
+            object.__setattr__(self, name, _read_only(value))
 
     @property
     def num_vertices(self):
@@ -178,10 +202,8 @@ def _square_connectivity(n):
 
     Vertex (i, j) of the grid has index j (n + 1) + i, and cell (i, j) is
     number j n + i.  Each cell is split along its bottom-left to top-right
-    diagonal into triangles 2 c (lower) and 2 c + 1 (upper); the lower
-    triangle owns the cell's bottom and right edges, the upper one the top
-    and left edges.  The boundary runs counterclockwise from (0, 0): bottom,
-    right, top, left.
+    diagonal into triangles 2 c (lower) and 2 c + 1 (upper).  The boundary
+    runs counterclockwise from (0, 0): bottom, right, top, left.
     """
     xs = np.linspace(0.0, 1.0, n + 1)
     xv, yv = np.meshgrid(xs, xs, indexing="xy")
@@ -206,9 +228,7 @@ def _square_connectivity(n):
         np.column_stack([(down + 1) * (n + 1), down * (n + 1)]),
     ])
     tags = np.repeat(np.arange(4, dtype=np.int64), n)
-    owners = np.concatenate([2 * k, 2 * (k * n + n - 1),
-                             2 * ((n - 1) * n + down) + 1, 2 * down * n + 1])
-    return vertices, tris, edges, tags, owners
+    return vertices, tris, edges, tags
 
 
 def build_unit_square_mesh(n):
@@ -234,6 +254,6 @@ def build_cook_mesh(n):
     """
     if n < 1:
         raise ValueError("subdivision count must be >= 1")
-    vertices, tris, edges, tags, owners = _square_connectivity(n)
+    vertices, tris, edges, tags = _square_connectivity(n)
     mapped = cook_map(vertices[:, 0], vertices[:, 1])
-    return Mesh(mapped, tris, edges, tags, owners, COOK_SIDES)
+    return Mesh(mapped, tris, edges, tags, COOK_SIDES)

@@ -106,10 +106,6 @@ def cell_chunks(mesh, chunk=512):
         yield slice(start, min(start + chunk, nt))
 
 
-# Local edges of the triangle in the order matching the P2 bubble functions.
-_LOCAL_EDGES = ((0, 1), (1, 2), (0, 2))
-
-
 class FESpace:
     """A P1 or P2 Lagrange space (scalar or 2-vector) on a Mesh."""
 
@@ -127,53 +123,35 @@ class FESpace:
         # default degree of the boundary data integrals
         self.form_degree = 2 * order + 2
 
-        nv = mesh.num_vertices
-        tris = mesh.triangles
-        if order == 1:
-            scalar_cell = tris.copy()
-            self.scalar_dof_count = nv
-            self.dof_points = mesh.vertices.copy()
-        else:
-            # an edge (a, b), a < b, has key a * nv + b, so sorted keys are
-            # the lexicographic edge order
-            ends = np.sort(tris[:, _LOCAL_EDGES], axis=2)
-            self._edge_keys, local = np.unique(
-                (ends[..., 0] * nv + ends[..., 1]).ravel(), return_inverse=True)
-            scalar_cell = np.hstack([tris, nv + local.reshape(-1, 3)])
-            self.scalar_dof_count = nv + len(self._edge_keys)
-            a, b = np.divmod(self._edge_keys, nv)
-            self.dof_points = np.vstack([mesh.vertices, 0.5 * (
-                mesh.vertices[a] + mesh.vertices[b])])
-
-        if components == 1:
-            self.cell_dofs = scalar_cell
-        else:
-            nloc = scalar_cell.shape[1]
-            cd = np.empty((mesh.num_triangles, 2 * nloc), dtype=np.int64)
-            cd[:, 0::2] = 2 * scalar_cell
-            cd[:, 1::2] = 2 * scalar_cell + 1
-            self.cell_dofs = cd
+        cells, points = [mesh.triangles], [mesh.vertices]
+        if order == 2:
+            # the mesh's edges t0t1, t1t2, t2t0 are those of the P2 edge
+            # functions 3, 4, 5, and its edge table is in lexicographic order
+            a, b = mesh.edges.T
+            cells.append(mesh.num_vertices + mesh.triangle_edges)
+            points.append(0.5 * (mesh.vertices[a] + mesh.vertices[b]))
+        scalar_cell = np.hstack(cells)
+        self.dof_points = np.vstack(points)
+        self.scalar_dof_count = len(self.dof_points)
+        self.cell_dofs = scalar_cell
+        if components == 2:     # scalar DOF d becomes (2d, 2d+1)
+            self.cell_dofs = np.repeat(2 * scalar_cell, 2, axis=1)
+            self.cell_dofs[:, 1::2] += 1
         self.dof_count = components * self.scalar_dof_count
 
         self._boundary_cache = {}
 
-    def scalar_side_dofs(self, side_tag):
-        """Scalar DOFs supported on the boundary side `side_tag`."""
-        mesh = self.mesh
-        ends = np.sort(mesh.edge_vertices[mesh.edges_of_side(side_tag)],
-                       axis=1)
-        dofs = [ends.ravel()]
-        if self.order == 2:
-            keys = ends[:, 0] * mesh.num_vertices + ends[:, 1]
-            dofs.append(mesh.num_vertices
-                        + np.searchsorted(self._edge_keys, keys))
-        return np.unique(np.concatenate(dofs))
-
     def boundary_scalar_dofs(self, side_tags=None):
         """Sorted scalar DOFs on the given sides (None: every side)."""
-        tags = self.mesh.side_tags if side_tags is None else side_tags
-        return np.unique(np.concatenate([np.zeros(0, dtype=np.int64)] + [
-            self.scalar_side_dofs(tag) for tag in tags]))
+        mesh = self.mesh
+        tags = mesh.side_tags if side_tags is None else side_tags
+        ids = np.concatenate([np.zeros(0, dtype=np.int64)] + [
+            mesh.edges_of_side(tag) for tag in tags])
+        dofs = mesh.edge_vertices[ids].ravel()
+        if self.order == 2:
+            dofs = np.concatenate([dofs, mesh.num_vertices
+                                   + mesh.edge_index[ids]])
+        return np.unique(dofs)
 
     # -- tabulation ---------------------------------------------------------
 
@@ -252,9 +230,8 @@ class BoundaryTables:
     def __init__(self, space, degree, side_tags):
         mesh = space.mesh
         rule = edge_rule(degree)
-        ids = np.concatenate([mesh.edges_of_side(t) for t in side_tags]) \
-            if side_tags else np.array([], dtype=np.int64)
-        ids = np.sort(ids)
+        ids = np.sort(np.concatenate([np.zeros(0, dtype=np.int64)] + [
+            mesh.edges_of_side(t) for t in side_tags]))
         self.rule = rule
         self.edge_ids = ids
         self.owner = mesh.edge_owner[ids]

@@ -39,8 +39,6 @@ def relabeled(mesh, seed):
                triangles=new_vertex[mesh.triangles[triangle_order]],
                edge_vertices=new_vertex[mesh.edge_vertices[edge_order]],
                edge_tag=mesh.edge_tag[edge_order],
-               edge_owner=np.argsort(triangle_order)[
-                   mesh.edge_owner[edge_order]],
                side_tags=mesh.side_tags)
     return new, (vertex_order, triangle_order, edge_order)
 

@@ -25,7 +25,7 @@ def reference_triangle_mesh():
     tris = np.array([[0, 1, 2]])
     edges = np.array([[0, 1], [1, 2], [2, 0]])
     return Mesh(vertices=verts, triangles=tris, edge_vertices=edges,
-                edge_tag=np.array([0, 1, 2]), edge_owner=np.array([0, 0, 0]),
+                edge_tag=np.array([0, 1, 2]),
                 side_tags=("bottom", "diag", "left"))
 
 

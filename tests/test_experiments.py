@@ -278,9 +278,11 @@ def test_config_young_poisson_and_defaults():
     ((2.5, 4.9), "mesh size 2.5 is not an integer"),
     ((2, 4.0), "mesh size 4.0 is not an integer"),
     (("4", "8"), "mesh size '4' is not an integer"),
-], ids=["fractions", "float", "strings"])
+    ((True, 2), "mesh size True is not an integer"),
+], ids=["fractions", "float", "strings", "bool"])
 def test_config_rejects_non_integer_mesh_sizes(sizes, message):
     # a size is not rounded or parsed: (2.5, 4.9) would run meshes (2, 4)
+    # and (True, 2) meshes (1, 2)
     with pytest.raises(ValueError, match=re.escape(message)):
         ExperimentConfig(mesh_sizes=sizes)
 

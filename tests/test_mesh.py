@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -64,6 +65,18 @@ def test_euler_relation_and_conformity():
         boundary = {tuple(sorted(e)) for e in mesh.edge_vertices.tolist()}
         for edge, cnt in zip(map(tuple, uniq.tolist()), counts):
             assert cnt == (1 if edge in boundary else 2)
+        # the derived edge table: rows t0t1, t1t2, t2t0 per triangle, each
+        # boundary edge's row and its owner, of which it is a ccw edge
+        np.testing.assert_array_equal(mesh.edges, edges)
+        np.testing.assert_array_equal(mesh.edges[mesh.triangle_edges],
+                                      np.sort(np.stack([t, np.roll(
+                                          t, -1, axis=1)], axis=2), axis=2))
+        np.testing.assert_array_equal(mesh.edges[mesh.edge_index],
+                                      np.sort(mesh.edge_vertices, axis=1))
+        owned = t[mesh.edge_owner]
+        assert ((owned == mesh.edge_vertices[:, :1])
+                & (np.roll(owned, -1, axis=1)
+                   == mesh.edge_vertices[:, 1:])).any(axis=1).all()
 
 
 def test_boundary_normals_are_unit_and_orthogonal_to_edges():
@@ -139,12 +152,25 @@ def test_triangle_diameters_are_computed_once_and_read_only():
     np.testing.assert_allclose(h, longest, rtol=1e-15, atol=0.0)
 
 
+def test_edge_table_of_int32_indices_matches_int64():
+    # with 48,841 vertices an int32 key a * nv + b wraps around
+    mesh = build_unit_square_mesh(220)
+    narrow = dataclasses.replace(
+        mesh, triangles=mesh.triangles.astype(np.int32),
+        edge_vertices=mesh.edge_vertices.astype(np.int32))
+    for name in ("edges", "triangle_edges", "edge_index", "edge_owner"):
+        np.testing.assert_array_equal(getattr(narrow, name),
+                                      getattr(mesh, name))
+
+
 def test_normals_and_affine_maps_are_computed_once_and_read_only():
     mesh = build_cook_mesh(3)
     normal, maps = mesh.edge_normal, mesh.affine_maps()
     assert mesh.edge_normal is normal
     assert all(a is b for a, b in zip(mesh.affine_maps(), maps))
-    for array in (normal, *maps):
+    table = (mesh.edges, mesh.triangle_edges, mesh.edge_index,
+             mesh.edge_owner)
+    for array in (normal, *maps, *table):
         assert not array.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 1.0
@@ -163,8 +189,7 @@ def test_equilateral_triangle_regularity():
     tris = np.array([[0, 1, 2]])
     edges = np.array([[0, 1], [1, 2], [2, 0]])
     mesh = Mesh(vertices=verts, triangles=tris, edge_vertices=edges,
-                edge_tag=np.array([0, 1, 2]), edge_owner=np.array([0, 0, 0]),
-                side_tags=("a", "b", "c"))
+                edge_tag=np.array([0, 1, 2]), side_tags=("a", "b", "c"))
     assert mesh_quality(mesh).shape_regularity == pytest.approx(
         2 * math.sqrt(3))
 
@@ -188,27 +213,65 @@ def _with(name, index, value):
 @pytest.mark.parametrize("name,index,what", [
     ("triangles", (0, 2), "triangle vertex"),
     ("edge_vertices", (0, 1), "boundary edge vertex"),
-    ("edge_owner", 0, "boundary edge owner"),
     ("edge_tag", 0, "boundary edge tag"),
-], ids=["triangles", "edge_vertices", "edge_owner", "edge_tag"])
+], ids=["triangles", "edge_vertices", "edge_tag"])
 def test_mesh_rejects_out_of_range_index(name, index, what, value):
     with pytest.raises(ValueError, match=f"{what} index out of range"):
         _with(name, index, value)
 
 
-@pytest.mark.parametrize("name,value", [
-    ("edge_owner", 5),                  # triangle (3, 7, 6)
-    ("edge_vertices", (0, 8)),          # opposite corners: no triangle's
-    ("edge_vertices", (1, 0)),          # clockwise: the domain on its right
-], ids=["owner", "edge-outside-triangulation", "clockwise-edge"])
-def test_mesh_rejects_edge_its_owner_does_not_bound(name, value):
+@pytest.mark.parametrize("value,message", [
+    # opposite corners: no triangle's edge
+    ((0, 8), "edge (0, 8) is an edge of 0 triangles and listed 1 times"),
+    # clockwise: the domain on its right
+    ((1, 0), "boundary edge 0 (1, 0) is not a counterclockwise edge of its "
+     "triangle"),
+], ids=["edge-outside-triangulation", "clockwise-edge"])
+def test_mesh_rejects_edge_its_owner_does_not_bound(value, message):
     # boundary edge 0 of the n=2 square is (0, 1), owned by (0, 1, 4); an
-    # edge outside its owner would be tabulated in a cell that does not
-    # contain it, and it would have no P2 edge DOF; a clockwise edge would
-    # get an inward normal
-    with pytest.raises(ValueError, match="boundary edge 0 is not an outward "
-                       "edge of its owner triangle"):
-        _with(name, 0, value)
+    # edge of no triangle would have no cell to be tabulated in and no P2
+    # edge DOF; a clockwise edge would get an inward normal
+    with pytest.raises(ValueError, match=re.escape(message)):
+        _with("edge_vertices", 0, value)
+
+
+def _with_third_triangle(mesh):
+    """The n=2 square with a vertex 9 and a triangle (4, 0, 9) added, so
+    that the diagonal (0, 4) of triangles 0 and 1 has a third triangle;
+    the new edges (0, 9) and (9, 4) are listed."""
+    return dataclasses.replace(
+        mesh, vertices=np.vstack([mesh.vertices, [1.0, -0.5]]),
+        triangles=np.vstack([mesh.triangles, [4, 0, 9]]),
+        edge_vertices=np.vstack([mesh.edge_vertices, [[0, 9], [9, 4]]]),
+        edge_tag=np.concatenate([mesh.edge_tag, [0, 0]]))
+
+
+@pytest.mark.parametrize("change,message", [
+    # the diagonal (0, 4) of (0, 1, 4) and (0, 4, 3) in place of edge 0
+    # would get a weak flux inside the domain
+    (lambda m: dataclasses.replace(
+        m, edge_vertices=np.vstack([[0, 4], m.edge_vertices[1:]])),
+     "edge (0, 4) is an edge of 2 triangles and listed 1 times"),
+    # the bottom's first edge gets no weak flux and no Dirichlet DOFs
+    (lambda m: dataclasses.replace(m, edge_vertices=m.edge_vertices[1:],
+                                   edge_tag=m.edge_tag[1:]),
+     "edge (0, 1) is an edge of 1 triangles and listed 0 times"),
+    (_with_third_triangle,
+     "edge (0, 4) is an edge of 3 triangles and listed 0 times"),
+], ids=["interior-diagonal", "dropped-edge", "edge-of-three-triangles"])
+def test_mesh_rejects_edge_list_that_is_not_the_boundary(change, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        change(build_unit_square_mesh(2))
+
+
+def test_mesh_rejects_repeated_side_name():
+    # with ("a", "a") every lookup of "a" finds tag 0, so the tag-1 edges
+    # would drop out of every flux on the sides named "a"
+    mesh = build_unit_square_mesh(2)
+    with pytest.raises(ValueError, match=re.escape(
+            "a side name is repeated in ('a', 'a')")):
+        dataclasses.replace(mesh, edge_tag=np.minimum(mesh.edge_tag, 1),
+                            side_tags=("a", "a"))
 
 
 def test_mesh_rejects_clockwise_triangle():
@@ -229,14 +292,14 @@ def test_mesh_rejects_non_finite_coordinates(name, index, value, what):
 
 
 def test_mesh_rejects_boundary_edge_listed_twice():
-    # edge 0 appended with its tag and owner passes the outward-edge check
-    # but would be integrated twice
+    # edge 0 appended with its tag is a counterclockwise edge of one
+    # triangle but would be integrated twice
     mesh = build_unit_square_mesh(2)
     twice = {name: np.concatenate([getattr(mesh, name),
                                    getattr(mesh, name)[:1]])
-             for name in ("edge_vertices", "edge_tag", "edge_owner")}
-    with pytest.raises(ValueError,
-                       match=r"boundary edge 8 \(0, 1\) is listed twice"):
+             for name in ("edge_vertices", "edge_tag")}
+    with pytest.raises(ValueError, match=re.escape(
+            "edge (0, 1) is an edge of 1 triangles and listed 2 times")):
         dataclasses.replace(mesh, **twice)
 
 
@@ -278,21 +341,27 @@ def _loop_square_connectivity(n):
 
 
 def _loop_cook_mesh(n):
-    vertices, tris, edges, tags, owners = _loop_square_connectivity(n)
+    vertices, tris, edges, tags, _ = _loop_square_connectivity(n)
     mapped = cook_map(vertices[:, 0], vertices[:, 1])
-    return Mesh(mapped, tris, edges, tags, owners, COOK_SIDES)
+    return Mesh(mapped, tris, edges, tags, COOK_SIDES)
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 17])
 @pytest.mark.parametrize("builder,reference", [
     (build_unit_square_mesh,
-     lambda n: Mesh(*_loop_square_connectivity(n), SQUARE_SIDES)),
+     lambda n: Mesh(*_loop_square_connectivity(n)[:4], SQUARE_SIDES)),
     (build_cook_mesh, _loop_cook_mesh)])
 def test_builders_match_cell_by_cell_reference(builder, reference, n):
+    # the derived owners are checked against the hand-computed ones
     mesh, want = builder(n), reference(n)
-    for name in ("vertices", "triangles", "edge_vertices", "edge_tag",
-                 "edge_normal", "edge_owner"):
-        got, ref = getattr(mesh, name), getattr(want, name)
+    owners = _loop_square_connectivity(n)[4]
+    for name, ref in (("vertices", want.vertices),
+                      ("triangles", want.triangles),
+                      ("edge_vertices", want.edge_vertices),
+                      ("edge_tag", want.edge_tag),
+                      ("edge_normal", want.edge_normal),
+                      ("edge_owner", owners)):
+        got = getattr(mesh, name)
         assert got.dtype == ref.dtype and got.shape == ref.shape, name
         assert got.tobytes() == ref.tobytes(), name
     assert mesh.side_tags == want.side_tags

@@ -1,6 +1,6 @@
 """A mesh built by hand from relabeled data gives the builder mesh's results:
-the geometry it derives is the builder's, row for row, and the solutions,
-error norms and inf-sup constants agree to roundoff."""
+the geometry and owners it derives are the builder's, row for row, and the
+solutions, error norms and inf-sup constants agree to roundoff."""
 
 import numpy as np
 import pytest
@@ -27,6 +27,8 @@ def test_relabeled_mesh_derives_the_permuted_geometry(builder, n, order):
     mesh = builder(n)
     new, (_, triangle_order, edge_order) = relabeled(mesh, seed=n)
     assert new.edge_normal.tobytes() == mesh.edge_normal[edge_order].tobytes()
+    owner = np.argsort(triangle_order)[mesh.edge_owner[edge_order]]
+    assert new.edge_owner.tobytes() == owner.tobytes()
     for got, want in zip(new.affine_maps(), mesh.affine_maps()):
         assert got.tobytes() == want[triangle_order].tobytes()
 

@@ -9,7 +9,7 @@ from elastweak.mesh import build_cook_mesh, build_unit_square_mesh
 from elastweak.solvers import _point_blocked_order
 from elastweak.spaces import (AnalyticField, FESpace, basis_hessians,
                               basis_values, cell_chunks, interpolate)
-from fem_helpers import eval_in_cells, integrate_field, unique_edges
+from fem_helpers import eval_in_cells, integrate_field, relabeled, unique_edges
 from oracles import mesh_point_order
 
 
@@ -204,7 +204,7 @@ def test_vector_interpolation_interleaving():
 def test_boundary_dofs_on_sides():
     mesh = build_unit_square_mesh(2)
     space = FESpace(mesh, 2, 1)
-    bottom = space.scalar_side_dofs("bottom")
+    bottom = space.boundary_scalar_dofs(("bottom",))
     pts = space.dof_points[bottom]
     assert np.abs(pts[:, 1]).max() < 1e-15
     assert len(bottom) == 5  # 3 vertices + 2 edge midpoints
@@ -213,8 +213,14 @@ def test_boundary_dofs_on_sides():
 @pytest.mark.parametrize("n", [1, 3])
 def test_p2_edge_dofs_follow_lexicographic_rule(n):
     # edge DOFs come after the vertices, in lexicographic order of their
-    # sorted endpoint pairs; a Cook mesh is not numbered row by row
-    mesh = build_cook_mesh(n)
+    # sorted endpoint pairs; a Cook mesh is not numbered row by row, and a
+    # relabeled one in no order at all
+    for mesh in (build_cook_mesh(n), relabeled(build_cook_mesh(n), n)[0]):
+        np.testing.assert_array_equal(mesh.edges, unique_edges(mesh))
+        _check_p2_numbering(mesh)
+
+
+def _check_p2_numbering(mesh):
     space = FESpace(mesh, 2, 1)
     nv = mesh.num_vertices
     edges = sorted({tuple(sorted((int(t[a]), int(t[b]))))
@@ -232,7 +238,7 @@ def test_p2_edge_dofs_follow_lexicographic_rule(n):
         ends = mesh.edge_vertices[mesh.edges_of_side(tag)]
         expected = {int(v) for v in ends.ravel()} | {
             rank[tuple(sorted((int(a), int(b))))] for a, b in ends}
-        assert space.scalar_side_dofs(tag).tolist() == sorted(expected)
+        assert space.boundary_scalar_dofs((tag,)).tolist() == sorted(expected)
 
 
 def test_space_and_tables_freed_without_garbage_collection():
