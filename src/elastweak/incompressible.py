@@ -189,6 +189,13 @@ def _mixed_operator(vspace, pspace, params, flux_sides, nearly_lambda=None):
     return A
 
 
+def _mixed_points(vspace, pspace):
+    """Mesh point of each [u, p] unknown: velocity pairs and pressures share
+    the scalar DOFs' points."""
+    return np.concatenate([np.arange(vspace.dof_count) // 2,
+                           np.arange(pspace.dof_count)])
+
+
 def assemble_incompressible_system(vspace, pspace, params, f, g,
                                    nearly_lambda=None, dirichlet_sides=None,
                                    bc_mode="weak", neumann=None):
@@ -229,8 +236,7 @@ def assemble_incompressible_system(vspace, pspace, params, f, g,
         dofs, vals = dirichlet_dofs_and_values(vspace, g, sides)
         matrix, rhs = eliminate_dofs(matrix, rhs, dofs, vals)
 
-    # velocity pairs and pressures share the scalar DOFs' points
-    points = np.concatenate([np.arange(nU) // 2, np.arange(nP)])
-    system = AssembledSystem(matrix=matrix, rhs=rhs, points=points)
+    system = AssembledSystem(matrix=matrix, rhs=rhs,
+                             points=_mixed_points(vspace, pspace))
     return MixedSystem(system=system, n_velocity=nU,
                        constraint_index=nU + nP if mean else None)

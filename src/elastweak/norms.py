@@ -13,7 +13,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .compressible import _I2, _scatter_matrix, _vector_form, _weak_operator
-from .incompressible import _mixed_operator, _pressure_h2_gram
+from .incompressible import (_mixed_operator, _mixed_points,
+                             _pressure_h2_gram)
 from .solvers import _smallest_eigenvalue, smallest_generalized_singular_value
 from .spaces import basis_values, cell_chunks
 
@@ -227,15 +228,17 @@ def discrete_korn_constant(vspace):
     return float(np.sqrt(max(_smallest_eigenvalue(A, H), 0.0)))
 
 
-def discrete_infsup_constant(system_matrix, norm_gram):
-    """Inf-sup constant of a system in the norm induced by norm_gram."""
-    return smallest_generalized_singular_value(system_matrix, norm_gram)
+def discrete_infsup_constant(system_matrix, norm_gram, points=None):
+    """Inf-sup constant of a system in the norm induced by norm_gram; points,
+    the mesh point of each unknown, orders the operator's LU by point."""
+    return smallest_generalized_singular_value(system_matrix, norm_gram,
+                                               points)
 
 
 def compressible_infsup(space, params):
     A = _weak_operator(space, params, None)
     N = triple_norm_gram_compressible(space, params)
-    return discrete_infsup_constant(A, N)
+    return discrete_infsup_constant(A, N, np.arange(space.dof_count) // 2)
 
 
 def incompressible_infsup(vspace, pspace, params):
@@ -246,4 +249,5 @@ def incompressible_infsup(vspace, pspace, params):
     # complement of it gives the same constant; pin the last pressure DOF of
     # the square [u, p] matrices (as experiments._pinned_mean_solve does)
     # instead of the mean-zero basis.
-    return discrete_infsup_constant(A[:-1, :-1], N[:-1, :-1])
+    return discrete_infsup_constant(A[:-1, :-1], N[:-1, :-1],
+                                    _mixed_points(vspace, pspace)[:-1])

@@ -22,7 +22,7 @@ vertices the point order stores 2-5% fewer entries there, and on the P1
 n=128 Cook mixed system from 1.7% fewer to 4.6% more.  On a strong system
 the eliminated Dirichlet unknowns are decoupled, and the factors store
 4.15M entries on the P1 n=128 square and 0.83M on the P2 n=32 Cook
-membrane.  Without points, as in the diagnostics, SuperLU orders the
+membrane.  Without points, as in the Korn diagnostic, SuperLU orders the
 pattern of A^T + A by minimum degree.
 
 ``lu_solve`` factors the equilibrated D A D without its cancellation
@@ -46,6 +46,10 @@ most ``BACKWARD_ERROR_LIMIT``, the test of LAPACK's DSGESV; otherwise the
 copy is factored again in float64 and refined the same way.
 The generalized singular value diagnostic is an ARPACK shift-invert
 eigensolve that reuses one sparse LU of the operator, so it never densifies.
+Given the points, that LU is made as lu_solve's float64 one, of the
+equilibrated copy in point order, and the eigensolve runs on the congruent
+pencil; on the P1 n=32 mixed operator of the unit square the factor holds
+327,261 entries instead of the 379,200 of SuperLU's order.
 """
 
 import time
@@ -55,12 +59,26 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-# ARPACK residual tolerance of the diagnostics' eigensolves.  On the P1
-# n=32 unit square the incompressible inf-sup constant matches the dense
-# value to <=1.8e-15 relative for tol 1e-8 to 1e-12 and is off by 1.2e-11
-# at 1e-6 and 7e-8 at 1e-4; 1e-10 keeps two decades of margin for ~20% more
-# iterations than 1e-8.
-EIG_TOL = 1e-10
+# ARPACK residual tolerance of the diagnostics' eigensolves.  A Ritz value's
+# error is quadratic in its residual (Parlett, The Symmetric Eigenvalue
+# Problem, 1998), so the eigenvalue settles at a residual well above its own
+# accuracy.  Over the 16 eigensolves of the stability_diagnostics workload
+# (P1 unit square, n = 8 to 32; inf-sup in point order and Korn), the
+# largest relative difference of beta_h and korn_h from a dense oracle
+# (eigh and SVD) and from perfbench/reference.json, and the ARPACK
+# operator applications, are:
+#
+#     tol     dense     reference  applications
+#     1e-4    1.3e-7    1.3e-7       806
+#     1e-6    3.4e-11   3.4e-11     1086
+#     1e-8    1.4e-14   7.8e-15     1376
+#     1e-10   2.2e-14   7.5e-15     1736
+#     1e-12   2.1e-14   7.5e-15     2036
+#
+# From 1e-8 on the values agree to roundoff; tighter tolerances only add
+# applications (the P1 n=32 incompressible solve takes 401 at 1e-8 and 581
+# at 1e-10).
+EIG_TOL = 1e-8
 
 # Diagonal pivot threshold of every sparse LU (SuperLU's diag_pivot_thresh):
 # a diagonal pivot is kept while its magnitude is at least this fraction of
@@ -166,6 +184,15 @@ def _factor(A, pivot_threshold=PIVOT_THRESHOLD, permc_spec="MMD_AT_PLUS_A"):
                      options={"SymmetricMode": True})
 
 
+def _congruence(d, order):
+    """S = D P as a sparse matrix: D = diag(d), and P the permutation whose
+    column k is unit vector order[k] (the identity for a slice)."""
+    if isinstance(order, slice):
+        return sp.diags(d)
+    n = len(d)
+    return sp.csr_matrix((d[order], (order, np.arange(n))), shape=(n, n))
+
+
 def _equilibrate(A, order=slice(None)):
     """(S^T A S as CSC, d) with S = D P: D = diag(d), d_i = 1/sqrt(max_j
     |A_ij|), and P the permutation whose column k is unit vector order[k]
@@ -176,11 +203,7 @@ def _equilibrate(A, order=slice(None)):
     rowmax = np.asarray(abs(A).max(axis=1).todense()).ravel()
     rowmax[rowmax == 0.0] = 1.0
     d = 1.0 / np.sqrt(rowmax)
-    if isinstance(order, slice):
-        S = sp.diags(d)
-    else:
-        n = len(d)
-        S = sp.csr_matrix((d[order], (order, np.arange(n))), shape=(n, n))
+    S = _congruence(d, order)
     As = (S.T @ A @ S).tocsc()
     As.data[np.abs(As.data) <= CANCELLATION_TOL] = 0.0
     As.eliminate_zeros()
@@ -368,7 +391,11 @@ def _smallest_eigenvalue(A, M, OPinv=None):
     """Smallest eigenvalue of the symmetric pencil (A, M), M positive
     definite, by ARPACK shift-invert about 0.  OPinv applies A^-1; without
     it A is factored by ``_factor``.  The start vector is fixed so that
-    repeated runs give identical digits; ARPACK failures raise ValueError."""
+    repeated runs give identical digits; ARPACK failures raise ValueError.
+    A 1x1 pencil, which ARPACK cannot take, gives a / m."""
+    if A.shape[0] == 1:
+        one = np.ones(1)
+        return float((A @ one)[0] / (M @ one)[0])
     if OPinv is None:
         factor = _factor(A)
         OPinv = spla.LinearOperator(A.shape, matvec=factor.solve, dtype=float)
@@ -397,19 +424,32 @@ def _positive_definite_factor(N):
     return factor
 
 
-def smallest_generalized_singular_value(A, N):
+def smallest_generalized_singular_value(A, N, points=None):
     """min over u of max over v of (v . A u) / (|u|_N |v|_N).
 
     Equals the smallest singular value of L^-1 A L^-T where N = L L^T, and
     the square root of the smallest eigenvalue of A^T N^-1 A against N.
     That eigenvalue comes from shift-invert about 0, whose operator
     (A^T N^-1 A)^-1 = A^-1 N A^-T reuses one sparse LU of A.
-    N must be symmetric positive definite.  An exactly singular A gives 0.
+    N must be symmetric positive definite, and A and N finite.  An exactly
+    singular A gives 0.
+
+    points, the mesh point of each unknown (as for ``lu_solve``), makes A's
+    LU that of lu_solve's float64 copy: equilibrated in its point order,
+    S^T A S with S = D P (``_equilibrate``), without its cancellation
+    residues.  The eigensolve then runs on the congruent pencil
+    (S^T A S, S^T N S), whose eigenvalues are those of (A, N).  Without
+    points S = I, and the LU is of A itself in SuperLU's minimum-degree
+    order.
     """
     A, N = _as_csr(A), _as_csr(N)
     n = A.shape[0]
     if A.shape != (n, n) or N.shape != (n, n):
         raise ValueError("A and N must be square and of equal size")
+    # a NaN would pass the symmetry check below and an inf would fail
+    # inside ARPACK
+    if not (np.all(np.isfinite(A.data)) and np.all(np.isfinite(N.data))):
+        raise ValueError("A and N must have finite entries")
     scale = max(1.0, abs(N).max())
     if abs(N - N.T).max() > 1e-10 * scale:
         raise ValueError("norm Gram matrix is not symmetric")
@@ -428,19 +468,29 @@ def smallest_generalized_singular_value(A, N):
     if spread > DIAGONAL_SPREAD_LIMIT:
         raise ValueError(f"norm Gram matrix diagonal spans a ratio beyond "
                          f"{DIAGONAL_SPREAD_LIMIT:g}")
+    if n == 1:
+        return float(abs(A[0, 0]) / N[0, 0])
+    if points is None:
+        S, As, permc_spec = sp.identity(n, format="csr"), A, "MMD_AT_PLUS_A"
+    else:
+        order = _point_blocked_order(A, points)
+        As, d = _equilibrate(A, order)
+        S, permc_spec = _congruence(d, order), "NATURAL"
+    Ns = (S.T @ N @ S).tocsr()
     try:
-        afactor = _factor(A)
+        afactor = _factor(As, permc_spec=permc_spec)
     except RuntimeError:
         return 0.0
-    # shift-invert applies only the inverse and N; the pencil's own operator
-    # A^T N^-1 A is given for its shape
+    del As   # the eigensolve needs only its factor
+    # shift-invert applies only the inverse and Ns; the pencil's own operator
+    # S^T A^T N^-1 A S is given for its shape
     gram = spla.LinearOperator(
-        (n, n), matvec=lambda v: A.T @ nfactor.solve(A @ v), dtype=float)
-    inverse = spla.LinearOperator(
-        (n, n), matvec=lambda v: afactor.solve(N @ afactor.solve(v, trans="T")),
+        (n, n), matvec=lambda v: S.T @ (A.T @ nfactor.solve(A @ (S @ v))),
         dtype=float)
-    value = _smallest_eigenvalue(gram, N, inverse)
+    inverse = spla.LinearOperator(
+        (n, n), matvec=lambda v: afactor.solve(Ns @ afactor.solve(v, trans="T")),
+        dtype=float)
+    value = _smallest_eigenvalue(gram, Ns, inverse)
     if not np.isfinite(value):
         raise ValueError("eigensolver returned a non-finite eigenvalue")
     return float(np.sqrt(max(value, 0.0)))
-

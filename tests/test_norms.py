@@ -306,7 +306,7 @@ def test_pinned_incompressible_infsup_matches_mean_zero_basis(builder, order):
     Z = null_space(m[None, :])
     oracle = discrete_infsup_constant(Z.T @ A @ Z, Z.T @ N @ Z)
     assert incompressible_infsup(V, Q, pars) == pytest.approx(
-        oracle, rel=1e-10)
+        oracle, rel=1e-12)
 
 
 def _dense_infsup(A, N):
@@ -326,21 +326,78 @@ def test_sparse_diagnostics_match_dense_oracles(builder, order, n):
     oracle = _dense_infsup(_weak_operator(V, cpars, None),
                            triple_norm_gram_compressible(V, cpars))
     assert compressible_infsup(V, cpars) == pytest.approx(
-        oracle, rel=1e-10)
+        oracle, rel=1e-12)
 
     ipars = MaterialParams(1.0, 0.0, gamma=0.1)
     A = _mixed_operator(V, Q, ipars, mesh.side_tags)
     N = triple_norm_gram_incompressible(V, Q, ipars)
     oracle = _dense_infsup(A[:-1, :-1], N[:-1, :-1])
     assert incompressible_infsup(V, Q, ipars) == pytest.approx(
-        oracle, rel=1e-10)
+        oracle, rel=1e-12)
 
     E = assemble_elasticity_stiffness(V, MaterialParams(mu=0.5))
     H = _vector_form(V, grad=1.0, mass=1.0)
     ev = sla.eigh((E + side_mean_gram(V)).toarray(), H.toarray(),
                   eigvals_only=True, subset_by_index=[0, 0])
     assert discrete_korn_constant(V) == pytest.approx(
-        np.sqrt(ev[0]), rel=1e-10)
+        np.sqrt(ev[0]), rel=1e-12)
+
+
+def _infsup_operators_with_points():
+    """(A, N, points) of the square P1 n=8 weak operator, the pinned P1 n=8
+    mixed operator and the Cook P2 n=4 weak operator."""
+    from elastweak.incompressible import _mixed_operator
+    out = []
+    for builder, order, n in ((build_unit_square_mesh, 1, 8),
+                              (build_cook_mesh, 2, 4)):
+        V = FESpace(builder(n), order, 2)
+        pars = MaterialParams(1.0, 1.0)
+        out.append((_weak_operator(V, pars, None),
+                    triple_norm_gram_compressible(V, pars),
+                    np.arange(V.dof_count) // 2))
+    mesh = build_unit_square_mesh(8)
+    V, Q = FESpace(mesh, 1, 2), FESpace(mesh, 1, 1)
+    pars = MaterialParams(1.0, 0.0, gamma=0.1)
+    A = _mixed_operator(V, Q, pars, mesh.side_tags)
+    N = triple_norm_gram_incompressible(V, Q, pars)
+    points = np.concatenate([np.arange(V.dof_count) // 2,
+                             np.arange(Q.dof_count)])
+    out.append((A[:-1, :-1], N[:-1, :-1], points[:-1]))
+    return out
+
+
+def test_infsup_in_point_order_matches_default_order():
+    for A, N, points in _infsup_operators_with_points():
+        assert discrete_infsup_constant(A, N, points) == pytest.approx(
+            discrete_infsup_constant(A, N), rel=1e-12)
+
+
+@pytest.mark.parametrize("change", ["short", "long", "negative", "beyond"])
+def test_infsup_rejects_points_of_the_wrong_length_or_range(change):
+    A, N, points = _infsup_operators_with_points()[0]
+    points = {"short": points[:-1],
+              "long": np.append(points, 0),
+              "negative": np.where(points == 3, -1, points),
+              "beyond": np.where(points == 3, len(points), points)}[change]
+    with pytest.raises(ValueError, match="points must hold"):
+        discrete_infsup_constant(A, N, points)
+
+
+def test_infsup_diagnostics_pass_the_assemblers_points(monkeypatch):
+    from elastweak import norms
+    seen = []
+
+    def record(A, N, points=None):
+        seen.append(points)
+        return 1.0
+
+    monkeypatch.setattr(norms, "smallest_generalized_singular_value", record)
+    mesh = build_unit_square_mesh(2)
+    V, Q = FESpace(mesh, 1, 2), FESpace(mesh, 1, 1)
+    compressible_infsup(V, MaterialParams(1.0, 1.0))
+    incompressible_infsup(V, Q, MaterialParams(1.0, 0.0, gamma=0.1))
+    assert np.array_equal(seen[0], np.arange(18) // 2)
+    assert np.array_equal(seen[1], np.r_[np.arange(18) // 2, np.arange(8)])
 
 
 def test_orthogonality_residual_zero_problem():

@@ -139,6 +139,31 @@ def test_sgsv_rejects_norm_whose_diagonal_spread_overflows():
             10.0 ** -e, rel=1e-9)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("which", ["A", "N"])
+def test_sgsv_rejects_non_finite_entries(capfd, which, bad):
+    # a NaN in A gave 0 as for a singular A; an inf made LAPACK print to
+    # stdout and ARPACK fail
+    mats = {"A": np.diag([2.0, 3.0, 4.0]), "N": np.eye(3)}
+    mats[which][0, 1] = bad
+    if which == "N":
+        mats[which][1, 0] = bad
+    with pytest.raises(ValueError, match="finite entries"):
+        smallest_generalized_singular_value(mats["A"], mats["N"])
+    assert capfd.readouterr().out == ""
+
+
+def test_one_by_one_pencils_give_their_exact_values():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert smallest_generalized_singular_value(
+            np.array([[-3.0]]), np.array([[4.0]])) == 0.75
+        assert smallest_generalized_singular_value(
+            np.array([[0.0]]), np.array([[4.0]])) == 0.0
+        assert solvers._smallest_eigenvalue(
+            sp.csr_matrix([[3.0]]), sp.csr_matrix([[4.0]])) == 0.75
+
+
 def test_arpack_failure_becomes_value_error(monkeypatch):
     def fail(*args, **kwargs):
         raise spla.ArpackError(-9999)
